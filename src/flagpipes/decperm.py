@@ -18,6 +18,7 @@ from itertools import combinations
 from .exceptions import (
     DomainError,
     EmptyChoiceError,
+    InvariantError,
     NotUnblockedError,
 )
 from .perm import (
@@ -272,7 +273,8 @@ def covers_by_shift(dp: DecoratedPermutation) -> tuple[DecoratedPermutation, ...
         for C in combinations(U, r):
             q = right_cyclic_shift(dp, C)
             key = q.to_string()
-            assert key not in seen, f"duplicate cover from choice {C}"
+            if key in seen:
+                raise InvariantError(f"duplicate cover {key} from choice {C}")
             seen[key] = q
     return tuple(seen[k] for k in sorted(seen))
 
@@ -344,7 +346,9 @@ def covered_by_shift(dp: DecoratedPermutation) -> tuple[DecoratedPermutation, ..
         for R in combinations(S, r):
             q = left_cyclic_shift(dp, R)
             key = q.to_string()
-            assert key not in seen, f"duplicate covered element from choice {R}"
+            if key in seen:
+                raise InvariantError(
+                    f"duplicate covered element {key} from choice {R}")
             seen[key] = q
     return tuple(seen[k] for k in sorted(seen))
 
@@ -371,7 +375,8 @@ def dual_positroid(P: Positroid) -> Positroid:
     ((1,),)
     """
     Q = positroid_of(inverse_decperm(decperm_of(P.dream)))
-    assert Q.bases == _positroid.dual(P.bases)
+    if Q.bases != _positroid.dual(P.bases):
+        raise InvariantError("inverse boundary data did not give the dual")
     return Q
 
 

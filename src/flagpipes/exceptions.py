@@ -19,6 +19,7 @@ __all__ = [
     "EmbeddingDomainError",
     "RankDeficientError",
     "NotGeneralizedPermutationError",
+    "InvariantError",
 ]
 
 
@@ -77,3 +78,9 @@ class RankDeficientError(DomainError):
 
 class NotGeneralizedPermutationError(DomainError):
     """A matrix is not a generalized permutation matrix as required."""
+
+
+class InvariantError(DomainError):
+    """A computed result broke an invariant the theory guarantees: a defect
+    in the library, not in its input.  Raised explicitly, so the check also
+    holds under ``python -O``."""

@@ -16,11 +16,12 @@ from .exceptions import (
     DomainError,
     EmbeddingDomainError,
     EmptyChoiceError,
+    InvariantError,
     NotACoverError,
     NotUnblockedError,
     SizeMismatchError,
 )
-from .pathgraph import BasisSet, bases_of, basis_set
+from .pathgraph import BasisSet, basis_set
 from .pipedream import CROSS, ELBOW, EMPTY, HLINE, PIVOT, VLINE, PipeDream, restrict
 from .positroid import Positroid, is_matroid, is_quotient, unblocked_columns
 
@@ -76,6 +77,10 @@ def quotient_covers(P: Positroid) -> tuple[Positroid, ...]:
     """All rank-(k+1) positroids covering P: one per nonempty choice of
     unblocked columns of its canonical dream; requires rank < n.
 
+    This is the row-append route.  The poset takes the same covers from the
+    cyclic shifts of :func:`~flagpipes.decperm.covers_by_shift`, and
+    ``verify quotient-covers`` checks that the two routes agree.
+
     >>> from flagpipes.pipedream import PipeDream
     >>> bottom = Positroid.from_dream(PipeDream(cols=2, pivots=(), grid=()))
     >>> [q.bases.bases for q in quotient_covers(bottom)]
@@ -91,9 +96,9 @@ def quotient_covers(P: Positroid) -> tuple[Positroid, ...]:
         for C in combinations(U, r):
             Q = Positroid.from_dream(append_row(P.dream, C))
             key = decperm_of(Q.dream).to_string()
-            assert key not in seen, f"duplicate cover from choice {C}"
+            if key in seen:
+                raise InvariantError(f"duplicate cover {key} from choice {C}")
             seen[key] = Q
-    assert len(seen) == 2 ** len(U) - 1
     return tuple(seen[k] for k in sorted(seen))
 
 

@@ -1,25 +1,33 @@
 """The graded poset of positroids on [n] under the quotient order.
 
-Two flavors share one container: "representable" edges come from the
-row-append cover construction, "matroidal" edges from the bare quotient
-test on adjacent ranks.  Every representable cover is matroidal; the
-difference is reported by :func:`missing_covers`.  Maximal chains of the
-representable flavor biject with complete flag positroid pipe dreams.
+Two flavors share one container, and both key every element by its
+decorated permutation.  "Representable" edges are the right cyclic shifts
+of :func:`~flagpipes.decperm.covers_by_shift`, which realize exactly the
+row-append covers; the row-append route itself stays as the cross-check of
+``verify quotient-covers`` and the tests.  "Matroidal" edges are the bare
+quotient test on adjacent ranks, run on one rank-increment mask per
+element.  Every representable cover is matroidal; the difference is
+reported by :func:`missing_covers`.  Maximal chains of the representable
+flavor biject with complete flag positroid pipe dreams.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .config import current_limits
-from .decperm import decperm_of, inverse_decperm, parse_decperm
-from .exceptions import DomainError, GuardExceededError, SizeMismatchError
-from .flagbuild import quotient_covers
+from .decperm import covers_by_shift, decperm_of, inverse_decperm, parse_decperm
+from .exceptions import (
+    DomainError,
+    GuardExceededError,
+    InvariantError,
+    SizeMismatchError,
+)
 from .pathgraph import lex_max_basis, lex_min_basis
 from .perm import bruhat_leq
 from .pipedream import PipeDream, construct_fpp, restrict
-from .positroid import Positroid, enumerate_positroids, is_quotient
+from .positroid import Positroid, enumerate_positroids, rank_increments
 
 __all__ = [
     "QuotientPoset",
@@ -66,38 +74,49 @@ class QuotientPoset:
 def build_poset(n: int, flavor: str = "representable") -> QuotientPoset:
     """Assemble the poset of all positroids on [n] for one edge flavor.
 
+    Each element's decorated permutation is computed once; it names the
+    element, orders it within its rank and indexes the edges.  The
+    representable edges of an element are its right cyclic shifts.  The
+    matroidal edges join each element to those of the next rank whose
+    rank-increment masks cover its own (see
+    :func:`~flagpipes.positroid.is_quotient`).
+
     >>> p = build_poset(3)
     >>> len(p.elements), len(p.covers)
     (16, 33)
     """
     if flavor not in FLAVORS:
         raise DomainError(f"unknown flavor {flavor!r}; pick one of {FLAVORS}")
+    if n < 0:
+        raise DomainError(f"poset size must be at least 0, got {n}")
     limits = current_limits()
     cap = (limits.poset_representable_max_n if flavor == "representable"
            else limits.poset_matroidal_max_n)
     if n > cap:
         raise GuardExceededError(
             f"poset flavor {flavor!r} is capped at n <= {cap}")
-    pairs = sorted(((p, decperm_of(p.dream).to_string())
-                    for p in enumerate_positroids(n)),
-                   key=lambda t: (t[0].rank, t[1]))
-    elements = tuple(p for p, _ in pairs)
-    names = tuple(s for _, s in pairs)
-    index = {p.key: i for i, p in enumerate(elements)}
+    named = []
+    for p in enumerate_positroids(n):
+        w = decperm_of(p.dream)
+        named.append((p.rank, w.to_string(), w, p))
+    named.sort(key=lambda t: t[:2])
+    names = tuple(t[1] for t in named)
+    elements = tuple(t[3] for t in named)
     edges = []
     if flavor == "representable":
-        for i, p in enumerate(elements):
-            if p.rank == n:
-                continue
-            for q in quotient_covers(p):
-                edges.append((i, index[q.key]))
+        index = {name: i for i, name in enumerate(names)}
+        for i, (_, _, w, _) in enumerate(named):
+            edges.extend((i, index[q.to_string()]) for q in covers_by_shift(w))
     else:
+        inc = [rank_increments(p.bases) for p in elements]
+        by_rank: list[list[int]] = [[] for _ in range(n + 1)]
         for i, p in enumerate(elements):
-            for j, q in enumerate(elements):
-                if q.rank == p.rank + 1 and is_quotient(p.bases, q.bases):
-                    edges.append((i, j))
+            by_rank[p.rank].append(i)
+        for lower, upper in zip(by_rank, by_rank[1:]):
+            edges.extend((i, j) for i in lower for j in upper
+                         if inc[i] & ~inc[j] == 0)
     return QuotientPoset(n=n, flavor=flavor, elements=elements, names=names,
-                         covers=tuple(sorted(set(edges))))
+                         covers=tuple(sorted(edges)))
 
 
 def maximal_chain_count(poset: QuotientPoset) -> int:
@@ -153,7 +172,8 @@ def missing_covers(n: int) -> tuple[tuple[str, str], ...]:
     mat = build_poset(n, "matroidal")
     rep_edges = {(rep.names[a], rep.names[b]) for a, b in rep.covers}
     mat_edges = {(mat.names[a], mat.names[b]) for a, b in mat.covers}
-    assert rep_edges <= mat_edges, "a dream cover failed the quotient test"
+    if not rep_edges <= mat_edges:
+        raise InvariantError("a representable cover failed the quotient test")
     return tuple(sorted(mat_edges - rep_edges))
 
 

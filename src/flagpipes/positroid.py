@@ -9,7 +9,6 @@ pivot-column set, or its right-exit pipe set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .exceptions import DomainError, SizeMismatchError
@@ -17,7 +16,6 @@ from .pathgraph import BasisSet, bases_of, basis_set
 from .pipedream import (
     CROSS,
     ELBOW,
-    EMPTY,
     HLINE,
     PIVOT,
     VLINE,
@@ -34,6 +32,7 @@ __all__ = [
     "dual",
     "subset_rank",
     "closure",
+    "rank_increments",
     "is_quotient",
     "unblocked_columns",
     "standardize_step",
@@ -96,9 +95,34 @@ def closure(B: BasisSet, S) -> frozenset:
                      if e in S or subset_rank(B, S | {e}) == r)
 
 
+def rank_increments(B: BasisSet) -> int:
+    """One bit per (subset, element) pair, set when the element raises the
+    rank of the subset.  With the ground set indexed in order and subsets
+    read as bitmasks of those indices, bit ``S * m + i`` (m the size of the
+    ground set) stands for adding element ``i`` to ``S``.  Ranks come from
+    the bases as bitmasks, once per subset.
+
+    >>> bin(rank_increments(basis_set(2, [{1}])))
+    '0b10001'
+    """
+    ground = B.ground
+    m = len(ground)
+    place = {e: i for i, e in enumerate(ground)}
+    masks = [sum(1 << place[e] for e in b) for b in B.bases]
+    rank = [max((S & b).bit_count() for b in masks) for S in range(1 << m)]
+    inc = 0
+    for S in range(1 << m):
+        for i in range(m):
+            if rank[S | 1 << i] > rank[S]:
+                inc |= 1 << (S * m + i)
+    return inc
+
+
 def is_quotient(M: BasisSet, Mp: BasisSet) -> bool:
-    """Is M a quotient of Mp?  Tested as closure domination: on every subset
-    the closure in Mp must sit inside the closure in M.  This implies (and
+    """Is M a quotient of Mp?  Every element that raises the rank of a
+    subset in M must raise it in Mp as well, so M's rank-increment mask may
+    set no bit that Mp's leaves clear.  This is closure domination: on every
+    subset the closure in Mp sits inside the closure in M.  It implies (and
     is stronger than) the containment facts that every basis of M lies in a
     basis of Mp and every basis of Mp contains a basis of M.
 
@@ -109,12 +133,7 @@ def is_quotient(M: BasisSet, Mp: BasisSet) -> bool:
     """
     if (M.n, M.offset_zero) != (Mp.n, Mp.offset_zero):
         raise SizeMismatchError("is_quotient: ground sets differ")
-    ground = M.ground
-    for bits in range(2 ** len(ground)):
-        S = {e for i, e in enumerate(ground) if bits >> i & 1}
-        if not closure(Mp, S) <= closure(M, S):
-            return False
-    return True
+    return rank_increments(M) & ~rank_increments(Mp) == 0
 
 
 def unblocked_columns(D: PipeDream) -> tuple[int, ...]:
@@ -234,12 +253,34 @@ def standardize(D: PipeDream) -> PipeDream:
         D = standardize_step(D, rising[0])
 
 
-@dataclass(frozen=True)
 class Positroid:
-    """A positroid: canonical decreasing-pivot dream plus its basis set."""
+    """A positroid, identified by its canonical decreasing-pivot dream.
 
-    dream: PipeDream
-    bases: BasisSet
+    The dream determines the bases, so equality and hashing go by the dream
+    alone, and ``bases`` is computed from it on first access and cached.
+    Pass ``bases`` only when they are already known to be the dream's.
+    """
+
+    def __init__(self, dream: PipeDream, bases: BasisSet | None = None) -> None:
+        if any(a <= b for a, b in zip(dream.pivots, dream.pivots[1:])):
+            raise DomainError("canonical dream needs strictly decreasing pivots"
+                              "; use Positroid.from_dream")
+        object.__setattr__(self, "dream", dream)
+        object.__setattr__(self, "_bases", bases)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"Positroid is immutable; cannot set {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Positroid):
+            return NotImplemented
+        return self.dream == other.dream
+
+    def __hash__(self) -> int:
+        return hash(self.dream)
+
+    def __repr__(self) -> str:
+        return f"Positroid(dream={self.dream!r})"
 
     @classmethod
     def from_dream(cls, D: PipeDream) -> "Positroid":
@@ -253,13 +294,14 @@ class Positroid:
         """
         if not is_gamma_free(D):
             raise DomainError("dream is not gamma-free")
-        S = standardize(D)
-        return cls(dream=S, bases=bases_of(S))
+        return cls(dream=standardize(D))
 
-    def __post_init__(self) -> None:
-        if any(a <= b for a, b in zip(self.dream.pivots, self.dream.pivots[1:])):
-            raise DomainError("canonical dream needs strictly decreasing pivots"
-                              "; use Positroid.from_dream")
+    @property
+    def bases(self) -> BasisSet:
+        """The path-family bases of the dream, computed once."""
+        if self._bases is None:
+            object.__setattr__(self, "_bases", bases_of(self.dream))
+        return self._bases
 
     @property
     def n(self) -> int:

@@ -70,8 +70,6 @@ from .ratmat import (
     det,
     embed_append,
     flag_minors,
-    nep_values,
-    pivot_signs,
     rational_matrix,
 )
 

@@ -123,6 +123,27 @@ def quotient_via_flats(lower_bases, upper_bases, ground) -> bool:
     return flats_of(lower_bases, ground) <= flats_of(upper_bases, ground)
 
 
+def closure_table(bases, ground) -> tuple[frozenset, ...]:
+    """The closure of every subset of the ground set, subsets listed in the
+    order of their bitmasks over ``ground``: each subset together with every
+    element whose addition leaves its rank unchanged."""
+    ground = tuple(ground)
+    out = []
+    for bits in range(2 ** len(ground)):
+        S = frozenset(e for i, e in enumerate(ground) if bits >> i & 1)
+        r = max_overlap_rank(bases, S)
+        out.append(S | {e for e in ground
+                        if max_overlap_rank(bases, S | {e}) == r})
+    return tuple(out)
+
+
+def quotient_via_closures(lower_table, upper_table) -> bool:
+    """Quotient test by closure domination, on two :func:`closure_table`
+    results over one ground set: on every subset the closure in the upper
+    matroid must sit inside the closure in the lower one."""
+    return all(up <= low for low, up in zip(lower_table, upper_table))
+
+
 def elementary_quotient_via_extension(lower_bases, upper_bases, n: int) -> bool:
     """Adjacent-rank quotient test via a one-element extension: the lower
     bases with a new element 0 added, together with the upper bases

@@ -189,6 +189,14 @@ class TestPoset:
         code, _, err = run(capsys, "poset", "5", "--flavor", "matroidal")
         assert code == 1 and err.startswith("error:")
 
+    def test_negative_size_is_domain_error(self, capsys):
+        code, out, err = run(capsys, "poset", "-1")
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
+        code, out, _ = run(capsys, "poset", "0")
+        assert code == 0
+        assert json.loads(out)["nodes"] == [{"decperm": "", "rank": 0}]
+
     def test_bad_flavor_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["poset", "3", "--flavor", "fancy"])
@@ -271,3 +279,13 @@ class TestInstalledEntryPoint:
             [sys.executable, "-m", "flagpipes.cli", "no-such-verb"],
             capture_output=True, text=True)
         assert proc.returncode == 2
+
+    def test_optimized_mode_prints_the_same(self):
+        argv = ["-m", "flagpipes.cli", "poset", "4", "--flavor", "matroidal"]
+        plain, optimized = (
+            subprocess.run([sys.executable, *flags, *argv],
+                           capture_output=True, text=True)
+            for flags in ([], ["-O"]))
+        assert plain.returncode == optimized.returncode == 0
+        assert plain.stdout == optimized.stdout
+        assert json.loads(plain.stdout)["flavor"] == "matroidal"

@@ -2,8 +2,10 @@
 
 import pytest
 
-from flagpipes.decperm import covers_by_shift, parse_decperm
+import oracles
+from flagpipes.decperm import covers_by_shift, decperm_of, parse_decperm
 from flagpipes.exceptions import DomainError, GuardExceededError, SizeMismatchError
+from flagpipes.flagbuild import quotient_covers
 from flagpipes.pipedream import construct_fpp, enumerate_fpps
 from flagpipes.poset import (
     build_poset,
@@ -53,6 +55,35 @@ class TestBuild:
             ups = {poset.names[b] for a, b in poset.covers if a == i}
             shifts = {q.to_string() for q in covers_by_shift(parse_decperm(name))}
             assert ups == shifts
+
+    def test_representable_edges_match_dream_route(self):
+        poset = build_poset(5)
+        ups = {i: set() for i in range(len(poset.elements))}
+        for a, b in poset.covers:
+            ups[a].add(poset.names[b])
+        for i, P in enumerate(poset.elements):
+            dreams = ({decperm_of(Q.dream).to_string()
+                       for Q in quotient_covers(P)} if P.rank < P.n else set())
+            assert ups[i] == dreams
+
+    def test_matroidal_edges_match_closure_oracle(self):
+        poset = build_poset(4, "matroidal")
+        tables = [oracles.closure_table(P.bases.bases, P.bases.ground)
+                  for P in poset.elements]
+        want = {(a, b)
+                for a, P in enumerate(poset.elements)
+                for b, Q in enumerate(poset.elements)
+                if Q.rank == P.rank + 1
+                and oracles.quotient_via_closures(tables[a], tables[b])}
+        assert set(poset.covers) == want
+        assert len(poset.covers) == 248
+
+    def test_negative_and_empty_sizes(self):
+        for flavor in ("representable", "matroidal"):
+            with pytest.raises(DomainError):
+                build_poset(-1, flavor)
+            empty = build_poset(0, flavor)
+            assert len(empty.elements) == 1 and empty.covers == ()
 
     def test_flavor_and_guards(self):
         with pytest.raises(DomainError):

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from flagpipes import positroid as positroid_module
 from flagpipes.decperm import parse_decperm, positroid_of
 from flagpipes.exceptions import DomainError, SizeMismatchError
+from flagpipes.flagbuild import phi
 from flagpipes.pathgraph import bases_of, basis_set
 from flagpipes.pipedream import (
     PipeDream,
@@ -98,6 +100,30 @@ class TestQuotient:
                     continue
                 assert is_quotient(M, Mp) == oracles.quotient_via_flats(
                     M.bases, Mp.bases, M.ground)
+
+    def test_closure_route_agrees_on_every_pair_at_four(self):
+        elements = list(enumerate_positroids(4))
+        assert len(elements) == 65
+        tables = [oracles.closure_table(P.bases.bases, P.bases.ground)
+                  for P in elements]
+        for P, low in zip(elements, tables):
+            for Q, up in zip(elements, tables):
+                assert is_quotient(P.bases, Q.bases) == \
+                    oracles.quotient_via_closures(low, up)
+
+    def test_closure_route_agrees_on_offset_zero_sets(self):
+        d = construct_fpp((2, 4, 1, 3), (4, 2, 3, 1))
+        p1, p2, p3 = (Positroid.from_dream(restrict(d, k)) for k in (1, 2, 3))
+        family = [phi(p1, p2), phi(p2, p3),
+                  basis_set(4, p1.bases.bases, offset_zero=True),
+                  basis_set(4, p2.bases.bases, offset_zero=True)]
+        tables = [oracles.closure_table(B.bases, B.ground) for B in family]
+        for M, low in zip(family, tables):
+            for Mp, up in zip(family, tables):
+                assert is_quotient(M, Mp) == oracles.quotient_via_closures(low, up)
+        # contracting the new element 0 gives a quotient, not the reverse
+        assert is_quotient(family[3], family[1])
+        assert not is_quotient(family[1], family[3])
 
     def test_every_matroid_is_a_quotient_of_itself(self):
         for M in all_matroids_on_three():
@@ -213,6 +239,37 @@ class TestPositroid:
                               {(1, 2): "X", (1, 3): "E", (2, 3): "E"})
         with pytest.raises(DomainError):
             Positroid.from_dream(bad)
+
+    def test_bases_are_lazy_and_match_the_path_families(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("bases enumerated while keying")
+
+        monkeypatch.setattr(positroid_module, "bases_of", refuse)
+        elements = list(enumerate_positroids(4))
+        assert len({P.key for P in elements}) == len(set(elements)) == 65
+        monkeypatch.undo()
+        for P in elements:
+            assert P.bases == bases_of(P.dream)
+            assert P.bases is P.bases
+
+    def test_equality_and_hash_follow_the_key(self):
+        elements = list(enumerate_positroids(3))
+        again = [Positroid.from_dream(P.dream) for P in elements]
+        for P, P2 in zip(elements, again):
+            assert P == P2 and hash(P) == hash(P2)
+            for Q in elements:
+                assert (P == Q) == (P.key == Q.key)
+        empty = [Positroid.from_dream(PipeDream(cols=n, pivots=(), grid=()))
+                 for n in (2, 3)]
+        assert empty[0].key == empty[1].key and empty[0] != empty[1]
+
+    def test_explicit_bases_are_kept(self, running_example):
+        P = Positroid(dream=running_example.dream, bases=running_example.bases)
+        assert P.bases is running_example.bases and P == running_example
+
+    def test_immutable(self, running_example):
+        with pytest.raises(AttributeError):
+            running_example.dream = None
 
     def test_counts(self):
         assert [sum(1 for _ in enumerate_positroids(n)) for n in (1, 2, 3, 4)] \
