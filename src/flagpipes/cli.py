@@ -3,9 +3,13 @@
 Verbs: fpp, bases, covers, covered-by, shift, decperm, poset, verify,
 render, convert.  Output is JSON on stdout unless an --ascii/--svg/--dot
 render is asked for.  Exit status: 0 on success, 1 when a domain rule is
-violated (bad interval, malformed grid, guard exceeded, ...), 2 on usage
-errors.  The POSITROID_MAX_N environment variable relaxes the enumeration
-guards.
+violated (bad interval, malformed grid, unreadable JSON, guard exceeded,
+...), 2 on usage errors.  The POSITROID_MAX_N environment variable relaxes
+the enumeration guards.
+
+Each verb imports the layers it uses when it runs, so a process loads only
+what its verb needs: ``fpp`` never loads the poset, the check suite, the
+matrix layer or the renderer.
 """
 
 from __future__ import annotations
@@ -14,30 +18,15 @@ import argparse
 import json
 import sys
 
-from .decperm import (
-    covered_by_shift,
-    decperm_of,
-    left_cyclic_shift,
-    parse_decperm,
-    positroid_of,
-    right_cyclic_shift,
-)
 from .exceptions import DomainError
-from .flagbuild import quotient_covers
-from .pathgraph import bases_of
-from .perm import validate_permutation
-from .pipedream import PipeDream, construct_fpp, restrict
-from .positroid import Positroid
-from .poset import build_poset, export_dot, export_json, maximal_chain_count, missing_covers
-from .render import ascii_grid, svg_grid
-from .serialize import parse_any, to_json
-from .verify import CHECK_NAMES, DEFAULT_SEED, run_all
 
 __all__ = ["main"]
 
 
 def _perm_arg(text: str) -> tuple[int, ...]:
     """One-line notation: digit string up to n=9, comma-separated beyond."""
+    from .perm import validate_permutation
+
     parts = text.split(",") if "," in text else list(text)
     try:
         w = tuple(int(p) for p in parts)
@@ -54,16 +43,36 @@ def _int_set_arg(text: str) -> tuple[int, ...]:
         raise DomainError(f"cannot read column set {text!r}")
 
 
+def _check_name_arg(text: str) -> str:
+    """A check name of the verify suite; any other name is a usage error."""
+    from .verify import CHECK_NAMES
+
+    if text not in CHECK_NAMES:
+        raise argparse.ArgumentTypeError(
+            f"unknown check {text!r}; choose from: {', '.join(CHECK_NAMES)}")
+    return text
+
+
 def _read_json(path: str):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+    """The JSON document in a file, or on stdin for '-'; a missing,
+    unreadable or malformed file is a domain error."""
+    source = "stdin" if path == "-" else path
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise DomainError(f"cannot read {source}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise DomainError(f"{source} is not valid JSON: {exc}") from exc
 
 
-def _dream_from_args(args) -> PipeDream:
+def _dream_from_args(args):
     """A grid from --dream FILE, --decperm STR, or a u/v positional pair."""
     if getattr(args, "dream", None):
+        from .serialize import parse_any
+
         kind, value = parse_any(_read_json(args.dream))
         if kind == "positroid":
             return value.dream
@@ -71,90 +80,115 @@ def _dream_from_args(args) -> PipeDream:
             return value
         raise DomainError(f"{args.dream} holds a {kind}, not a grid")
     if getattr(args, "decperm", None):
+        from .decperm import parse_decperm, positroid_of
+
         return positroid_of(parse_decperm(args.decperm)).dream
     if getattr(args, "u", None) and getattr(args, "v", None):
+        from .pipedream import construct_fpp
+
         return construct_fpp(_perm_arg(args.u), _perm_arg(args.v))
     raise DomainError("no grid given: pass U V, --dream FILE, or --decperm STR")
 
 
-def _positroid_from_args(args) -> Positroid:
+def _positroid_from_args(args):
+    from .decperm import parse_decperm, positroid_of
+    from .positroid import Positroid
+
     if getattr(args, "decperm", None):
         return positroid_of(parse_decperm(args.decperm))
     return Positroid.from_dream(_dream_from_args(args))
 
 
-def _emit(payload, args) -> None:
-    if getattr(args, "ascii", False) or getattr(args, "svg", False):
-        print(payload)
-    else:
-        print(json.dumps(to_json(payload), indent=2))
+def _emit(payload) -> None:
+    from .serialize import to_json
+
+    print(json.dumps(to_json(payload), indent=2))
+
+
+def _draw(D, svg: bool) -> None:
+    from .render import ascii_grid, svg_grid
+
+    print(svg_grid(D) if svg else ascii_grid(D))
 
 
 def _cmd_fpp(args) -> None:
+    from .pipedream import construct_fpp
+
     D = construct_fpp(_perm_arg(args.u), _perm_arg(args.v))
-    if args.ascii:
-        _emit(ascii_grid(D), args)
-    elif args.svg:
-        _emit(svg_grid(D), args)
+    if args.ascii or args.svg:
+        _draw(D, svg=not args.ascii)
     else:
-        _emit(D, args)
+        _emit(D)
 
 
 def _cmd_render(args) -> None:
-    D = _dream_from_args(args)
-    if args.svg:
-        _emit(svg_grid(D), args)
-    else:
-        args.ascii = True
-        _emit(ascii_grid(D), args)
+    _draw(_dream_from_args(args), svg=args.svg)
 
 
 def _cmd_bases(args) -> None:
+    from .pathgraph import bases_of
+    from .pipedream import restrict
+
     D = _dream_from_args(args)
     if args.k is not None:
         D = restrict(D, args.k)
-    _emit(bases_of(D), args)
+    _emit(bases_of(D))
 
 
 def _cmd_decperm(args) -> None:
+    from .decperm import decperm_of
+    from .pipedream import restrict
+
     D = _dream_from_args(args)
     if args.k is not None:
         D = restrict(D, args.k)
-    _emit(decperm_of(D), args)
+    _emit(decperm_of(D))
 
 
 def _cmd_covers(args) -> None:
+    from .decperm import decperm_of
+    from .flagbuild import quotient_covers
+
     P = _positroid_from_args(args)
-    _emit([decperm_of(Q.dream) for Q in quotient_covers(P)], args)
+    _emit([decperm_of(Q.dream) for Q in quotient_covers(P)])
 
 
 def _cmd_covered_by(args) -> None:
+    from .decperm import covered_by_shift, decperm_of
+
     w = decperm_of(_positroid_from_args(args).dream)
-    _emit(list(covered_by_shift(w)), args)
+    _emit(list(covered_by_shift(w)))
 
 
 def _cmd_shift(args) -> None:
+    from .decperm import left_cyclic_shift, parse_decperm, right_cyclic_shift
+
     w = parse_decperm(args.decperm)
     C = _int_set_arg(args.set)
     shifted = left_cyclic_shift(w, C) if args.left else right_cyclic_shift(w, C)
-    _emit(shifted, args)
+    _emit(shifted)
 
 
 def _cmd_poset(args) -> None:
+    from .poset import (build_poset, export_dot, export_json,
+                        maximal_chain_count, missing_covers)
+
     poset = build_poset(args.n, flavor=args.flavor)
     if args.stats:
         _emit({"elements": len(poset.elements),
-               "maxChains": maximal_chain_count(poset)}, args)
+               "maxChains": maximal_chain_count(poset)})
     elif args.dot:
         dashed = missing_covers(args.n) if args.flavor == "matroidal" else ()
         print(export_dot(poset, dashed=dashed))
     else:
-        _emit(export_json(poset), args)
+        _emit(export_json(poset))
 
 
 def _cmd_verify(args) -> int:
-    names = args.checks or list(CHECK_NAMES)
-    results = run_all(names, jobs=args.jobs, seed=args.seed)
+    from .verify import CHECK_NAMES, DEFAULT_SEED, run_all
+
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    results = run_all(args.checks or CHECK_NAMES, jobs=args.jobs, seed=seed)
     print(json.dumps([{"name": r.name, "ok": r.ok, "detail": r.detail,
                        "seconds": round(r.seconds, 3)} for r in results],
                      indent=2))
@@ -164,8 +198,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_convert(args) -> None:
+    from .serialize import parse_any
+
     kind, value = parse_any(_read_json(args.file))
-    print(json.dumps(to_json(value), indent=2))
+    _emit(value)
 
 
 def _add_grid_source(sub, positional: bool = True) -> None:
@@ -229,10 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=_cmd_poset)
 
     sub = verbs.add_parser("verify", help="run the published-fact checks")
-    sub.add_argument("checks", nargs="*", metavar="CHECK",
-                     help=f"subset of: {', '.join(CHECK_NAMES)}")
+    sub.add_argument("checks", nargs="*", metavar="CHECK", type=_check_name_arg,
+                     help="names of the checks to run (default: all ten)")
     sub.add_argument("--jobs", type=int, default=1)
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sub.add_argument("--seed", type=int,
+                     help="seed of the randomized checks (default: fixed)")
     sub.set_defaults(func=_cmd_verify)
 
     sub = verbs.add_parser("convert", help="sniff a JSON file, re-emit canonically")

@@ -384,24 +384,6 @@ def is_gamma_free(D: PipeDream) -> bool:
     return True
 
 
-def _gamma_free_by_pattern_search(D: PipeDream) -> bool:
-    """Literal hunt for the blocking pattern; independent cross-check route."""
-    k, n = D.rows, D.cols
-    cross_pipe: dict[Box, PipeTrace] = {}
-    for t in trace_pipes(D):
-        for cell in t.horizontal_crosses:
-            cross_pipe[cell] = t
-    for (i, j), t in cross_pipe.items():
-        # A pivot elbow right of a cross in the same row is impossible
-        # (the row pivot sits left of every box), so only "E" can occur.
-        if not any(D.tile(i, jp) == ELBOW for jp in range(j + 1, n + 1)):
-            continue
-        cap = k if t.exit_side == "bottom" else min(t.exit_index, k)
-        if any(D.tile(r, j) in (ELBOW, PIVOT) for r in range(i + 1, cap + 1)):
-            return False
-    return True
-
-
 def is_fpp(D: PipeDream) -> bool:
     """True iff the (structurally valid) dream avoids the blocking pattern.
 

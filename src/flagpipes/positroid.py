@@ -154,22 +154,6 @@ def unblocked_columns(D: PipeDream) -> tuple[int, ...]:
     return tuple(sorted(set(range(1, D.cols + 1)) - blocked))
 
 
-def _unblocked_le(D: PipeDream) -> tuple[int, ...]:
-    """Le-form route, valid when pivots strictly decrease: a non-pivot column
-    is blocked iff it contains a cross with an elbow somewhere to its right
-    in the same row."""
-    if any(a <= b for a, b in zip(D.pivots, D.pivots[1:])):
-        raise DomainError("Le-form blocking needs strictly decreasing pivots")
-    n = D.cols
-    blocked = set(D.pivots)
-    for i in range(1, D.rows + 1):
-        row = D.grid[i - 1]
-        for j in range(1, n + 1):
-            if row[j - 1] == CROSS and ELBOW in row[j:]:
-                blocked.add(j)
-    return tuple(sorted(set(range(1, n + 1)) - blocked))
-
-
 def standardize_step(D: PipeDream, i: int) -> PipeDream:
     """Exchange pivot rows i and i+1 when their pivots ascend.
 

@@ -12,7 +12,7 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import lcm
 
 from .config import current_limits
 from .exceptions import (
@@ -163,14 +163,12 @@ def det(A: RationalMatrix) -> Fraction:
     if A.k != A.n:
         raise SizeMismatchError("determinant needs a square matrix")
     size = A.k
-    scale = Fraction(1)
+    denominator = 1
     m: list[list[int]] = []
     for row in A.rows:
-        lcm = 1
-        for x in row:
-            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-        scale /= lcm
-        m.append([int(x * lcm) for x in row])
+        row_lcm = lcm(*(x.denominator for x in row))
+        denominator *= row_lcm
+        m.append([x.numerator * (row_lcm // x.denominator) for x in row])
     sign = 1
     prev = 1
     for col in range(size):
@@ -185,7 +183,7 @@ def det(A: RationalMatrix) -> Fraction:
                 m[r][c] = (m[r][c] * m[col][col] - m[r][col] * m[col][c]) // prev
             m[r][col] = 0
         prev = m[col][col]
-    return sign * scale * m[size - 1][size - 1]
+    return Fraction(sign * m[size - 1][size - 1], denominator)
 
 
 def flag_minors(A: RationalMatrix, ranks) -> dict[tuple[int, tuple[int, ...]], Fraction]:

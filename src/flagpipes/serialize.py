@@ -13,7 +13,6 @@ from .flagbuild import FlagPositroid
 from .pathgraph import BasisSet, basis_set
 from .pipedream import PipeDream
 from .positroid import Positroid
-from .ratmat import RationalMatrix, matrix_from_json, matrix_to_json
 
 __all__ = [
     "dream_to_json",
@@ -147,12 +146,29 @@ def parse_any(data):
 
     Returns a (kind, value) pair; kind is one of "positroid", "dream",
     "basis-set", "decperm", "flag", "poset", "matrix", "permutation".
+    A document of a recognized kind with a missing or unreadable field is a
+    :class:`DomainError`, like one of no recognized kind.
 
     >>> parse_any({"perm": [1], "color": [2]})[0]
     'decperm'
     >>> parse_any([["1", "-1/2"]])[0]
     'matrix'
+    >>> parse_any({"tiles": [["P"]], "pivots": [1]})
+    Traceback (most recent call last):
+    ...
+    flagpipes.exceptions.DomainError: the JSON document lacks the field 'cols'
     """
+    try:
+        return _sniff(data)
+    except DomainError:
+        raise
+    except KeyError as exc:
+        raise DomainError(f"the JSON document lacks the field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"malformed JSON document: {exc}") from exc
+
+
+def _sniff(data):
     if isinstance(data, dict):
         if "constituents" in data:
             return "flag", flag_from_json(data)
@@ -177,6 +193,8 @@ def parse_any(data):
         if data and all(isinstance(x, dict) and "ok" in x for x in data):
             return "report", data
         if data and all(isinstance(x, list) for x in data):
+            from .ratmat import matrix_from_json
+
             return "matrix", matrix_from_json(data)
         if all(isinstance(x, int) for x in data):
             return "permutation", tuple(data)
@@ -199,11 +217,14 @@ def to_json(value):
         return decperm_to_json(value)
     if isinstance(value, FlagPositroid):
         return flag_to_json(value)
-    if isinstance(value, RationalMatrix):
-        return matrix_to_json(value)
     if isinstance(value, dict):
         return value
     if isinstance(value, (tuple, list)):
         return [x if isinstance(x, (int, str, dict)) else to_json(x)
                 for x in value]
+    # Checked last: serializing any other value never loads the matrix layer.
+    from .ratmat import RationalMatrix, matrix_to_json
+
+    if isinstance(value, RationalMatrix):
+        return matrix_to_json(value)
     raise DomainError(f"cannot serialize {type(value).__name__}")

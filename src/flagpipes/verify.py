@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -378,6 +377,8 @@ def run_all(names=None, jobs: int = 1,
             raise KeyError(f"unknown check {name!r}")
     seeds = [seed] * len(names)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(run_check, names, seeds))
     return [run_check(name, seed) for name in names]

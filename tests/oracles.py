@@ -14,6 +14,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from flagpipes.exceptions import DomainError
+from flagpipes.pipedream import CROSS, ELBOW, PIVOT, trace_pipes
+
 
 # ---------------------------------------------------------------- determinants
 
@@ -151,6 +154,44 @@ def elementary_quotient_via_extension(lower_bases, upper_bases, n: int) -> bool:
     family = {frozenset(b) | {0} for b in lower_bases}
     family |= {frozenset(b) for b in upper_bases}
     return is_matroid_via_rank_axioms(family, range(n + 1))
+
+
+# ------------------------------------------------------------------- blocking
+
+def gamma_free_by_pattern_search(D) -> bool:
+    """Literal hunt for the blocking pattern: a cross whose horizontal pipe
+    has an elbow to its right in the same row and an elbow or pivot below
+    it before the pipe leaves the grid."""
+    k, n = D.rows, D.cols
+    cross_pipe = {}
+    for t in trace_pipes(D):
+        for cell in t.horizontal_crosses:
+            cross_pipe[cell] = t
+    for (i, j), t in cross_pipe.items():
+        # A pivot elbow right of a cross in the same row is impossible
+        # (the row pivot sits left of every box), so only "E" can occur.
+        if not any(D.tile(i, jp) == ELBOW for jp in range(j + 1, n + 1)):
+            continue
+        cap = k if t.exit_side == "bottom" else min(t.exit_index, k)
+        if any(D.tile(r, j) in (ELBOW, PIVOT) for r in range(i + 1, cap + 1)):
+            return False
+    return True
+
+
+def unblocked_le(D) -> tuple[int, ...]:
+    """Le-form route, valid when pivots strictly decrease: a non-pivot column
+    is blocked iff it contains a cross with an elbow somewhere to its right
+    in the same row."""
+    if any(a <= b for a, b in zip(D.pivots, D.pivots[1:])):
+        raise DomainError("Le-form blocking needs strictly decreasing pivots")
+    n = D.cols
+    blocked = set(D.pivots)
+    for i in range(1, D.rows + 1):
+        row = D.grid[i - 1]
+        for j in range(1, n + 1):
+            if row[j - 1] == CROSS and ELBOW in row[j:]:
+                blocked.add(j)
+    return tuple(sorted(set(range(1, n + 1)) - blocked))
 
 
 # --------------------------------------------------------- lattice-path shape

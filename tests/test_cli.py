@@ -13,8 +13,13 @@ from flagpipes.flagbuild import quotient_covers
 from flagpipes.pathgraph import bases_of
 from flagpipes.pipedream import PipeDream, construct_fpp, restrict
 from flagpipes.render import ascii_grid, svg_grid
+from flagpipes.verify import CHECK_NAMES
 
 RUNNING = "5o1u3u9o2u7o6u4u8u"
+
+# Modules a plain ``fpp`` run has no use for; the CLI must not import them.
+HEAVY = ("flagpipes.verify", "flagpipes.poset", "flagpipes.ratmat",
+         "concurrent.futures", "flagpipes.render")
 
 
 def run(capsys, *argv):
@@ -212,6 +217,14 @@ class TestVerify:
         assert report[0]["ok"] is True
         assert err.startswith("PASS golden-grids:")
 
+    def test_unknown_check_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "golden-grids", "bogus"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown check 'bogus'" in err
+        assert all(name in err for name in CHECK_NAMES)
+
     def test_report_is_sniffable(self, capsys):
         code, out, _ = run(capsys, "verify", "decperm-table")
         assert code == 0
@@ -248,6 +261,36 @@ class TestConvert:
         assert code == 1 and err.startswith("error:")
 
 
+class TestBadJsonInput:
+    """Unreadable or malformed JSON is a domain error, never a traceback."""
+
+    def check(self, capsys, path, *fragments):
+        for argv in (["render", "--dream", str(path)], ["convert", str(path)]):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert all(f in err for f in fragments)
+
+    def test_missing_file(self, capsys, tmp_path):
+        self.check(capsys, tmp_path / "absent.json", "cannot read")
+
+    def test_malformed_json(self, capsys, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text('{"tiles": [["P"]], ')
+        self.check(capsys, path, "not valid JSON")
+
+    def test_missing_field(self, capsys, tmp_path):
+        path = tmp_path / "nocols.json"
+        path.write_text(json.dumps({"tiles": [["P"]], "pivots": [1]}))
+        self.check(capsys, path, "'cols'")
+
+    def test_non_integer_field(self, capsys, tmp_path):
+        path = tmp_path / "badcols.json"
+        path.write_text(json.dumps(
+            {"tiles": [["P"]], "pivots": [1], "cols": "x"}))
+        self.check(capsys, path, "'x'")
+
+
 class TestGuardsAndEnv:
     def test_wide_grid_guard(self, capsys, tmp_path):
         wide = PipeDream(cols=13, pivots=(1,), grid=("P" + "E" * 12,))
@@ -279,6 +322,25 @@ class TestInstalledEntryPoint:
             [sys.executable, "-m", "flagpipes.cli", "no-such-verb"],
             capture_output=True, text=True)
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("argv, unused", [
+        (["fpp", "2413", "4231"], HEAVY),
+        (["fpp", "2413", "4231", "--ascii"],
+         tuple(m for m in HEAVY if m != "flagpipes.render")),
+        (["verify", "golden-grids"], ("concurrent.futures",)),
+    ])
+    def test_verbs_load_only_their_layers(self, argv, unused):
+        script = (
+            "import json, sys\n"
+            "import flagpipes.cli\n"
+            f"unused = {unused!r}\n"
+            "loaded = [[m for m in unused if m in sys.modules]]\n"
+            f"code = flagpipes.cli.main({argv!r})\n"
+            "loaded.append([m for m in unused if m in sys.modules])\n"
+            "print(json.dumps([code, loaded]), file=sys.stderr)\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert json.loads(proc.stderr.splitlines()[-1]) == [0, [[], []]]
 
     def test_optimized_mode_prints_the_same(self):
         argv = ["-m", "flagpipes.cli", "poset", "4", "--flavor", "matroidal"]

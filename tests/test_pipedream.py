@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given
 
+import oracles
 from conftest import permutation_pairs
 from flagpipes.exceptions import (
     DomainError,
@@ -25,7 +26,6 @@ from flagpipes.pipedream import (
     LeDream,
     PipeDream,
     _fillings,
-    _gamma_free_by_pattern_search,
     bottom_exit_labels,
     construct_fpp,
     cross_positions,
@@ -171,7 +171,7 @@ class TestGammaFree:
             for k in range(1, n + 1):
                 for pivots in all_permutations(n):
                     for D in _fillings(n, pivots[:k]):
-                        assert is_gamma_free(D) == _gamma_free_by_pattern_search(D)
+                        assert is_gamma_free(D) == oracles.gamma_free_by_pattern_search(D)
 
 
 class TestRestriction:

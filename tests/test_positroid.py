@@ -22,7 +22,6 @@ from flagpipes.pipedream import (
 )
 from flagpipes.positroid import (
     Positroid,
-    _unblocked_le,
     closure,
     dual,
     enumerate_positroids,
@@ -143,11 +142,11 @@ class TestUnblocked:
         for n in (2, 3, 4):
             for k in range(1, n + 1):
                 for D in enumerate_le_dreams(n, k):
-                    assert unblocked_columns(D) == _unblocked_le(D)
+                    assert unblocked_columns(D) == oracles.unblocked_le(D)
 
     def test_le_route_needs_decreasing_pivots(self):
         with pytest.raises(DomainError):
-            _unblocked_le(restrict(construct_fpp((1, 2, 3), (3, 1, 2)), 2))
+            oracles.unblocked_le(restrict(construct_fpp((1, 2, 3), (3, 1, 2)), 2))
 
     def test_full_rank_has_none(self):
         for P in enumerate_positroids(3):

@@ -140,6 +140,19 @@ class TestParseAny:
             with pytest.raises(DomainError):
                 ser.parse_any(bad)
 
+    @pytest.mark.parametrize("doc", [
+        {"tiles": [["P"]], "pivots": [1]},
+        {"tiles": [["P"]], "pivots": [1], "cols": "x"},
+        {"tiles": 5, "pivots": [1], "cols": 1},
+        {"bases": [[1]]},
+        {"perm": [1], "color": ["o"]},
+        {"constituents": [{}], "n": 1, "ranks": [1]},
+        [["1", "x"]],
+    ])
+    def test_malformed_fields_are_domain_errors(self, doc):
+        with pytest.raises(DomainError):
+            ser.parse_any(doc)
+
 
 class TestToJson:
     def test_dispatch(self, running_example):
@@ -150,6 +163,13 @@ class TestToJson:
         A = rational_matrix([[1, "1/2"]])
         assert ser.to_json(A) == [["1", "1/2"]]
         assert ser.to_json({"free": "form"}) == {"free": "form"}
+
+    def test_matrix(self):
+        A = rational_matrix([["-3/4", 0], [2, "1/5"]])
+        assert ser.to_json(A) == [["-3/4", "0"], ["2", "1/5"]]
+        assert ser.to_json((A, A)) == [ser.to_json(A)] * 2
+        assert ser.parse_any(json.loads(json.dumps(ser.to_json(A)))) == \
+            ("matrix", A)
 
     def test_sequences_recurse(self):
         ws = (parse_decperm("1o"), parse_decperm("1u"))
