@@ -101,16 +101,6 @@ class DecoratedPermutation:
                  for v, c in zip(self.perm, self.color)]
         return ",".join(parts) if self.n > 9 else "".join(parts)
 
-    def to_unicode(self) -> str:
-        """Display form with combining overline/underline marks.
-
-        >>> DecoratedPermutation((2, 1), (2, 1)).to_unicode() == "2\\u03051\\u0332"
-        True
-        """
-        marks = {OVER: "̅", UNDER: "̲"}
-        parts = [f"{v}{marks[c]}" for v, c in zip(self.perm, self.color)]
-        return ",".join(parts) if self.n > 9 else "".join(parts)
-
 
 def parse_decperm(s: str) -> DecoratedPermutation:
     """Inverse of :meth:`DecoratedPermutation.to_string`.

@@ -214,7 +214,8 @@ def phi(P: Positroid, Q: Positroid) -> BasisSet:
     cover_choice(P, Q)  # raises NotACoverError when unrepresentable
     zero_side = ((0,) + b for b in P.bases.bases)
     R = basis_set(P.n, list(zero_side) + list(Q.bases.bases), offset_zero=True)
-    assert is_matroid(R)
+    if not is_matroid(R):
+        raise InvariantError("phi of a quotient cover pair is not a matroid")
     return R
 
 

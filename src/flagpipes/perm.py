@@ -256,11 +256,14 @@ def reduced_word(u: Permutation) -> Word:
     >>> word_to_perm(3, reduced_word((3, 2, 1)))
     (3, 2, 1)
     """
+    word = []
     d = descents(u)
-    if not d:
-        return ()
-    i = d[-1]
-    return reduced_word(right_multiply(u, i)) + (i,)
+    while d:
+        i = d[-1]
+        word.append(i)
+        u = right_multiply(u, i)
+        d = descents(u)
+    return tuple(reversed(word))
 
 
 def bruhat_leq_subword_oracle(u: Permutation, v: Permutation) -> bool:

@@ -1,8 +1,12 @@
 """Exact rational matrices: flag minors, sign rule, zero-column embedding.
 
 Everything here is exact Fraction arithmetic — nonnegativity of a minor is
-a sign question, so floating point is refused at the door.  Determinants
-use fraction-free (Bareiss) elimination after clearing denominators.
+a sign question, so floating point is refused at the door.  Every route
+first clears denominators row by row (each row times the positive lcm of
+its denominators) and works on the integer rows.  Determinants use
+fraction-free (Bareiss) elimination; flag minors are built rank by rank,
+each rank-r minor by Laplace expansion along row r over the rank-(r-1)
+minors, and divided by the product of the row scales once at the end.
 """
 
 from __future__ import annotations
@@ -12,12 +16,13 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import lcm, prod
 
 from .config import current_limits
 from .exceptions import (
     DomainError,
     GuardExceededError,
+    InvariantError,
     NotGeneralizedPermutationError,
     RankDeficientError,
     SizeMismatchError,
@@ -152,6 +157,40 @@ def matrix_from_csv(text: str, offset_zero: bool = False) -> RationalMatrix:
                            offset_zero=offset_zero)
 
 
+def _integer_rows(rows) -> tuple[list[list[int]], list[int]]:
+    """Each row times the lcm of its denominators: the integer rows and the
+    (positive) scales.  A minor on rows I is the integer minor divided by
+    the product of the scales of I."""
+    m: list[list[int]] = []
+    scales: list[int] = []
+    for row in rows:
+        scale = lcm(*(x.denominator for x in row))
+        scales.append(scale)
+        m.append([x.numerator * (scale // x.denominator) for x in row])
+    return m, scales
+
+
+def _bareiss(m: list[list[int]]) -> int:
+    """Determinant of a nonempty square integer matrix by fraction-free
+    elimination; ``m`` is overwritten."""
+    size = len(m)
+    sign = 1
+    prev = 1
+    for col in range(size):
+        pivot_row = next((r for r in range(col, size) if m[r][col] != 0), None)
+        if pivot_row is None:
+            return 0
+        if pivot_row != col:
+            m[col], m[pivot_row] = m[pivot_row], m[col]
+            sign = -sign
+        for r in range(col + 1, size):
+            for c in range(col + 1, size):
+                m[r][c] = (m[r][c] * m[col][col] - m[r][col] * m[col][c]) // prev
+            m[r][col] = 0
+        prev = m[col][col]
+    return sign * m[size - 1][size - 1]
+
+
 def det(A: RationalMatrix) -> Fraction:
     """Exact determinant by integer fraction-free elimination.
 
@@ -162,33 +201,18 @@ def det(A: RationalMatrix) -> Fraction:
     """
     if A.k != A.n:
         raise SizeMismatchError("determinant needs a square matrix")
-    size = A.k
-    denominator = 1
-    m: list[list[int]] = []
-    for row in A.rows:
-        row_lcm = lcm(*(x.denominator for x in row))
-        denominator *= row_lcm
-        m.append([x.numerator * (row_lcm // x.denominator) for x in row])
-    sign = 1
-    prev = 1
-    for col in range(size):
-        pivot_row = next((r for r in range(col, size) if m[r][col] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            sign = -sign
-        for r in range(col + 1, size):
-            for c in range(col + 1, size):
-                m[r][c] = (m[r][c] * m[col][col] - m[r][col] * m[col][c]) // prev
-            m[r][col] = 0
-        prev = m[col][col]
-    return Fraction(sign * m[size - 1][size - 1], denominator)
+    m, scales = _integer_rows(A.rows)
+    return Fraction(_bareiss(m), prod(scales))
 
 
 def flag_minors(A: RationalMatrix, ranks) -> dict[tuple[int, tuple[int, ...]], Fraction]:
     """Exact minors of the first r rows for each r in ranks, keyed by
-    (r, column-label subset).
+    (r, column-label subset), ranks ascending and subsets in
+    ``combinations`` order.
+
+    Every rank up to the largest requested is built from the one below:
+    the integer minor on columns S is the Laplace expansion along row r,
+    sum over t of (-1)^(r+t) m[r][s_t] M_{r-1}(S - s_t).
 
     >>> mm = flag_minors(rational_matrix([[1, 0], [0, 1]]), (1, 2))
     >>> mm[(1, (1,))], mm[(2, (1, 2))]
@@ -197,15 +221,36 @@ def flag_minors(A: RationalMatrix, ranks) -> dict[tuple[int, tuple[int, ...]], F
     ranks = tuple(ranks)
     if any(a >= b for a, b in zip(ranks, ranks[1:])):
         raise DomainError("ranks must increase")
-    if ranks and not 1 <= ranks[-1] <= A.k:
+    if ranks and not (1 <= ranks[0] and ranks[-1] <= A.k):
         raise DomainError("ranks must lie in 1..k")
     if A.n > current_limits().minors_max_n:
         raise GuardExceededError(
             f"flag minors are capped at {current_limits().minors_max_n} columns")
     out: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-    for r in ranks:
-        for S in combinations(A.column_labels, r):
-            out[(r, S)] = det(A.submatrix(r, S))
+    if not ranks:
+        return out
+    labels = A.column_labels
+    m, scales = _integer_rows(A.rows[:ranks[-1]])
+    below: dict[tuple[int, ...], int] = {(): 1}
+    scale = 1
+    for r in range(1, ranks[-1] + 1):
+        row = dict(zip(labels, m[r - 1]))
+        scale *= scales[r - 1]
+        first_sign = 1 if r % 2 else -1  # (-1)^(r+t) at t = 1
+        here: dict[tuple[int, ...], int] = {}
+        for S in combinations(labels, r):
+            total = 0
+            sign = first_sign
+            for t, c in enumerate(S):
+                x = row[c]
+                if x:
+                    total += sign * x * below[S[:t] + S[t + 1:]]
+                sign = -sign
+            here[S] = total
+        if r in ranks:
+            for S, v in here.items():
+                out[(r, S)] = Fraction(v, scale)
+        below = here
     return out
 
 
@@ -236,7 +281,10 @@ def nep_values(A: RationalMatrix) -> tuple[int, ...]:
     >>> nep_values(rational_matrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]]))
     (0, 1, 2)
     """
-    u = pivot_columns(A)
+    return _northeast_counts(pivot_columns(A))
+
+
+def _northeast_counts(u: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(1 for j in range(i) if u[j] > u[i])
                  for i in range(len(u)))
 
@@ -244,7 +292,8 @@ def nep_values(A: RationalMatrix) -> tuple[int, ...]:
 def check_sign_rule(A: RationalMatrix) -> bool:
     """For a generalized permutation matrix: do all leading-column minors
     come out nonnegative?  Equivalent to every pivot sign being (-1) to its
-    northeast-pivot count; both routes are computed and compared.
+    northeast-pivot count; both routes are computed, and a disagreement
+    raises :class:`InvariantError`.
 
     >>> check_sign_rule(rational_matrix([[0, 1], [1, 0]]))
     False
@@ -259,11 +308,16 @@ def check_sign_rule(A: RationalMatrix) -> bool:
             raise NotGeneralizedPermutationError(
                 f"column {label} needs exactly one nonzero")
     u = pivot_columns(A)
-    rule = all(s == (-1) ** e
-               for s, e in zip(pivot_signs(A), nep_values(A)))
-    minors = all(det(A.submatrix(i, sorted(u[:i]))) >= 0
-                 for i in range(1, A.k + 1))
-    assert rule == minors, "sign rule and minor nonnegativity disagree"
+    rule = all((A.entry(i, ui) > 0) == (e % 2 == 0)
+               for i, (ui, e) in enumerate(zip(u, _northeast_counts(u)), 1))
+    # Row scales are positive, so the integer minors carry the signs.
+    m, _ = _integer_rows(A.rows)
+    minors = all(
+        _bareiss([[m[r][A._col_index(c)] for c in sorted(u[:i])]
+                  for r in range(i)]) >= 0
+        for i in range(1, A.k + 1))
+    if rule != minors:
+        raise InvariantError("sign rule and minor nonnegativity disagree")
     return rule
 
 
@@ -291,11 +345,7 @@ def matroid_of_matrix(A: RationalMatrix, r: int) -> BasisSet:
     """
     if not 1 <= r <= A.k:
         raise DomainError(f"rank {r} out of range for {A.k} rows")
-    if A.n > current_limits().minors_max_n:
-        raise GuardExceededError(
-            f"matroids of matrices are capped at {current_limits().minors_max_n} columns")
-    bases = [S for S in combinations(A.column_labels, r)
-             if det(A.submatrix(r, S)) != 0]
+    bases = [S for (_, S), v in flag_minors(A, (r,)).items() if v]
     if not bases:
         raise RankDeficientError(f"first {r} rows have rank below {r}")
     n = A.n - 1 if A.offset_zero else A.n
@@ -355,4 +405,4 @@ def is_complete_nonneg_representation(A: RationalMatrix, ranks=None) -> bool:
     if not is_reverse_echelon(A, ranks) or not is_lower_reduced(A):
         return False
     return all(A.entry(i, u[i - 1]) == (-1) ** e
-               for i, e in enumerate(nep_values(A), 1))
+               for i, e in enumerate(_northeast_counts(u), 1))

@@ -8,8 +8,12 @@ elbow picked out in its own color.
 
 from __future__ import annotations
 
-from .decperm import DecoratedPermutation
+from typing import TYPE_CHECKING
+
 from .pipedream import CROSS, ELBOW, EMPTY, HLINE, PIVOT, PipeDream, VLINE
+
+if TYPE_CHECKING:
+    from .decperm import DecoratedPermutation
 
 __all__ = ["ascii_grid", "svg_grid", "unicode_decperm"]
 

@@ -7,12 +7,17 @@ document holds so ``convert`` can round-trip without a type tag.
 
 from __future__ import annotations
 
-from .decperm import DecoratedPermutation, parse_decperm
+import sys
+from typing import TYPE_CHECKING
+
 from .exceptions import DomainError
-from .flagbuild import FlagPositroid
-from .pathgraph import BasisSet, basis_set
 from .pipedream import PipeDream
-from .positroid import Positroid
+
+if TYPE_CHECKING:
+    from .decperm import DecoratedPermutation
+    from .flagbuild import FlagPositroid
+    from .pathgraph import BasisSet
+    from .positroid import Positroid
 
 __all__ = [
     "dream_to_json",
@@ -63,6 +68,7 @@ def dream_from_json(data: dict) -> PipeDream:
 
 def basis_set_to_json(B: BasisSet) -> dict:
     """
+    >>> from .pathgraph import basis_set
     >>> basis_set_to_json(basis_set(2, [(1,), (2,)]))
     {'n': 2, 'k': 1, 'offsetZero': False, 'bases': [[1], [2]]}
     """
@@ -72,10 +78,13 @@ def basis_set_to_json(B: BasisSet) -> dict:
 
 def basis_set_from_json(data: dict) -> BasisSet:
     """
+    >>> from .pathgraph import basis_set
     >>> B = basis_set(3, [(1, 3), (2, 3)])
     >>> basis_set_from_json(basis_set_to_json(B)) == B
     True
     """
+    from .pathgraph import basis_set
+
     B = basis_set(int(data["n"]),
                   [tuple(int(e) for e in b) for b in data["bases"]],
                   offset_zero=bool(data.get("offsetZero", False)))
@@ -96,6 +105,8 @@ def positroid_from_json(data: dict) -> Positroid:
     >>> positroid_from_json(positroid_to_json(P)) == P
     True
     """
+    from .positroid import Positroid
+
     P = Positroid.from_dream(dream_from_json(data))
     if data.get("rank") not in (None, P.rank):
         raise DomainError("stated rank does not match the dream")
@@ -104,6 +115,7 @@ def positroid_from_json(data: dict) -> Positroid:
 
 def decperm_to_json(w: DecoratedPermutation) -> dict:
     """
+    >>> from .decperm import parse_decperm
     >>> decperm_to_json(parse_decperm("2o1u"))
     {'perm': [2, 1], 'color': [2, 1]}
     """
@@ -115,6 +127,8 @@ def decperm_from_json(data: dict) -> DecoratedPermutation:
     >>> decperm_from_json({"perm": [2, 1], "color": [2, 1]}).to_string()
     '2o1u'
     """
+    from .decperm import DecoratedPermutation
+
     return DecoratedPermutation(tuple(int(x) for x in data["perm"]),
                                 tuple(int(c) for c in data["color"]))
 
@@ -133,12 +147,13 @@ def flag_from_json(data: dict) -> FlagPositroid:
     >>> flag_from_json(flag_to_json(F)) == F
     True
     """
-    F = FlagPositroid(
+    from .flagbuild import FlagPositroid
+
+    return FlagPositroid(
         n=int(data["n"]),
         ranks=tuple(int(r) for r in data["ranks"]),
         constituents=tuple(positroid_from_json(p)
                            for p in data["constituents"]))
-    return F
 
 
 def parse_any(data):
@@ -186,6 +201,8 @@ def _sniff(data):
             return "stats", data
         raise DomainError("unrecognized JSON document shape")
     if isinstance(data, str):
+        from .decperm import parse_decperm
+
         return "decperm", parse_decperm(data)
     if isinstance(data, list):
         if data and all(isinstance(x, dict) and "perm" in x for x in data):
@@ -201,30 +218,39 @@ def _sniff(data):
     raise DomainError("unrecognized JSON document shape")
 
 
+def _matrix_to_json(A) -> list[list[str]]:
+    from .ratmat import matrix_to_json
+
+    return matrix_to_json(A)
+
+
+# (module, class, encoder) for every value type with a JSON form.  A class
+# is looked up only in a module already imported: no value of a class whose
+# module was never loaded can exist, so serializing never imports a layer.
+_ENCODERS = (
+    ("flagpipes.positroid", "Positroid", positroid_to_json),
+    ("flagpipes.pipedream", "PipeDream", dream_to_json),
+    ("flagpipes.pathgraph", "BasisSet", basis_set_to_json),
+    ("flagpipes.decperm", "DecoratedPermutation", decperm_to_json),
+    ("flagpipes.flagbuild", "FlagPositroid", flag_to_json),
+    ("flagpipes.ratmat", "RationalMatrix", _matrix_to_json),
+)
+
+
 def to_json(value):
     """Serialize any library value parse_any can name.
 
+    >>> from .decperm import parse_decperm
     >>> to_json(parse_decperm("1o"))
     {'perm': [1], 'color': [2]}
     """
-    if isinstance(value, Positroid):
-        return positroid_to_json(value)
-    if isinstance(value, PipeDream):
-        return dream_to_json(value)
-    if isinstance(value, BasisSet):
-        return basis_set_to_json(value)
-    if isinstance(value, DecoratedPermutation):
-        return decperm_to_json(value)
-    if isinstance(value, FlagPositroid):
-        return flag_to_json(value)
     if isinstance(value, dict):
         return value
     if isinstance(value, (tuple, list)):
         return [x if isinstance(x, (int, str, dict)) else to_json(x)
                 for x in value]
-    # Checked last: serializing any other value never loads the matrix layer.
-    from .ratmat import RationalMatrix, matrix_to_json
-
-    if isinstance(value, RationalMatrix):
-        return matrix_to_json(value)
+    for module, name, encode in _ENCODERS:
+        cls = getattr(sys.modules.get(module), name, None)
+        if cls is not None and isinstance(value, cls):
+            return encode(value)
     raise DomainError(f"cannot serialize {type(value).__name__}")

@@ -16,6 +16,7 @@ from itertools import combinations, permutations
 
 from flagpipes.exceptions import DomainError
 from flagpipes.pipedream import CROSS, ELBOW, PIVOT, trace_pipes
+from flagpipes.ratmat import det
 
 
 # ---------------------------------------------------------------- determinants
@@ -44,6 +45,14 @@ def minor_of(rows, row_count: int, cols) -> Fraction:
     columns numbered from 1."""
     picked = [[Fraction(rows[i][j - 1]) for j in cols] for i in range(row_count)]
     return laplace_det(picked)
+
+
+def flag_minors_by_det(A, ranks) -> dict:
+    """Flag minors one subset at a time: a fresh elimination determinant of
+    the top-r submatrix per column subset, keyed and ordered like
+    ``flag_minors``."""
+    return {(r, S): det(A.submatrix(r, S))
+            for r in ranks for S in combinations(A.column_labels, r)}
 
 
 # ------------------------------------------------------------ Bruhat interval

@@ -20,6 +20,9 @@ RUNNING = "5o1u3u9o2u7o6u4u8u"
 # Modules a plain ``fpp`` run has no use for; the CLI must not import them.
 HEAVY = ("flagpipes.verify", "flagpipes.poset", "flagpipes.ratmat",
          "concurrent.futures", "flagpipes.render")
+# Layers a grid built from a permutation pair never reaches.
+UNUSED_BY_GRIDS = ("flagpipes.decperm", "flagpipes.positroid",
+                   "flagpipes.pathgraph", "flagpipes.flagbuild")
 
 
 def run(capsys, *argv):
@@ -324,10 +327,12 @@ class TestInstalledEntryPoint:
         assert proc.returncode == 2
 
     @pytest.mark.parametrize("argv, unused", [
-        (["fpp", "2413", "4231"], HEAVY),
+        (["fpp", "2413", "4231"], HEAVY + UNUSED_BY_GRIDS),
         (["fpp", "2413", "4231", "--ascii"],
          tuple(m for m in HEAVY if m != "flagpipes.render")),
         (["verify", "golden-grids"], ("concurrent.futures",)),
+        (["render", "2413", "4231", "--svg"],
+         tuple(m for m in HEAVY if m != "flagpipes.render") + UNUSED_BY_GRIDS),
     ])
     def test_verbs_load_only_their_layers(self, argv, unused):
         script = (

@@ -5,10 +5,12 @@ from itertools import combinations
 import pytest
 
 import oracles
+import flagpipes.flagbuild as flagbuild
 from flagpipes.decperm import decperm_of, parse_decperm, positroid_of
 from flagpipes.exceptions import (
     DomainError,
     EmptyChoiceError,
+    InvariantError,
     NotACoverError,
     NotUnblockedError,
     SizeMismatchError,
@@ -190,6 +192,14 @@ class TestEmbedding:
         assert R.bases == ((0, 2, 4), (1, 2, 4), (2, 3, 4))
         assert R.offset_zero
         assert is_matroid(R)
+
+    def test_phi_raises_when_the_join_is_no_matroid(self, monkeypatch):
+        d = construct_fpp((2, 4, 1, 3), (4, 2, 3, 1))
+        p2 = Positroid.from_dream(restrict(d, 2))
+        p3 = Positroid.from_dream(restrict(d, 3))
+        monkeypatch.setattr(flagbuild, "is_matroid", lambda R: False)
+        with pytest.raises(InvariantError):
+            phi(p2, p3)
 
     def test_phi_rejects_non_adjacent_ranks(self):
         d = construct_fpp((2, 4, 1, 3), (4, 2, 3, 1))

@@ -104,6 +104,22 @@ class TestWords:
         assert len(word) == length(w)
         assert word_to_perm(len(w), word) == w
 
+    def test_reduced_word_peels_the_last_descent(self):
+        for n in range(1, 6):
+            for w in all_permutations(n):
+                d = descents(w)
+                if d:
+                    i = d[-1]
+                    assert reduced_word(w) == reduced_word(right_multiply(w, i)) + (i,)
+                else:
+                    assert reduced_word(w) == ()
+
+    def test_reduced_word_of_a_long_permutation(self):
+        w = longest(60)
+        word = reduced_word(w)
+        assert len(word) == length(w) == 60 * 59 // 2
+        assert word_to_perm(60, word) == w
+
     def test_word_to_perm_golden(self):
         assert word_to_perm(3, (1, 2)) == (2, 3, 1)
         assert word_to_perm(3, ()) == (1, 2, 3)

@@ -1,9 +1,13 @@
 """Exact rational matrices: determinants, flag minors, sign rule, embedding."""
 
 import io
+import json
+import random
+import subprocess
+import sys
 import tokenize
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +17,7 @@ import flagpipes.ratmat as ratmat
 from flagpipes.exceptions import (
     DomainError,
     GuardExceededError,
+    InvariantError,
     NotGeneralizedPermutationError,
     RankDeficientError,
     SizeMismatchError,
@@ -149,6 +154,39 @@ class TestFlagMinors:
         with pytest.raises(GuardExceededError):
             flag_minors(wide, (1,))
 
+    def test_ranks_below_one_rejected(self, golden_matrix):
+        for ranks in ((0, 2), (-1, 2)):
+            with pytest.raises(DomainError):
+                flag_minors(golden_matrix, ranks)
+
+    @pytest.mark.parametrize("k, n", [(1, 3), (2, 3), (2, 4)])
+    def test_every_small_sign_matrix_matches_determinants(self, k, n):
+        ranks = tuple(range(1, k + 1))
+        for entries in product((-1, 0, 1), repeat=k * n):
+            A = rational_matrix([entries[i * n:(i + 1) * n] for i in range(k)])
+            got = flag_minors(A, ranks)
+            want = oracles.flag_minors_by_det(A, ranks)
+            assert list(got.items()) == list(want.items())
+
+    def test_random_fractions_match_determinants(self):
+        rng = random.Random(20)
+        for _ in range(120):
+            k = rng.randint(1, 5)
+            n = rng.randint(k, 9)
+            A = rational_matrix(
+                [[Fraction(rng.choice((0, rng.randint(-9, 9))), rng.randint(1, 6))
+                  for _ in range(n)] for _ in range(k)])
+            if k >= 2:
+                A = rng.choice((A, embed_append(A)))
+            ranks = tuple(sorted(rng.sample(range(1, k + 1),
+                                            rng.randint(0, k))))
+            got = flag_minors(A, ranks)
+            want = oracles.flag_minors_by_det(A, ranks)
+            assert list(got.items()) == list(want.items())
+
+    def test_no_ranks_gives_no_minors(self, golden_matrix):
+        assert flag_minors(golden_matrix, ()) == {}
+
 
 class TestPivotData:
     def test_golden_profile(self, golden_matrix):
@@ -182,7 +220,6 @@ class TestSignRule:
             check_sign_rule(rational_matrix([[1, 0], [1, 0]]))
 
     def test_rule_equals_minor_route_small(self):
-        from itertools import product
         from flagpipes.perm import all_permutations
         for k in (1, 2, 3):
             for perm in all_permutations(k):
@@ -195,6 +232,43 @@ class TestSignRule:
                         oracles.minor_of(rows, i, sorted(perm[:i])) >= 0
                         for i in range(1, k + 1))
                     assert check_sign_rule(A) == minors
+
+
+    def test_forced_disagreement_raises(self, monkeypatch):
+        monkeypatch.setattr(ratmat, "_bareiss", lambda m: -1)
+        with pytest.raises(InvariantError):
+            check_sign_rule(rational_matrix([[1, 0], [0, 1]]))
+
+    def test_optimized_mode_gives_the_same_verdicts(self):
+        script = (
+            "import json\n"
+            "from itertools import product\n"
+            "import flagpipes.ratmat as rm\n"
+            "from flagpipes.exceptions import InvariantError\n"
+            "from flagpipes.perm import all_permutations\n"
+            "verdicts = []\n"
+            "for k in (1, 2, 3, 4):\n"
+            "    for perm in all_permutations(k):\n"
+            "        for signs in product((1, -1), repeat=k):\n"
+            "            rows = [[0] * k for _ in range(k)]\n"
+            "            for i in range(k):\n"
+            "                rows[i][perm[i] - 1] = signs[i]\n"
+            "            verdicts.append(rm.check_sign_rule(rm.rational_matrix(rows)))\n"
+            "rm._bareiss = lambda m: -1\n"
+            "try:\n"
+            "    rm.check_sign_rule(rm.rational_matrix([[1]]))\n"
+            "    raised = False\n"
+            "except InvariantError:\n"
+            "    raised = True\n"
+            "print(json.dumps([verdicts, raised]))\n")
+        plain, optimized = (
+            subprocess.run([sys.executable, *flags, "-c", script],
+                           capture_output=True, text=True)
+            for flags in ([], ["-O"]))
+        assert plain.returncode == optimized.returncode == 0
+        assert plain.stdout == optimized.stdout
+        verdicts, raised = json.loads(optimized.stdout)
+        assert len(verdicts) == 2 + 8 + 48 + 384 and raised
 
 
 class TestEmbedding:
@@ -241,6 +315,26 @@ class TestMatrixMatroid:
         expect = tuple(S for S in combinations(range(1, 8), 3)
                        if oracles.minor_of(raw, 3, S) != 0)
         assert B.bases == expect
+
+    def test_random_matrices_match_nonzero_determinants(self):
+        rng = random.Random(21)
+        for _ in range(60):
+            k = rng.randint(1, 4)
+            n = rng.randint(k, 7)
+            A = rational_matrix([[rng.choice((0, 0, 1, -1, "1/2"))
+                                  for _ in range(n)] for _ in range(k)])
+            if k >= 2 and rng.random() < 0.5:
+                A = embed_append(A)
+            r = rng.randint(1, A.k)
+            want = tuple(S for S in combinations(A.column_labels, r)
+                         if det(A.submatrix(r, S)) != 0)
+            if not want:
+                with pytest.raises(RankDeficientError):
+                    matroid_of_matrix(A, r)
+                continue
+            B = matroid_of_matrix(A, r)
+            assert B.bases == want
+            assert B.offset_zero == A.offset_zero
 
     def test_rank_deficient(self):
         with pytest.raises(RankDeficientError):
