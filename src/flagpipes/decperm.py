@@ -3,10 +3,11 @@
 A decorated permutation on [n] is a permutation with every fixed point
 colored 1 or 2; non-fixed points carry a forced color (2 when the value
 exceeds the position, 1 otherwise).  The number of 2-colored positions is
-the rank of the corresponding positroid.  Rank-increasing covers are
-realized by right cyclic shifts on a choice of unblocked positions plus a
-forced top-completion set; the mirrored left shifts realize covered
-elements, and the two are exchanged by inversion.
+the rank of the corresponding positroid.  A dream's decorated permutation
+is read off where the pipes of its standardization exit.  Rank-increasing
+covers are realized by right cyclic shifts on a choice of unblocked
+positions plus a forced top-completion set; the mirrored left shifts
+realize covered elements, and the two are exchanged by inversion.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ from .perm import (
     Permutation,
     all_permutations,
     bruhat_leq,
-    compose,
     inverse,
     validate_permutation,
 )
-from .pipedream import PipeDream, construct_fpp, restrict, trivial_completion
+from .pipedream import PipeDream, construct_fpp, restrict, trace_pipes
 from . import positroid as _positroid
 from .positroid import Positroid, standardize
 
@@ -120,26 +120,28 @@ def parse_decperm(s: str) -> DecoratedPermutation:
 
 
 def decperm_of(D: PipeDream) -> DecoratedPermutation:
-    """Boundary data of a partial dream: standardize, trivially complete,
-    then compose the exit permutation with the inverse pivot permutation;
-    color 2 exactly at the pivot columns of the k retained rows.
+    """Boundary data of a partial dream, read off where the pipes of its
+    standardization exit: the pipe leaving the right edge of row i ends at
+    that row's pivot column, and the pipe leaving the bottom of column c
+    ends at c.  (In the trivial completion that pipe runs straight down to
+    the row whose pivot is c and leaves to the right there.)  Color 2 sits
+    exactly at the pivot columns of the k retained rows.
 
     >>> from flagpipes.pipedream import construct_fpp, restrict
     >>> d = restrict(construct_fpp((2, 4, 1, 3), (4, 2, 3, 1)), 2)
     >>> decperm_of(d).to_string()
     '1u2o3u4o'
     """
-    from .pipedream import exit_permutation
-
     S = standardize(D)
-    T = trivial_completion(S)
-    u = T.pivots
-    v = exit_permutation(T)
-    pi = compose(v, inverse(u))
+    perm = [0] * S.cols
+    for t in trace_pipes(S):
+        end = (S.pivots[t.exit_index - 1] if t.exit_side == "right"
+               else t.exit_index)
+        perm[end - 1] = t.label
     pivot_cols = set(S.pivots)
     color = tuple(OVER if j in pivot_cols else UNDER
                   for j in range(1, S.cols + 1))
-    return DecoratedPermutation(pi, color)
+    return DecoratedPermutation(tuple(perm), color)
 
 
 def dle_of(dp: DecoratedPermutation) -> PipeDream:

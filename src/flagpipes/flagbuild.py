@@ -163,9 +163,10 @@ def flag_of_fpp(D: PipeDream) -> FlagPositroid:
 
 def extended_cover_dream(P: Positroid, C) -> PipeDream:
     """Dream on n+1 columns for the 0-embedding of the cover along C:
-    column 1 stands for the new ground element 0, retained pivots shift
-    right by one, and the appended row pivots at column 1 with elbows on
-    the shifted choice.
+    P's dream shifted one column right, so that column 1 stands for the new
+    ground element 0, then :func:`append_row` along column 1 and the
+    shifted choice.  C is checked against P's unblocked columns first, so
+    an error names a column in P's numbering.
 
     >>> from flagpipes.pipedream import dream_from_fill
     >>> p = Positroid.from_dream(dream_from_fill(4, (4, 2), {(2, 3): "X"}))
@@ -179,21 +180,11 @@ def extended_cover_dream(P: Positroid, C) -> PipeDream:
     for j in C:
         if j not in allowed:
             raise NotUnblockedError(j)
-    n = P.n
-    pivot_cols = set(P.dream.pivots)
-    chosen = set(C)
-    rows = tuple(VLINE + row for row in P.dream.grid)
-    last = [PIVOT]
-    for j in range(1, n + 1):
-        if j in pivot_cols:
-            last.append(HLINE)
-        elif j in chosen:
-            last.append(ELBOW)
-        else:
-            last.append(CROSS)
-    return PipeDream(cols=n + 1,
-                     pivots=tuple(p + 1 for p in P.dream.pivots) + (1,),
-                     grid=rows + ("".join(last),))
+    D = P.dream
+    shifted = PipeDream(cols=D.cols + 1,
+                        pivots=tuple(p + 1 for p in D.pivots),
+                        grid=tuple(VLINE + row for row in D.grid))
+    return append_row(shifted, [1] + [c + 1 for c in C])
 
 
 def phi(P: Positroid, Q: Positroid) -> BasisSet:

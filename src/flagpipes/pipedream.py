@@ -259,15 +259,12 @@ def construct_fpp(u: Permutation, v: Permutation) -> PipeDream:
 class PipeTrace:
     """The journey of one pipe through a dream.
 
-    ``cells`` records (row, col, heading) at each entered tile, heading being
-    the direction of travel on entry ("down" or "right").
     ``horizontal_crosses`` are the cross tiles passed left-to-right.
     ``exit_side`` is "right" (then ``exit_index`` is a row) or "bottom"
     (then it is a column).
     """
 
     label: int
-    cells: tuple[tuple[int, int, str], ...]
     horizontal_crosses: tuple[Box, ...]
     exit_side: str
     exit_index: int
@@ -276,11 +273,9 @@ class PipeTrace:
 def _trace_one(D: PipeDream, start_col: int) -> PipeTrace:
     k, n = D.rows, D.cols
     row, col, heading = 1, start_col, "down"
-    cells: list[tuple[int, int, str]] = []
     horiz: list[Box] = []
     while row <= k and col <= n:
         t = D.tile(row, col)
-        cells.append((row, col, heading))
         if heading == "down":
             if t in (VLINE, CROSS):
                 row += 1
@@ -306,8 +301,7 @@ def _trace_one(D: PipeDream, start_col: int) -> PipeTrace:
         side, index = "right", row
     else:
         side, index = "bottom", col
-    return PipeTrace(label=start_col, cells=tuple(cells),
-                     horizontal_crosses=tuple(horiz),
+    return PipeTrace(label=start_col, horizontal_crosses=tuple(horiz),
                      exit_side=side, exit_index=index)
 
 

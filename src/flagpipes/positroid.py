@@ -171,17 +171,11 @@ def standardize_step(D: PipeDream, i: int) -> PipeDream:
     >>> standardize_step(d, 1).grid
     ('VPX', 'PHX')
     """
-    k, n = D.rows, D.cols
-    if not 1 <= i <= k - 1:
-        raise DomainError(f"row index {i} out of range for {k} rows")
+    jstar = exchange_column(D, i)
+    n = D.cols
     a, b = D.pivots[i - 1], D.pivots[i]
     if a > b:
         return D
-    jstar = None
-    for j in range(b, n + 1):
-        if D.tile(i, j) == CROSS and D.tile(i + 1, j) in (ELBOW, PIVOT):
-            jstar = j
-            break
     top, bottom = list(D.grid[i - 1]), list(D.grid[i])
     new_top, new_bottom = top[:], bottom[:]
     new_top[a - 1], new_bottom[a - 1] = VLINE, PIVOT
@@ -338,4 +332,4 @@ def enumerate_positroids(n: int) -> Iterator[Positroid]:
         dreams = sorted(enumerate_le_dreams(n, k),
                         key=lambda d: (d.pivots, d.grid))
         for D in dreams:
-            yield Positroid.from_dream(D)
+            yield Positroid(dream=D)

@@ -38,8 +38,6 @@ __all__ = [
     "det",
     "flag_minors",
     "pivot_columns",
-    "pivot_signs",
-    "nep_values",
     "check_sign_rule",
     "embed_append",
     "matroid_of_matrix",
@@ -58,7 +56,10 @@ def _exact(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise DomainError(f"cannot read {value!r} as an exact rational")
 
 
@@ -267,21 +268,6 @@ def pivot_columns(A: RationalMatrix) -> tuple[int, ...]:
             raise DomainError(f"row {i} is zero and has no pivot")
         pivots.append(A.column_labels[j])
     return tuple(pivots)
-
-
-def pivot_signs(A: RationalMatrix) -> tuple[int, ...]:
-    """+1 or -1 per row, the sign of its pivot entry."""
-    return tuple(1 if A.entry(i, u) > 0 else -1
-                 for i, u in enumerate(pivot_columns(A), 1))
-
-
-def nep_values(A: RationalMatrix) -> tuple[int, ...]:
-    """Per row, how many earlier pivots sit in strictly larger columns.
-
-    >>> nep_values(rational_matrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]]))
-    (0, 1, 2)
-    """
-    return _northeast_counts(pivot_columns(A))
 
 
 def _northeast_counts(u: tuple[int, ...]) -> tuple[int, ...]:

@@ -11,6 +11,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from .exceptions import DomainError
+from .perm import validate_permutation
 from .pipedream import PipeDream
 
 if TYPE_CHECKING:
@@ -179,7 +180,7 @@ def parse_any(data):
         raise
     except KeyError as exc:
         raise DomainError(f"the JSON document lacks the field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed JSON document: {exc}") from exc
 
 
@@ -213,8 +214,8 @@ def _sniff(data):
             from .ratmat import matrix_from_json
 
             return "matrix", matrix_from_json(data)
-        if all(isinstance(x, int) for x in data):
-            return "permutation", tuple(data)
+        if all(type(x) is int for x in data):
+            return "permutation", validate_permutation(data)
     raise DomainError("unrecognized JSON document shape")
 
 

@@ -14,9 +14,22 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from flagpipes.decperm import DecoratedPermutation
 from flagpipes.exceptions import DomainError
-from flagpipes.pipedream import CROSS, ELBOW, PIVOT, trace_pipes
-from flagpipes.ratmat import det
+from flagpipes.perm import compose, inverse
+from flagpipes.pipedream import (
+    CROSS,
+    ELBOW,
+    HLINE,
+    PIVOT,
+    VLINE,
+    PipeDream,
+    exit_permutation,
+    trace_pipes,
+    trivial_completion,
+)
+from flagpipes.positroid import standardize
+from flagpipes.ratmat import det, pivot_columns
 
 
 # ---------------------------------------------------------------- determinants
@@ -217,3 +230,52 @@ def gale_interval_is_lpm(bases, n: int) -> bool:
         if all(low[i] <= t[i] <= high[i] for i in range(k))
     }
     return members == expected
+
+
+# ---------------------------------------------------------------- pivot data
+
+def pivot_signs(A) -> tuple[int, ...]:
+    """+1 or -1 per row, the sign of its pivot entry."""
+    return tuple(1 if A.entry(i, u) > 0 else -1
+                 for i, u in enumerate(pivot_columns(A), 1))
+
+
+def nep_values(A) -> tuple[int, ...]:
+    """Per row, how many earlier pivots sit in strictly larger columns."""
+    u = pivot_columns(A)
+    return tuple(sum(1 for j in range(i) if u[j] > u[i])
+                 for i in range(len(u)))
+
+
+# ------------------------------------------------------------ boundary data
+
+def decperm_via_completion(D) -> DecoratedPermutation:
+    """Boundary data through the trivial completion: standardize, complete
+    with descending pivots and crossing boxes, then compose the exit
+    permutation with the inverse pivot permutation.  Color 2 sits at the
+    pivot columns of the retained rows."""
+    S = standardize(D)
+    T = trivial_completion(S)
+    pi = compose(exit_permutation(T), inverse(T.pivots))
+    color = tuple(2 if j in S.pivots else 1 for j in range(1, S.cols + 1))
+    return DecoratedPermutation(pi, color)
+
+
+def extended_cover_dream_by_hand(P, C) -> PipeDream:
+    """The 0-embedding dream of the cover of P along C, tile by tile: a
+    vertical column 1 in front of every row of P's dream, then a last row
+    with its pivot at column 1, a horizontal tile under every shifted pivot,
+    an elbow under every shifted choice column and a cross elsewhere."""
+    D = P.dream
+    last = [PIVOT]
+    for j in range(1, D.cols + 1):
+        if j in D.pivots:
+            last.append(HLINE)
+        elif j in C:
+            last.append(ELBOW)
+        else:
+            last.append(CROSS)
+    return PipeDream(cols=D.cols + 1,
+                     pivots=tuple(p + 1 for p in D.pivots) + (1,),
+                     grid=tuple(VLINE + row for row in D.grid)
+                     + ("".join(last),))

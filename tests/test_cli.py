@@ -263,6 +263,35 @@ class TestConvert:
         code, _, err = run(capsys, "convert", str(path))
         assert code == 1 and err.startswith("error:")
 
+    @pytest.mark.parametrize("text, want", [
+        ('[2, 1]', 0),
+        ('[]', 0),
+        ('"2o1u"', 0),
+        ('{"perm": [2, 1], "color": [2, 1]}', 0),
+        ('[1, 1]', 1),
+        ('[true]', 1),
+        ('[["1/0"]]', 1),
+        ('[["1", "x"]]', 1),
+        ('{"tiles": [], "pivots": [], "cols": Infinity}', 1),
+        ('{"perm": [1], "color": [NaN]}', 1),
+        ('null', 1),
+    ])
+    def test_documents_on_stdin(self, capsys, monkeypatch, text, want):
+        import io
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, "convert", "-")
+        assert code == want
+        if code:
+            assert err.startswith("error:") and out == ""
+
+    def test_zero_denominator_exits_without_a_traceback(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "flagpipes.cli", "convert", "-"],
+            input='[["1/0"]]', capture_output=True, text=True)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
 
 class TestBadJsonInput:
     """Unreadable or malformed JSON is a domain error, never a traceback."""

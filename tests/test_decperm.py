@@ -1,8 +1,11 @@
 """Decorated permutations: boundary data, cyclic shift moves, duality."""
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from flagpipes.decperm import (
     DecoratedPermutation,
     all_decperms,
@@ -22,7 +25,12 @@ from flagpipes.decperm import (
     unblocked_positions,
 )
 from flagpipes.exceptions import DomainError, EmptyChoiceError, NotUnblockedError
-from flagpipes.pipedream import construct_fpp, restrict
+from flagpipes.pipedream import (
+    _fillings,
+    construct_fpp,
+    enumerate_partial_fpps,
+    restrict,
+)
 from flagpipes.positroid import dual, enumerate_positroids, unblocked_columns
 
 
@@ -104,6 +112,22 @@ class TestBoundaryData:
 
     def test_running_example_roundtrip(self, running_example):
         assert decperm_of(running_example.dream).to_string() == RUNNING
+
+    def test_pipe_exits_match_the_completion_route_on_every_filling(self):
+        count = 0
+        for n in range(1, 5):
+            for k in range(n + 1):
+                for pivots in permutations(range(1, n + 1), k):
+                    for D in _fillings(n, pivots):
+                        assert decperm_of(D) == oracles.decperm_via_completion(D)
+                        count += 1
+        assert count == 810
+
+    def test_pipe_exits_match_the_completion_route_at_n5(self):
+        dreams = [D for k in range(6) for D in enumerate_partial_fpps(5, k)]
+        assert len(dreams) == 9430
+        for D in dreams:
+            assert decperm_of(D) == oracles.decperm_via_completion(D)
 
 
 class TestUnblocked:

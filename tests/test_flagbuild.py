@@ -169,6 +169,25 @@ class TestEmbedding:
         assert extended_cover_dream(p, (1, 3)).grid == (
             "VVVVP", "VVPXH", "PEHEH")
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_extended_dream_matches_the_tile_rule(self, n):
+        for P in enumerate_positroids(n):
+            U = P.unblocked
+            for r in range(1, len(U) + 1):
+                for C in combinations(U, r):
+                    assert (extended_cover_dream(P, C)
+                            == oracles.extended_cover_dream_by_hand(P, C))
+
+    def test_extended_dream_choice_errors(self):
+        p = Positroid.from_dream(dream_from_fill(4, (4, 2), {(2, 3): "X"}))
+        assert p.unblocked == (1, 3)
+        with pytest.raises(EmptyChoiceError):
+            extended_cover_dream(p, ())
+        for blocked in (2, 4):
+            with pytest.raises(NotUnblockedError) as info:
+                extended_cover_dream(p, (1, blocked))
+            assert info.value.column == blocked
+
     def test_extended_dream_carries_phi_bases(self):
         for n in (2, 3):
             for P in enumerate_positroids(n):

@@ -274,6 +274,14 @@ class TestPositroid:
         assert [sum(1 for _ in enumerate_positroids(n)) for n in (1, 2, 3, 4)] \
             == [2, 5, 16, 65]
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_enumeration_is_from_dream_of_every_le_dream(self, n):
+        want = [Positroid.from_dream(D).key
+                for k in range(n + 1)
+                for D in sorted(enumerate_le_dreams(n, k),
+                                key=lambda d: (d.pivots, d.grid))]
+        assert [P.key for P in enumerate_positroids(n)] == want
+
     def test_enumeration_is_canonical(self):
         seen = set()
         last_rank = 0

@@ -35,9 +35,7 @@ from flagpipes.ratmat import (
     matrix_from_json,
     matrix_to_json,
     matroid_of_matrix,
-    nep_values,
     pivot_columns,
-    pivot_signs,
     rational_matrix,
 )
 
@@ -76,6 +74,11 @@ class TestExactness:
         assert A.entry(1, 1) == Fraction(1, 3)
         assert A.entry(2, 1) == Fraction(-5, 7)
         assert all(isinstance(x, Fraction) for row in A.rows for x in row)
+
+    @pytest.mark.parametrize("text", ["1/0", "x", "", "1/2/3"])
+    def test_unreadable_strings_are_domain_errors(self, text):
+        with pytest.raises(DomainError, match="exact rational"):
+            rational_matrix([[text]])
 
 
 class TestConstruction:
@@ -191,8 +194,8 @@ class TestFlagMinors:
 class TestPivotData:
     def test_golden_profile(self, golden_matrix):
         assert pivot_columns(golden_matrix) == (5, 3, 1, 6)
-        assert pivot_signs(golden_matrix) == (1, -1, 1, 1)
-        assert nep_values(golden_matrix) == (0, 1, 2, 0)
+        assert oracles.pivot_signs(golden_matrix) == (1, -1, 1, 1)
+        assert oracles.nep_values(golden_matrix) == (0, 1, 2, 0)
 
     def test_zero_row_rejected(self):
         with pytest.raises(DomainError):

@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings, strategies as st
 
 import flagpipes.serialize as ser
 from flagpipes.decperm import parse_decperm, positroid_of
@@ -148,10 +148,79 @@ class TestParseAny:
         {"perm": [1], "color": ["o"]},
         {"constituents": [{}], "n": 1, "ranks": [1]},
         [["1", "x"]],
+        [["1/0"]],
+        {"tiles": [], "pivots": [], "cols": float("inf")},
     ])
     def test_malformed_fields_are_domain_errors(self, doc):
         with pytest.raises(DomainError):
             ser.parse_any(doc)
+
+    def test_permutation_is_validated(self):
+        assert ser.parse_any([]) == ("permutation", ())
+        for bad in ([1, 1], [0], [2, 3], [True], [1, False]):
+            with pytest.raises(DomainError):
+                ser.parse_any(bad)
+
+
+# Every field name the sniffer reads, so random documents reach each branch.
+FIELDS = ("constituents", "tiles", "rank", "rows", "cols", "pivots", "bases",
+          "n", "k", "offsetZero", "perm", "color", "nodes", "covers",
+          "elements", "maxChains", "ok", "ranks")
+# Small leaves only: sizes stay far below every guard and no route that is
+# exponential in the size is reached.
+LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(min_value=-1, max_value=4),
+    st.sampled_from([0.5, float("inf"), float("nan")]),
+    st.sampled_from(["P", "X", "E", "H", "V", ".", "1/2", "-3", "1/0", "x",
+                     "", "1o", "2o1u"]))
+DOCUMENTS = st.recursive(
+    LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.sampled_from(FIELDS), inner, max_size=5)),
+    max_leaves=16)
+# One valid document of each kind on at most three points; a fuzzed copy
+# replaces one node, so the readers behind the sniffer are reached too.
+SEEDS = (
+    ser.flag_to_json(flag_of_fpp(construct_fpp((1, 2, 3), (3, 1, 2)))),
+    ser.positroid_to_json(positroid_of(parse_decperm("2o1u3o"))),
+    ser.dream_to_json(construct_fpp((2, 1, 3), (3, 2, 1))),
+    ser.basis_set_to_json(basis_set(3, [(1, 2), (1, 3)])),
+    {"perm": [2, 1, 3], "color": [2, 1, 2]},
+    [{"perm": [1], "color": [2]}],
+    [["1", "-1/2"], ["0", "3"]],
+    [2, 1, 3],
+)
+
+
+def _replace_one(doc, data):
+    if isinstance(doc, (list, dict)) and doc and data.draw(st.integers(0, 3)):
+        key = data.draw(st.sampled_from(
+            range(len(doc)) if isinstance(doc, list) else sorted(doc)))
+        copy = list(doc) if isinstance(doc, list) else dict(doc)
+        copy[key] = _replace_one(doc[key], data)
+        return copy
+    return data.draw(st.one_of(LEAVES, DOCUMENTS))
+
+
+class TestFuzzedBoundary:
+    """Any JSON document is read or refused with a DomainError."""
+
+    @settings(max_examples=300)
+    @given(DOCUMENTS)
+    def test_random_documents(self, doc):
+        try:
+            ser.parse_any(doc)
+        except DomainError:
+            pass
+
+    @settings(max_examples=300)
+    @given(st.sampled_from(SEEDS), st.data())
+    def test_fuzzed_copies_of_valid_documents(self, seed, data):
+        try:
+            ser.parse_any(_replace_one(seed, data))
+        except DomainError:
+            pass
 
 
 class TestToJson:
