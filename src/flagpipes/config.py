@@ -3,13 +3,17 @@
 Exhaustive routines (full pipe-dream enumeration, poset construction, minor
 tables) are guarded by size limits so a typo cannot start a week-long loop.
 Setting the environment variable ``POSITROID_MAX_N`` to an integer raises every
-guard to at least that value.
+guard to at least that value.  Most guards cap a ground-set size;
+``covers_max_unblocked`` caps the number of unblocked positions whose
+nonempty subsets a cover listing walks.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, fields
+
+from .exceptions import GuardExceededError
 
 __all__ = ["Limits", "ENV_MAX_N", "current_limits"]
 
@@ -30,6 +34,7 @@ class Limits:
     poset_representable_max_n: int = 5
     poset_matroidal_max_n: int = 4
     minors_max_n: int = 12
+    covers_max_unblocked: int = 12
 
 
 def current_limits() -> Limits:
@@ -47,3 +52,13 @@ def current_limits() -> Limits:
     base = Limits()
     bumped = {f.name: max(getattr(base, f.name), override) for f in fields(base)}
     return Limits(**bumped)
+
+
+def _guard_choices(routine: str, count: int) -> None:
+    """Refuse to walk the nonempty subsets of more than
+    ``covers_max_unblocked`` unblocked positions."""
+    cap = current_limits().covers_max_unblocked
+    if count > cap:
+        raise GuardExceededError(
+            f"{routine}: {count} unblocked positions exceed "
+            f"covers_max_unblocked = {cap} ({ENV_MAX_N} raises it)")

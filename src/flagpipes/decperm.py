@@ -16,6 +16,7 @@ import re
 from dataclasses import dataclass
 from itertools import combinations
 
+from .config import _guard_choices
 from .exceptions import (
     DomainError,
     EmptyChoiceError,
@@ -29,7 +30,7 @@ from .perm import (
     inverse,
     validate_permutation,
 )
-from .pipedream import PipeDream, construct_fpp, restrict, trace_pipes
+from .pipedream import PipeDream, _sweep, construct_fpp, restrict
 from . import positroid as _positroid
 from .positroid import Positroid, standardize
 
@@ -134,10 +135,10 @@ def decperm_of(D: PipeDream) -> DecoratedPermutation:
     """
     S = standardize(D)
     perm = [0] * S.cols
-    for t in trace_pipes(S):
-        end = (S.pivots[t.exit_index - 1] if t.exit_side == "right"
-               else t.exit_index)
-        perm[end - 1] = t.label
+    exits, _ = _sweep(S)
+    for label, (side, index) in enumerate(exits, start=1):
+        end = S.pivots[index - 1] if side == "right" else index
+        perm[end - 1] = label
     pivot_cols = set(S.pivots)
     color = tuple(OVER if j in pivot_cols else UNDER
                   for j in range(1, S.cols + 1))
@@ -260,6 +261,7 @@ def covers_by_shift(dp: DecoratedPermutation) -> tuple[DecoratedPermutation, ...
     7
     """
     U = unblocked_positions(dp)
+    _guard_choices("covers_by_shift", len(U))
     seen = {}
     for r in range(1, len(U) + 1):
         for C in combinations(U, r):
@@ -333,6 +335,7 @@ def covered_by_shift(dp: DecoratedPermutation) -> tuple[DecoratedPermutation, ..
     7
     """
     S = left_unblocked_positions(dp)
+    _guard_choices("covered_by_shift", len(S))
     seen = {}
     for r in range(1, len(S) + 1):
         for R in combinations(S, r):

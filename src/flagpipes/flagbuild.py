@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .config import _guard_choices
 from .exceptions import (
     DomainError,
     EmbeddingDomainError,
@@ -55,8 +56,15 @@ def append_row(D: PipeDream, C) -> PipeDream:
     for j in C:
         if j not in allowed:
             raise NotUnblockedError(j)
+    return _appended(D, C)
+
+
+def _appended(D: PipeDream, C) -> PipeDream:
+    """:func:`append_row` along a sorted nonempty choice C that the caller
+    has already checked against D's unblocked columns."""
     p = C[0]
     pivot_cols = set(D.pivots)
+    chosen = set(C)
     row = []
     for j in range(1, D.cols + 1):
         if j < p:
@@ -65,7 +73,7 @@ def append_row(D: PipeDream, C) -> PipeDream:
             row.append(PIVOT)
         elif j in pivot_cols:
             row.append(HLINE)
-        elif j in C:
+        elif j in chosen:
             row.append(ELBOW)
         else:
             row.append(CROSS)
@@ -91,10 +99,11 @@ def quotient_covers(P: Positroid) -> tuple[Positroid, ...]:
     if P.rank >= P.n:
         raise DomainError("a full-rank positroid has no covers")
     U = P.unblocked
+    _guard_choices("quotient_covers", len(U))
     seen: dict[str, Positroid] = {}
     for r in range(1, len(U) + 1):
         for C in combinations(U, r):
-            Q = Positroid.from_dream(append_row(P.dream, C))
+            Q = Positroid.from_dream(_appended(P.dream, C))
             key = decperm_of(Q.dream).to_string()
             if key in seen:
                 raise InvariantError(f"duplicate cover {key} from choice {C}")
@@ -115,9 +124,10 @@ def cover_choice(P: Positroid, Q: Positroid) -> tuple[int, ...]:
     if P.n != Q.n:
         raise SizeMismatchError("cover_choice: ground sets differ")
     U = P.unblocked
+    _guard_choices("cover_choice", len(U))
     for r in range(1, len(U) + 1):
         for C in combinations(U, r):
-            if Positroid.from_dream(append_row(P.dream, C)).key == Q.key:
+            if Positroid.from_dream(_appended(P.dream, C)).key == Q.key:
                 return C
     raise NotACoverError("no unblocked choice produces the given positroid")
 
@@ -184,7 +194,7 @@ def extended_cover_dream(P: Positroid, C) -> PipeDream:
     shifted = PipeDream(cols=D.cols + 1,
                         pivots=tuple(p + 1 for p in D.pivots),
                         grid=tuple(VLINE + row for row in D.grid))
-    return append_row(shifted, [1] + [c + 1 for c in C])
+    return _appended(shifted, [1] + [c + 1 for c in C])
 
 
 def phi(P: Positroid, Q: Positroid) -> BasisSet:

@@ -17,6 +17,10 @@ column's pivot (or in a pivot-free column) — which carry either a cross or an
 elbow.  Pipes enter at the top edge of every column, numbered by column, only
 ever move down or right, and leave through the right or bottom edge.
 
+Tracing reads the grid once, row by row, carrying every pipe at the same
+time (see ``_sweep``): pipe exits, horizontal crosses, exit labels and the
+gamma-freeness test all come from that one sweep.
+
 A dream is a flag positroid pipe dream (FPP) when it avoids the blocking
 pattern: a cross at (i, j), an elbow or pivot elbow below it at (r, j), an
 elbow to its right in row i, such that the pipe passing horizontally through
@@ -257,11 +261,12 @@ def construct_fpp(u: Permutation, v: Permutation) -> PipeDream:
 
 @dataclass(frozen=True)
 class PipeTrace:
-    """The journey of one pipe through a dream.
+    """The journey of one pipe through a dream, as :func:`trace_pipes`
+    reports it.
 
-    ``horizontal_crosses`` are the cross tiles passed left-to-right.
-    ``exit_side`` is "right" (then ``exit_index`` is a row) or "bottom"
-    (then it is a column).
+    ``horizontal_crosses`` are the cross tiles passed left-to-right, in the
+    order the pipe meets them.  ``exit_side`` is "right" (then
+    ``exit_index`` is a row) or "bottom" (then it is a column).
     """
 
     label: int
@@ -270,48 +275,53 @@ class PipeTrace:
     exit_index: int
 
 
-def _trace_one(D: PipeDream, start_col: int) -> PipeTrace:
-    k, n = D.rows, D.cols
-    row, col, heading = 1, start_col, "down"
-    horiz: list[Box] = []
-    while row <= k and col <= n:
-        t = D.tile(row, col)
-        if heading == "down":
-            if t in (VLINE, CROSS):
-                row += 1
-            elif t in (ELBOW, PIVOT):
-                heading = "right"
-                col += 1
-            else:
-                raise MalformedDreamError(
-                    f"pipe {start_col} entered {t!r} at ({row}, {col}) from the top")
-        else:
+def _sweep(D: PipeDream) -> tuple[list[tuple[str, int]], list[list[Box]]]:
+    """Every pipe's exit and horizontal crosses, in one pass over the grid.
+
+    Returns ``(exits, crosses)``: entry ``label - 1`` of ``exits`` is the
+    pipe's ``(exit_side, exit_index)`` and of ``crosses`` the cross tiles it
+    passes left-to-right.  Rows are read top to bottom, each row left to
+    right; ``down[j]`` holds the pipe entering column j+1 from above and
+    ``h`` the pipe moving right.  A cross records a horizontal pass of
+    ``h``, an elbow swaps ``h`` and ``down[j]``, a pivot elbow turns
+    ``down[j]`` right, and ``h`` leaves through the right edge at the end of
+    the row; whatever is left in ``down`` leaves through the bottom.  Pipes
+    move only down or right, so each pipe meets its crosses in sweep order.
+    The structural validation of :class:`PipeDream` guarantees that a pipe
+    reaches every cross and elbow from both sides.
+    """
+    n = D.cols
+    exits: list[tuple[str, int]] = [("bottom", 0)] * n
+    crosses: list[list[Box]] = [[] for _ in range(n)]
+    down = list(range(1, n + 1))
+    for i, row in enumerate(D.grid, start=1):
+        h = 0
+        for j, t in enumerate(row):
             if t == CROSS:
-                horiz.append((row, col))
-                col += 1
-            elif t == HLINE:
-                col += 1
+                crosses[h - 1].append((i, j + 1))
             elif t == ELBOW:
-                heading = "down"
-                row += 1
-            else:
-                raise MalformedDreamError(
-                    f"pipe {start_col} entered {t!r} at ({row}, {col}) from the left")
-    if col > n:
-        side, index = "right", row
-    else:
-        side, index = "bottom", col
-    return PipeTrace(label=start_col, horizontal_crosses=tuple(horiz),
-                     exit_side=side, exit_index=index)
+                h, down[j] = down[j], h
+            elif t == PIVOT:
+                h, down[j] = down[j], 0
+        exits[h - 1] = ("right", i)
+    for j, label in enumerate(down, start=1):
+        if label:
+            exits[label - 1] = ("bottom", j)
+    return exits, crosses
 
 
 def trace_pipes(D: PipeDream) -> tuple[PipeTrace, ...]:
     """Trace every pipe; entry r is the pipe entering the top of column r+1.
+    All pipes are traced together in one sweep of the grid.
 
     >>> [t.exit_side for t in trace_pipes(construct_fpp((1, 2, 3), (3, 1, 2)))]
     ['right', 'right', 'right']
     """
-    return tuple(_trace_one(D, j) for j in range(1, D.cols + 1))
+    exits, crosses = _sweep(D)
+    return tuple(PipeTrace(label=label, horizontal_crosses=tuple(cells),
+                           exit_side=side, exit_index=index)
+                 for label, ((side, index), cells)
+                 in enumerate(zip(exits, crosses), start=1))
 
 
 def right_exit_labels(D: PipeDream) -> dict[int, int]:
@@ -320,11 +330,9 @@ def right_exit_labels(D: PipeDream) -> dict[int, int]:
     >>> right_exit_labels(construct_fpp((1, 2, 3), (3, 1, 2)))
     {2: 1, 3: 2, 1: 3}
     """
-    out: dict[int, int] = {}
-    for t in trace_pipes(D):
-        if t.exit_side == "right":
-            out[t.exit_index] = t.label
-    return out
+    exits, _ = _sweep(D)
+    return {index: label for label, (side, index) in enumerate(exits, start=1)
+            if side == "right"}
 
 
 def bottom_exit_labels(D: PipeDream) -> dict[int, int]:
@@ -333,11 +341,9 @@ def bottom_exit_labels(D: PipeDream) -> dict[int, int]:
     >>> bottom_exit_labels(restrict(construct_fpp((1, 2, 3), (3, 1, 2)), 1))
     {2: 1, 3: 2}
     """
-    out: dict[int, int] = {}
-    for t in trace_pipes(D):
-        if t.exit_side == "bottom":
-            out[t.exit_index] = t.label
-    return out
+    exits, _ = _sweep(D)
+    return {index: label for label, (side, index) in enumerate(exits, start=1)
+            if side == "bottom"}
 
 
 def exit_permutation(D: PipeDream) -> Permutation:
@@ -369,11 +375,13 @@ def is_gamma_free(D: PipeDream) -> bool:
     False
     """
     k = D.rows
-    for t in trace_pipes(D):
-        cap = k if t.exit_side == "bottom" else min(t.exit_index, k)
-        for (i, j) in t.horizontal_crosses:
-            for r in range(i + 1, cap + 1):
-                if D.tile(r, j) in (ELBOW, PIVOT):
+    grid = D.grid
+    exits, crosses = _sweep(D)
+    for (side, index), cells in zip(exits, crosses):
+        cap = k if side == "bottom" else index
+        for (i, j) in cells:
+            for r in range(i, cap):
+                if grid[r][j - 1] in (ELBOW, PIVOT):
                     return False
     return True
 

@@ -20,10 +20,10 @@ from .pipedream import (
     PIVOT,
     VLINE,
     PipeDream,
+    _sweep,
     enumerate_le_dreams,
     is_gamma_free,
     rotate_le,
-    trace_pipes,
 )
 
 __all__ = [
@@ -148,10 +148,43 @@ def unblocked_columns(D: PipeDream) -> tuple[int, ...]:
     (1, 3)
     """
     blocked = set(D.pivots)
-    for t in trace_pipes(D):
-        if t.exit_side == "bottom":
-            blocked.update(j for (_, j) in t.horizontal_crosses)
-    return tuple(sorted(set(range(1, D.cols + 1)) - blocked))
+    exits, crosses = _sweep(D)
+    for (side, _), cells in zip(exits, crosses):
+        if side == "bottom":
+            blocked.update(j for (_, j) in cells)
+    return tuple(j for j in range(1, D.cols + 1) if j not in blocked)
+
+
+def _exchange_index(top, bottom, b: int) -> int | None:
+    """0-based index of the exchange column j* of two rows, the lower one
+    with its pivot at column b: the first column >= b with a cross in
+    ``top`` over an elbow or pivot elbow in ``bottom``; None if there is
+    none."""
+    for j in range(b - 1, len(top)):
+        if top[j] == CROSS and bottom[j] in (ELBOW, PIVOT):
+            return j
+    return None
+
+
+def _exchange(pivots: list[int], rows: list[list[str]], i: int) -> None:
+    """The exchange of :func:`standardize_step` at ascending rows i and
+    i+1, applied in place to a pivot list and rows of tile lists."""
+    a, b = pivots[i - 1], pivots[i]
+    top, bottom = rows[i - 1], rows[i]
+    x = _exchange_index(top, bottom, b)
+    top[a - 1], bottom[a - 1] = VLINE, PIVOT
+    top[a:b - 1], bottom[a:b - 1] = bottom[a:b - 1], top[a:b - 1]
+    top[b - 1], bottom[b - 1] = PIVOT, HLINE
+    if x is not None:  # without one, nothing right of b moves
+        if x > b - 1:
+            top[x], bottom[x] = bottom[x], ELBOW
+        top[x + 1:], bottom[x + 1:] = bottom[x + 1:], top[x + 1:]
+    pivots[i - 1], pivots[i] = b, a
+
+
+def _check_row_pair(D: PipeDream, i: int) -> None:
+    if not 1 <= i <= D.rows - 1:
+        raise DomainError(f"row index {i} out of range for {D.rows} rows")
 
 
 def standardize_step(D: PipeDream, i: int) -> PipeDream:
@@ -171,31 +204,14 @@ def standardize_step(D: PipeDream, i: int) -> PipeDream:
     >>> standardize_step(d, 1).grid
     ('VPX', 'PHX')
     """
-    jstar = exchange_column(D, i)
-    n = D.cols
-    a, b = D.pivots[i - 1], D.pivots[i]
-    if a > b:
+    _check_row_pair(D, i)
+    if D.pivots[i - 1] > D.pivots[i]:
         return D
-    top, bottom = list(D.grid[i - 1]), list(D.grid[i])
-    new_top, new_bottom = top[:], bottom[:]
-    new_top[a - 1], new_bottom[a - 1] = VLINE, PIVOT
-    for j in range(a + 1, b):
-        new_top[j - 1], new_bottom[j - 1] = bottom[j - 1], top[j - 1]
-    new_top[b - 1], new_bottom[b - 1] = PIVOT, HLINE
-    if jstar is None:
-        pass  # nothing right of b moves
-    elif jstar == b:
-        for j in range(b + 1, n + 1):
-            new_top[j - 1], new_bottom[j - 1] = bottom[j - 1], top[j - 1]
-    else:
-        new_top[jstar - 1], new_bottom[jstar - 1] = bottom[jstar - 1], ELBOW
-        for j in range(jstar + 1, n + 1):
-            new_top[j - 1], new_bottom[j - 1] = bottom[j - 1], top[j - 1]
     pivots = list(D.pivots)
-    pivots[i - 1], pivots[i] = b, a
-    grid = list(D.grid)
-    grid[i - 1], grid[i] = "".join(new_top), "".join(new_bottom)
-    return PipeDream(cols=n, pivots=tuple(pivots), grid=tuple(grid))
+    rows = [list(row) for row in D.grid]
+    _exchange(pivots, rows, i)
+    return PipeDream(cols=D.cols, pivots=tuple(pivots),
+                     grid=tuple("".join(row) for row in rows))
 
 
 def exchange_column(D: PipeDream, i: int) -> int | None:
@@ -203,32 +219,46 @@ def exchange_column(D: PipeDream, i: int) -> int | None:
 
     The exit labels of rows i and i+1 swap exactly when this is not None.
     """
-    k, n = D.rows, D.cols
-    if not 1 <= i <= k - 1:
-        raise DomainError(f"row index {i} out of range for {k} rows")
+    _check_row_pair(D, i)
     b = D.pivots[i]
     if D.pivots[i - 1] > b:
         return None
-    for j in range(b, n + 1):
-        if D.tile(i, j) == CROSS and D.tile(i + 1, j) in (ELBOW, PIVOT):
-            return j
+    x = _exchange_index(D.grid[i - 1], D.grid[i], b)
+    return None if x is None else x + 1
+
+
+def _least_ascent(pivots: list[int], start: int) -> int | None:
+    """The least i >= start with pivots[i-1] < pivots[i], or None."""
+    for i in range(start, len(pivots)):
+        if pivots[i - 1] < pivots[i]:
+            return i
     return None
 
 
 def standardize(D: PipeDream) -> PipeDream:
     """Apply :func:`standardize_step` at the least ascent until pivots descend.
 
+    The steps run in place on a pivot list and rows of tile lists, and one
+    dream is built at the end; a dream whose pivots already descend is
+    returned as it is.
+
     >>> from flagpipes.pipedream import dream_from_fill
     >>> standardize(dream_from_fill(3, (1, 2),
     ...     {(1, 2): "X", (1, 3): "X", (2, 3): "X"})).pivots
     (2, 1)
     """
-    while True:
-        rising = [i for i in range(1, D.rows)
-                  if D.pivots[i - 1] < D.pivots[i]]
-        if not rising:
-            return D
-        D = standardize_step(D, rising[0])
+    pivots = list(D.pivots)
+    i = _least_ascent(pivots, 1)
+    if i is None:
+        return D
+    rows = [list(row) for row in D.grid]
+    while i is not None:
+        _exchange(pivots, rows, i)
+        # Rows above i - 1 still descend, so the next least ascent is at
+        # i - 1 or later.
+        i = _least_ascent(pivots, max(1, i - 1))
+    return PipeDream(cols=D.cols, pivots=tuple(pivots),
+                     grid=tuple("".join(row) for row in rows))
 
 
 class Positroid:

@@ -53,9 +53,14 @@ def _exact(value) -> Fraction:
                           "pass ints, Fractions, or strings like '3/2'")
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        # Fraction expands an exponent exactly: "1e999999999" would be a
+        # billion-digit integer.
+        if "e" in value.lower():
+            raise DomainError(f"cannot read {value!r} as an exact rational: "
+                              "exponent notation is not allowed")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):

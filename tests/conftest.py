@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from flagpipes.decperm import parse_decperm, positroid_of
+from flagpipes.pipedream import enumerate_partial_fpps
 from flagpipes.ratmat import rational_matrix
 
 settings.register_profile(
@@ -56,3 +57,10 @@ def golden_matrix():
 @pytest.fixture(scope="session")
 def half():
     return Fraction(1, 2)
+
+
+@pytest.fixture(scope="session")
+def gamma_free_dreams_n5():
+    """Every gamma-free partial dream on 5 columns, any rank and pivot
+    order (9430 of them)."""
+    return [D for k in range(6) for D in enumerate_partial_fpps(5, k)]

@@ -14,8 +14,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from flagpipes.decperm import DecoratedPermutation
-from flagpipes.exceptions import DomainError
+from flagpipes.decperm import DecoratedPermutation, decperm_of
+from flagpipes.exceptions import DomainError, MalformedDreamError
+from flagpipes.flagbuild import append_row
 from flagpipes.perm import compose, inverse
 from flagpipes.pipedream import (
     CROSS,
@@ -24,11 +25,11 @@ from flagpipes.pipedream import (
     PIVOT,
     VLINE,
     PipeDream,
+    PipeTrace,
     exit_permutation,
-    trace_pipes,
     trivial_completion,
 )
-from flagpipes.positroid import standardize
+from flagpipes.positroid import Positroid, standardize
 from flagpipes.ratmat import det, pivot_columns
 
 
@@ -178,6 +179,95 @@ def elementary_quotient_via_extension(lower_bases, upper_bases, n: int) -> bool:
     return is_matroid_via_rank_axioms(family, range(n + 1))
 
 
+# ------------------------------------------------------------------ pipe walks
+
+def _walk_one(D, start_col: int) -> PipeTrace:
+    """Follow the pipe entering the top of one column tile by tile, with
+    its heading, until it leaves the grid."""
+    k, n = D.rows, D.cols
+    row, col, heading = 1, start_col, "down"
+    horiz = []
+    while row <= k and col <= n:
+        t = D.tile(row, col)
+        if heading == "down":
+            if t in (VLINE, CROSS):
+                row += 1
+            elif t in (ELBOW, PIVOT):
+                heading = "right"
+                col += 1
+            else:
+                raise MalformedDreamError(
+                    f"pipe {start_col} entered {t!r} at ({row}, {col}) from the top")
+        else:
+            if t == CROSS:
+                horiz.append((row, col))
+                col += 1
+            elif t == HLINE:
+                col += 1
+            elif t == ELBOW:
+                heading = "down"
+                row += 1
+            else:
+                raise MalformedDreamError(
+                    f"pipe {start_col} entered {t!r} at ({row}, {col}) from the left")
+    if col > n:
+        side, index = "right", row
+    else:
+        side, index = "bottom", col
+    return PipeTrace(label=start_col, horizontal_crosses=tuple(horiz),
+                     exit_side=side, exit_index=index)
+
+
+def trace_pipes_by_walk(D) -> tuple[PipeTrace, ...]:
+    """Every pipe walked on its own from its top entry, one at a time."""
+    return tuple(_walk_one(D, j) for j in range(1, D.cols + 1))
+
+
+# ------------------------------------------------------------- standardization
+
+def exchange_rows_by_hand(D, i: int) -> PipeDream:
+    """One exchange of ascending pivot rows i and i+1 written tile by tile
+    on fresh row copies, with its own scan for the exchange column; a
+    validated dream is built from the result.  Descending rows come back
+    unchanged."""
+    n = D.cols
+    a, b = D.pivots[i - 1], D.pivots[i]
+    if a > b:
+        return D
+    top, bottom = D.grid[i - 1], D.grid[i]
+    jstar = next((j for j in range(b, n + 1)
+                  if top[j - 1] == CROSS and bottom[j - 1] in (ELBOW, PIVOT)),
+                 None)
+    new_top, new_bottom = list(top), list(bottom)
+    for j in range(1, n + 1):
+        if j == a:
+            new_top[j - 1], new_bottom[j - 1] = VLINE, PIVOT
+        elif a < j < b:
+            new_top[j - 1], new_bottom[j - 1] = bottom[j - 1], top[j - 1]
+        elif j == b:
+            new_top[j - 1], new_bottom[j - 1] = PIVOT, HLINE
+        elif jstar is not None and j == jstar:
+            new_top[j - 1], new_bottom[j - 1] = bottom[j - 1], ELBOW
+        elif jstar is not None and j > jstar:
+            new_top[j - 1], new_bottom[j - 1] = bottom[j - 1], top[j - 1]
+    pivots = list(D.pivots)
+    pivots[i - 1], pivots[i] = b, a
+    grid = list(D.grid)
+    grid[i - 1], grid[i] = "".join(new_top), "".join(new_bottom)
+    return PipeDream(cols=n, pivots=tuple(pivots), grid=tuple(grid))
+
+
+def standardize_by_steps(D) -> PipeDream:
+    """Exchange at the least ascent, building and validating a dream after
+    every step, until the pivots descend."""
+    while True:
+        rising = [i for i in range(1, D.rows)
+                  if D.pivots[i - 1] < D.pivots[i]]
+        if not rising:
+            return D
+        D = exchange_rows_by_hand(D, rising[0])
+
+
 # ------------------------------------------------------------------- blocking
 
 def gamma_free_by_pattern_search(D) -> bool:
@@ -186,7 +276,7 @@ def gamma_free_by_pattern_search(D) -> bool:
     it before the pipe leaves the grid."""
     k, n = D.rows, D.cols
     cross_pipe = {}
-    for t in trace_pipes(D):
+    for t in trace_pipes_by_walk(D):
         for cell in t.horizontal_crosses:
             cross_pipe[cell] = t
     for (i, j), t in cross_pipe.items():
@@ -279,3 +369,15 @@ def extended_cover_dream_by_hand(P, C) -> PipeDream:
                      pivots=tuple(p + 1 for p in D.pivots) + (1,),
                      grid=tuple(VLINE + row for row in D.grid)
                      + ("".join(last),))
+
+
+def quotient_covers_by_append_row(P) -> tuple[Positroid, ...]:
+    """Covers of P through the checked :func:`append_row`, one per
+    nonempty choice of unblocked columns, sorted by boundary string."""
+    U = P.unblocked
+    covers = {}
+    for r in range(1, len(U) + 1):
+        for C in combinations(U, r):
+            Q = Positroid.from_dream(append_row(P.dream, C))
+            covers[decperm_of(Q.dream).to_string()] = Q
+    return tuple(covers[key] for key in sorted(covers))

@@ -1,17 +1,27 @@
 """Command-line front end: verbs, output forms, exit codes."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import flagpipes.serialize as ser
 from flagpipes.cli import main
 from flagpipes.decperm import decperm_of, parse_decperm
 from flagpipes.flagbuild import quotient_covers
 from flagpipes.pathgraph import bases_of
-from flagpipes.pipedream import PipeDream, construct_fpp, restrict
+from flagpipes.pipedream import (
+    TILES,
+    PipeDream,
+    _structural_tile,
+    construct_fpp,
+    restrict,
+)
 from flagpipes.render import ascii_grid, svg_grid
 from flagpipes.verify import CHECK_NAMES
 
@@ -169,6 +179,93 @@ class TestCoversAndShift:
         assert got.to_string() == "2o9o3o8o1u7o6u4u5u"
 
 
+class TestLargeChoiceSets:
+    """Cover listings with more than 12 unblocked positions end at once
+    with a guard error instead of walking 2^25 - 1 choices."""
+
+    @pytest.mark.parametrize("argv, stdin", [
+        (["covers", "--decperm", "".join(f"{j}u" for j in range(1, 26))], ""),
+        (["covered-by", "--decperm", "".join(f"{j}o" for j in range(1, 26))],
+         ""),
+        (["covers", "--dream", "-"],
+         json.dumps(ser.dream_to_json(PipeDream(cols=30, pivots=(),
+                                                grid=())))),
+    ])
+    def test_guard_error_within_seconds(self, argv, stdin):
+        proc = subprocess.run(
+            [sys.executable, "-m", "flagpipes.cli", *argv],
+            input=stdin, capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert "covers_max_unblocked = 12" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+# Field names the sniffer reads; a fuzzed grid document may carry any of
+# them, so some documents are routed to another kind or miss a field.
+SNIFFED_FIELDS = ("constituents", "tiles", "rank", "rows", "cols", "pivots",
+                  "bases", "n", "k", "perm", "color", "nodes", "covers")
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(min_value=-2, max_value=7),
+    st.sampled_from([0.5, float("inf"), float("nan"), "", "P", "PX", "3"]),
+    st.lists(st.integers(min_value=0, max_value=7), max_size=3),
+    st.lists(st.lists(st.sampled_from(TILES), max_size=3), max_size=2))
+
+
+@st.composite
+def grid_documents(draw):
+    """A dream or positroid document on at most 6 columns: pivots and tiles
+    that are structurally valid, random letters, or a mix, with a few
+    fields dropped or replaced."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    k = draw(st.integers(min_value=0, max_value=n))
+    pivots = draw(st.permutations(range(1, n + 1)))[:k]
+    structural = draw(st.booleans())
+    tiles = []
+    for i in range(1, k + 1):
+        row = []
+        for j in range(1, n + 1):
+            forced = _structural_tile(tuple(pivots), i, j)
+            if structural and forced is not None:
+                row.append(forced)
+            elif structural:
+                row.append(draw(st.sampled_from("XE")))
+            else:
+                row.append(draw(st.sampled_from(TILES)))
+        tiles.append(row)
+    doc = {"rows": k, "cols": n, "pivots": list(pivots), "tiles": tiles}
+    if draw(st.booleans()):
+        doc["rank"] = draw(st.one_of(st.just(k), JUNK))
+    for field in draw(st.sets(st.sampled_from(SNIFFED_FIELDS), max_size=2)):
+        if draw(st.booleans()):
+            doc.pop(field, None)
+        else:
+            doc[field] = draw(JUNK)
+    return doc
+
+
+class TestFuzzedGridSources:
+    """Every grid document sent to a grid verb ends in exit 0, 1 or 2."""
+
+    @pytest.mark.parametrize("verb", [["render", "--ascii"], ["bases"],
+                                      ["decperm"], ["covers"]],
+                             ids=["render", "bases", "decperm", "covers"])
+    @settings(max_examples=100)
+    @given(doc=grid_documents())
+    def test_exit_status(self, verb, doc):
+        stdin = io.StringIO(json.dumps(doc))
+        with mock.patch.object(sys, "stdin", stdin), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                code = main([verb[0], "--dream", "-", *verb[1:]])
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2)
+        if code:
+            assert err.getvalue().startswith(("error:", "usage:"))
+
+
 class TestPoset:
     def test_stats_golden(self, capsys):
         code, out, _ = run(capsys, "poset", "3", "--flavor", "representable",
@@ -272,6 +369,8 @@ class TestConvert:
         ('[true]', 1),
         ('[["1/0"]]', 1),
         ('[["1", "x"]]', 1),
+        ('[["1e999999999"]]', 1),
+        ('[[true]]', 1),
         ('{"tiles": [], "pivots": [], "cols": Infinity}', 1),
         ('{"perm": [1], "color": [NaN]}', 1),
         ('null', 1),
@@ -288,6 +387,15 @@ class TestConvert:
         proc = subprocess.run(
             [sys.executable, "-m", "flagpipes.cli", "convert", "-"],
             input='[["1/0"]]', capture_output=True, text=True)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("text", ['[["1e999999999"]]', '[[true]]'])
+    def test_exponents_and_booleans_exit_without_a_traceback(self, text):
+        proc = subprocess.run(
+            [sys.executable, "-m", "flagpipes.cli", "convert", "-"],
+            input=text, capture_output=True, text=True, timeout=30)
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr

@@ -24,7 +24,12 @@ from flagpipes.decperm import (
     tc_set,
     unblocked_positions,
 )
-from flagpipes.exceptions import DomainError, EmptyChoiceError, NotUnblockedError
+from flagpipes.exceptions import (
+    DomainError,
+    EmptyChoiceError,
+    GuardExceededError,
+    NotUnblockedError,
+)
 from flagpipes.pipedream import (
     _fillings,
     construct_fpp,
@@ -221,6 +226,36 @@ class TestShifts:
             down = {q.to_string()
                     for q in covered_by_shift(inverse_decperm(dp))}
             assert up == down
+
+
+def identity(n: int, mark: str) -> DecoratedPermutation:
+    """The identity on [n] with every fixed point marked ``mark``: all n
+    positions are (left-)unblocked."""
+    return parse_decperm(",".join(f"{j}{mark}" for j in range(1, n + 1)))
+
+
+class TestChoiceGuard:
+    """Listings over every nonempty subset of the unblocked positions stop
+    at covers_max_unblocked = 12 positions, 4095 covers."""
+
+    def test_twelve_positions_are_listed(self):
+        assert len(covers_by_shift(identity(12, "u"))) == 4095
+        assert len(covered_by_shift(identity(12, "o"))) == 4095
+
+    @pytest.mark.parametrize("routine, mark", [
+        (covers_by_shift, "u"), (covered_by_shift, "o")])
+    def test_thirteen_positions_are_refused(self, routine, mark):
+        with pytest.raises(GuardExceededError,
+                           match=r"covers_max_unblocked = 12\b"):
+            routine(identity(13, mark))
+        with pytest.raises(GuardExceededError, match=routine.__name__):
+            routine(identity(25, mark))
+
+    def test_environment_raises_the_guard(self, monkeypatch):
+        monkeypatch.setenv("POSITROID_MAX_N", "13")
+        with pytest.raises(GuardExceededError,
+                           match=r"covers_max_unblocked = 13\b"):
+            covers_by_shift(identity(14, "u"))
 
 
 class TestDuality:

@@ -10,6 +10,7 @@ from flagpipes.decperm import decperm_of, parse_decperm, positroid_of
 from flagpipes.exceptions import (
     DomainError,
     EmptyChoiceError,
+    GuardExceededError,
     InvariantError,
     NotACoverError,
     NotUnblockedError,
@@ -68,6 +69,15 @@ class TestAppendRow:
         with pytest.raises(NotUnblockedError):
             append_row(running_example.dream, (3,))
 
+    def test_errors_name_the_first_bad_column(self, running_example):
+        # Unblocked columns are (2, 5, 8, 9); pivots are 6, 4 and 1.
+        for C, bad in [((2, 3, 6), 3), ((6,), 6), ((1, 2), 1), ((5, 10), 10)]:
+            with pytest.raises(NotUnblockedError) as info:
+                append_row(running_example.dream, C)
+            assert info.value.column == bad
+        with pytest.raises(EmptyChoiceError):
+            append_row(running_example.dream, set())
+
 
 class TestQuotientCovers:
     def test_running_example_has_fifteen(self, running_example):
@@ -99,6 +109,20 @@ class TestQuotientCovers:
                 assert oracles.elementary_quotient_via_extension(
                     P.bases.bases, Q.bases.bases, n)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_checked_append_route(self, n):
+        for P in enumerate_positroids(n):
+            if P.rank == n:
+                continue
+            covers = quotient_covers(P)
+            expected = oracles.quotient_covers_by_append_row(P)
+            assert [Q.key for Q in covers] == [Q.key for Q in expected]
+
+    def test_running_example_matches_the_checked_append_route(
+            self, running_example):
+        assert (quotient_covers(running_example)
+                == oracles.quotient_covers_by_append_row(running_example))
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_cover_choice_inverts_append(self, n):
         for P in enumerate_positroids(n):
@@ -120,6 +144,27 @@ class TestQuotientCovers:
             cover_choice(P, Q)
         with pytest.raises(NotACoverError):
             phi(P, Q)
+
+
+class TestChoiceGuard:
+    """Routines that try every nonempty choice of unblocked columns stop at
+    covers_max_unblocked = 12 columns."""
+
+    @staticmethod
+    def bottom(n: int) -> Positroid:
+        return Positroid.from_dream(PipeDream(cols=n, pivots=(), grid=()))
+
+    def test_twelve_columns_are_listed(self):
+        assert len(quotient_covers(self.bottom(12))) == 4095
+
+    def test_thirteen_columns_are_refused(self):
+        P = self.bottom(13)
+        with pytest.raises(GuardExceededError,
+                           match=r"quotient_covers: 13 .*covers_max_unblocked = 12\b"):
+            quotient_covers(P)
+        with pytest.raises(GuardExceededError,
+                           match=r"cover_choice: 13 .*covers_max_unblocked = 12\b"):
+            cover_choice(P, uniform_positroid(1, 13))
 
 
 class TestFlag:

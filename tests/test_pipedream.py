@@ -1,5 +1,7 @@
 """Pipe-dream layer: grids, traces, words, rotation, enumeration."""
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given
 
@@ -135,6 +137,30 @@ class TestTraces:
                     assert labels == list(range(1, n + 1))
                     assert len(trace_pipes(D)) == n
 
+    @staticmethod
+    def assert_sweep_matches_the_walk(D):
+        walked = oracles.trace_pipes_by_walk(D)
+        assert trace_pipes(D) == walked
+        assert list(right_exit_labels(D).items()) == [
+            (t.exit_index, t.label) for t in walked if t.exit_side == "right"]
+        assert list(bottom_exit_labels(D).items()) == [
+            (t.exit_index, t.label) for t in walked if t.exit_side == "bottom"]
+
+    def test_sweep_matches_the_walk_on_every_filling(self):
+        count = 0
+        for n in range(1, 5):
+            for k in range(n + 1):
+                for pivots in permutations(range(1, n + 1), k):
+                    for D in _fillings(n, pivots):
+                        self.assert_sweep_matches_the_walk(D)
+                        count += 1
+        assert count == 810
+
+    def test_sweep_matches_the_walk_at_n5(self, gamma_free_dreams_n5):
+        assert len(gamma_free_dreams_n5) == 9430
+        for D in gamma_free_dreams_n5:
+            self.assert_sweep_matches_the_walk(D)
+
     def test_exit_permutation_needs_complete(self):
         with pytest.raises(DomainError):
             exit_permutation(restrict(construct_fpp((1, 2, 3), (3, 1, 2)), 1))
@@ -167,7 +193,7 @@ class TestGammaFree:
         assert not is_gamma_free(bad)
 
     def test_two_routes_agree_on_every_filling(self):
-        for n in (2, 3):
+        for n in (2, 3, 4):
             for k in range(1, n + 1):
                 for pivots in all_permutations(n):
                     for D in _fillings(n, pivots[:k]):

@@ -1,6 +1,6 @@
 """Positroid layer: matroid primitives, blocking, standardization, shape."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +13,7 @@ from flagpipes.flagbuild import phi
 from flagpipes.pathgraph import bases_of, basis_set
 from flagpipes.pipedream import (
     PipeDream,
+    _fillings,
     construct_fpp,
     dream_from_fill,
     enumerate_le_dreams,
@@ -219,6 +220,57 @@ class TestStandardize:
                     assert set(unblocked_columns(S)) == set(unblocked_columns(D))
                     assert (set(right_exit_labels(S).values())
                             == set(right_exit_labels(D).values()))
+
+
+def outcome(route, *args):
+    """A route's result, or the type of the domain error it raised."""
+    try:
+        return route(*args)
+    except DomainError as exc:
+        return type(exc)
+
+
+def unblocked_by_walk(D):
+    blocked = set(D.pivots)
+    for t in oracles.trace_pipes_by_walk(D):
+        if t.exit_side == "bottom":
+            blocked.update(j for (_, j) in t.horizontal_crosses)
+    return tuple(j for j in range(1, D.cols + 1) if j not in blocked)
+
+
+class TestOneBuildStandardize:
+    """The in-place kernels against the step-by-step reference routes."""
+
+    @staticmethod
+    def assert_kernels_match(D):
+        assert (outcome(standardize, D)
+                == outcome(oracles.standardize_by_steps, D))
+        for i in range(1, D.rows):
+            assert (outcome(standardize_step, D, i)
+                    == outcome(oracles.exchange_rows_by_hand, D, i))
+        assert unblocked_columns(D) == unblocked_by_walk(D)
+
+    def test_every_filling_up_to_n4(self):
+        count = 0
+        for n in range(1, 5):
+            for k in range(n + 1):
+                for pivots in permutations(range(1, n + 1), k):
+                    for D in _fillings(n, pivots):
+                        self.assert_kernels_match(D)
+                        count += 1
+        assert count == 810
+
+    def test_every_gamma_free_dream_at_n5(self, gamma_free_dreams_n5):
+        for D in gamma_free_dreams_n5:
+            self.assert_kernels_match(D)
+
+    def test_descending_pivots_return_the_same_dream(self):
+        for n in range(1, 5):
+            for k in range(n + 1):
+                for D in enumerate_le_dreams(n, k):
+                    assert standardize(D) is D
+                    for i in range(1, k):
+                        assert standardize_step(D, i) is D
 
 
 class TestPositroid:

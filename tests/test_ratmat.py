@@ -75,10 +75,16 @@ class TestExactness:
         assert A.entry(2, 1) == Fraction(-5, 7)
         assert all(isinstance(x, Fraction) for row in A.rows for x in row)
 
-    @pytest.mark.parametrize("text", ["1/0", "x", "", "1/2/3"])
+    @pytest.mark.parametrize("text", ["1/0", "x", "", "1/2/3", "1e999999999",
+                                      "1E5", "2.5e-3", "-1e0"])
     def test_unreadable_strings_are_domain_errors(self, text):
         with pytest.raises(DomainError, match="exact rational"):
             rational_matrix([[text]])
+
+    @pytest.mark.parametrize("entry", [True, False])
+    def test_booleans_are_refused(self, entry):
+        with pytest.raises(DomainError, match="exact rational"):
+            rational_matrix([[1, entry]])
 
 
 class TestConstruction:
