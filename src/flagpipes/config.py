@@ -54,11 +54,11 @@ def current_limits() -> Limits:
     return Limits(**bumped)
 
 
-def _guard_choices(routine: str, count: int) -> None:
-    """Refuse to walk the nonempty subsets of more than
-    ``covers_max_unblocked`` unblocked positions."""
-    cap = current_limits().covers_max_unblocked
-    if count > cap:
+def _guard(routine: str, field: str, value: int) -> None:
+    """Refuse a size ``value`` above the limit ``field``, naming the
+    routine, the value, the limit and its override."""
+    cap = getattr(current_limits(), field)
+    if value > cap:
         raise GuardExceededError(
-            f"{routine}: {count} unblocked positions exceed "
-            f"covers_max_unblocked = {cap} ({ENV_MAX_N} raises it)")
+            f"{routine}: {value} exceeds {field} = {cap} "
+            f"(guarded; {ENV_MAX_N} raises it)")

@@ -6,8 +6,11 @@ exceeds the position, 1 otherwise).  The number of 2-colored positions is
 the rank of the corresponding positroid.  A dream's decorated permutation
 is read off where the pipes of its standardization exit.  Rank-increasing
 covers are realized by right cyclic shifts on a choice of unblocked
-positions plus a forced top-completion set; the mirrored left shifts
-realize covered elements, and the two are exchanged by inversion.
+positions plus a forced top-completion set.  The right shift is the only
+cover engine: by self-duality, the left shifts that realize covered
+elements are right shifts seen through :func:`inverse_decperm`, with
+positions carried through the permutation (position r of w is position
+w(r) of its inverse).
 """
 
 from __future__ import annotations
@@ -16,13 +19,7 @@ import re
 from dataclasses import dataclass
 from itertools import combinations
 
-from .config import _guard_choices
-from .exceptions import (
-    DomainError,
-    EmptyChoiceError,
-    InvariantError,
-    NotUnblockedError,
-)
+from .exceptions import DomainError, InvariantError
 from .perm import (
     Permutation,
     all_permutations,
@@ -32,7 +29,7 @@ from .perm import (
 )
 from .pipedream import PipeDream, _sweep, construct_fpp, restrict
 from . import positroid as _positroid
-from .positroid import Positroid, standardize
+from .positroid import Positroid, _choice, _each_choice, standardize
 
 __all__ = [
     "DecoratedPermutation",
@@ -201,13 +198,7 @@ def tc_set(dp: DecoratedPermutation, C) -> tuple[int, ...]:
     >>> tc_set(pi, {2, 5, 8, 9})
     ()
     """
-    C = sorted(set(C))
-    if not C:
-        raise EmptyChoiceError("choice set is empty")
-    allowed = set(unblocked_positions(dp))
-    for j in C:
-        if j not in allowed:
-            raise NotUnblockedError(j)
+    C = _choice(C, unblocked_positions(dp))
     over = [j for j, c in enumerate(dp.color, 1) if c == OVER]
     out: list[int] = []
     z, m = 0, dp.perm[C[-1] - 1]
@@ -221,7 +212,7 @@ def tc_set(dp: DecoratedPermutation, C) -> tuple[int, ...]:
 
 
 def _recolor(perm: Permutation, old: DecoratedPermutation,
-             moved: set[int], fixed_color: int) -> tuple[int, ...]:
+             moved: set[int]) -> tuple[int, ...]:
     color = []
     for j, v in enumerate(perm, 1):
         if v > j:
@@ -229,7 +220,7 @@ def _recolor(perm: Permutation, old: DecoratedPermutation,
         elif v < j:
             color.append(UNDER)
         elif j in moved:
-            color.append(fixed_color)
+            color.append(OVER)
         else:
             color.append(old.color[j - 1])
     return tuple(color)
@@ -250,7 +241,7 @@ def right_cyclic_shift(dp: DecoratedPermutation, C) -> DecoratedPermutation:
     sigma = {b: moved[l - 1] for l, b in enumerate(moved)}
     sigma[moved[0]] = moved[-1]
     perm = tuple(dp.perm[sigma.get(j, j) - 1] for j in range(1, dp.n + 1))
-    return DecoratedPermutation(perm, _recolor(perm, dp, set(moved), OVER))
+    return DecoratedPermutation(perm, _recolor(perm, dp, set(moved)))
 
 
 def covers_by_shift(dp: DecoratedPermutation) -> tuple[DecoratedPermutation, ...]:
@@ -260,92 +251,67 @@ def covers_by_shift(dp: DecoratedPermutation) -> tuple[DecoratedPermutation, ...
     >>> len(covers_by_shift(parse_decperm("1u2u3u")))
     7
     """
-    U = unblocked_positions(dp)
-    _guard_choices("covers_by_shift", len(U))
-    seen = {}
-    for r in range(1, len(U) + 1):
-        for C in combinations(U, r):
-            q = right_cyclic_shift(dp, C)
-            key = q.to_string()
-            if key in seen:
-                raise InvariantError(f"duplicate cover {key} from choice {C}")
-            seen[key] = q
-    return tuple(seen[k] for k in sorted(seen))
+    return _each_choice("covers_by_shift", unblocked_positions(dp),
+                        lambda C: right_cyclic_shift(dp, C),
+                        DecoratedPermutation.to_string)
 
 
 def left_unblocked_positions(dp: DecoratedPermutation) -> tuple[int, ...]:
-    """2-colored positions whose value is above every earlier 2-colored value.
+    """2-colored positions whose value is above every earlier 2-colored
+    value: the unblocked positions of the inverse, carried back.
 
     >>> left_unblocked_positions(parse_decperm("2o5o3o8o1u7o6u9o4u"))
     (1, 2, 4, 8)
     """
-    over = [j for j, c in enumerate(dp.color, 1) if c == OVER]
-    out = []
-    for idx, j in enumerate(over):
-        if all(dp.perm[jp - 1] < dp.perm[j - 1] for jp in over[:idx]):
-            out.append(j)
-    return tuple(out)
+    w = inverse_decperm(dp)
+    return tuple(sorted(w.perm[c - 1] for c in unblocked_positions(w)))
+
+
+def _mirrored(dp: DecoratedPermutation, R):
+    """The inverse of dp and the left choice R carried to it through
+    ``dp.perm``; R is checked first, so an error names a position in dp's
+    numbering."""
+    R = _choice(R, left_unblocked_positions(dp))
+    return inverse_decperm(dp), [dp.perm[r - 1] for r in R]
 
 
 def or_set(dp: DecoratedPermutation, R) -> tuple[int, ...]:
-    """Mirror of :func:`tc_set`: greedily walk right of max(R) picking
-    ever-higher 1-colored positions whose values descend from the value at
-    min(R).
+    """Mirror of :func:`tc_set`: the 1-colored positions right of max(R),
+    ever higher, whose values descend from the value at min(R).  Computed
+    as the top-completion set of the inverse, carried back.
 
     >>> or_set(parse_decperm("2o5o3o8o1u7o6u9o4u"), {2, 8})
     (9,)
     """
-    R = sorted(set(R))
-    if not R:
-        raise EmptyChoiceError("choice set is empty")
-    allowed = set(left_unblocked_positions(dp))
-    for j in R:
-        if j not in allowed:
-            raise NotUnblockedError(j)
-    under = [j for j, c in enumerate(dp.color, 1) if c == UNDER]
-    out: list[int] = []
-    z, m = dp.n + 1, dp.perm[R[0] - 1]
-    while True:
-        o = next((o for o in reversed(under)
-                  if R[-1] < o < z and dp.perm[o - 1] < m), None)
-        if o is None:
-            return tuple(sorted(out))
-        out.append(o)
-        z, m = o, dp.perm[o - 1]
+    w, C = _mirrored(dp, R)
+    return tuple(sorted(w.perm[t - 1] for t in tc_set(w, C)))
 
 
 def left_cyclic_shift(dp: DecoratedPermutation, R) -> DecoratedPermutation:
     """Rank-lowering move: cycle the values on R plus its completion one step
     toward larger positions; fixed points created by the cycle take color 1.
+    Computed as the right shift of the inverse, inverted back.
 
     >>> left_cyclic_shift(parse_decperm("2o5o3o8o1u7o6u9o4u"),
     ...                   {2, 8}).to_string()
     '2o9o3o8o1u7o6u4u5u'
     """
-    moved = sorted(set(R) | set(or_set(dp, R)))
-    tau = {b: moved[(l + 1) % len(moved)] for l, b in enumerate(moved)}
-    perm = tuple(dp.perm[tau.get(j, j) - 1] for j in range(1, dp.n + 1))
-    return DecoratedPermutation(perm, _recolor(perm, dp, set(moved), UNDER))
+    w, C = _mirrored(dp, R)
+    return inverse_decperm(right_cyclic_shift(w, C))
 
 
 def covered_by_shift(dp: DecoratedPermutation) -> tuple[DecoratedPermutation, ...]:
-    """One left shift per nonempty choice of left-unblocked positions.
+    """One left shift per nonempty choice of left-unblocked positions,
+    sorted by text form: the covers of the inverse, inverted back.
 
     >>> len(covered_by_shift(parse_decperm("1o2o3o")))
     7
     """
-    S = left_unblocked_positions(dp)
-    _guard_choices("covered_by_shift", len(S))
-    seen = {}
-    for r in range(1, len(S) + 1):
-        for R in combinations(S, r):
-            q = left_cyclic_shift(dp, R)
-            key = q.to_string()
-            if key in seen:
-                raise InvariantError(
-                    f"duplicate covered element {key} from choice {R}")
-            seen[key] = q
-    return tuple(seen[k] for k in sorted(seen))
+    w = inverse_decperm(dp)
+    return _each_choice(
+        "covered_by_shift", unblocked_positions(w),
+        lambda C: inverse_decperm(right_cyclic_shift(w, C)),
+        DecoratedPermutation.to_string)
 
 
 def inverse_decperm(dp: DecoratedPermutation) -> DecoratedPermutation:

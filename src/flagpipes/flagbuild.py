@@ -10,21 +10,24 @@ single matroid on the ground set extended by a new element 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .config import _guard_choices
 from .exceptions import (
     DomainError,
     EmbeddingDomainError,
-    EmptyChoiceError,
     InvariantError,
     NotACoverError,
-    NotUnblockedError,
     SizeMismatchError,
 )
 from .pathgraph import BasisSet, basis_set
 from .pipedream import CROSS, ELBOW, EMPTY, HLINE, PIVOT, VLINE, PipeDream, restrict
-from .positroid import Positroid, is_matroid, is_quotient, unblocked_columns
+from .positroid import (
+    Positroid,
+    _choice,
+    _each_choice,
+    is_matroid,
+    is_quotient,
+    unblocked_columns,
+)
 
 __all__ = [
     "append_row",
@@ -49,14 +52,7 @@ def append_row(D: PipeDream, C) -> PipeDream:
     >>> append_row(d, {1, 3}).grid
     ('VVVP', 'VPXH', 'PHEH')
     """
-    C = sorted(set(C))
-    if not C:
-        raise EmptyChoiceError("choice set is empty")
-    allowed = set(unblocked_columns(D))
-    for j in C:
-        if j not in allowed:
-            raise NotUnblockedError(j)
-    return _appended(D, C)
+    return _appended(D, _choice(C, unblocked_columns(D)))
 
 
 def _appended(D: PipeDream, C) -> PipeDream:
@@ -98,21 +94,22 @@ def quotient_covers(P: Positroid) -> tuple[Positroid, ...]:
 
     if P.rank >= P.n:
         raise DomainError("a full-rank positroid has no covers")
-    U = P.unblocked
-    _guard_choices("quotient_covers", len(U))
-    seen: dict[str, Positroid] = {}
-    for r in range(1, len(U) + 1):
-        for C in combinations(U, r):
-            Q = Positroid.from_dream(_appended(P.dream, C))
-            key = decperm_of(Q.dream).to_string()
-            if key in seen:
-                raise InvariantError(f"duplicate cover {key} from choice {C}")
-            seen[key] = Q
-    return tuple(seen[k] for k in sorted(seen))
+    return _each_choice(
+        "quotient_covers", P.unblocked,
+        lambda C: Positroid.from_dream(_appended(P.dream, C)),
+        lambda Q: decperm_of(Q.dream).to_string())
 
 
 def cover_choice(P: Positroid, Q: Positroid) -> tuple[int, ...]:
     """The unique unblocked choice C with append_row(P, C) giving Q.
+
+    C is read off the decorated permutations w of P and q of Q: it is the
+    set of 1-colored positions of w whose value or color differs in q,
+    since a right cyclic shift moves every chosen position and no other
+    1-colored one.  C is returned when it is a nonempty set of P's
+    unblocked columns and the shift of w along C is q; otherwise Q is no
+    cover of P and :class:`NotACoverError` is raised.  No dream is built
+    and no subset walked.
 
     >>> from flagpipes.pipedream import construct_fpp, restrict
     >>> d = construct_fpp((2, 4, 1, 3), (4, 2, 3, 1))
@@ -121,14 +118,15 @@ def cover_choice(P: Positroid, Q: Positroid) -> tuple[int, ...]:
     >>> cover_choice(p2, p3)
     (1, 3)
     """
+    from .decperm import UNDER, decperm_of, right_cyclic_shift
+
     if P.n != Q.n:
         raise SizeMismatchError("cover_choice: ground sets differ")
-    U = P.unblocked
-    _guard_choices("cover_choice", len(U))
-    for r in range(1, len(U) + 1):
-        for C in combinations(U, r):
-            if Positroid.from_dream(_appended(P.dream, C)).key == Q.key:
-                return C
+    w, q = decperm_of(P.dream), decperm_of(Q.dream)
+    C = tuple(j for j in range(1, P.n + 1) if w.color[j - 1] == UNDER and (
+        q.perm[j - 1] != w.perm[j - 1] or q.color[j - 1] != UNDER))
+    if C and set(C) <= set(P.unblocked) and right_cyclic_shift(w, C) == q:
+        return C
     raise NotACoverError("no unblocked choice produces the given positroid")
 
 
@@ -183,13 +181,7 @@ def extended_cover_dream(P: Positroid, C) -> PipeDream:
     >>> extended_cover_dream(p, (1, 3)).grid
     ('VVVVP', 'VVPXH', 'PEHEH')
     """
-    C = sorted(set(C))
-    if not C:
-        raise EmptyChoiceError("choice set is empty")
-    allowed = set(unblocked_columns(P.dream))
-    for j in C:
-        if j not in allowed:
-            raise NotUnblockedError(j)
+    C = _choice(C, P.unblocked)
     D = P.dream
     shifted = PipeDream(cols=D.cols + 1,
                         pivots=tuple(p + 1 for p in D.pivots),

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .config import current_limits
-from .exceptions import DomainError, GuardExceededError
+from .config import _guard
+from .exceptions import DomainError
 from .pipedream import ELBOW, PipeDream, right_exit_labels
 
 __all__ = [
@@ -105,23 +105,19 @@ def _paths_from(g: PathGraph, start: Vertex) -> Iterator[Path]:
             stack.append((w, walk + (w,)))
 
 
-def admissible_collections(g: PathGraph,
-                           max_cols: int | None = None) -> list[tuple[Path, ...]]:
+def admissible_collections(g: PathGraph) -> list[tuple[Path, ...]]:
     """All vertex-disjoint families, one path per source, in canonical order.
 
     Families are tuples of paths ordered by source row (top row first) and
     listed sorted by their vertex sequences.  Guarded to ground sets of size
-    12 (override with POSITROID_MAX_N or pass ``max_cols``).
+    12 (override with POSITROID_MAX_N).
 
     >>> from flagpipes.pipedream import construct_fpp, restrict
     >>> g = build_graph(restrict(construct_fpp((1, 2, 3), (3, 1, 2)), 1))
     >>> [fam[0][-1] for fam in admissible_collections(g)]
     [(0, 1), (0, 2), (0, 3)]
     """
-    cap = max_cols if max_cols is not None else current_limits().pathgraph_max_n
-    if g.cols > cap:
-        raise GuardExceededError(f"path enumeration guarded to n <= {cap}, "
-                                 f"got {g.cols}")
+    _guard("admissible_collections", "pathgraph_max_n", g.cols)
     per_source = [list(_paths_from(g, s)) for s in g.sources]
     families: list[tuple[Path, ...]] = []
 
@@ -191,7 +187,7 @@ def basis_set(n: int, bases: Iterable[Iterable[int]],
     return BasisSet(n=n, k=k, offset_zero=offset_zero, bases=tuple(normalized))
 
 
-def bases_of(D: PipeDream, max_cols: int | None = None) -> BasisSet:
+def bases_of(D: PipeDream) -> BasisSet:
     """Sink-column sets of all admissible families of ``D``.
 
     >>> from flagpipes.pipedream import construct_fpp, restrict
@@ -200,7 +196,7 @@ def bases_of(D: PipeDream, max_cols: int | None = None) -> BasisSet:
     """
     g = build_graph(D)
     sinks = {tuple(sorted(path[-1][1] for path in fam))
-             for fam in admissible_collections(g, max_cols=max_cols)}
+             for fam in admissible_collections(g)}
     if not sinks:
         raise DomainError("no admissible family; dream is not gamma-free")
     return basis_set(D.cols, sinks)

@@ -20,8 +20,8 @@ from itertools import combinations, permutations as _raw_permutations
 from math import comb
 from typing import Iterator
 
-from .config import current_limits
-from .exceptions import DomainError, GuardExceededError, SizeMismatchError
+from .config import _guard
+from .exceptions import DomainError, SizeMismatchError
 
 __all__ = [
     "Permutation",
@@ -280,9 +280,7 @@ def bruhat_leq_subword_oracle(u: Permutation, v: Permutation) -> bool:
     if len(u) != len(v):
         raise SizeMismatchError(f"subword oracle: sizes {len(u)} != {len(v)}")
     n = len(u)
-    if n > current_limits().subword_max_n:
-        raise GuardExceededError(f"subword oracle guarded to n <= "
-                                 f"{current_limits().subword_max_n}, got {n}")
+    _guard("bruhat_leq_subword_oracle", "subword_max_n", n)
     if length(u) > length(v):
         return False
     word = reduced_word(v)

@@ -33,10 +33,9 @@ from dataclasses import dataclass
 from itertools import combinations, permutations as _raw_permutations, product
 from typing import Iterator, Mapping
 
-from .config import current_limits
+from .config import _guard
 from .exceptions import (
     DomainError,
-    GuardExceededError,
     MalformedDreamError,
     NotComparableError,
     SizeMismatchError,
@@ -575,9 +574,7 @@ def enumerate_fpps(n: int) -> Iterator[PipeDream]:
     >>> sum(1 for _ in enumerate_fpps(3))
     19
     """
-    cap = current_limits().enumerate_max_n
-    if n > cap:
-        raise GuardExceededError(f"enumerate_fpps guarded to n <= {cap}, got {n}")
+    _guard("enumerate_fpps", "enumerate_max_n", n)
     for u in all_permutations(n):
         for v in all_permutations(n):
             if bruhat_leq(u, v):
@@ -601,10 +598,7 @@ def enumerate_partial_fpps(n: int, k: int) -> Iterator[PipeDream]:
     >>> sum(1 for _ in enumerate_partial_fpps(3, 2))
     19
     """
-    cap = current_limits().enumerate_max_n
-    if n > cap:
-        raise GuardExceededError(f"enumerate_partial_fpps guarded to n <= {cap},"
-                                 f" got {n}")
+    _guard("enumerate_partial_fpps", "enumerate_max_n", n)
     for pivots in _raw_permutations(range(1, n + 1), k):
         for D in _fillings(n, pivots):
             if is_gamma_free(D):
@@ -617,10 +611,7 @@ def enumerate_le_dreams(n: int, k: int) -> Iterator[PipeDream]:
     >>> sum(1 for _ in enumerate_le_dreams(3, 1))
     7
     """
-    cap = current_limits().enumerate_max_n
-    if n > cap:
-        raise GuardExceededError(f"enumerate_le_dreams guarded to n <= {cap},"
-                                 f" got {n}")
+    _guard("enumerate_le_dreams", "enumerate_max_n", n)
     for chosen in combinations(range(1, n + 1), k):
         pivots = tuple(sorted(chosen, reverse=True))
         for D in _fillings(n, pivots):

@@ -16,11 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .config import current_limits
+from .config import _guard
 from .decperm import covers_by_shift, decperm_of, inverse_decperm, parse_decperm
 from .exceptions import (
     DomainError,
-    GuardExceededError,
     InvariantError,
     SizeMismatchError,
 )
@@ -89,12 +88,7 @@ def build_poset(n: int, flavor: str = "representable") -> QuotientPoset:
         raise DomainError(f"unknown flavor {flavor!r}; pick one of {FLAVORS}")
     if n < 0:
         raise DomainError(f"poset size must be at least 0, got {n}")
-    limits = current_limits()
-    cap = (limits.poset_representable_max_n if flavor == "representable"
-           else limits.poset_matroidal_max_n)
-    if n > cap:
-        raise GuardExceededError(
-            f"poset flavor {flavor!r} is capped at n <= {cap}")
+    _guard("build_poset", f"poset_{flavor}_max_n", n)
     named = []
     for p in enumerate_positroids(n):
         w = decperm_of(p.dream)

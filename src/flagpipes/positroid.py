@@ -9,9 +9,17 @@ pivot-column set, or its right-exit pipe set.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterator
 
-from .exceptions import DomainError, SizeMismatchError
+from .config import _guard
+from .exceptions import (
+    DomainError,
+    EmptyChoiceError,
+    InvariantError,
+    NotUnblockedError,
+    SizeMismatchError,
+)
 from .pathgraph import BasisSet, bases_of, basis_set
 from .pipedream import (
     CROSS,
@@ -153,6 +161,36 @@ def unblocked_columns(D: PipeDream) -> tuple[int, ...]:
         if side == "bottom":
             blocked.update(j for (_, j) in cells)
     return tuple(j for j in range(1, D.cols + 1) if j not in blocked)
+
+
+def _choice(C, allowed) -> list[int]:
+    """A choice C, sorted, after checking that it is nonempty and lies in
+    ``allowed``; the error names the least entry outside it."""
+    C = sorted(set(C))
+    if not C:
+        raise EmptyChoiceError("choice set is empty")
+    for j in C:
+        if j not in allowed:
+            raise NotUnblockedError(j)
+    return C
+
+
+def _each_choice(routine: str, U, build, name) -> tuple:
+    """``build(C)`` for every nonempty choice C from the positions U, by
+    size and then lexicographically, sorted by ``name`` of the result.
+    Guarded by ``covers_max_unblocked``, since the walk is 2^|U| long;
+    two choices with one result break the theory's bijection."""
+    _guard(routine, "covers_max_unblocked", len(U))
+    seen = {}
+    for r in range(1, len(U) + 1):
+        for C in combinations(U, r):
+            value = build(C)
+            key = name(value)
+            if key in seen:
+                raise InvariantError(
+                    f"{routine}: choice {C} repeats the result {key}")
+            seen[key] = value
+    return tuple(seen[k] for k in sorted(seen))
 
 
 def _exchange_index(top, bottom, b: int) -> int | None:

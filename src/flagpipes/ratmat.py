@@ -18,10 +18,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
 
-from .config import current_limits
+from .config import _guard
 from .exceptions import (
     DomainError,
-    GuardExceededError,
     InvariantError,
     NotGeneralizedPermutationError,
     RankDeficientError,
@@ -229,9 +228,7 @@ def flag_minors(A: RationalMatrix, ranks) -> dict[tuple[int, tuple[int, ...]], F
         raise DomainError("ranks must increase")
     if ranks and not (1 <= ranks[0] and ranks[-1] <= A.k):
         raise DomainError("ranks must lie in 1..k")
-    if A.n > current_limits().minors_max_n:
-        raise GuardExceededError(
-            f"flag minors are capped at {current_limits().minors_max_n} columns")
+    _guard("flag_minors", "minors_max_n", A.n)
     out: dict[tuple[int, tuple[int, ...]], Fraction] = {}
     if not ranks:
         return out

@@ -36,6 +36,20 @@ __all__ = [
 ]
 
 
+def _int(value, field: str) -> int:
+    """An integer field of a document: a JSON boolean or a float is no
+    integer, though Python's ``int()`` would read one."""
+    if type(value) is not int:
+        raise DomainError(f"field {field!r} needs an integer, got {value!r}")
+    return value
+
+
+def _stated(data: dict, field: str, actual: int) -> None:
+    """Check an optional count against the one the document implies."""
+    if data.get(field) is not None and _int(data[field], field) != actual:
+        raise DomainError(f"stated {field} does not match the document")
+
+
 def dream_to_json(D: PipeDream) -> dict:
     """Grid as rows of single tile letters.
 
@@ -60,10 +74,9 @@ def dream_from_json(data: dict) -> PipeDream:
     True
     """
     rows = data["tiles"]
-    if data.get("rows") not in (None, len(rows)):
-        raise DomainError("row count does not match the tile grid")
-    return PipeDream(cols=int(data["cols"]),
-                     pivots=tuple(int(p) for p in data["pivots"]),
+    _stated(data, "rows", len(rows))
+    return PipeDream(cols=_int(data["cols"], "cols"),
+                     pivots=tuple(_int(p, "pivots") for p in data["pivots"]),
                      grid=tuple("".join(row) for row in rows))
 
 
@@ -86,11 +99,13 @@ def basis_set_from_json(data: dict) -> BasisSet:
     """
     from .pathgraph import basis_set
 
-    B = basis_set(int(data["n"]),
-                  [tuple(int(e) for e in b) for b in data["bases"]],
-                  offset_zero=bool(data.get("offsetZero", False)))
-    if data.get("k") not in (None, B.k):
-        raise DomainError("stated rank does not match the bases")
+    offset_zero = data.get("offsetZero", False)
+    if type(offset_zero) is not bool:
+        raise DomainError("field 'offsetZero' needs true or false")
+    B = basis_set(_int(data["n"], "n"),
+                  [tuple(_int(e, "bases") for e in b) for b in data["bases"]],
+                  offset_zero=offset_zero)
+    _stated(data, "k", B.k)
     return B
 
 
@@ -109,8 +124,7 @@ def positroid_from_json(data: dict) -> Positroid:
     from .positroid import Positroid
 
     P = Positroid.from_dream(dream_from_json(data))
-    if data.get("rank") not in (None, P.rank):
-        raise DomainError("stated rank does not match the dream")
+    _stated(data, "rank", P.rank)
     return P
 
 
@@ -130,8 +144,8 @@ def decperm_from_json(data: dict) -> DecoratedPermutation:
     """
     from .decperm import DecoratedPermutation
 
-    return DecoratedPermutation(tuple(int(x) for x in data["perm"]),
-                                tuple(int(c) for c in data["color"]))
+    return DecoratedPermutation(tuple(_int(x, "perm") for x in data["perm"]),
+                                tuple(_int(c, "color") for c in data["color"]))
 
 
 def flag_to_json(F: FlagPositroid) -> dict:
@@ -151,8 +165,8 @@ def flag_from_json(data: dict) -> FlagPositroid:
     from .flagbuild import FlagPositroid
 
     return FlagPositroid(
-        n=int(data["n"]),
-        ranks=tuple(int(r) for r in data["ranks"]),
+        n=_int(data["n"], "n"),
+        ranks=tuple(_int(r, "ranks") for r in data["ranks"]),
         constituents=tuple(positroid_from_json(p)
                            for p in data["constituents"]))
 

@@ -15,7 +15,13 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from flagpipes.decperm import DecoratedPermutation, decperm_of
-from flagpipes.exceptions import DomainError, MalformedDreamError
+from flagpipes.exceptions import (
+    DomainError,
+    EmptyChoiceError,
+    MalformedDreamError,
+    NotACoverError,
+    NotUnblockedError,
+)
 from flagpipes.flagbuild import append_row
 from flagpipes.perm import compose, inverse
 from flagpipes.pipedream import (
@@ -381,3 +387,72 @@ def quotient_covers_by_append_row(P) -> tuple[Positroid, ...]:
             Q = Positroid.from_dream(append_row(P.dream, C))
             covers[decperm_of(Q.dream).to_string()] = Q
     return tuple(covers[key] for key in sorted(covers))
+
+
+# ------------------------------------------------------- left shifts by hand
+
+def left_unblocked_by_hand(dp) -> tuple[int, ...]:
+    """2-colored positions whose value is above every earlier 2-colored
+    value, scanned directly."""
+    over = [j for j, c in enumerate(dp.color, 1) if c == 2]
+    return tuple(j for idx, j in enumerate(over)
+                 if all(dp.perm[jp - 1] < dp.perm[j - 1] for jp in over[:idx]))
+
+
+def or_set_by_hand(dp, R) -> tuple[int, ...]:
+    """The mirror of ``tc_set`` written out: greedily walk right of max(R)
+    picking ever-higher 1-colored positions whose values descend from the
+    value at min(R).  Raises the library's choice errors, first bad
+    position first."""
+    R = sorted(set(R))
+    if not R:
+        raise EmptyChoiceError("choice set is empty")
+    allowed = left_unblocked_by_hand(dp)
+    for j in R:
+        if j not in allowed:
+            raise NotUnblockedError(j)
+    under = [j for j, c in enumerate(dp.color, 1) if c == 1]
+    out: list[int] = []
+    z, m = dp.n + 1, dp.perm[R[0] - 1]
+    while True:
+        o = next((o for o in reversed(under)
+                  if R[-1] < o < z and dp.perm[o - 1] < m), None)
+        if o is None:
+            return tuple(sorted(out))
+        out.append(o)
+        z, m = o, dp.perm[o - 1]
+
+
+def left_cyclic_shift_by_hand(dp, R) -> DecoratedPermutation:
+    """Cycle the values on R plus its completion one step toward larger
+    positions; fixed points created by the cycle take color 1."""
+    moved = sorted(set(R) | set(or_set_by_hand(dp, R)))
+    tau = {b: moved[(l + 1) % len(moved)] for l, b in enumerate(moved)}
+    perm = tuple(dp.perm[tau.get(j, j) - 1] for j in range(1, dp.n + 1))
+    color = tuple(2 if v > j else 1 if v < j or j in moved
+                  else dp.color[j - 1]
+                  for j, v in enumerate(perm, 1))
+    return DecoratedPermutation(perm, color)
+
+
+def covered_by_shift_by_hand(dp) -> tuple[DecoratedPermutation, ...]:
+    """One hand-written left shift per nonempty choice of left-unblocked
+    positions, sorted by text form."""
+    S = left_unblocked_by_hand(dp)
+    out = {}
+    for r in range(1, len(S) + 1):
+        for R in combinations(S, r):
+            q = left_cyclic_shift_by_hand(dp, R)
+            out[q.to_string()] = q
+    return tuple(out[key] for key in sorted(out))
+
+
+def cover_choice_by_search(P, Q) -> tuple[int, ...]:
+    """The first unblocked choice, by size and then lexicographically,
+    whose checked :func:`append_row` canonicalizes to Q."""
+    U = P.unblocked
+    for r in range(1, len(U) + 1):
+        for C in combinations(U, r):
+            if Positroid.from_dream(append_row(P.dream, C)).key == Q.key:
+                return C
+    raise NotACoverError("no unblocked choice produces the given positroid")

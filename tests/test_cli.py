@@ -26,6 +26,8 @@ from flagpipes.render import ascii_grid, svg_grid
 from flagpipes.verify import CHECK_NAMES
 
 RUNNING = "5o1u3u9o2u7o6u4u8u"
+FLAG_DOC = ('{"n": 1, "ranks": [1], "constituents": '
+            '[{"cols": 1, "pivots": [1], "tiles": [["P"]], "rank": 1}]}')
 
 # Modules a plain ``fpp`` run has no use for; the CLI must not import them.
 HEAVY = ("flagpipes.verify", "flagpipes.poset", "flagpipes.ratmat",
@@ -374,6 +376,19 @@ class TestConvert:
         ('{"tiles": [], "pivots": [], "cols": Infinity}', 1),
         ('{"perm": [1], "color": [NaN]}', 1),
         ('null', 1),
+        ('{"rows": 1, "cols": 1.9, "pivots": [1], "tiles": [["P"]]}', 1),
+        ('{"rows": 1, "cols": true, "pivots": [true], "tiles": [["P"]]}', 1),
+        ('{"rows": true, "cols": 1, "pivots": [1], "tiles": [["P"]]}', 1),
+        ('{"cols": 1, "pivots": ["1"], "tiles": [["P"]]}', 1),
+        ('{"cols": 1, "pivots": [1], "tiles": [["P"]], "rank": true}', 1),
+        ('{"perm": [true], "color": [2]}', 1),
+        ('{"perm": [1], "color": [2.0]}', 1),
+        ('{"n": true, "bases": [[true]]}', 1),
+        ('{"n": 1, "bases": [[1]], "offsetZero": 1}', 1),
+        ('{"n": 1, "bases": [[1]], "k": true}', 1),
+        (FLAG_DOC, 0),
+        (FLAG_DOC.replace('"n": 1', '"n": 1.0'), 1),
+        (FLAG_DOC.replace('"ranks": [1]', '"ranks": [true]'), 1),
     ])
     def test_documents_on_stdin(self, capsys, monkeypatch, text, want):
         import io

@@ -1,0 +1,65 @@
+"""Enumeration guards: every one names its routine, size, limit and override."""
+
+import pytest
+
+from flagpipes.config import ENV_MAX_N
+from flagpipes.decperm import covered_by_shift, covers_by_shift, parse_decperm
+from flagpipes.exceptions import GuardExceededError
+from flagpipes.flagbuild import quotient_covers
+from flagpipes.pathgraph import bases_of
+from flagpipes.perm import bruhat_leq_subword_oracle
+from flagpipes.pipedream import (
+    PipeDream,
+    enumerate_fpps,
+    enumerate_le_dreams,
+    enumerate_partial_fpps,
+)
+from flagpipes.poset import build_poset
+from flagpipes.positroid import Positroid
+from flagpipes.ratmat import flag_minors, rational_matrix
+
+
+def identity(n: int, mark: str):
+    return parse_decperm(",".join(f"{j}{mark}" for j in range(1, n + 1)))
+
+
+# (routine as named in the error, call one size above the default limit,
+# limit field, its default, the size passed)
+GUARDED = [
+    ("enumerate_fpps", lambda: next(enumerate_fpps(7)), "enumerate_max_n", 6, 7),
+    ("enumerate_partial_fpps", lambda: next(enumerate_partial_fpps(7, 1)),
+     "enumerate_max_n", 6, 7),
+    ("enumerate_le_dreams", lambda: next(enumerate_le_dreams(7, 1)),
+     "enumerate_max_n", 6, 7),
+    ("bruhat_leq_subword_oracle",
+     lambda: bruhat_leq_subword_oracle(tuple(range(1, 8)), tuple(range(1, 8))),
+     "subword_max_n", 6, 7),
+    ("build_poset", lambda: build_poset(6), "poset_representable_max_n", 5, 6),
+    ("build_poset", lambda: build_poset(5, "matroidal"),
+     "poset_matroidal_max_n", 4, 5),
+    ("admissible_collections",
+     lambda: bases_of(PipeDream(cols=13, pivots=(1,), grid=("P" + "E" * 12,))),
+     "pathgraph_max_n", 12, 13),
+    ("flag_minors", lambda: flag_minors(rational_matrix([[1] * 13]), (1,)),
+     "minors_max_n", 12, 13),
+    ("covers_by_shift", lambda: covers_by_shift(identity(13, "u")),
+     "covers_max_unblocked", 12, 13),
+    ("covered_by_shift", lambda: covered_by_shift(identity(13, "o")),
+     "covers_max_unblocked", 12, 13),
+    ("quotient_covers",
+     lambda: quotient_covers(
+         Positroid.from_dream(PipeDream(cols=13, pivots=(), grid=()))),
+     "covers_max_unblocked", 12, 13),
+]
+
+
+@pytest.mark.parametrize("routine, call, field, cap, size", GUARDED,
+                         ids=[g[2] + ":" + g[0] for g in GUARDED])
+def test_guard_error_names_routine_size_limit_and_override(
+        routine, call, field, cap, size):
+    with pytest.raises(GuardExceededError) as info:
+        call()
+    message = str(info.value)
+    assert message.startswith(f"{routine}: {size} ")
+    assert f"{field} = {cap}" in message
+    assert ENV_MAX_N in message

@@ -1,6 +1,6 @@
 """Decorated permutations: boundary data, cyclic shift moves, duality."""
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -58,6 +58,14 @@ def _decorate(args):
 
 
 RUNNING = "5o1u3u9o2u7o6u4u8u"
+
+
+def outcome(routine, *args):
+    """A routine's result, or the type and position of its choice error."""
+    try:
+        return routine(*args)
+    except (EmptyChoiceError, NotUnblockedError) as exc:
+        return type(exc), getattr(exc, "column", None)
 
 
 class TestRepresentation:
@@ -207,25 +215,43 @@ class TestShifts:
         assert inverse_decperm(right_cyclic_shift(pi, {5, 9})) \
             == left_cyclic_shift(omega, {2, 8})
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_square_commutes_everywhere(self, n):
-        from itertools import combinations
+        """The left routines equal the hand-written mirrors on every choice;
+        the R below run over every nonempty left-unblocked choice."""
         for dp in all_decperms(n):
             omega = inverse_decperm(dp)
             U = unblocked_positions(dp)
+            assert (left_unblocked_positions(omega)
+                    == oracles.left_unblocked_by_hand(omega))
             for r in range(1, len(U) + 1):
                 for C in combinations(U, r):
                     R = tuple(sorted(dp.perm[c - 1] for c in C))
                     left = inverse_decperm(right_cyclic_shift(dp, C))
                     assert left == left_cyclic_shift(omega, R)
+                    assert left == oracles.left_cyclic_shift_by_hand(omega, R)
+                    assert or_set(omega, R) == oracles.or_set_by_hand(omega, R)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_left_choice_errors_match_the_mirror(self, n):
+        """Bad left choices fail as in the mirror, naming the same position
+        in the caller's numbering."""
+        for omega in all_decperms(n):
+            for r in range(n + 1):
+                for R in combinations(range(1, n + 1), r):
+                    assert (outcome(or_set, omega, R)
+                            == outcome(oracles.or_set_by_hand, omega, R))
+                    assert (outcome(left_cyclic_shift, omega, R) == outcome(
+                        oracles.left_cyclic_shift_by_hand, omega, R))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_covered_mirrors_covers(self, n):
         for dp in all_decperms(n):
+            omega = inverse_decperm(dp)
             up = {inverse_decperm(q).to_string() for q in covers_by_shift(dp)}
-            down = {q.to_string()
-                    for q in covered_by_shift(inverse_decperm(dp))}
-            assert up == down
+            down = covered_by_shift(omega)
+            assert up == {q.to_string() for q in down}
+            assert down == oracles.covered_by_shift_by_hand(omega)
 
 
 def identity(n: int, mark: str) -> DecoratedPermutation:

@@ -134,6 +134,26 @@ class TestQuotientCovers:
                     Q = Positroid.from_dream(append_row(P.dream, C))
                     assert cover_choice(P, Q) == C
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_cover_choice_matches_the_search(self, n):
+        """The choice read off the decorated permutations is the one the
+        row-append search finds, on every ordered pair."""
+        def outcome(routine, P, Q):
+            try:
+                return routine(P, Q)
+            except NotACoverError:
+                return None
+
+        elements = list(enumerate_positroids(n))
+        found = 0
+        for P in elements:
+            for Q in elements:
+                C = outcome(cover_choice, P, Q)
+                assert C == outcome(oracles.cover_choice_by_search, P, Q)
+                found += C is not None
+        assert found == sum(len(quotient_covers(P))
+                            for P in elements if P.rank < n)
+
     def test_missing_pair_is_quotient_but_not_cover(self):
         P = positroid_of(parse_decperm("3o1u2u"))
         Q = positroid_of(parse_decperm("3o2o1u"))
@@ -142,6 +162,8 @@ class TestQuotientCovers:
             P.bases.bases, Q.bases.bases, 3)
         with pytest.raises(NotACoverError):
             cover_choice(P, Q)
+        with pytest.raises(NotACoverError):
+            oracles.cover_choice_by_search(P, Q)
         with pytest.raises(NotACoverError):
             phi(P, Q)
 
@@ -162,9 +184,15 @@ class TestChoiceGuard:
         with pytest.raises(GuardExceededError,
                            match=r"quotient_covers: 13 .*covers_max_unblocked = 12\b"):
             quotient_covers(P)
-        with pytest.raises(GuardExceededError,
-                           match=r"cover_choice: 13 .*covers_max_unblocked = 12\b"):
-            cover_choice(P, uniform_positroid(1, 13))
+
+    @pytest.mark.parametrize("n", [13, 25])
+    def test_cover_choice_walks_no_subsets(self, n):
+        """cover_choice reads the choice off directly, so it answers at once
+        above the guard: all n columns, or no cover at all."""
+        P = self.bottom(n)
+        assert cover_choice(P, uniform_positroid(1, n)) == tuple(range(1, n + 1))
+        with pytest.raises(NotACoverError):
+            cover_choice(P, uniform_positroid(2, n))
 
 
 class TestFlag:

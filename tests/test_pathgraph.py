@@ -87,11 +87,12 @@ class TestBasesOf:
             assert B.bases[0] == lex_min_basis(D)
             assert B.bases[-1] == lex_max_basis(D)
 
-    def test_guard_and_override(self):
+    def test_guard_and_override(self, monkeypatch):
         wide = PipeDream(cols=13, pivots=(1,), grid=("P" + "E" * 12,))
         with pytest.raises(GuardExceededError):
             bases_of(wide)
-        B = bases_of(wide, max_cols=13)
+        monkeypatch.setenv("POSITROID_MAX_N", "13")
+        B = bases_of(wide)
         assert B.bases == tuple((j,) for j in range(1, 14))
 
 
