@@ -198,7 +198,11 @@ def tc_set(dp: DecoratedPermutation, C) -> tuple[int, ...]:
     >>> tc_set(pi, {2, 5, 8, 9})
     ()
     """
-    C = _choice(C, unblocked_positions(dp))
+    return _tc(dp, _choice(C, unblocked_positions(dp)))
+
+
+def _tc(dp: DecoratedPermutation, C) -> tuple[int, ...]:
+    """:func:`tc_set` of a sorted choice already known to be unblocked."""
     over = [j for j, c in enumerate(dp.color, 1) if c == OVER]
     out: list[int] = []
     z, m = 0, dp.perm[C[-1] - 1]
@@ -237,7 +241,13 @@ def right_cyclic_shift(dp: DecoratedPermutation, C) -> DecoratedPermutation:
     ...                    {5, 9}).to_string()
     '5o1u3u8o9o7o6u4u2u'
     """
-    moved = sorted(set(C) | set(tc_set(dp, C)))
+    return _shift(dp, _choice(C, unblocked_positions(dp)))
+
+
+def _shift(dp: DecoratedPermutation, C) -> DecoratedPermutation:
+    """:func:`right_cyclic_shift` on a sorted choice already known to be
+    unblocked, as the walks below draw them."""
+    moved = sorted(set(C) | set(_tc(dp, C)))
     sigma = {b: moved[l - 1] for l, b in enumerate(moved)}
     sigma[moved[0]] = moved[-1]
     perm = tuple(dp.perm[sigma.get(j, j) - 1] for j in range(1, dp.n + 1))
@@ -252,7 +262,7 @@ def covers_by_shift(dp: DecoratedPermutation) -> tuple[DecoratedPermutation, ...
     7
     """
     return _each_choice("covers_by_shift", unblocked_positions(dp),
-                        lambda C: right_cyclic_shift(dp, C),
+                        lambda C: _shift(dp, C),
                         DecoratedPermutation.to_string)
 
 
@@ -269,10 +279,10 @@ def left_unblocked_positions(dp: DecoratedPermutation) -> tuple[int, ...]:
 
 def _mirrored(dp: DecoratedPermutation, R):
     """The inverse of dp and the left choice R carried to it through
-    ``dp.perm``; R is checked first, so an error names a position in dp's
-    numbering."""
+    ``dp.perm``, sorted; R is checked first, so an error names a position in
+    dp's numbering, and the carried choice is unblocked in the inverse."""
     R = _choice(R, left_unblocked_positions(dp))
-    return inverse_decperm(dp), [dp.perm[r - 1] for r in R]
+    return inverse_decperm(dp), sorted(dp.perm[r - 1] for r in R)
 
 
 def or_set(dp: DecoratedPermutation, R) -> tuple[int, ...]:
@@ -284,7 +294,7 @@ def or_set(dp: DecoratedPermutation, R) -> tuple[int, ...]:
     (9,)
     """
     w, C = _mirrored(dp, R)
-    return tuple(sorted(w.perm[t - 1] for t in tc_set(w, C)))
+    return tuple(sorted(w.perm[t - 1] for t in _tc(w, C)))
 
 
 def left_cyclic_shift(dp: DecoratedPermutation, R) -> DecoratedPermutation:
@@ -297,7 +307,7 @@ def left_cyclic_shift(dp: DecoratedPermutation, R) -> DecoratedPermutation:
     '2o9o3o8o1u7o6u4u5u'
     """
     w, C = _mirrored(dp, R)
-    return inverse_decperm(right_cyclic_shift(w, C))
+    return inverse_decperm(_shift(w, C))
 
 
 def covered_by_shift(dp: DecoratedPermutation) -> tuple[DecoratedPermutation, ...]:
@@ -310,7 +320,7 @@ def covered_by_shift(dp: DecoratedPermutation) -> tuple[DecoratedPermutation, ..
     w = inverse_decperm(dp)
     return _each_choice(
         "covered_by_shift", unblocked_positions(w),
-        lambda C: inverse_decperm(right_cyclic_shift(w, C)),
+        lambda C: inverse_decperm(_shift(w, C)),
         DecoratedPermutation.to_string)
 
 

@@ -1,11 +1,12 @@
 """Non-intersecting path families on a dream and the basis sets they cut out.
 
-The graph of a partial dream has a source at every pivot elbow, an internal
-vertex at every elbow tile, and a sink above the top edge of every column
-(virtual row 0).  Every non-sink vertex has an up-edge to the next vertex
-above it in its column (the sink if none); every internal vertex has an
-in-edge from the nearest vertex to its left in its row.  Paths therefore move
-up and to the right, from a source to a sink.
+The network of a partial dream (Postnikov's Le-diagram network) has a source
+at every pivot elbow, an internal vertex at every elbow tile, and a sink above
+the top edge of every column (virtual row 0).  Each pivot or elbow vertex has
+two kinds of out-edge: up to the nearest vertex above it in its column (the
+sink if none), and right to the next elbow in its row, if one exists.  A
+row's pivot lies left of all its elbows, so paths move up and to the right,
+from a source to a sink.
 
 An admissible family chooses one path per source such that all paths are
 pairwise vertex-disjoint.  The set of sink columns of a family is a basis;
@@ -19,15 +20,13 @@ from typing import Iterable, Iterator
 
 from .config import _guard
 from .exceptions import DomainError
-from .pipedream import ELBOW, PipeDream, right_exit_labels
+from .pipedream import ELBOW, PIVOT, PipeDream, right_exit_labels
 
 __all__ = [
     "Vertex",
     "Path",
-    "PathGraph",
     "BasisSet",
     "basis_set",
-    "build_graph",
     "admissible_collections",
     "bases_of",
     "lex_min_basis",
@@ -38,62 +37,25 @@ Vertex = tuple[int, int]  # (row, column); row 0 is the sink row
 Path = tuple[Vertex, ...]
 
 
-@dataclass(frozen=True)
-class PathGraph:
-    """The up/right routing graph of a partial dream.
-
-    ``up_edges`` and ``row_edges`` are (tail, head) pairs; row edges point
-    rightward into internal vertices, up edges point toward row 0.
-    """
-
-    cols: int
-    sources: tuple[Vertex, ...]
-    sinks: tuple[Vertex, ...]
-    vertices: tuple[Vertex, ...]
-    up_edges: tuple[tuple[Vertex, Vertex], ...]
-    row_edges: tuple[tuple[Vertex, Vertex], ...]
-
-    def out_neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
-        ups = tuple(h for (t, h) in self.up_edges if t == v)
-        rights = tuple(h for (t, h) in self.row_edges if t == v)
-        return ups + rights
+def _successors(D: PipeDream) -> dict[Vertex, tuple[Vertex, ...]]:
+    """Each pivot or elbow vertex's out-neighbours, from one row-by-row pass
+    over the grid: the nearest vertex above it in its column (the sink if
+    none), then the next elbow to its right in its row, if any."""
+    above = [0] * (D.cols + 1)  # row of the lowest vertex so far, by column
+    succ: dict[Vertex, tuple[Vertex, ...]] = {}
+    for i, row in enumerate(D.grid, start=1):
+        cols = [j for j, t in enumerate(row, start=1) if t in (PIVOT, ELBOW)]
+        for j, right in zip(cols, cols[1:]):
+            succ[(i, j)] = ((above[j], j), (i, right))
+        if cols:
+            succ[(i, cols[-1])] = ((above[cols[-1]], cols[-1]),)
+        for j in cols:
+            above[j] = i
+    return succ
 
 
-def build_graph(D: PipeDream) -> PathGraph:
-    """The routing graph of ``D``.
-
-    >>> from flagpipes.pipedream import construct_fpp, restrict
-    >>> g = build_graph(restrict(construct_fpp((1, 2, 3), (3, 1, 2)), 1))
-    >>> g.sources, sorted(g.row_edges)
-    (((1, 1),), [((1, 1), (1, 2)), ((1, 2), (1, 3))])
-    """
-    n, k = D.cols, D.rows
-    sources = tuple((i, D.pivots[i - 1]) for i in range(1, k + 1))
-    internal = tuple((i, j) for i in range(1, k + 1)
-                     for j in range(1, n + 1) if D.tile(i, j) == ELBOW)
-    sinks = tuple((0, j) for j in range(1, n + 1))
-    grid_vertices = sorted(set(sources) | set(internal))
-    by_col: dict[int, list[int]] = {}
-    by_row: dict[int, list[int]] = {}
-    for (r, c) in grid_vertices:
-        by_col.setdefault(c, []).append(r)
-        by_row.setdefault(r, []).append(c)
-    up_edges = []
-    for (r, c) in grid_vertices:
-        above = [rr for rr in by_col[c] if rr < r]
-        up_edges.append(((r, c), (max(above), c) if above else (0, c)))
-    row_edges = []
-    for (r, c) in internal:
-        left = [cc for cc in by_row[r] if cc < c]
-        if left:
-            row_edges.append(((r, max(left)), (r, c)))
-    return PathGraph(cols=n, sources=sources, sinks=sinks,
-                     vertices=tuple(grid_vertices) + sinks,
-                     up_edges=tuple(sorted(up_edges)),
-                     row_edges=tuple(sorted(row_edges)))
-
-
-def _paths_from(g: PathGraph, start: Vertex) -> Iterator[Path]:
+def _paths_from(succ: dict[Vertex, tuple[Vertex, ...]],
+                start: Vertex) -> Iterator[Path]:
     """All source-to-sink paths from ``start``, up-moves tried first."""
     stack: list[tuple[Vertex, tuple[Vertex, ...]]] = [(start, (start,))]
     while stack:
@@ -101,11 +63,11 @@ def _paths_from(g: PathGraph, start: Vertex) -> Iterator[Path]:
         if v[0] == 0:
             yield walk
             continue
-        for w in reversed(g.out_neighbors(v)):
+        for w in reversed(succ[v]):
             stack.append((w, walk + (w,)))
 
 
-def admissible_collections(g: PathGraph) -> list[tuple[Path, ...]]:
+def admissible_collections(D: PipeDream) -> list[tuple[Path, ...]]:
     """All vertex-disjoint families, one path per source, in canonical order.
 
     Families are tuples of paths ordered by source row (top row first) and
@@ -113,12 +75,14 @@ def admissible_collections(g: PathGraph) -> list[tuple[Path, ...]]:
     12 (override with POSITROID_MAX_N).
 
     >>> from flagpipes.pipedream import construct_fpp, restrict
-    >>> g = build_graph(restrict(construct_fpp((1, 2, 3), (3, 1, 2)), 1))
-    >>> [fam[0][-1] for fam in admissible_collections(g)]
+    >>> D = restrict(construct_fpp((1, 2, 3), (3, 1, 2)), 1)
+    >>> [fam[0][-1] for fam in admissible_collections(D)]
     [(0, 1), (0, 2), (0, 3)]
     """
-    _guard("admissible_collections", "pathgraph_max_n", g.cols)
-    per_source = [list(_paths_from(g, s)) for s in g.sources]
+    _guard("admissible_collections", "pathgraph_max_n", D.cols)
+    succ = _successors(D)
+    sources = enumerate(D.pivots, start=1)  # (row, pivot column)
+    per_source = [list(_paths_from(succ, s)) for s in sources]
     families: list[tuple[Path, ...]] = []
 
     def extend(idx: int, used: set[Vertex], chosen: list[Path]) -> None:
@@ -194,9 +158,8 @@ def bases_of(D: PipeDream) -> BasisSet:
     >>> bases_of(restrict(construct_fpp((2, 4, 1, 3), (4, 2, 3, 1)), 2)).bases
     ((2, 4),)
     """
-    g = build_graph(D)
     sinks = {tuple(sorted(path[-1][1] for path in fam))
-             for fam in admissible_collections(g)}
+             for fam in admissible_collections(D)}
     if not sinks:
         raise DomainError("no admissible family; dream is not gamma-free")
     return basis_set(D.cols, sinks)

@@ -9,6 +9,8 @@ pivot-column set, or its right-exit pipe set.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterator
 
@@ -299,34 +301,21 @@ def standardize(D: PipeDream) -> PipeDream:
                      grid=tuple("".join(row) for row in rows))
 
 
+@dataclass(frozen=True)
 class Positroid:
     """A positroid, identified by its canonical decreasing-pivot dream.
 
     The dream determines the bases, so equality and hashing go by the dream
     alone, and ``bases`` is computed from it on first access and cached.
-    Pass ``bases`` only when they are already known to be the dream's.
     """
 
-    def __init__(self, dream: PipeDream, bases: BasisSet | None = None) -> None:
-        if any(a <= b for a, b in zip(dream.pivots, dream.pivots[1:])):
+    dream: PipeDream
+
+    def __post_init__(self) -> None:
+        pivots = self.dream.pivots
+        if any(a <= b for a, b in zip(pivots, pivots[1:])):
             raise DomainError("canonical dream needs strictly decreasing pivots"
                               "; use Positroid.from_dream")
-        object.__setattr__(self, "dream", dream)
-        object.__setattr__(self, "_bases", bases)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"Positroid is immutable; cannot set {name!r}")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Positroid):
-            return NotImplemented
-        return self.dream == other.dream
-
-    def __hash__(self) -> int:
-        return hash(self.dream)
-
-    def __repr__(self) -> str:
-        return f"Positroid(dream={self.dream!r})"
 
     @classmethod
     def from_dream(cls, D: PipeDream) -> "Positroid":
@@ -342,12 +331,10 @@ class Positroid:
             raise DomainError("dream is not gamma-free")
         return cls(dream=standardize(D))
 
-    @property
+    @cached_property
     def bases(self) -> BasisSet:
         """The path-family bases of the dream, computed once."""
-        if self._bases is None:
-            object.__setattr__(self, "_bases", bases_of(self.dream))
-        return self._bases
+        return bases_of(self.dream)
 
     @property
     def n(self) -> int:
@@ -359,7 +346,9 @@ class Positroid:
 
     @property
     def key(self) -> tuple:
-        """Canonical identity: the pivot tuple and grid of the dream."""
+        """The pivot tuple and grid of the dream.  It identifies a positroid
+        only within one ground set: the empty positroids on [2] and [3]
+        share a key."""
         return (self.dream.pivots, self.dream.grid)
 
     @property

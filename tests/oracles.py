@@ -12,7 +12,7 @@ tiny sizes the tests use.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from flagpipes.decperm import DecoratedPermutation, decperm_of
 from flagpipes.exceptions import (
@@ -227,6 +227,41 @@ def _walk_one(D, start_col: int) -> PipeTrace:
 def trace_pipes_by_walk(D) -> tuple[PipeTrace, ...]:
     """Every pipe walked on its own from its top entry, one at a time."""
     return tuple(_walk_one(D, j) for j in range(1, D.cols + 1))
+
+
+# --------------------------------------------------------------- path families
+
+def path_families_by_edges(D) -> list[tuple[tuple[tuple[int, int], ...], ...]]:
+    """Admissible path families from an explicit edge list: every pivot or
+    elbow vertex gets an up-edge to the nearest vertex above it in its
+    column (the sink (0, j) if none), and every elbow an in-edge from the
+    nearest vertex left of it in its row.  Paths are grown recursively one
+    edge at a time; families are every product of one path per source
+    (top row first) whose paths share no vertex, sorted."""
+    sources = [(i, D.pivots[i - 1]) for i in range(1, D.rows + 1)]
+    elbows = [(i, j) for i in range(1, D.rows + 1)
+              for j in range(1, D.cols + 1) if D.tile(i, j) == ELBOW]
+    vertices = sources + elbows
+    edges = []
+    for (i, j) in vertices:
+        above = [r for (r, c) in vertices if c == j and r < i]
+        edges.append(((i, j), (max(above, default=0), j)))
+    for (i, j) in elbows:
+        left = [c for (r, c) in vertices if r == i and c < j]
+        if left:
+            edges.append(((i, max(left)), (i, j)))
+
+    def paths(v):
+        if v[0] == 0:
+            return [(v,)]
+        return [(v,) + rest for (t, h) in edges if t == v for rest in paths(h)]
+
+    families = []
+    for family in product(*(paths(s) for s in sources)):
+        cells = [v for path in family for v in path]
+        if len(cells) == len(set(cells)):
+            families.append(family)
+    return sorted(families)
 
 
 # ------------------------------------------------------------- standardization

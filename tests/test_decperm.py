@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from flagpipes import decperm as decperm_module
 from flagpipes.decperm import (
     DecoratedPermutation,
     all_decperms,
@@ -176,6 +177,11 @@ class TestCompletionSets:
             tc_set(pi, set())
         with pytest.raises(NotUnblockedError):
             tc_set(pi, {3})
+        with pytest.raises(EmptyChoiceError):
+            right_cyclic_shift(pi, ())
+        with pytest.raises(NotUnblockedError) as err:
+            right_cyclic_shift(pi, {3, 5})
+        assert err.value.column == 3
         omega = parse_decperm("2o5o3o8o1u7o6u9o4u")
         with pytest.raises(EmptyChoiceError):
             or_set(omega, set())
@@ -243,6 +249,23 @@ class TestShifts:
                             == outcome(oracles.or_set_by_hand, omega, R))
                     assert (outcome(left_cyclic_shift, omega, R) == outcome(
                         oracles.left_cyclic_shift_by_hand, omega, R))
+
+    def test_walks_find_the_unblocked_positions_once(self, monkeypatch):
+        """Each walk draws its choices from one unblocked_positions call and
+        shifts along them without checking each again."""
+        calls = []
+        real = decperm_module.unblocked_positions
+
+        def counted(dp):
+            calls.append(dp)
+            return real(dp)
+
+        monkeypatch.setattr(decperm_module, "unblocked_positions", counted)
+        pi = parse_decperm(RUNNING)
+        assert len(covers_by_shift(pi)) == 15 and len(calls) == 1
+        calls.clear()
+        omega = inverse_decperm(pi)
+        assert len(covered_by_shift(omega)) == 15 and len(calls) == 1
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_covered_mirrors_covers(self, n):

@@ -1,5 +1,7 @@
 """Path-family engine: disjoint route families and the basis sets they cut."""
 
+from itertools import permutations
+
 import pytest
 
 import oracles
@@ -9,13 +11,13 @@ from flagpipes.pathgraph import (
     admissible_collections,
     bases_of,
     basis_set,
-    build_graph,
     lex_min_basis,
     lex_max_basis,
 )
 from flagpipes.perm import all_permutations, bruhat_leq
 from flagpipes.pipedream import (
     PipeDream,
+    _fillings,
     construct_fpp,
     enumerate_partial_fpps,
     restrict,
@@ -98,14 +100,31 @@ class TestBasesOf:
 
 class TestGraph:
     def test_family_sinks_golden(self):
-        g = build_graph(restrict(construct_fpp((1, 2, 3), (3, 1, 2)), 1))
-        assert [fam[0][-1] for fam in admissible_collections(g)] == [
+        D = restrict(construct_fpp((1, 2, 3), (3, 1, 2)), 1)
+        assert [fam[0][-1] for fam in admissible_collections(D)] == [
             (0, 1), (0, 2), (0, 3)]
 
     def test_families_are_disjoint(self):
         D = restrict(construct_fpp((2, 4, 1, 3), (4, 2, 3, 1)), 3)
-        for fam in admissible_collections(build_graph(D)):
+        for fam in admissible_collections(D):
             seen = set()
             for path in fam:
                 assert seen.isdisjoint(path)
                 seen.update(path)
+
+    def test_families_match_the_edge_list_route_on_every_filling(self):
+        count = 0
+        for n in range(1, 5):
+            for k in range(n + 1):
+                for pivots in permutations(range(1, n + 1), k):
+                    for D in _fillings(n, pivots):
+                        assert admissible_collections(D) == \
+                            oracles.path_families_by_edges(D)
+                        count += 1
+        assert count == 810
+
+    def test_families_match_the_edge_list_route_at_n5(
+            self, gamma_free_dreams_n5):
+        for D in gamma_free_dreams_n5:
+            assert admissible_collections(D) == \
+                oracles.path_families_by_edges(D)

@@ -283,7 +283,7 @@ class TestPositroid:
     def test_rejects_ascending_pivots(self):
         D = restrict(construct_fpp((1, 2, 3), (3, 1, 2)), 2)
         with pytest.raises(DomainError):
-            Positroid(dream=D, bases=bases_of(D))
+            Positroid(dream=D)
 
     def test_rejects_blocked_pattern(self):
         bad = dream_from_fill(3, (1, 2, 3),
@@ -314,13 +314,15 @@ class TestPositroid:
                  for n in (2, 3)]
         assert empty[0].key == empty[1].key and empty[0] != empty[1]
 
-    def test_explicit_bases_are_kept(self, running_example):
-        P = Positroid(dream=running_example.dream, bases=running_example.bases)
-        assert P.bases is running_example.bases and P == running_example
-
     def test_immutable(self, running_example):
         with pytest.raises(AttributeError):
             running_example.dream = None
+
+    def test_repr_shows_the_dream_alone(self, running_example):
+        P = Positroid(dream=running_example.dream)
+        want = f"Positroid(dream={P.dream!r})"
+        assert repr(P) == want
+        assert P.bases == running_example.bases and repr(P) == want
 
     def test_counts(self):
         assert [sum(1 for _ in enumerate_positroids(n)) for n in (1, 2, 3, 4)] \
