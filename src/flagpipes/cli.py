@@ -53,6 +53,17 @@ def _check_name_arg(text: str) -> str:
     return text
 
 
+def _jobs_arg(text: str) -> int:
+    """A worker count of at least 1; anything else is a usage error."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def _read_json(path: str):
     """The JSON document in a file, or on stdin for '-'; a missing,
     unreadable or malformed file is a domain error."""
@@ -267,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = verbs.add_parser("verify", help="run the published-fact checks")
     sub.add_argument("checks", nargs="*", metavar="CHECK", type=_check_name_arg,
                      help="names of the checks to run (default: all ten)")
-    sub.add_argument("--jobs", type=int, default=1)
+    sub.add_argument("--jobs", type=_jobs_arg, default=1,
+                     help="worker processes, at most one per check")
     sub.add_argument("--seed", type=int,
                      help="seed of the randomized checks (default: fixed)")
     sub.set_defaults(func=_cmd_verify)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 from .exceptions import GuardExceededError
 
@@ -40,9 +41,17 @@ class Limits:
 def current_limits() -> Limits:
     """Return the active limits, honouring ``POSITROID_MAX_N``.
 
-    A non-integer value in the environment is ignored.
+    A non-integer value in the environment is ignored.  The environment is
+    read on every call, so a new value takes effect at once; each value is
+    parsed only once.
     """
-    raw = os.environ.get(ENV_MAX_N)
+    return _limits_for(os.environ.get(ENV_MAX_N))
+
+
+@lru_cache(maxsize=16)
+def _limits_for(raw: str | None) -> Limits:
+    """The limits for one raw value of ``POSITROID_MAX_N`` (None if unset).
+    ``Limits`` is frozen, so every caller may share the cached instance."""
     if raw is None:
         return Limits()
     try:

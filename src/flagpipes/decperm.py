@@ -100,6 +100,23 @@ class DecoratedPermutation:
         return ",".join(parts) if self.n > 9 else "".join(parts)
 
 
+def _trusted_decperm(perm: Permutation,
+                     color: tuple[int, ...]) -> DecoratedPermutation:
+    """A :class:`DecoratedPermutation` built without the checks of its
+    constructor, for results the library derives from one already valid:
+    a shift, an inverse, or the pipe exits of a dream.  Their permutation
+    and forced colors hold by construction.
+
+    Validation runs once, where boundary data enters from outside: the
+    public constructor, :func:`parse_decperm`, the JSON readers and the
+    command line.
+    """
+    w = object.__new__(DecoratedPermutation)
+    object.__setattr__(w, "perm", perm)
+    object.__setattr__(w, "color", color)
+    return w
+
+
 def parse_decperm(s: str) -> DecoratedPermutation:
     """Inverse of :meth:`DecoratedPermutation.to_string`.
 
@@ -139,7 +156,7 @@ def decperm_of(D: PipeDream) -> DecoratedPermutation:
     pivot_cols = set(S.pivots)
     color = tuple(OVER if j in pivot_cols else UNDER
                   for j in range(1, S.cols + 1))
-    return DecoratedPermutation(tuple(perm), color)
+    return _trusted_decperm(tuple(perm), color)
 
 
 def dle_of(dp: DecoratedPermutation) -> PipeDream:
@@ -215,21 +232,6 @@ def _tc(dp: DecoratedPermutation, C) -> tuple[int, ...]:
         z, m = t, dp.perm[t - 1]
 
 
-def _recolor(perm: Permutation, old: DecoratedPermutation,
-             moved: set[int]) -> tuple[int, ...]:
-    color = []
-    for j, v in enumerate(perm, 1):
-        if v > j:
-            color.append(OVER)
-        elif v < j:
-            color.append(UNDER)
-        elif j in moved:
-            color.append(OVER)
-        else:
-            color.append(old.color[j - 1])
-    return tuple(color)
-
-
 def right_cyclic_shift(dp: DecoratedPermutation, C) -> DecoratedPermutation:
     """Rank-raising cover move: cycle the values on C plus its top-completion
     set one step toward smaller positions; fixed points created by the cycle
@@ -248,10 +250,15 @@ def _shift(dp: DecoratedPermutation, C) -> DecoratedPermutation:
     """:func:`right_cyclic_shift` on a sorted choice already known to be
     unblocked, as the walks below draw them."""
     moved = sorted(set(C) | set(_tc(dp, C)))
-    sigma = {b: moved[l - 1] for l, b in enumerate(moved)}
-    sigma[moved[0]] = moved[-1]
-    perm = tuple(dp.perm[sigma.get(j, j) - 1] for j in range(1, dp.n + 1))
-    return DecoratedPermutation(perm, _recolor(perm, dp, set(moved)))
+    # Each moved position takes the value of the moved position before it,
+    # cyclically.  Only moved positions change color: a value below its
+    # position forces 1, and a value on or above it takes 2.
+    perm, color = list(dp.perm), list(dp.color)
+    for before, j in zip(moved[-1:] + moved[:-1], moved):
+        v = dp.perm[before - 1]
+        perm[j - 1] = v
+        color[j - 1] = UNDER if v < j else OVER
+    return _trusted_decperm(tuple(perm), tuple(color))
 
 
 def covers_by_shift(dp: DecoratedPermutation) -> tuple[DecoratedPermutation, ...]:
@@ -261,9 +268,14 @@ def covers_by_shift(dp: DecoratedPermutation) -> tuple[DecoratedPermutation, ...
     >>> len(covers_by_shift(parse_decperm("1u2u3u")))
     7
     """
+    return tuple(sorted(_right_shifts(dp), key=DecoratedPermutation.to_string))
+
+
+def _right_shifts(dp: DecoratedPermutation) -> tuple[DecoratedPermutation, ...]:
+    """The results of :func:`covers_by_shift` in the order the choices are
+    walked, for callers that index them rather than list them."""
     return _each_choice("covers_by_shift", unblocked_positions(dp),
-                        lambda C: _shift(dp, C),
-                        DecoratedPermutation.to_string)
+                        lambda C: _shift(dp, C))
 
 
 def left_unblocked_positions(dp: DecoratedPermutation) -> tuple[int, ...]:
@@ -318,10 +330,10 @@ def covered_by_shift(dp: DecoratedPermutation) -> tuple[DecoratedPermutation, ..
     7
     """
     w = inverse_decperm(dp)
-    return _each_choice(
-        "covered_by_shift", unblocked_positions(w),
-        lambda C: inverse_decperm(_shift(w, C)),
-        DecoratedPermutation.to_string)
+    return tuple(sorted(
+        _each_choice("covered_by_shift", unblocked_positions(w),
+                     lambda C: inverse_decperm(_shift(w, C))),
+        key=DecoratedPermutation.to_string))
 
 
 def inverse_decperm(dp: DecoratedPermutation) -> DecoratedPermutation:
@@ -334,7 +346,7 @@ def inverse_decperm(dp: DecoratedPermutation) -> DecoratedPermutation:
     color = [0] * dp.n
     for j, v in enumerate(dp.perm, 1):
         color[v - 1] = OVER + UNDER - dp.color[j - 1]
-    return DecoratedPermutation(inv, tuple(color))
+    return _trusted_decperm(inv, tuple(color))
 
 
 def dual_positroid(P: Positroid) -> Positroid:

@@ -94,10 +94,10 @@ def quotient_covers(P: Positroid) -> tuple[Positroid, ...]:
 
     if P.rank >= P.n:
         raise DomainError("a full-rank positroid has no covers")
-    return _each_choice(
-        "quotient_covers", P.unblocked,
-        lambda C: Positroid.from_dream(_appended(P.dream, C)),
-        lambda Q: decperm_of(Q.dream).to_string())
+    return tuple(sorted(
+        _each_choice("quotient_covers", P.unblocked,
+                     lambda C: Positroid.from_dream(_appended(P.dream, C))),
+        key=lambda Q: decperm_of(Q.dream).to_string()))
 
 
 def cover_choice(P: Positroid, Q: Positroid) -> tuple[int, ...]:

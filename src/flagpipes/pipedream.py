@@ -184,6 +184,23 @@ class PipeDream:
                 yield (i, j)
 
 
+def _trusted_dream(cols: int, pivots: tuple[int, ...],
+                   grid: tuple[str, ...]) -> PipeDream:
+    """A :class:`PipeDream` built without the structural checks of its
+    constructor, for grids the library has just assembled from the forced
+    tiles of ``pivots`` and a cross or an elbow on every box.
+
+    Validation runs once, where grids enter from outside: the public
+    constructor, :func:`dream_from_fill`, the JSON readers and the command
+    line.  A grid passed here unchecked must be one that constructor accepts.
+    """
+    D = object.__new__(PipeDream)
+    object.__setattr__(D, "cols", cols)
+    object.__setattr__(D, "pivots", pivots)
+    object.__setattr__(D, "grid", grid)
+    return D
+
+
 def dream_from_fill(n: int, pivots: tuple[int, ...],
                     fill: Mapping[Box, Tile]) -> PipeDream:
     """Assemble a dream from its pivots and a cross/elbow value per box.
@@ -582,12 +599,27 @@ def enumerate_fpps(n: int) -> Iterator[PipeDream]:
 
 
 def _fillings(n: int, pivots: tuple[int, ...]) -> Iterator[PipeDream]:
-    boxes = [(i, j)
-             for i in range(1, len(pivots) + 1)
-             for j in range(1, n + 1)
-             if _structural_tile(pivots, i, j) is None]
-    for choice in product((CROSS, ELBOW), repeat=len(boxes)):
-        yield dream_from_fill(n, pivots, dict(zip(boxes, choice)))
+    """Every cross/elbow filling of the Rothe boxes of ``pivots``, as
+    ``product`` walks the boxes in reading order.
+
+    Each row's forced tiles and box slots are worked out once; every
+    filling of a row's slots is rendered once, and a dream is one choice of
+    rendered row per row.  Every cell is forced or a box holding a cross or
+    an elbow, so each dream is valid by construction and is built with
+    :func:`_trusted_dream`.
+    """
+    rows = []
+    for i in range(1, len(pivots) + 1):
+        template = [_structural_tile(pivots, i, j) for j in range(1, n + 1)]
+        slots = [j for j, t in enumerate(template) if t is None]
+        renders = []
+        for choice in product((CROSS, ELBOW), repeat=len(slots)):
+            for j, t in zip(slots, choice):
+                template[j] = t
+            renders.append("".join(template))
+        rows.append(renders)
+    for grid in product(*rows):
+        yield _trusted_dream(n, pivots, grid)
 
 
 def enumerate_partial_fpps(n: int, k: int) -> Iterator[PipeDream]:

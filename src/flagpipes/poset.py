@@ -14,10 +14,16 @@ flavor biject with complete flag positroid pipe dreams.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .config import _guard
-from .decperm import covers_by_shift, decperm_of, inverse_decperm, parse_decperm
+from .decperm import (
+    DecoratedPermutation,
+    _right_shifts,
+    decperm_of,
+    inverse_decperm,
+)
 from .exceptions import (
     DomainError,
     InvariantError,
@@ -47,13 +53,19 @@ FLAVORS = ("representable", "matroidal")
 @dataclass(frozen=True)
 class QuotientPoset:
     """Positroids on [n] with rank-adjacent cover edges (index pairs into
-    ``elements``, which is sorted by rank then boundary text)."""
+    ``elements``, which is sorted by rank then boundary text).
+    ``decperms[i]`` is the decorated permutation of ``elements[i]``, and
+    ``names[i]`` its text form."""
 
     n: int
     flavor: str
     elements: tuple[Positroid, ...]
-    names: tuple[str, ...]
+    decperms: tuple[DecoratedPermutation, ...]
     covers: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def names(self) -> tuple[str, ...]:
+        return tuple(w.to_string() for w in self.decperms)
 
     def rank_indices(self, k: int) -> tuple[int, ...]:
         return tuple(i for i, p in enumerate(self.elements) if p.rank == k)
@@ -75,7 +87,8 @@ def build_poset(n: int, flavor: str = "representable") -> QuotientPoset:
 
     Each element's decorated permutation is computed once; it names the
     element, orders it within its rank and indexes the edges.  The
-    representable edges of an element are its right cyclic shifts.  The
+    representable edges of an element are its right cyclic shifts, looked
+    up by the shifted decorated permutation itself.  The
     matroidal edges join each element to those of the next rank whose
     rank-increment masks cover its own (see
     :func:`~flagpipes.positroid.is_quotient`).
@@ -94,13 +107,13 @@ def build_poset(n: int, flavor: str = "representable") -> QuotientPoset:
         w = decperm_of(p.dream)
         named.append((p.rank, w.to_string(), w, p))
     named.sort(key=lambda t: t[:2])
-    names = tuple(t[1] for t in named)
+    decperms = tuple(t[2] for t in named)
     elements = tuple(t[3] for t in named)
     edges = []
     if flavor == "representable":
-        index = {name: i for i, name in enumerate(names)}
-        for i, (_, _, w, _) in enumerate(named):
-            edges.extend((i, index[q.to_string()]) for q in covers_by_shift(w))
+        index = {w: i for i, w in enumerate(decperms)}
+        for i, w in enumerate(decperms):
+            edges.extend((i, index[q]) for q in _right_shifts(w))
     else:
         inc = [rank_increments(p.bases) for p in elements]
         by_rank: list[list[int]] = [[] for _ in range(n + 1)]
@@ -109,8 +122,8 @@ def build_poset(n: int, flavor: str = "representable") -> QuotientPoset:
         for lower, upper in zip(by_rank, by_rank[1:]):
             edges.extend((i, j) for i in lower for j in upper
                          if inc[i] & ~inc[j] == 0)
-    return QuotientPoset(n=n, flavor=flavor, elements=elements, names=names,
-                         covers=tuple(sorted(edges)))
+    return QuotientPoset(n=n, flavor=flavor, elements=elements,
+                         decperms=decperms, covers=tuple(sorted(edges)))
 
 
 def maximal_chain_count(poset: QuotientPoset) -> int:
@@ -177,13 +190,13 @@ def check_self_dual(poset: QuotientPoset) -> bool:
     >>> check_self_dual(build_poset(3))
     True
     """
-    lookup = {name: i for i, name in enumerate(poset.names)}
+    lookup = {w: i for i, w in enumerate(poset.decperms)}
     image = []
-    for name in poset.names:
-        mirrored = inverse_decperm(parse_decperm(name)).to_string()
-        if mirrored not in lookup:
+    for w in poset.decperms:
+        mirrored = lookup.get(inverse_decperm(w))
+        if mirrored is None:
             return False
-        image.append(lookup[mirrored])
+        image.append(mirrored)
     edge_set = set(poset.covers)
     return all((image[b], image[a]) in edge_set for a, b in poset.covers)
 

@@ -177,22 +177,21 @@ def _choice(C, allowed) -> list[int]:
     return C
 
 
-def _each_choice(routine: str, U, build, name) -> tuple:
-    """``build(C)`` for every nonempty choice C from the positions U, by
-    size and then lexicographically, sorted by ``name`` of the result.
-    Guarded by ``covers_max_unblocked``, since the walk is 2^|U| long;
-    two choices with one result break the theory's bijection."""
+def _each_choice(routine: str, U, build) -> tuple:
+    """``build(C)`` for every nonempty choice C from the positions U, in
+    walk order: by size and then lexicographically.  Guarded by
+    ``covers_max_unblocked``, since the walk is 2^|U| long; two choices
+    with one (hashable) result break the theory's bijection."""
     _guard(routine, "covers_max_unblocked", len(U))
     seen = {}
     for r in range(1, len(U) + 1):
         for C in combinations(U, r):
             value = build(C)
-            key = name(value)
-            if key in seen:
+            if value in seen:
                 raise InvariantError(
-                    f"{routine}: choice {C} repeats the result {key}")
-            seen[key] = value
-    return tuple(seen[k] for k in sorted(seen))
+                    f"{routine}: choices {seen[value]} and {C} give one result")
+            seen[value] = C
+    return tuple(seen)
 
 
 def _exchange_index(top, bottom, b: int) -> int | None:

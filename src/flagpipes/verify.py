@@ -29,6 +29,7 @@ from .decperm import (
     tc_set,
     unblocked_positions,
 )
+from .exceptions import DomainError
 from .flagbuild import append_row, flag_of_fpp, quotient_covers
 from .pathgraph import bases_of, lex_max_basis, lex_min_basis
 from .perm import (
@@ -372,19 +373,24 @@ def run_check(name: str, seed: int = DEFAULT_SEED) -> CheckResult:
 
 def run_all(names=None, jobs: int = 1,
             seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    """Run the named checks (all by default), optionally across processes.
+    """Run the named checks (all by default), optionally across processes:
+    ``jobs`` must be at least 1, and the pool never has more workers than
+    there are checks.
 
     >>> run_all(["golden-grids"])[0].ok
     True
     """
+    if jobs < 1:
+        raise DomainError(f"jobs must be at least 1, got {jobs}")
     names = list(names) if names is not None else list(CHECK_NAMES)
     for name in names:
         if name not in _CHECKS:
             raise KeyError(f"unknown check {name!r}")
     seeds = [seed] * len(names)
-    if jobs > 1:
+    workers = min(jobs, len(names))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run_check, names, seeds))
     return [run_check(name, seed) for name in names]

@@ -14,7 +14,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from flagpipes.decperm import DecoratedPermutation, decperm_of
+from flagpipes.decperm import (
+    DecoratedPermutation,
+    covers_by_shift,
+    decperm_of,
+    inverse_decperm,
+    parse_decperm,
+)
 from flagpipes.exceptions import (
     DomainError,
     EmptyChoiceError,
@@ -32,10 +38,19 @@ from flagpipes.pipedream import (
     VLINE,
     PipeDream,
     PipeTrace,
+    _structural_tile,
+    dream_from_fill,
     exit_permutation,
+    is_gamma_free,
     trivial_completion,
 )
-from flagpipes.positroid import Positroid, standardize
+from flagpipes.poset import QuotientPoset
+from flagpipes.positroid import (
+    Positroid,
+    enumerate_positroids,
+    rank_increments,
+    standardize,
+)
 from flagpipes.ratmat import det, pivot_columns
 
 
@@ -183,6 +198,33 @@ def elementary_quotient_via_extension(lower_bases, upper_bases, n: int) -> bool:
     family = {frozenset(b) | {0} for b in lower_bases}
     family |= {frozenset(b) for b in upper_bases}
     return is_matroid_via_rank_axioms(family, range(n + 1))
+
+
+# ------------------------------------------------------------------ fillings
+
+def fillings_by_fill(n: int, pivots):
+    """Every cross/elbow filling of the Rothe boxes of ``pivots``, the boxes
+    listed in reading order and each filling assembled and validated by
+    ``dream_from_fill``."""
+    boxes = [(i, j)
+             for i in range(1, len(pivots) + 1)
+             for j in range(1, n + 1)
+             if _structural_tile(pivots, i, j) is None]
+    for choice in product((CROSS, ELBOW), repeat=len(boxes)):
+        yield dream_from_fill(n, pivots, dict(zip(boxes, choice)))
+
+
+def le_dreams_by_fill(n: int, k: int):
+    """``enumerate_le_dreams`` on validated fillings."""
+    for chosen in combinations(range(1, n + 1), k):
+        pivots = tuple(sorted(chosen, reverse=True))
+        yield from filter(is_gamma_free, fillings_by_fill(n, pivots))
+
+
+def partial_fpps_by_fill(n: int, k: int):
+    """``enumerate_partial_fpps`` on validated fillings."""
+    for pivots in permutations(range(1, n + 1), k):
+        yield from filter(is_gamma_free, fillings_by_fill(n, pivots))
 
 
 # ------------------------------------------------------------------ pipe walks
@@ -491,3 +533,48 @@ def cover_choice_by_search(P, Q) -> tuple[int, ...]:
             if Positroid.from_dream(append_row(P.dream, C)).key == Q.key:
                 return C
     raise NotACoverError("no unblocked choice produces the given positroid")
+
+
+# ----------------------------------------------------------------------- poset
+
+def build_poset_by_names(n: int, flavor: str) -> QuotientPoset:
+    """The quotient poset with its edges indexed by text form: elements
+    sorted by (rank, text), representable edges looked up by the text of
+    each sorted ``covers_by_shift`` result, matroidal edges by
+    rank-increment masks; each decorated permutation passes the public
+    constructor again."""
+    named = []
+    for p in enumerate_positroids(n):
+        w = decperm_of(p.dream)
+        named.append((p.rank, w.to_string(), w, p))
+    named.sort(key=lambda t: t[:2])
+    names = tuple(t[1] for t in named)
+    elements = tuple(t[3] for t in named)
+    edges = []
+    if flavor == "representable":
+        index = {name: i for i, name in enumerate(names)}
+        for i, (_, _, w, _) in enumerate(named):
+            edges.extend((i, index[q.to_string()]) for q in covers_by_shift(w))
+    else:
+        inc = [rank_increments(p.bases) for p in elements]
+        for i, p in enumerate(elements):
+            edges.extend((i, j) for j, q in enumerate(elements)
+                         if q.rank == p.rank + 1 and inc[i] & ~inc[j] == 0)
+    decperms = tuple(DecoratedPermutation(t[2].perm, t[2].color)
+                     for t in named)
+    return QuotientPoset(n=n, flavor=flavor, elements=elements,
+                         decperms=decperms, covers=tuple(sorted(edges)))
+
+
+def self_dual_by_names(poset) -> bool:
+    """Self-duality with every element's decorated permutation parsed from
+    its name and the inverses looked up by text."""
+    lookup = {name: i for i, name in enumerate(poset.names)}
+    image = []
+    for name in poset.names:
+        mirrored = inverse_decperm(parse_decperm(name)).to_string()
+        if mirrored not in lookup:
+            return False
+        image.append(lookup[mirrored])
+    edge_set = set(poset.covers)
+    return all((image[b], image[a]) in edge_set for a, b in poset.covers)

@@ -327,6 +327,13 @@ class TestVerify:
         assert "unknown check 'bogus'" in err
         assert all(name in err for name in CHECK_NAMES)
 
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_jobs_below_one_is_usage_error(self, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "golden-grids", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
     def test_report_is_sniffable(self, capsys):
         code, out, _ = run(capsys, "verify", "decperm-table")
         assert code == 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from flagpipes.config import ENV_MAX_N
+from flagpipes.config import ENV_MAX_N, Limits, current_limits
 from flagpipes.decperm import covered_by_shift, covers_by_shift, parse_decperm
 from flagpipes.exceptions import GuardExceededError
 from flagpipes.flagbuild import quotient_covers
@@ -63,3 +63,17 @@ def test_guard_error_names_routine_size_limit_and_override(
     assert message.startswith(f"{routine}: {size} ")
     assert f"{field} = {cap}" in message
     assert ENV_MAX_N in message
+
+
+def test_a_changed_override_takes_effect_at_once(monkeypatch):
+    monkeypatch.setenv(ENV_MAX_N, "7")
+    assert current_limits().enumerate_max_n == 7
+    assert next(enumerate_le_dreams(7, 1)).cols == 7
+    monkeypatch.setenv(ENV_MAX_N, "9")
+    assert current_limits().enumerate_max_n == 9
+    monkeypatch.setenv(ENV_MAX_N, "seven")
+    assert current_limits() == Limits()
+    monkeypatch.delenv(ENV_MAX_N)
+    assert current_limits() == Limits()
+    with pytest.raises(GuardExceededError):
+        next(enumerate_le_dreams(7, 1))

@@ -29,6 +29,7 @@ from flagpipes.exceptions import (
     DomainError,
     EmptyChoiceError,
     GuardExceededError,
+    InvariantError,
     NotUnblockedError,
 )
 from flagpipes.pipedream import (
@@ -123,6 +124,14 @@ class TestBoundaryData:
         canonical = {P.key for P in enumerate_positroids(n)}
         via_decperms = {positroid_of(dp).key for dp in all_decperms(n)}
         assert canonical == via_decperms
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_derived_results_pass_the_public_constructor(self, n):
+        for w in all_decperms(n):
+            derived = [inverse_decperm(w), decperm_of(positroid_of(w).dream)]
+            derived += covers_by_shift(w) + covered_by_shift(w)
+            for q in derived:
+                assert DecoratedPermutation(q.perm, q.color) == q
 
     def test_running_example_roundtrip(self, running_example):
         assert decperm_of(running_example.dream).to_string() == RUNNING
@@ -299,6 +308,12 @@ class TestChoiceGuard:
             routine(identity(13, mark))
         with pytest.raises(GuardExceededError, match=routine.__name__):
             routine(identity(25, mark))
+
+    @pytest.mark.parametrize("routine", [covers_by_shift, covered_by_shift])
+    def test_two_choices_with_one_result_raise(self, monkeypatch, routine):
+        monkeypatch.setattr(decperm_module, "_shift", lambda dp, C: dp)
+        with pytest.raises(InvariantError, match=r"\(1,\) and \(2,\)"):
+            routine(identity(3, "u" if routine is covers_by_shift else "o"))
 
     def test_environment_raises_the_guard(self, monkeypatch):
         monkeypatch.setenv("POSITROID_MAX_N", "13")

@@ -268,6 +268,16 @@ class TestEnumeration:
         assert sum(1 for _ in enumerate_partial_fpps(3, 2)) == 19
         assert sum(1 for _ in enumerate_le_dreams(3, 1)) == 7
 
+    @pytest.mark.parametrize("n", range(6))
+    def test_enumerations_match_the_validated_fill_route(self, n):
+        for k in range(n + 1):
+            le = list(enumerate_le_dreams(n, k))
+            assert le == list(oracles.le_dreams_by_fill(n, k))
+            partial = list(enumerate_partial_fpps(n, k))
+            assert partial == list(oracles.partial_fpps_by_fill(n, k))
+            for D in le + partial:
+                assert PipeDream(D.cols, D.pivots, D.grid) == D
+
     def test_guards(self):
         with pytest.raises(GuardExceededError):
             next(enumerate_fpps(7))

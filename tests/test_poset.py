@@ -1,8 +1,11 @@
 """The two-flavor cover poset, its chains, and the chain/dream bijection."""
 
+import dataclasses
+
 import pytest
 
 import oracles
+from flagpipes.config import ENV_MAX_N
 from flagpipes.decperm import covers_by_shift, decperm_of, parse_decperm
 from flagpipes.exceptions import DomainError, GuardExceededError, SizeMismatchError
 from flagpipes.flagbuild import quotient_covers
@@ -115,6 +118,28 @@ class TestSelfDuality:
     @pytest.mark.parametrize("flavor", ["representable", "matroidal"])
     def test_n_three(self, flavor):
         assert check_self_dual(build_poset(3, flavor))
+
+    @pytest.mark.parametrize("flavor", ["representable", "matroidal"])
+    def test_a_dropped_edge_breaks_it(self, flavor):
+        poset = build_poset(4, flavor)
+        broken = dataclasses.replace(poset, covers=poset.covers[1:])
+        assert not check_self_dual(broken)
+        assert not oracles.self_dual_by_names(broken)
+
+
+@pytest.mark.parametrize("flavor", ["representable", "matroidal"])
+@pytest.mark.parametrize("n", range(6))
+def test_build_matches_the_name_indexed_route(monkeypatch, n, flavor):
+    monkeypatch.setenv(ENV_MAX_N, "5")
+    poset = build_poset(n, flavor)
+    want = oracles.build_poset_by_names(n, flavor)
+    assert poset.names == want.names
+    assert poset.elements == want.elements
+    assert poset.covers == want.covers
+    assert poset == want
+    assert check_self_dual(poset) is True
+    if n:  # the name route cannot parse the empty text of n = 0
+        assert oracles.self_dual_by_names(poset) is True
 
 
 class TestChains:

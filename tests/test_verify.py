@@ -1,11 +1,13 @@
 """The published-fact check runner: results, budgets, parallel mode."""
 
+import concurrent.futures
 import re
 import time
 
 import pytest
 
 import flagpipes.verify as verify
+from flagpipes.exceptions import DomainError
 from flagpipes.verify import CHECK_NAMES, CheckResult, run_all, run_check
 
 CHEAP = ("golden-grids", "bases-engine", "decperm-table")
@@ -74,3 +76,36 @@ class TestRunAll:
         a = run_check("decperm-table", seed=1)
         b = run_check("decperm-table", seed=2)
         assert (a.ok, a.detail) == (b.ok, b.detail)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_are_refused(self, jobs):
+        with pytest.raises(DomainError):
+            run_all(["golden-grids"], jobs=jobs)
+
+    def test_pool_is_capped_at_the_number_of_checks(self, monkeypatch):
+        # A stand-in pool that records its size and runs in this process;
+        # a real pool of the uncapped size is never started.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
+        results = run_all(list(CHEAP), jobs=100_000)
+        assert sizes == [len(CHEAP)]
+        assert [r.name for r in results] == list(CHEAP)
+        assert all(r.ok for r in results)
+        assert run_all(["golden-grids"], jobs=100_000)[0].ok
+        assert run_all([], jobs=100_000) == []
+        assert sizes == [len(CHEAP)]
