@@ -127,7 +127,7 @@ def _cmd_fpp(args) -> None:
 
     D = construct_fpp(_perm_arg(args.u), _perm_arg(args.v))
     if args.ascii or args.svg:
-        _draw(D, svg=not args.ascii)
+        _draw(D, svg=args.svg)
     else:
         _emit(D)
 
@@ -223,6 +223,13 @@ def _add_grid_source(sub, positional: bool = True) -> None:
     sub.add_argument("--decperm", help="boundary string such as 2o1u")
 
 
+def _add_drawing(sub, ascii_help: str) -> None:
+    """--ascii and --svg, of which at most one may be given."""
+    group = sub.add_mutually_exclusive_group()
+    group.add_argument("--ascii", action="store_true", help=ascii_help)
+    group.add_argument("--svg", action="store_true", help="SVG drawing")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flagpipes",
@@ -232,14 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = verbs.add_parser("fpp", help="build the grid of a Bruhat interval")
     sub.add_argument("u", help="lower permutation, one-line notation")
     sub.add_argument("v", help="upper permutation, one-line notation")
-    sub.add_argument("--ascii", action="store_true", help="letter grid")
-    sub.add_argument("--svg", action="store_true", help="SVG drawing")
+    _add_drawing(sub, "letter grid")
     sub.set_defaults(func=_cmd_fpp)
 
     sub = verbs.add_parser("render", help="draw a stored grid")
     _add_grid_source(sub)
-    sub.add_argument("--ascii", action="store_true", help="letter grid (default)")
-    sub.add_argument("--svg", action="store_true", help="SVG drawing")
+    _add_drawing(sub, "letter grid (default)")
     sub.set_defaults(func=_cmd_render)
 
     sub = verbs.add_parser("bases", help="basis family of a grid")

@@ -118,13 +118,19 @@ def _trusted_decperm(perm: Permutation,
 
 
 def parse_decperm(s: str) -> DecoratedPermutation:
-    """Inverse of :meth:`DecoratedPermutation.to_string`.
+    """Inverse of :meth:`DecoratedPermutation.to_string`.  The empty text
+    is the decorated permutation on [0]; text made only of separators is
+    not.
 
     >>> parse_decperm("3o1u2u").perm
     (3, 1, 2)
     >>> parse_decperm("1u2o").color
     (1, 2)
+    >>> parse_decperm("").n
+    0
     """
+    if not s.strip():
+        return DecoratedPermutation((), ())
     compact = s.replace(",", "").strip()
     if not re.fullmatch(r"(?:\d+[ou])+", compact):
         raise DomainError(f"cannot parse decorated permutation: {s!r}")

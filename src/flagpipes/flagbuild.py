@@ -19,7 +19,17 @@ from .exceptions import (
     SizeMismatchError,
 )
 from .pathgraph import BasisSet, basis_set
-from .pipedream import CROSS, ELBOW, EMPTY, HLINE, PIVOT, VLINE, PipeDream, restrict
+from .pipedream import (
+    CROSS,
+    ELBOW,
+    EMPTY,
+    HLINE,
+    PIVOT,
+    VLINE,
+    PipeDream,
+    _trusted_dream,
+    restrict,
+)
 from .positroid import (
     Positroid,
     _choice,
@@ -45,7 +55,9 @@ def append_row(D: PipeDream, C) -> PipeDream:
     """Append row k+1 with pivot at min(C) and elbows at the rest of C.
 
     C must be a nonempty set of unblocked columns of D; the retained rows
-    are untouched.
+    are untouched.  The result is built unchecked: the new row is its
+    forced tiles plus a cross or an elbow on each box, and its pivot column
+    was no pivot column before, so every row above keeps its forced tiles.
 
     >>> from flagpipes.pipedream import dream_from_fill
     >>> d = dream_from_fill(4, (4, 2), {(2, 3): "X"})
@@ -73,8 +85,7 @@ def _appended(D: PipeDream, C) -> PipeDream:
             row.append(ELBOW)
         else:
             row.append(CROSS)
-    return PipeDream(cols=D.cols, pivots=D.pivots + (p,),
-                     grid=D.grid + ("".join(row),))
+    return _trusted_dream(D.cols, D.pivots + (p,), D.grid + ("".join(row),))
 
 
 def quotient_covers(P: Positroid) -> tuple[Positroid, ...]:
@@ -183,9 +194,10 @@ def extended_cover_dream(P: Positroid, C) -> PipeDream:
     """
     C = _choice(C, P.unblocked)
     D = P.dream
-    shifted = PipeDream(cols=D.cols + 1,
-                        pivots=tuple(p + 1 for p in D.pivots),
-                        grid=tuple(VLINE + row for row in D.grid))
+    # A valid dream behind a pivot-free column, whose forced tiles are all
+    # vertical: valid by construction.
+    shifted = _trusted_dream(D.cols + 1, tuple(p + 1 for p in D.pivots),
+                             tuple(VLINE + row for row in D.grid))
     return _appended(shifted, [1] + [c + 1 for c in C])
 
 

@@ -187,8 +187,24 @@ class PipeDream:
 def _trusted_dream(cols: int, pivots: tuple[int, ...],
                    grid: tuple[str, ...]) -> PipeDream:
     """A :class:`PipeDream` built without the structural checks of its
-    constructor, for grids the library has just assembled from the forced
-    tiles of ``pivots`` and a cross or an elbow on every box.
+    constructor, for grids the library derives from pivots it chose or from
+    a dream already valid, and that are valid by construction:
+
+    - the fillings of :func:`enumerate_partial_fpps` and
+      :func:`enumerate_le_dreams`: forced tiles plus a cross or an elbow on
+      every box;
+    - :func:`restrict`: a prefix of valid rows, whose forced tiles no
+      dropped (lower) row could change;
+    - :func:`~flagpipes.positroid.standardize` and
+      :func:`~flagpipes.positroid.standardize_step`: the exchange rewrites a
+      valid pair of rows into a valid pair, and every other row sees both
+      pivot columns on the same side as before;
+    - :func:`~flagpipes.flagbuild.append_row` and the covers built from it:
+      the new row is its forced tiles plus a cross or an elbow on each box,
+      and a pivot in a new column below every row changes no forced tile
+      above it;
+    - the shifted dream of :func:`~flagpipes.flagbuild.extended_cover_dream`:
+      a valid dream behind a pivot-free column of vertical tiles.
 
     Validation runs once, where grids enter from outside: the public
     constructor, :func:`dream_from_fill`, the JSON readers and the command
@@ -469,12 +485,15 @@ def elbow_count(D: PipeDream) -> int:
 def restrict(D: PipeDream, k: int) -> PipeDream:
     """The partial dream of the first k rows (gamma-freeness is inherited).
 
+    Built unchecked: a forced tile of row i depends only on the pivots of
+    rows up to i, so the first k rows of a valid dream are a valid dream.
+
     >>> restrict(construct_fpp((1, 2, 3), (3, 1, 2)), 1).grid
     ('PEE',)
     """
     if not 0 <= k <= D.rows:
         raise DomainError(f"cannot restrict {D.rows} rows to {k}")
-    return PipeDream(cols=D.cols, pivots=D.pivots[:k], grid=D.grid[:k])
+    return _trusted_dream(D.cols, D.pivots[:k], D.grid[:k])
 
 
 def trivial_completion(D: PipeDream) -> PipeDream:

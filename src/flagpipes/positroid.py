@@ -31,6 +31,7 @@ from .pipedream import (
     VLINE,
     PipeDream,
     _sweep,
+    _trusted_dream,
     enumerate_le_dreams,
     is_gamma_free,
     rotate_le,
@@ -238,6 +239,14 @@ def standardize_step(D: PipeDream, i: int) -> PipeDream:
     Without an exchange column nothing right of b moves.  Descending pivots
     are a no-op.
 
+    The result is built unchecked, since the exchange turns a valid pair of
+    rows into a valid pair.  Nothing left of a moves.  Between a and b each
+    row takes the other's tiles, which are exactly its new forced tiles or
+    boxes; right of b the two rows hold tiles of one kind per column (both
+    horizontal or both boxes), so swapping them keeps each row valid, and
+    the elbow at j* lands on a box.  The rows above and below still see
+    both pivot columns on the same side as before.
+
     >>> from flagpipes.pipedream import dream_from_fill
     >>> d = dream_from_fill(3, (1, 2), {(1, 2): "X", (1, 3): "X", (2, 3): "X"})
     >>> standardize_step(d, 1).grid
@@ -249,8 +258,8 @@ def standardize_step(D: PipeDream, i: int) -> PipeDream:
     pivots = list(D.pivots)
     rows = [list(row) for row in D.grid]
     _exchange(pivots, rows, i)
-    return PipeDream(cols=D.cols, pivots=tuple(pivots),
-                     grid=tuple("".join(row) for row in rows))
+    return _trusted_dream(D.cols, tuple(pivots),
+                          tuple("".join(row) for row in rows))
 
 
 def exchange_column(D: PipeDream, i: int) -> int | None:
@@ -278,8 +287,9 @@ def standardize(D: PipeDream) -> PipeDream:
     """Apply :func:`standardize_step` at the least ascent until pivots descend.
 
     The steps run in place on a pivot list and rows of tile lists, and one
-    dream is built at the end; a dream whose pivots already descend is
-    returned as it is.
+    dream is built at the end, unchecked, since each exchange keeps the
+    grid valid (see :func:`standardize_step`); a dream whose pivots already
+    descend is returned as it is.
 
     >>> from flagpipes.pipedream import dream_from_fill
     >>> standardize(dream_from_fill(3, (1, 2),
@@ -296,8 +306,8 @@ def standardize(D: PipeDream) -> PipeDream:
         # Rows above i - 1 still descend, so the next least ascent is at
         # i - 1 or later.
         i = _least_ascent(pivots, max(1, i - 1))
-    return PipeDream(cols=D.cols, pivots=tuple(pivots),
-                     grid=tuple("".join(row) for row in rows))
+    return _trusted_dream(D.cols, tuple(pivots),
+                          tuple("".join(row) for row in rows))
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,23 @@
 """Shared fixtures and hypothesis settings for the suite."""
 
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from flagpipes.decperm import parse_decperm, positroid_of
-from flagpipes.pipedream import enumerate_partial_fpps
+from flagpipes.pipedream import PipeDream, enumerate_partial_fpps
 from flagpipes.ratmat import rational_matrix
+
+# pytest puts src/ on this process's path (pythonpath in pyproject.toml);
+# the CLI and script tests start child processes, which find the package
+# through PYTHONPATH instead.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+_paths = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+if SRC not in map(os.path.abspath, _paths):
+    os.environ["PYTHONPATH"] = os.pathsep.join([SRC] + _paths)
 
 settings.register_profile(
     "suite",
@@ -32,6 +42,12 @@ def permutation_pairs(max_n: int = 5):
     return st.integers(min_value=1, max_value=max_n).flatmap(
         lambda n: st.tuples(permutations_of(n), permutations_of(n))
     )
+
+
+def assert_rebuilds(D) -> None:
+    """A dream the library built unchecked passes the public constructor's
+    checks and comes back equal."""
+    assert PipeDream(D.cols, D.pivots, D.grid) == D
 
 
 @pytest.fixture(scope="session")

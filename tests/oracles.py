@@ -455,13 +455,15 @@ def extended_cover_dream_by_hand(P, C) -> PipeDream:
 
 
 def quotient_covers_by_append_row(P) -> tuple[Positroid, ...]:
-    """Covers of P through the checked :func:`append_row`, one per
-    nonempty choice of unblocked columns, sorted by boundary string."""
+    """Covers of P through :func:`append_row`, one per nonempty choice of
+    unblocked columns, each appended dream rebuilt through the validating
+    constructor; sorted by boundary string."""
     U = P.unblocked
     covers = {}
     for r in range(1, len(U) + 1):
         for C in combinations(U, r):
-            Q = Positroid.from_dream(append_row(P.dream, C))
+            D = append_row(P.dream, C)
+            Q = Positroid.from_dream(PipeDream(D.cols, D.pivots, D.grid))
             covers[decperm_of(Q.dream).to_string()] = Q
     return tuple(covers[key] for key in sorted(covers))
 

@@ -82,6 +82,14 @@ class TestFpp:
             main(["fpp", "123"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("verb", ["fpp", "render"])
+    def test_ascii_and_svg_together_are_a_usage_error(self, capsys, verb):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "123", "312", "--ascii", "--svg"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not allowed" in captured.err
+
 
 class TestGridSources:
     def test_render_default_ascii(self, capsys):
@@ -373,6 +381,8 @@ class TestConvert:
         ('[2, 1]', 0),
         ('[]', 0),
         ('"2o1u"', 0),
+        ('""', 0),
+        ('","', 1),
         ('{"perm": [2, 1], "color": [2, 1]}', 0),
         ('[1, 1]', 1),
         ('[true]', 1),
@@ -404,6 +414,17 @@ class TestConvert:
         assert code == want
         if code:
             assert err.startswith("error:") and out == ""
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_poset_node_names_parse_back(self, capsys, n):
+        code, out, _ = run(capsys, "poset", str(n))
+        assert code == 0
+        nodes = json.loads(out)["nodes"]
+        assert len(nodes) == {0: 1, 3: 16}[n]
+        for node in nodes:
+            w = parse_decperm(node["decperm"])
+            assert w.to_string() == node["decperm"]
+            assert (w.n, w.rank) == (n, node["rank"])
 
     def test_zero_denominator_exits_without_a_traceback(self):
         proc = subprocess.run(

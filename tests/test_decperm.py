@@ -98,10 +98,16 @@ class TestRepresentation:
     def test_parse_rejects_garbage(self):
         with pytest.raises(DomainError):
             parse_decperm("3o1x2u")
-        with pytest.raises(DomainError):
-            parse_decperm("")
+        for separators in (",", ",,", " , "):
+            with pytest.raises(DomainError):
+                parse_decperm(separators)
         with pytest.raises(DomainError):
             parse_decperm("2o2o1u")  # not a permutation
+
+    def test_empty_text_is_the_decorated_permutation_on_zero(self):
+        empty = DecoratedPermutation((), ())
+        assert empty.to_string() == ""
+        assert parse_decperm("") == empty
 
     def test_counts(self):
         assert [len(all_decperms(n)) for n in (1, 2, 3, 4)] == [2, 5, 16, 65]

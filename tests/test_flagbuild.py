@@ -1,12 +1,21 @@
 """Row appending, quotient covers, flags, and the one-element embedding."""
 
+import random
 from itertools import combinations
 
 import pytest
 
 import oracles
 import flagpipes.flagbuild as flagbuild
-from flagpipes.decperm import decperm_of, parse_decperm, positroid_of
+from conftest import assert_rebuilds
+from flagpipes.decperm import (
+    DecoratedPermutation,
+    covers_by_shift,
+    decperm_of,
+    parse_decperm,
+    positroid_of,
+    unblocked_positions,
+)
 from flagpipes.exceptions import (
     DomainError,
     EmptyChoiceError,
@@ -118,6 +127,23 @@ class TestQuotientCovers:
             expected = oracles.quotient_covers_by_append_row(P)
             assert [Q.key for Q in covers] == [Q.key for Q in expected]
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_appended_dreams_rebuild(self, n):
+        """append_row and quotient_covers build their dreams unchecked;
+        each one passes the public constructor, on every choice."""
+        for P in enumerate_positroids(n):
+            if P.rank == n:
+                continue
+            U = P.unblocked
+            choices = [C for r in range(1, len(U) + 1)
+                       for C in combinations(U, r)]
+            for C in choices:
+                assert_rebuilds(append_row(P.dream, C))
+            covers = quotient_covers(P)
+            assert len(covers) == len(choices)
+            for Q in covers:
+                assert_rebuilds(Q.dream)
+
     def test_running_example_matches_the_checked_append_route(
             self, running_example):
         assert (quotient_covers(running_example)
@@ -166,6 +192,37 @@ class TestQuotientCovers:
             oracles.cover_choice_by_search(P, Q)
         with pytest.raises(NotACoverError):
             phi(P, Q)
+
+
+class TestBenchmarkSizes:
+    """The unchecked builders at the sizes of the queries benchmark, on
+    seeded decorated permutations with 1 to 4 unblocked positions; the
+    exhaustive tests stop at n = 5."""
+
+    @staticmethod
+    def sample(rng: random.Random, n: int, unblocked: int):
+        while True:
+            perm = list(range(1, n + 1))
+            rng.shuffle(perm)
+            color = tuple(2 if v > j else 1 if v < j else rng.choice((1, 2))
+                          for j, v in enumerate(perm, 1))
+            w = DecoratedPermutation(tuple(perm), color)
+            if len(unblocked_positions(w)) == unblocked:
+                return w
+
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_covers_agree_with_the_shifts(self, n):
+        rng = random.Random(f"flagbuild/{n}")
+        for unblocked in (1, 2, 3, 4):
+            for _ in range(4):
+                w = self.sample(rng, n, unblocked)
+                P = positroid_of(w)
+                assert decperm_of(P.dream) == w
+                covers = quotient_covers(P)
+                assert ([decperm_of(Q.dream) for Q in covers]
+                        == list(covers_by_shift(w)))
+                for D in [P.dream] + [Q.dream for Q in covers]:
+                    assert_rebuilds(D)
 
 
 class TestChoiceGuard:
@@ -248,8 +305,9 @@ class TestEmbedding:
             U = P.unblocked
             for r in range(1, len(U) + 1):
                 for C in combinations(U, r):
-                    assert (extended_cover_dream(P, C)
-                            == oracles.extended_cover_dream_by_hand(P, C))
+                    D = extended_cover_dream(P, C)
+                    assert_rebuilds(D)
+                    assert D == oracles.extended_cover_dream_by_hand(P, C)
 
     def test_extended_dream_choice_errors(self):
         p = Positroid.from_dream(dream_from_fill(4, (4, 2), {(2, 3): "X"}))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 
 import oracles
-from conftest import permutation_pairs
+from conftest import assert_rebuilds, permutation_pairs
 from flagpipes.exceptions import (
     DomainError,
     GuardExceededError,
@@ -214,6 +214,15 @@ class TestRestriction:
     def test_completion_pivots_descend(self):
         P = restrict(construct_fpp((1, 2, 3), (3, 1, 2)), 1)
         assert trivial_completion(P).pivots == (1, 3, 2)
+
+    def test_every_restriction_up_to_n5_rebuilds(self):
+        count = 0
+        for n in range(1, 6):
+            for D in enumerate_fpps(n):
+                for k in range(n + 1):
+                    assert_rebuilds(restrict(D, k))
+                    count += 1
+        assert count == 1 * 2 + 3 * 3 + 19 * 4 + 213 * 5 + 3781 * 6
 
     def test_restrict_bounds(self):
         D = construct_fpp((1, 2), (2, 1))

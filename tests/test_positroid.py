@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from conftest import assert_rebuilds
 from flagpipes import positroid as positroid_module
 from flagpipes.decperm import parse_decperm, positroid_of
 from flagpipes.exceptions import DomainError, SizeMismatchError
@@ -243,11 +244,13 @@ class TestOneBuildStandardize:
 
     @staticmethod
     def assert_kernels_match(D):
-        assert (outcome(standardize, D)
-                == outcome(oracles.standardize_by_steps, D))
+        S = standardize(D)
+        assert_rebuilds(S)
+        assert S == outcome(oracles.standardize_by_steps, D)
         for i in range(1, D.rows):
-            assert (outcome(standardize_step, D, i)
-                    == outcome(oracles.exchange_rows_by_hand, D, i))
+            step = standardize_step(D, i)
+            assert_rebuilds(step)
+            assert step == outcome(oracles.exchange_rows_by_hand, D, i)
         assert unblocked_columns(D) == unblocked_by_walk(D)
 
     def test_every_filling_up_to_n4(self):
