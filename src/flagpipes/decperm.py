@@ -27,7 +27,15 @@ from .perm import (
     inverse,
     validate_permutation,
 )
-from .pipedream import PipeDream, _sweep, construct_fpp, restrict
+from .pipedream import (
+    HLINE,
+    PIVOT,
+    VLINE,
+    PipeDream,
+    _front_fill,
+    _sweep,
+    _trusted_dream,
+)
 from . import positroid as _positroid
 from .positroid import Positroid, _choice, _each_choice, standardize
 
@@ -182,16 +190,30 @@ def dle_of(dp: DecoratedPermutation) -> PipeDream:
     v = tuple(dp.perm[j - 1] for j in u)
     if not bruhat_leq(u, v):
         raise DomainError("decorated permutation has no gamma-free dream")
-    return restrict(construct_fpp(u, v), len(over))
+    # Only the kept rows are rendered.  Their pivots descend, so every
+    # column left of row i's pivot is free above it (a vertical tile), and
+    # right of it a column is a pivot of a row above (horizontal) or a box.
+    fill = _front_fill(u, v)
+    rows = []
+    for i, p in enumerate(over, start=1):
+        above = over[:i - 1]
+        rows.append(VLINE * (p - 1) + PIVOT + "".join(
+            HLINE if j in above else fill[(i, j)]
+            for j in range(p + 1, dp.n + 1)))
+    return _trusted_dream(dp.n, tuple(over), tuple(rows))
 
 
 def positroid_of(dp: DecoratedPermutation) -> Positroid:
     """Positroid with the given boundary data.
 
+    Its canonical dream :func:`dle_of` is a row prefix of an FPP, hence
+    gamma-free, and its pivots descend, so it is the positroid's dream as
+    it is: no gamma-freeness sweep and no standardization.
+
     >>> positroid_of(parse_decperm("1u2o")).bases.bases
     ((2,),)
     """
-    return Positroid.from_dream(dle_of(dp))
+    return Positroid(dream=dle_of(dp))
 
 
 def unblocked_positions(dp: DecoratedPermutation) -> tuple[int, ...]:

@@ -36,6 +36,7 @@ from .positroid import (
     _each_choice,
     is_matroid,
     is_quotient,
+    standardize,
     unblocked_columns,
 )
 
@@ -94,7 +95,10 @@ def quotient_covers(P: Positroid) -> tuple[Positroid, ...]:
 
     This is the row-append route.  The poset takes the same covers from the
     cyclic shifts of :func:`~flagpipes.decperm.covers_by_shift`, and
-    ``verify quotient-covers`` checks that the two routes agree.
+    ``verify quotient-covers`` checks that the two routes agree, and that a
+    row appended along unblocked columns keeps the dream gamma-free: so
+    each cover is its appended dream standardized, with no gamma-freeness
+    sweep.
 
     >>> from flagpipes.pipedream import PipeDream
     >>> bottom = Positroid.from_dream(PipeDream(cols=2, pivots=(), grid=()))
@@ -107,7 +111,8 @@ def quotient_covers(P: Positroid) -> tuple[Positroid, ...]:
         raise DomainError("a full-rank positroid has no covers")
     return tuple(sorted(
         _each_choice("quotient_covers", P.unblocked,
-                     lambda C: Positroid.from_dream(_appended(P.dream, C))),
+                     lambda C: Positroid(
+                         dream=standardize(_appended(P.dream, C)))),
         key=lambda Q: decperm_of(Q.dream).to_string()))
 
 

@@ -204,7 +204,11 @@ def _trusted_dream(cols: int, pivots: tuple[int, ...],
       and a pivot in a new column below every row changes no forced tile
       above it;
     - the shifted dream of :func:`~flagpipes.flagbuild.extended_cover_dream`:
-      a valid dream behind a pivot-free column of vertical tiles.
+      a valid dream behind a pivot-free column of vertical tiles;
+    - :func:`~flagpipes.decperm.dle_of`: the 2-colored rows of the
+      canonical FPP of an interval its caller has checked, each row a
+      vertical tile left of its pivot and, right of it, a horizontal tile
+      under a pivot above or the front walk's cross or elbow on a box.
 
     Validation runs once, where grids enter from outside: the public
     constructor, :func:`dream_from_fill`, the JSON readers and the command
@@ -267,6 +271,13 @@ def construct_fpp(u: Permutation, v: Permutation) -> PipeDream:
         raise SizeMismatchError(f"construct_fpp: sizes {len(u)} != {len(v)}")
     if not bruhat_leq(u, v):
         raise NotComparableError(f"{u!r} is not below {v!r} in Bruhat order")
+    return dream_from_fill(len(u), u, _front_fill(u, v))
+
+
+def _front_fill(u: Permutation, v: Permutation) -> dict[Box, Tile]:
+    """The cross/elbow value of every box of the canonical FPP of a Bruhat
+    interval u <= v that the caller has already checked, by the front walk
+    of :func:`construct_fpp`: rows bottom to top, each right to left."""
     n = len(u)
     vpos = inverse(v)
     boxes_by_row: dict[int, list[int]] = {i: [] for i in range(1, n + 1)}
@@ -288,7 +299,7 @@ def construct_fpp(u: Permutation, v: Permutation) -> PipeDream:
         col[u[i - 1]] = x
     if col[1:] != list(range(1, n + 1)):
         raise MalformedDreamError("internal: construction front corrupted")
-    return dream_from_fill(n, u, fill)
+    return fill
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,9 @@ minors, and divided by the product of the row scales once at the end.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import lcm, prod
 
@@ -33,7 +32,6 @@ __all__ = [
     "rational_matrix",
     "matrix_from_json",
     "matrix_to_json",
-    "matrix_from_csv",
     "det",
     "flag_minors",
     "pivot_columns",
@@ -150,18 +148,6 @@ def matrix_to_json(A: RationalMatrix) -> list[list[str]]:
     return [[str(x) for x in row] for row in A.rows]
 
 
-def matrix_from_csv(text: str, offset_zero: bool = False) -> RationalMatrix:
-    """One row per line, comma-separated exact rationals.
-
-    >>> matrix_from_csv("1,0\\n-1,3/2").entry(2, 2)
-    Fraction(3, 2)
-    """
-    reader = csv.reader(io.StringIO(text.strip()))
-    return rational_matrix([[cell.strip() for cell in row]
-                            for row in reader if row],
-                           offset_zero=offset_zero)
-
-
 def _integer_rows(rows) -> tuple[list[list[int]], list[int]]:
     """Each row times the lcm of its denominators: the integer rows and the
     (positive) scales.  A minor on rows I is the integer minor divided by
@@ -210,20 +196,37 @@ def det(A: RationalMatrix) -> Fraction:
     return Fraction(_bareiss(m), prod(scales))
 
 
-def flag_minors(A: RationalMatrix, ranks) -> dict[tuple[int, tuple[int, ...]], Fraction]:
+@lru_cache(maxsize=128)
+def _laplace_table(n: int, r: int) -> tuple[tuple[int, ...], ...]:
+    """For each r-subset of n column indices, in ``combinations`` order,
+    the positions among the (r-1)-subsets (same order) of the r subsets
+    left when one of its columns is deleted, first column first."""
+    below = {S: i for i, S in enumerate(combinations(range(n), r - 1))}
+    return tuple(tuple(below[S[:t] + S[t + 1:]] for t in range(r))
+                 for S in combinations(range(n), r))
+
+
+def flag_minors(A: RationalMatrix,
+                ranks) -> dict[tuple[int, tuple[int, ...]], Fraction]:
     """Exact minors of the first r rows for each r in ranks, keyed by
     (r, column-label subset), ranks ascending and subsets in
-    ``combinations`` order.
+    ``combinations`` order.  Ranks must be ``int``s: a boolean, a float or
+    a string is refused, not read as a number.
 
     Every rank up to the largest requested is built from the one below:
     the integer minor on columns S is the Laplace expansion along row r,
-    sum over t of (-1)^(r+t) m[r][s_t] M_{r-1}(S - s_t).
+    sum over t of (-1)^(r+t) m[r][s_t] M_{r-1}(S - s_t).  The minors of a
+    rank sit in a list in ``combinations`` order, and
+    :func:`_laplace_table` gives the positions of the M_{r-1} terms.
 
     >>> mm = flag_minors(rational_matrix([[1, 0], [0, 1]]), (1, 2))
     >>> mm[(1, (1,))], mm[(2, (1, 2))]
     (Fraction(1, 1), Fraction(1, 1))
     """
     ranks = tuple(ranks)
+    for r in ranks:
+        if type(r) is not int:
+            raise DomainError(f"ranks must be integers, got {r!r}")
     if any(a >= b for a, b in zip(ranks, ranks[1:])):
         raise DomainError("ranks must increase")
     if ranks and not (1 <= ranks[0] and ranks[-1] <= A.k):
@@ -232,26 +235,23 @@ def flag_minors(A: RationalMatrix, ranks) -> dict[tuple[int, tuple[int, ...]], F
     out: dict[tuple[int, tuple[int, ...]], Fraction] = {}
     if not ranks:
         return out
-    labels = A.column_labels
+    n = A.n
     m, scales = _integer_rows(A.rows[:ranks[-1]])
-    below: dict[tuple[int, ...], int] = {(): 1}
+    below = [1]
     scale = 1
     for r in range(1, ranks[-1] + 1):
-        row = dict(zip(labels, m[r - 1]))
+        row = m[r - 1]
         scale *= scales[r - 1]
-        first_sign = 1 if r % 2 else -1  # (-1)^(r+t) at t = 1
-        here: dict[tuple[int, ...], int] = {}
-        for S in combinations(labels, r):
+        here = []
+        for S, terms in zip(combinations(range(n), r), _laplace_table(n, r)):
+            # After t steps, total is the sum over s <= t of (-1)^(t+s)
+            # times term s; at t = r those are the Laplace signs.
             total = 0
-            sign = first_sign
-            for t, c in enumerate(S):
-                x = row[c]
-                if x:
-                    total += sign * x * below[S[:t] + S[t + 1:]]
-                sign = -sign
-            here[S] = total
+            for c, i in zip(S, terms):
+                total = row[c] * below[i] - total
+            here.append(total)
         if r in ranks:
-            for S, v in here.items():
+            for S, v in zip(combinations(A.column_labels, r), here):
                 out[(r, S)] = Fraction(v, scale)
         below = here
     return out
@@ -291,8 +291,8 @@ def check_sign_rule(A: RationalMatrix) -> bool:
     for i, row in enumerate(A.rows, 1):
         if sum(1 for x in row if x != 0) != 1:
             raise NotGeneralizedPermutationError(f"row {i} needs exactly one nonzero")
-    for label in A.column_labels:
-        if sum(1 for i in range(1, A.k + 1) if A.entry(i, label) != 0) != 1:
+    for label, column in zip(A.column_labels, zip(*A.rows)):
+        if sum(1 for x in column if x != 0) != 1:
             raise NotGeneralizedPermutationError(
                 f"column {label} needs exactly one nonzero")
     u = pivot_columns(A)

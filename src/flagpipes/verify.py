@@ -13,7 +13,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from .decperm import (
     covered_by_shift,
@@ -44,6 +44,7 @@ from .pipedream import (
     elbow_count,
     enumerate_fpps,
     enumerate_partial_fpps,
+    is_gamma_free,
     restrict,
     right_exit_labels,
     rotate_le,
@@ -142,8 +143,10 @@ def check_bases_engine() -> tuple[bool, str]:
 
 
 def check_quotient_covers() -> tuple[bool, str]:
-    """Cover counts 2^|U|-1, quotient law, and shift agreement for n <= 4."""
-    positroids = covers = 0
+    """Cover counts 2^|U|-1, quotient law, and shift agreement for n <= 4;
+    every row appended along unblocked columns keeps the dream gamma-free,
+    which is why ``quotient_covers`` runs no gamma-freeness sweep."""
+    positroids = covers = appended = 0
     for n in range(1, 5):
         for P in enumerate_positroids(n):
             positroids += 1
@@ -151,9 +154,17 @@ def check_quotient_covers() -> tuple[bool, str]:
                 if P.unblocked:
                     return False, f"full-rank positroid with unblocked columns at n={n}"
                 continue
+            U = P.unblocked
+            for r in range(1, len(U) + 1):
+                for C in combinations(U, r):
+                    appended += 1
+                    if not is_gamma_free(append_row(P.dream, C)):
+                        return False, (f"append along {C} above "
+                                       f"{decperm_of(P.dream).to_string()} "
+                                       "is not gamma-free")
             up = quotient_covers(P)
             covers += len(up)
-            if len(up) != 2 ** len(P.unblocked) - 1:
+            if len(up) != 2 ** len(U) - 1:
                 return False, f"cover count off at {decperm_of(P.dream).to_string()}"
             for Q in up:
                 if not is_quotient(P.bases, Q.bases):
@@ -163,7 +174,8 @@ def check_quotient_covers() -> tuple[bool, str]:
                           for w in covers_by_shift(decperm_of(P.dream))}
             if via_dreams != via_shifts:
                 return False, f"shift mismatch at {decperm_of(P.dream).to_string()}"
-    return True, f"{positroids} positroids, {covers} covers, both routes agree"
+    return True, (f"{positroids} positroids, {covers} covers, {appended} "
+                  "appended dreams gamma-free, both routes agree")
 
 
 def check_standardization() -> tuple[bool, str]:

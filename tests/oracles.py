@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import lcm
 
 from flagpipes.decperm import (
     DecoratedPermutation,
@@ -39,9 +40,11 @@ from flagpipes.pipedream import (
     PipeDream,
     PipeTrace,
     _structural_tile,
+    construct_fpp,
     dream_from_fill,
     exit_permutation,
     is_gamma_free,
+    restrict,
     trivial_completion,
 )
 from flagpipes.poset import QuotientPoset
@@ -88,6 +91,44 @@ def flag_minors_by_det(A, ranks) -> dict:
     ``flag_minors``."""
     return {(r, S): det(A.submatrix(r, S))
             for r in ranks for S in combinations(A.column_labels, r)}
+
+
+def flag_minors_by_slicing(A, ranks) -> dict:
+    """Flag minors by the Laplace expansion that keys each rank's minors by
+    column subset and finds every lower minor by slicing a deleted column
+    out of the subset: the route ``flag_minors`` used before its index
+    tables, same keys, values and order."""
+    ranks = tuple(ranks)
+    out: dict = {}
+    if not ranks:
+        return out
+    labels = A.column_labels
+    m, scales = [], []
+    for row in A.rows[:ranks[-1]]:
+        scale = lcm(*(x.denominator for x in row))
+        scales.append(scale)
+        m.append([x.numerator * (scale // x.denominator) for x in row])
+    below = {(): 1}
+    scale = 1
+    for r in range(1, ranks[-1] + 1):
+        row = dict(zip(labels, m[r - 1]))
+        scale *= scales[r - 1]
+        first_sign = 1 if r % 2 else -1
+        here = {}
+        for S in combinations(labels, r):
+            total = 0
+            sign = first_sign
+            for t, c in enumerate(S):
+                x = row[c]
+                if x:
+                    total += sign * x * below[S[:t] + S[t + 1:]]
+                sign = -sign
+            here[S] = total
+        if r in ranks:
+            for S, v in here.items():
+                out[(r, S)] = Fraction(v, scale)
+        below = here
+    return out
 
 
 # ------------------------------------------------------------ Bruhat interval
@@ -452,6 +493,20 @@ def extended_cover_dream_by_hand(P, C) -> PipeDream:
                      pivots=tuple(p + 1 for p in D.pivots) + (1,),
                      grid=tuple(VLINE + row for row in D.grid)
                      + ("".join(last),))
+
+
+def positroid_by_construct_fpp(dp) -> Positroid:
+    """The positroid of a decorated permutation through the validating
+    constructors: the canonical FPP of its interval built by
+    ``construct_fpp``, cut to the 2-colored rows, then swept for
+    gamma-freeness and standardized by ``Positroid.from_dream``."""
+    over = sorted((j for j, c in enumerate(dp.color, 1) if c == 2),
+                  reverse=True)
+    under = sorted((j for j, c in enumerate(dp.color, 1) if c == 1),
+                   reverse=True)
+    u = tuple(over + under)
+    v = tuple(dp.perm[j - 1] for j in u)
+    return Positroid.from_dream(restrict(construct_fpp(u, v), len(over)))
 
 
 def quotient_covers_by_append_row(P) -> tuple[Positroid, ...]:

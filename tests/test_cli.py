@@ -536,3 +536,17 @@ class TestInstalledEntryPoint:
         assert plain.returncode == optimized.returncode == 0
         assert plain.stdout == optimized.stdout
         assert json.loads(plain.stdout)["flavor"] == "matroidal"
+
+    @pytest.mark.parametrize("verb", ["covers", "bases"])
+    def test_optimized_mode_prints_the_same_on_the_trusted_routes(self, verb):
+        """covers and bases run positroid_of's unchecked canonical dream and
+        quotient_covers without a gamma-freeness sweep; neither leans on
+        an assert."""
+        argv = ["-m", "flagpipes.cli", verb, "--decperm", "5o1u3u9o2u7o6u4u8u"]
+        plain, optimized = (
+            subprocess.run([sys.executable, *flags, *argv],
+                           capture_output=True)
+            for flags in ([], ["-O"]))
+        assert plain.returncode == optimized.returncode == 0
+        assert plain.stdout == optimized.stdout
+        assert plain.stdout.strip()

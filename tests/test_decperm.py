@@ -1,11 +1,13 @@
 """Decorated permutations: boundary data, cyclic shift moves, duality."""
 
+import random
 from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from conftest import assert_rebuilds
 from flagpipes import decperm as decperm_module
 from flagpipes.decperm import (
     DecoratedPermutation,
@@ -138,6 +140,29 @@ class TestBoundaryData:
             derived += covers_by_shift(w) + covered_by_shift(w)
             for q in derived:
                 assert DecoratedPermutation(q.perm, q.color) == q
+
+    def test_positroid_of_matches_the_validating_route_at_n6(self):
+        """positroid_of renders the canonical dream unchecked; it equals
+        the construct_fpp / from_dream route on every decorated
+        permutation on [6], and every dream passes the constructor."""
+        ws = all_decperms(6)
+        assert len(ws) == 1957
+        for w in ws:
+            P = positroid_of(w)
+            assert P == oracles.positroid_by_construct_fpp(w)
+            assert_rebuilds(P.dream)
+
+    @pytest.mark.parametrize("n", [8, 9, 10, 11])
+    def test_positroid_of_matches_the_validating_route_at_benchmark_sizes(
+            self, n):
+        rng = random.Random(f"positroid_of/{n}")
+        for _ in range(40):
+            perm = list(range(1, n + 1))
+            rng.shuffle(perm)
+            w = _decorate((tuple(perm), [rng.random() < 0.5 for _ in perm]))
+            P = positroid_of(w)
+            assert P == oracles.positroid_by_construct_fpp(w)
+            assert_rebuilds(P.dream)
 
     def test_running_example_roundtrip(self, running_example):
         assert decperm_of(running_example.dream).to_string() == RUNNING

@@ -42,6 +42,7 @@ from flagpipes.pipedream import (
     _structural_tile,
     construct_fpp,
     dream_from_fill,
+    is_gamma_free,
     restrict,
 )
 from flagpipes.positroid import (
@@ -143,6 +144,20 @@ class TestQuotientCovers:
             assert len(covers) == len(choices)
             for Q in covers:
                 assert_rebuilds(Q.dream)
+
+    def test_appended_dreams_are_gamma_free_at_n5(self):
+        """quotient_covers runs no gamma-freeness sweep: every row appended
+        along unblocked columns keeps the dream gamma-free, checked on
+        every positroid on [5] and every choice."""
+        appended = 0
+        for P in enumerate_positroids(5):
+            U = P.unblocked
+            for r in range(1, len(U) + 1):
+                for C in combinations(U, r):
+                    assert is_gamma_free(append_row(P.dream, C))
+                    appended += 1
+        assert appended == sum(len(quotient_covers(P))
+                               for P in enumerate_positroids(5) if P.rank < 5)
 
     def test_running_example_matches_the_checked_append_route(
             self, running_example):

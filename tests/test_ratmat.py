@@ -31,7 +31,6 @@ from flagpipes.ratmat import (
     is_complete_nonneg_representation,
     is_lower_reduced,
     is_reverse_echelon,
-    matrix_from_csv,
     matrix_from_json,
     matrix_to_json,
     matroid_of_matrix,
@@ -112,10 +111,6 @@ class TestConstruction:
         assert data == [["1/2", "-1"], ["3", "7/5"]]
         assert matrix_from_json(data) == A
 
-    def test_csv(self):
-        A = matrix_from_csv("1,0\n-1,3/2")
-        assert A.entry(2, 2) == Fraction(3, 2)
-
 
 class TestDeterminant:
     def test_goldens(self):
@@ -173,9 +168,10 @@ class TestFlagMinors:
         ranks = tuple(range(1, k + 1))
         for entries in product((-1, 0, 1), repeat=k * n):
             A = rational_matrix([entries[i * n:(i + 1) * n] for i in range(k)])
-            got = flag_minors(A, ranks)
-            want = oracles.flag_minors_by_det(A, ranks)
-            assert list(got.items()) == list(want.items())
+            got = list(flag_minors(A, ranks).items())
+            assert got == list(oracles.flag_minors_by_det(A, ranks).items())
+            assert got == list(
+                oracles.flag_minors_by_slicing(A, ranks).items())
 
     def test_random_fractions_match_determinants(self):
         rng = random.Random(20)
@@ -195,6 +191,39 @@ class TestFlagMinors:
 
     def test_no_ranks_gives_no_minors(self, golden_matrix):
         assert flag_minors(golden_matrix, ()) == {}
+
+    @pytest.mark.parametrize("rank", [1.0, True, "1"])
+    def test_ranks_must_be_ints(self, golden_matrix, rank):
+        with pytest.raises(DomainError, match="integers"):
+            flag_minors(golden_matrix, (rank,))
+        with pytest.raises(DomainError, match="integers"):
+            flag_minors(golden_matrix, (1, 2, rank))
+
+    def test_laplace_tables_are_bounded(self):
+        maxsize = ratmat._laplace_table.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize > 0
+
+    def test_matches_the_slicing_route_up_to_the_guard(self):
+        """The index-table expansion against the slicing expansion it
+        replaced, item for item and in order: shapes up to 5 x 12 (the
+        minors_max_n guard), columns labeled from 1 or 0, embedded
+        matrices, sparse rank sets and no ranks."""
+        rng = random.Random("flag-minors/slicing")
+        ks = [rng.randint(1, 5) for _ in range(80)]
+        for k, n in [(5, 12)] + [(k, rng.randint(k, 12)) for k in ks]:
+            rows = [[Fraction(rng.choice((0, rng.randint(-9, 9))),
+                              rng.randint(1, 9)) for _ in range(n)]
+                    for _ in range(k)]
+            inputs = [rational_matrix(rows),
+                      rational_matrix(rows, offset_zero=True)]
+            if 2 <= k and n < 12:
+                inputs.append(embed_append(rational_matrix(rows)))
+            for A in inputs:
+                for ranks in (range(1, k + 1), (), tuple(sorted(
+                        rng.sample(range(1, k + 1), rng.randint(1, k))))):
+                    got = flag_minors(A, ranks)
+                    want = oracles.flag_minors_by_slicing(A, ranks)
+                    assert list(got.items()) == list(want.items())
 
 
 class TestPivotData:
@@ -227,6 +256,14 @@ class TestSignRule:
             check_sign_rule(rational_matrix([[1, 1], [0, 1]]))
         with pytest.raises(NotGeneralizedPermutationError):
             check_sign_rule(rational_matrix([[1, 0], [1, 0]]))
+
+    def test_column_error_names_the_column(self):
+        with pytest.raises(NotGeneralizedPermutationError,
+                           match="^column 2 needs exactly one nonzero$"):
+            check_sign_rule(rational_matrix([[1, 0, 0], [0, 0, 1]]))
+        with pytest.raises(NotGeneralizedPermutationError,
+                           match="^column 1 needs exactly one nonzero$"):
+            check_sign_rule(rational_matrix([[0, 1], [0, -1]]))
 
     def test_rule_equals_minor_route_small(self):
         from flagpipes.perm import all_permutations
