@@ -60,19 +60,18 @@ def main(cfg: Config) -> int:
             poset = build_poset(n, flavor=flavor)
             chains = maximal_chain_count(poset)
             dual = check_self_dual(poset)
-            missing = len(missing_covers(n)) if flavor == "matroidal" else 0
+            missing = missing_covers(n) if flavor == "matroidal" else ()
             print(f"{n:>3} {flavor:<14} {len(poset.elements):>6} "
                   f"{len(poset.covers):>7} {chains:>7} {str(dual):>9} "
-                  f"{missing:>8}")
+                  f"{len(missing):>8}")
             if cfg.out_dir is not None:
                 cfg.out_dir.mkdir(parents=True, exist_ok=True)
                 stem = cfg.out_dir / f"{flavor}_{n}"
                 stem.with_suffix(".json").write_text(
                     json.dumps(export_json(poset), indent=2) + "\n")
                 if cfg.dot:
-                    dashed = missing_covers(n) if flavor == "matroidal" else ()
                     stem.with_suffix(".dot").write_text(
-                        export_dot(poset, dashed=dashed) + "\n")
+                        export_dot(poset, dashed=missing) + "\n")
     return 0
 
 

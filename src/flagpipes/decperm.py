@@ -10,7 +10,10 @@ positions plus a forced top-completion set.  The right shift is the only
 cover engine: by self-duality, the left shifts that realize covered
 elements are right shifts seen through :func:`inverse_decperm`, with
 positions carried through the permutation (position r of w is position
-w(r) of its inverse).
+w(r) of its inverse).  A listing of every cover walks all choices in one
+pass: the top-completion set reads only the ends min(C) and max(C) of a
+choice, so the walk computes it once per pair of ends, not once per
+choice.
 """
 
 from __future__ import annotations
@@ -162,15 +165,23 @@ def decperm_of(D: PipeDream) -> DecoratedPermutation:
     '1u2o3u4o'
     """
     S = standardize(D)
-    perm = [0] * S.cols
     exits, _ = _sweep(S)
+    return _decperm_from_exits(S, exits)
+
+
+def _decperm_from_exits(S: PipeDream,
+                        exits: list[tuple[str, int]]) -> DecoratedPermutation:
+    """:func:`decperm_of` of a dream S whose pivots already descend, given
+    the pipe exits of its :func:`~flagpipes.pipedream._sweep`."""
+    pivots = S.pivots
+    perm = [0] * S.cols
     for label, (side, index) in enumerate(exits, start=1):
-        end = S.pivots[index - 1] if side == "right" else index
+        end = pivots[index - 1] if side == "right" else index
         perm[end - 1] = label
-    pivot_cols = set(S.pivots)
-    color = tuple(OVER if j in pivot_cols else UNDER
-                  for j in range(1, S.cols + 1))
-    return _trusted_decperm(tuple(perm), color)
+    color = [UNDER] * S.cols
+    for p in pivots:
+        color[p - 1] = OVER
+    return _trusted_decperm(tuple(perm), tuple(color))
 
 
 def dle_of(dp: DecoratedPermutation) -> PipeDream:
@@ -224,18 +235,22 @@ def unblocked_positions(dp: DecoratedPermutation) -> tuple[int, ...]:
     >>> unblocked_positions(parse_decperm("5o1u3u9o2u7o6u4u8u"))
     (2, 5, 8, 9)
     """
-    under = [j for j, c in enumerate(dp.color, 1) if c == UNDER]
+    # One pass from the right, keeping the least 1-colored value seen.
     out = []
-    for idx, j in enumerate(under):
-        if all(dp.perm[jp - 1] > dp.perm[j - 1] for jp in under[idx + 1:]):
+    low = dp.n + 1
+    for j in range(dp.n, 0, -1):
+        v = dp.perm[j - 1]
+        if dp.color[j - 1] == UNDER and v < low:
             out.append(j)
-    return tuple(out)
+            low = v
+    return tuple(reversed(out))
 
 
 def tc_set(dp: DecoratedPermutation, C) -> tuple[int, ...]:
     """Top-completion set of a choice C of unblocked positions: greedily walk
     left of min(C) picking ever-lower 2-colored positions whose values climb
-    from the value at max(C).
+    from the value at max(C).  Only min(C) and max(C) matter, and the set
+    increases and lies left of min(C).
 
     >>> pi = parse_decperm("5o1u3u9o2u7o6u4u8u")
     >>> tc_set(pi, {8})
@@ -248,16 +263,31 @@ def tc_set(dp: DecoratedPermutation, C) -> tuple[int, ...]:
 
 def _tc(dp: DecoratedPermutation, C) -> tuple[int, ...]:
     """:func:`tc_set` of a sorted choice already known to be unblocked."""
-    over = [j for j, c in enumerate(dp.color, 1) if c == OVER]
+    return _top_completion(dp.perm, _over(dp), C)
+
+
+def _over(dp: DecoratedPermutation) -> list[int]:
+    """The 2-colored positions, increasing."""
+    return [j for j, c in enumerate(dp.color, 1) if c == OVER]
+
+
+def _top_completion(perm: Permutation, over, C) -> tuple[int, ...]:
+    """The greedy walk of :func:`tc_set` in one pass over the increasing
+    2-colored positions ``over``: each pick is the first position after the
+    last pick whose value tops the running value.  It reads only ``C[0]``
+    and the value at ``C[-1]``, so a walk over many choices computes it once
+    per pair of ends.  Its entries are 2-colored, increase and lie left of
+    ``C[0]``, so ``tc + C`` lists the moved positions of a shift in order.
+    """
     out: list[int] = []
-    z, m = 0, dp.perm[C[-1] - 1]
-    while True:
-        t = next((t for t in over
-                  if z < t < C[0] and dp.perm[t - 1] > m), None)
-        if t is None:
-            return tuple(out)
-        out.append(t)
-        z, m = t, dp.perm[t - 1]
+    first, m = C[0], perm[C[-1] - 1]
+    for t in over:
+        if t >= first:
+            break
+        if perm[t - 1] > m:
+            out.append(t)
+            m = perm[t - 1]
+    return tuple(out)
 
 
 def right_cyclic_shift(dp: DecoratedPermutation, C) -> DecoratedPermutation:
@@ -276,17 +306,53 @@ def right_cyclic_shift(dp: DecoratedPermutation, C) -> DecoratedPermutation:
 
 def _shift(dp: DecoratedPermutation, C) -> DecoratedPermutation:
     """:func:`right_cyclic_shift` on a sorted choice already known to be
-    unblocked, as the walks below draw them."""
-    moved = sorted(set(C) | set(_tc(dp, C)))
-    # Each moved position takes the value of the moved position before it,
-    # cyclically.  Only moved positions change color: a value below its
-    # position forces 1, and a value on or above it takes 2.
-    perm, color = list(dp.perm), list(dp.color)
-    for before, j in zip(moved[-1:] + moved[:-1], moved):
-        v = dp.perm[before - 1]
-        perm[j - 1] = v
-        color[j - 1] = UNDER if v < j else OVER
-    return _trusted_decperm(tuple(perm), tuple(color))
+    unblocked."""
+    return _trusted_decperm(*_cycle(dp.perm, dp.color,
+                                    _tc(dp, C) + tuple(C)))
+
+
+def _cycle(perm: Permutation, color: tuple[int, ...],
+           moved) -> tuple[Permutation, tuple[int, ...]]:
+    """The shift kernel: each of the increasing positions ``moved`` takes
+    the value of the moved position before it, cyclically.  Only moved
+    positions change color: a value below its position forces 1, and a
+    value on or above it takes 2."""
+    p, c = list(perm), list(color)
+    before = moved[-1]
+    for j in moved:
+        v = perm[before - 1]
+        p[j - 1] = v
+        c[j - 1] = UNDER if v < j else OVER
+        before = j
+    return tuple(p), tuple(c)
+
+
+def _right_shift_walk(dp: DecoratedPermutation, routine: str,
+                      index=None) -> tuple:
+    """The right shift of dp on every nonempty choice of unblocked
+    positions, in the walk order of
+    :func:`~flagpipes.positroid._each_choice` (which guards the walk and
+    refuses two choices with one result), each as its ``(perm, color)``
+    pair, or as ``index[pair]`` given a mapping.
+
+    One walk derives each fact once: the unblocked positions and the
+    2-colored positions once per walk, and the top-completion set once per
+    pair of ends ``(C[0], C[-1])``, the only part of C it reads (see
+    :func:`_top_completion`), instead of once per choice.
+    """
+    perm, color = dp.perm, dp.color
+    over = _over(dp)
+    tcs: dict[tuple[int, int], tuple[int, ...]] = {}
+
+    def shift(C):
+        ends = C[0], C[-1]
+        tc = tcs.get(ends)
+        if tc is None:
+            tc = tcs[ends] = _top_completion(perm, over, C)
+        pair = _cycle(perm, color, tc + C)
+        return pair if index is None else index[pair]
+
+    return _each_choice(routine, unblocked_positions(dp), shift)
 
 
 def covers_by_shift(dp: DecoratedPermutation) -> tuple[DecoratedPermutation, ...]:
@@ -296,14 +362,10 @@ def covers_by_shift(dp: DecoratedPermutation) -> tuple[DecoratedPermutation, ...
     >>> len(covers_by_shift(parse_decperm("1u2u3u")))
     7
     """
-    return tuple(sorted(_right_shifts(dp), key=DecoratedPermutation.to_string))
-
-
-def _right_shifts(dp: DecoratedPermutation) -> tuple[DecoratedPermutation, ...]:
-    """The results of :func:`covers_by_shift` in the order the choices are
-    walked, for callers that index them rather than list them."""
-    return _each_choice("covers_by_shift", unblocked_positions(dp),
-                        lambda C: _shift(dp, C))
+    return tuple(sorted(
+        (_trusted_decperm(*pair)
+         for pair in _right_shift_walk(dp, "covers_by_shift")),
+        key=DecoratedPermutation.to_string))
 
 
 def left_unblocked_positions(dp: DecoratedPermutation) -> tuple[int, ...]:
@@ -357,10 +419,9 @@ def covered_by_shift(dp: DecoratedPermutation) -> tuple[DecoratedPermutation, ..
     >>> len(covered_by_shift(parse_decperm("1o2o3o")))
     7
     """
-    w = inverse_decperm(dp)
     return tuple(sorted(
-        _each_choice("covered_by_shift", unblocked_positions(w),
-                     lambda C: inverse_decperm(_shift(w, C))),
+        (inverse_decperm(_trusted_decperm(*pair)) for pair
+         in _right_shift_walk(inverse_decperm(dp), "covered_by_shift")),
         key=DecoratedPermutation.to_string))
 
 

@@ -417,6 +417,12 @@ def is_gamma_free(D: PipeDream) -> bool:
     ...     {(1, 2): "X", (1, 3): "E", (2, 3): "E"}))
     False
     """
+    return _gamma_free_exits(D) is not None
+
+
+def _gamma_free_exits(D: PipeDream) -> list[tuple[str, int]] | None:
+    """:func:`is_gamma_free` that keeps what its sweep found: the pipe
+    exits of :func:`_sweep` when D is gamma-free, None when it is not."""
     k = D.rows
     grid = D.grid
     exits, crosses = _sweep(D)
@@ -425,8 +431,8 @@ def is_gamma_free(D: PipeDream) -> bool:
         for (i, j) in cells:
             for r in range(i, cap):
                 if grid[r][j - 1] in (ELBOW, PIVOT):
-                    return False
-    return True
+                    return None
+    return exits
 
 
 def is_fpp(D: PipeDream) -> bool:
@@ -675,7 +681,22 @@ def enumerate_le_dreams(n: int, k: int) -> Iterator[PipeDream]:
     """
     _guard("enumerate_le_dreams", "enumerate_max_n", n)
     for chosen in combinations(range(1, n + 1), k):
-        pivots = tuple(sorted(chosen, reverse=True))
-        for D in _fillings(n, pivots):
-            if is_gamma_free(D):
+        for D in _fillings(n, chosen[::-1]):
+            if _gamma_free_exits(D) is not None:
                 yield D
+
+
+def _le_dreams_with_exits(
+        n: int, k: int) -> Iterator[tuple[PipeDream, list[tuple[str, int]]]]:
+    """The dreams of :func:`enumerate_le_dreams`, in the same order and
+    unguarded, each with the pipe exits of the sweep that showed it
+    gamma-free, so a caller reads boundary data off them without sweeping
+    again (see :func:`~flagpipes.poset.build_poset`).
+    :func:`enumerate_le_dreams` keeps its own loop and drops the exits,
+    since the positroid stream pays for every step it takes per dream.
+    """
+    for chosen in combinations(range(1, n + 1), k):
+        for D in _fillings(n, chosen[::-1]):
+            exits = _gamma_free_exits(D)
+            if exits is not None:
+                yield D, exits

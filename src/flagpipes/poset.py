@@ -20,8 +20,8 @@ from typing import Iterator
 from .config import _guard
 from .decperm import (
     DecoratedPermutation,
-    _right_shifts,
-    decperm_of,
+    _decperm_from_exits,
+    _right_shift_walk,
     inverse_decperm,
 )
 from .exceptions import (
@@ -31,8 +31,13 @@ from .exceptions import (
 )
 from .pathgraph import lex_max_basis, lex_min_basis
 from .perm import bruhat_leq
-from .pipedream import PipeDream, construct_fpp, restrict
-from .positroid import Positroid, enumerate_positroids, rank_increments
+from .pipedream import (
+    PipeDream,
+    _le_dreams_with_exits,
+    construct_fpp,
+    restrict,
+)
+from .positroid import Positroid, rank_increments
 
 __all__ = [
     "QuotientPoset",
@@ -70,9 +75,6 @@ class QuotientPoset:
     def rank_indices(self, k: int) -> tuple[int, ...]:
         return tuple(i for i, p in enumerate(self.elements) if p.rank == k)
 
-    def index_of(self, name: str) -> int:
-        return self.names.index(name)
-
     @property
     def bottom(self) -> int:
         return self.rank_indices(0)[0]
@@ -85,13 +87,18 @@ class QuotientPoset:
 def build_poset(n: int, flavor: str = "representable") -> QuotientPoset:
     """Assemble the poset of all positroids on [n] for one edge flavor.
 
-    Each element's decorated permutation is computed once; it names the
-    element, orders it within its rank and indexes the edges.  The
-    representable edges of an element are its right cyclic shifts, looked
-    up by the shifted decorated permutation itself.  The
-    matroidal edges join each element to those of the next rank whose
-    rank-increment masks cover its own (see
-    :func:`~flagpipes.positroid.is_quotient`).
+    Each element's pipes are swept once: the sweep that shows its Le dream
+    gamma-free also gives the pipe exits, and those are its decorated
+    permutation (the dream's pivots already descend, so standardizing it
+    would change nothing).  That decorated permutation names the element,
+    orders it within its rank and indexes the edges.  The representable
+    edges of an element are its right cyclic shifts, one walk per element
+    that computes each top-completion set once per pair of ends
+    ``(min C, max C)``, the only part of a choice C it reads; each shifted
+    ``(perm, color)`` pair is looked up in the index, and two choices that
+    reach one element index raise.  The matroidal edges join each element
+    to those of the next rank whose rank-increment masks cover its own
+    (see :func:`~flagpipes.positroid.is_quotient`).
 
     >>> p = build_poset(3)
     >>> len(p.elements), len(p.covers)
@@ -103,17 +110,19 @@ def build_poset(n: int, flavor: str = "representable") -> QuotientPoset:
         raise DomainError(f"poset size must be at least 0, got {n}")
     _guard("build_poset", f"poset_{flavor}_max_n", n)
     named = []
-    for p in enumerate_positroids(n):
-        w = decperm_of(p.dream)
-        named.append((p.rank, w.to_string(), w, p))
+    for k in range(n + 1):
+        for D, exits in _le_dreams_with_exits(n, k):
+            w = _decperm_from_exits(D, exits)
+            named.append((k, w.to_string(), w, D))
     named.sort(key=lambda t: t[:2])
     decperms = tuple(t[2] for t in named)
-    elements = tuple(t[3] for t in named)
+    elements = tuple(Positroid(dream=t[3]) for t in named)
     edges = []
     if flavor == "representable":
-        index = {w: i for i, w in enumerate(decperms)}
+        index = {(w.perm, w.color): i for i, w in enumerate(decperms)}
         for i, w in enumerate(decperms):
-            edges.extend((i, index[q]) for q in _right_shifts(w))
+            edges.extend((i, j) for j in
+                         _right_shift_walk(w, "covers_by_shift", index))
     else:
         inc = [rank_increments(p.bases) for p in elements]
         by_rank: list[list[int]] = [[] for _ in range(n + 1)]
@@ -266,23 +275,32 @@ def export_json(poset: QuotientPoset) -> dict:
 
 def export_dot(poset: QuotientPoset, dashed=()) -> str:
     """Graphviz text, ranks on shared levels; edges in ``dashed`` (pairs of
-    boundary texts) render dashed.
+    boundary texts) render dashed, and those that are not covers are drawn
+    after the covers.  A dashed name that is not an element is a domain
+    error.
 
     >>> print(export_dot(build_poset(2)).splitlines()[0])
     digraph quotient_poset {
     """
     dashed_set = {tuple(e) for e in dashed}
+    names = poset.names
+    known = set(names)
+    for pair in dashed_set:
+        for name in pair:
+            if name not in known:
+                raise DomainError(f"dashed edge {pair[0]!r} -> {pair[1]!r}: "
+                                  f"{name!r} is not an element of the poset")
     lines = ["digraph quotient_poset {", "  rankdir=BT;"]
     for k in range(poset.n + 1):
-        names = [poset.names[i] for i in poset.rank_indices(k)]
-        row = " ".join(f'"{s}";' for s in names)
+        row = " ".join(f'"{names[i]}";' for i in poset.rank_indices(k))
         lines.append(f"  {{ rank=same; {row} }}")
+    drawn = set()
     for a, b in poset.covers:
-        pair = (poset.names[a], poset.names[b])
+        pair = (names[a], names[b])
+        drawn.add(pair)
         style = " [style=dashed]" if pair in dashed_set else ""
         lines.append(f'  "{pair[0]}" -> "{pair[1]}"{style};')
-    for a, b in sorted(dashed_set):
-        if (poset.index_of(a), poset.index_of(b)) not in set(poset.covers):
-            lines.append(f'  "{a}" -> "{b}" [style=dashed];')
+    for a, b in sorted(dashed_set - drawn):
+        lines.append(f'  "{a}" -> "{b}" [style=dashed];')
     lines.append("}")
     return "\n".join(lines)

@@ -17,7 +17,6 @@ from math import lcm
 
 from flagpipes.decperm import (
     DecoratedPermutation,
-    covers_by_shift,
     decperm_of,
     inverse_decperm,
     parse_decperm,
@@ -523,6 +522,65 @@ def quotient_covers_by_append_row(P) -> tuple[Positroid, ...]:
     return tuple(covers[key] for key in sorted(covers))
 
 
+# ------------------------------------------------------ right shifts by hand
+
+def unblocked_by_hand(dp) -> tuple[int, ...]:
+    """1-colored positions whose value is below every later 1-colored
+    value, each compared with all the later ones."""
+    under = [j for j, c in enumerate(dp.color, 1) if c == 1]
+    return tuple(j for idx, j in enumerate(under)
+                 if all(dp.perm[jp - 1] > dp.perm[j - 1]
+                        for jp in under[idx + 1:]))
+
+
+def tc_by_search(dp, C) -> tuple[int, ...]:
+    """The top-completion set of a sorted choice C, each pick searched
+    afresh: the least 2-colored position left of min(C), after the last
+    pick, whose value tops the value of the last pick (at first, the value
+    at max(C))."""
+    over = [j for j, c in enumerate(dp.color, 1) if c == 2]
+    out: list[int] = []
+    z, m = 0, dp.perm[C[-1] - 1]
+    while True:
+        t = next((t for t in over
+                  if z < t < C[0] and dp.perm[t - 1] > m), None)
+        if t is None:
+            return tuple(out)
+        out.append(t)
+        z, m = t, dp.perm[t - 1]
+
+
+def right_shift_by_choice(dp, C) -> DecoratedPermutation:
+    """The right cyclic shift on one choice C, checked against
+    :func:`unblocked_by_hand`, its top-completion set searched for again,
+    the moved positions sorted, and the result passed through the public
+    constructor."""
+    C = sorted(set(C))
+    if not C:
+        raise EmptyChoiceError("choice set is empty")
+    allowed = unblocked_by_hand(dp)
+    for j in C:
+        if j not in allowed:
+            raise NotUnblockedError(j)
+    moved = sorted(set(C) | set(tc_by_search(dp, C)))
+    perm, color = list(dp.perm), list(dp.color)
+    for before, j in zip(moved[-1:] + moved[:-1], moved):
+        v = dp.perm[before - 1]
+        perm[j - 1] = v
+        color[j - 1] = 1 if v < j else 2
+    return DecoratedPermutation(tuple(perm), tuple(color))
+
+
+def right_shifts_by_choice(dp) -> tuple[DecoratedPermutation, ...]:
+    """One :func:`right_shift_by_choice` per nonempty choice of unblocked
+    positions, by size and then lexicographically, each computed on its
+    own with nothing shared between choices."""
+    U = unblocked_by_hand(dp)
+    return tuple(right_shift_by_choice(dp, C)
+                 for r in range(1, len(U) + 1)
+                 for C in combinations(U, r))
+
+
 # ------------------------------------------------------- left shifts by hand
 
 def left_unblocked_by_hand(dp) -> tuple[int, ...]:
@@ -597,7 +655,7 @@ def cover_choice_by_search(P, Q) -> tuple[int, ...]:
 def build_poset_by_names(n: int, flavor: str) -> QuotientPoset:
     """The quotient poset with its edges indexed by text form: elements
     sorted by (rank, text), representable edges looked up by the text of
-    each sorted ``covers_by_shift`` result, matroidal edges by
+    each :func:`right_shifts_by_choice` result, matroidal edges by
     rank-increment masks; each decorated permutation passes the public
     constructor again."""
     named = []
@@ -611,7 +669,8 @@ def build_poset_by_names(n: int, flavor: str) -> QuotientPoset:
     if flavor == "representable":
         index = {name: i for i, name in enumerate(names)}
         for i, (_, _, w, _) in enumerate(named):
-            edges.extend((i, index[q.to_string()]) for q in covers_by_shift(w))
+            edges.extend((i, index[q.to_string()])
+                         for q in right_shifts_by_choice(w))
     else:
         inc = [rank_increments(p.bases) for p in elements]
         for i, p in enumerate(elements):

@@ -40,6 +40,7 @@ from flagpipes.pipedream import (
     enumerate_partial_fpps,
     restrict,
 )
+from flagpipes.poset import build_poset
 from flagpipes.positroid import dual, enumerate_positroids, unblocked_columns
 
 
@@ -207,6 +208,23 @@ class TestCompletionSets:
         assert tc_set(pi, {5, 9}) == (4,)
         assert tc_set(pi, {2, 5, 8}) == (1,)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_tc_reads_only_the_ends_of_a_choice(self, n):
+        """The fact the shift walks memoize on: tc_set(w, C) equals that of
+        the choice (min C, max C); it is 2-colored, increases and lies left
+        of min C, so tc + C lists the moved positions in order.  The scan
+        agrees with the search written out pick by pick."""
+        for w in all_decperms(n):
+            U = unblocked_positions(w)
+            assert U == oracles.unblocked_by_hand(w)
+            for r in range(1, len(U) + 1):
+                for C in combinations(U, r):
+                    tc = tc_set(w, C)
+                    assert tc == tc_set(w, (min(C), max(C)))
+                    assert list(tc) == sorted(set(tc))
+                    assert all(t < min(C) and w.color[t - 1] == 2 for t in tc)
+                    assert tc == oracles.tc_by_search(w, C)
+
     def test_or_golden(self):
         omega = parse_decperm("2o5o3o8o1u7o6u9o4u")
         assert or_set(omega, {2, 8}) == (9,)
@@ -292,7 +310,8 @@ class TestShifts:
 
     def test_walks_find_the_unblocked_positions_once(self, monkeypatch):
         """Each walk draws its choices from one unblocked_positions call and
-        shifts along them without checking each again."""
+        shifts along them without checking each again; build_poset walks
+        once per element."""
         calls = []
         real = decperm_module.unblocked_positions
 
@@ -306,6 +325,25 @@ class TestShifts:
         calls.clear()
         omega = inverse_decperm(pi)
         assert len(covered_by_shift(omega)) == 15 and len(calls) == 1
+        calls.clear()
+        assert len(build_poset(4).elements) == 65 and len(calls) == 65
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_walks_match_one_shift_per_choice(self, n):
+        """The shared walk against one checked shift per choice, computed
+        afresh each time: in walk order, and item for item in both sorted
+        listings."""
+        def text(q):
+            return q.to_string()
+
+        for w in all_decperms(n):
+            want = oracles.right_shifts_by_choice(w)
+            assert (decperm_module._right_shift_walk(w, "covers_by_shift")
+                    == tuple((q.perm, q.color) for q in want))
+            assert covers_by_shift(w) == tuple(sorted(want, key=text))
+            down = oracles.right_shifts_by_choice(inverse_decperm(w))
+            assert covered_by_shift(w) == tuple(sorted(
+                (inverse_decperm(q) for q in down), key=text))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_covered_mirrors_covers(self, n):
@@ -340,11 +378,18 @@ class TestChoiceGuard:
         with pytest.raises(GuardExceededError, match=routine.__name__):
             routine(identity(25, mark))
 
-    @pytest.mark.parametrize("routine", [covers_by_shift, covered_by_shift])
+    @pytest.mark.parametrize("routine",
+                             [covers_by_shift, covered_by_shift, build_poset])
     def test_two_choices_with_one_result_raise(self, monkeypatch, routine):
-        monkeypatch.setattr(decperm_module, "_shift", lambda dp, C: dp)
+        """A shift kernel that leaves every choice where it was trips the
+        walk's check at its first two choices; build_poset checks the
+        element indices, and its first walk is on 1u2u3u."""
+        monkeypatch.setattr(decperm_module, "_cycle",
+                            lambda perm, color, moved: (perm, color))
+        arg = {covers_by_shift: identity(3, "u"),
+               covered_by_shift: identity(3, "o"), build_poset: 3}[routine]
         with pytest.raises(InvariantError, match=r"\(1,\) and \(2,\)"):
-            routine(identity(3, "u" if routine is covers_by_shift else "o"))
+            routine(arg)
 
     def test_environment_raises_the_guard(self, monkeypatch):
         monkeypatch.setenv("POSITROID_MAX_N", "13")

@@ -127,10 +127,11 @@ class TestSelfDuality:
         assert not oracles.self_dual_by_names(broken)
 
 
-@pytest.mark.parametrize("flavor", ["representable", "matroidal"])
-@pytest.mark.parametrize("n", range(6))
+@pytest.mark.parametrize("n, flavor", [
+    (n, flavor) for n in range(6) for flavor in ("representable", "matroidal")
+] + [(6, "representable")])
 def test_build_matches_the_name_indexed_route(monkeypatch, n, flavor):
-    monkeypatch.setenv(ENV_MAX_N, "5")
+    monkeypatch.setenv(ENV_MAX_N, "6")
     poset = build_poset(n, flavor)
     want = oracles.build_poset_by_names(n, flavor)
     assert poset.names == want.names
@@ -223,3 +224,15 @@ class TestExports:
         dot = export_dot(mat, dashed=missing_covers(3))
         assert dot.count("[style=dashed]") == 3
         assert '"3o2u1u" -> "3o2o1u" [style=dashed];' in dot
+
+    def test_dot_dashed_non_cover_is_drawn_once(self):
+        rep = build_poset(3)
+        dot = export_dot(rep, dashed=missing_covers(3) + (("1u2u3u", "1o2u3u"),))
+        assert dot.count("[style=dashed]") == 4
+        assert dot.count('"3o2u1u" -> "2o3o1u"') == 1
+
+    @pytest.mark.parametrize("dashed", [
+        [("1u2u3u", "9o")], [("nope", "1o2u3u")], [("1u2u", "1o2u")]])
+    def test_dot_dashed_names_must_be_elements(self, dashed):
+        with pytest.raises(DomainError, match="not an element"):
+            export_dot(build_poset(3), dashed=dashed)
