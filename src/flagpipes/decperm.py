@@ -327,13 +327,12 @@ def _cycle(perm: Permutation, color: tuple[int, ...],
     return tuple(p), tuple(c)
 
 
-def _right_shift_walk(dp: DecoratedPermutation, routine: str,
-                      index=None) -> tuple:
+def _right_shift_walk(dp: DecoratedPermutation, routine: str) -> tuple:
     """The right shift of dp on every nonempty choice of unblocked
     positions, in the walk order of
     :func:`~flagpipes.positroid._each_choice` (which guards the walk and
     refuses two choices with one result), each as its ``(perm, color)``
-    pair, or as ``index[pair]`` given a mapping.
+    pair.
 
     One walk derives each fact once: the unblocked positions and the
     2-colored positions once per walk, and the top-completion set once per
@@ -349,8 +348,7 @@ def _right_shift_walk(dp: DecoratedPermutation, routine: str,
         tc = tcs.get(ends)
         if tc is None:
             tc = tcs[ends] = _top_completion(perm, over, C)
-        pair = _cycle(perm, color, tc + C)
-        return pair if index is None else index[pair]
+        return _cycle(perm, color, tc + C)
 
     return _each_choice(routine, unblocked_positions(dp), shift)
 

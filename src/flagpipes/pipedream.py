@@ -680,10 +680,8 @@ def enumerate_le_dreams(n: int, k: int) -> Iterator[PipeDream]:
     7
     """
     _guard("enumerate_le_dreams", "enumerate_max_n", n)
-    for chosen in combinations(range(1, n + 1), k):
-        for D in _fillings(n, chosen[::-1]):
-            if _gamma_free_exits(D) is not None:
-                yield D
+    for D, _ in _le_dreams_with_exits(n, k):
+        yield D
 
 
 def _le_dreams_with_exits(
@@ -692,9 +690,8 @@ def _le_dreams_with_exits(
     unguarded, each with the pipe exits of the sweep that showed it
     gamma-free, so a caller reads boundary data off them without sweeping
     again (see :func:`~flagpipes.poset.build_poset`).
-    :func:`enumerate_le_dreams` keeps its own loop and drops the exits,
-    since the positroid stream pays for every step it takes per dream.
     """
+    # combinations yields increasing tuples; reversed, the pivots descend.
     for chosen in combinations(range(1, n + 1), k):
         for D in _fillings(n, chosen[::-1]):
             exits = _gamma_free_exits(D)

@@ -96,7 +96,7 @@ def build_poset(n: int, flavor: str = "representable") -> QuotientPoset:
     that computes each top-completion set once per pair of ends
     ``(min C, max C)``, the only part of a choice C it reads; each shifted
     ``(perm, color)`` pair is looked up in the index, and two choices that
-    reach one element index raise.  The matroidal edges join each element
+    give one pair raise.  The matroidal edges join each element
     to those of the next rank whose rank-increment masks cover its own
     (see :func:`~flagpipes.positroid.is_quotient`).
 
@@ -121,8 +121,8 @@ def build_poset(n: int, flavor: str = "representable") -> QuotientPoset:
     if flavor == "representable":
         index = {(w.perm, w.color): i for i, w in enumerate(decperms)}
         for i, w in enumerate(decperms):
-            edges.extend((i, j) for j in
-                         _right_shift_walk(w, "covers_by_shift", index))
+            edges.extend((i, index[pair]) for pair
+                         in _right_shift_walk(w, "covers_by_shift"))
     else:
         inc = [rank_increments(p.bases) for p in elements]
         by_rank: list[list[int]] = [[] for _ in range(n + 1)]

@@ -382,8 +382,8 @@ class TestChoiceGuard:
                              [covers_by_shift, covered_by_shift, build_poset])
     def test_two_choices_with_one_result_raise(self, monkeypatch, routine):
         """A shift kernel that leaves every choice where it was trips the
-        walk's check at its first two choices; build_poset checks the
-        element indices, and its first walk is on 1u2u3u."""
+        walk's check at its first two choices; build_poset walks the same
+        way, and its first walk is on 1u2u3u."""
         monkeypatch.setattr(decperm_module, "_cycle",
                             lambda perm, color, moved: (perm, color))
         arg = {covers_by_shift: identity(3, "u"),
