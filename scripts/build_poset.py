@@ -56,11 +56,15 @@ def main(cfg: Config) -> int:
     print(header)
     print("-" * len(header))
     for n in range(cfg.min_n, cfg.max_n + 1):
+        rep = None
         for flavor in cfg.flavors:
             poset = build_poset(n, flavor=flavor)
             chains = maximal_chain_count(poset)
             dual = check_self_dual(poset)
-            missing = missing_covers(n) if flavor == "matroidal" else ()
+            if flavor == "representable":
+                rep, missing = poset, ()
+            else:
+                missing = missing_covers(rep or build_poset(n), poset)
             print(f"{n:>3} {flavor:<14} {len(poset.elements):>6} "
                   f"{len(poset.covers):>7} {chains:>7} {str(dual):>9} "
                   f"{len(missing):>8}")

@@ -2,7 +2,7 @@
 
 Submodules
 ----------
-perm        permutations, Bruhat order, Rothe diagrams
+perm        permutations, Bruhat order, reduced words
 pipedream   tile grids, FPP construction, rotation to partition shape
 pathgraph   non-intersecting path families and basis sets
 positroid   positroids as decreasing-pivot dreams; quotients; standardization

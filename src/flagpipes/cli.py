@@ -189,7 +189,8 @@ def _cmd_poset(args) -> None:
         _emit({"elements": len(poset.elements),
                "maxChains": maximal_chain_count(poset)})
     elif args.dot:
-        dashed = missing_covers(args.n) if args.flavor == "matroidal" else ()
+        dashed = (missing_covers(build_poset(args.n), poset)
+                  if args.flavor == "matroidal" else ())
         print(export_dot(poset, dashed=dashed))
     else:
         _emit(export_json(poset))
@@ -275,9 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("n", type=int)
     sub.add_argument("--flavor", default="representable",
                      choices=("representable", "matroidal"))
-    sub.add_argument("--stats", action="store_true",
-                     help="element and chain counts only")
-    sub.add_argument("--dot", action="store_true", help="Graphviz output")
+    form = sub.add_mutually_exclusive_group()
+    form.add_argument("--stats", action="store_true",
+                      help="element and chain counts only")
+    form.add_argument("--dot", action="store_true", help="Graphviz output")
     sub.set_defaults(func=_cmd_poset)
 
     sub = verbs.add_parser("verify", help="run the published-fact checks")

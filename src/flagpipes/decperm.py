@@ -20,12 +20,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations
 
-from .exceptions import DomainError, InvariantError
+from .exceptions import DomainError
 from .perm import (
     Permutation,
-    all_permutations,
     bruhat_leq,
     inverse,
     validate_permutation,
@@ -39,7 +37,6 @@ from .pipedream import (
     _sweep,
     _trusted_dream,
 )
-from . import positroid as _positroid
 from .positroid import Positroid, _choice, _each_choice, standardize
 
 __all__ = [
@@ -56,8 +53,6 @@ __all__ = [
     "left_cyclic_shift",
     "covered_by_shift",
     "inverse_decperm",
-    "dual_positroid",
-    "all_decperms",
     "parse_decperm",
 ]
 
@@ -434,37 +429,3 @@ def inverse_decperm(dp: DecoratedPermutation) -> DecoratedPermutation:
     for j, v in enumerate(dp.perm, 1):
         color[v - 1] = OVER + UNDER - dp.color[j - 1]
     return _trusted_decperm(inv, tuple(color))
-
-
-def dual_positroid(P: Positroid) -> Positroid:
-    """Positroid whose bases are the set complements of P's bases.
-
-    >>> from flagpipes.pathgraph import basis_set
-    >>> P = positroid_of(parse_decperm("1u2o"))
-    >>> dual_positroid(P).bases.bases
-    ((1,),)
-    """
-    Q = positroid_of(inverse_decperm(decperm_of(P.dream)))
-    if Q.bases != _positroid.dual(P.bases):
-        raise InvariantError("inverse boundary data did not give the dual")
-    return Q
-
-
-def all_decperms(n: int) -> list[DecoratedPermutation]:
-    """Every decorated permutation on [n]: each permutation with each choice
-    of fixed-point colors.
-
-    >>> len(all_decperms(3))
-    16
-    """
-    out = []
-    for w in all_permutations(n):
-        fixed = [j for j in range(1, n + 1) if w[j - 1] == j]
-        for r in range(len(fixed) + 1):
-            for two_colored in combinations(fixed, r):
-                chosen = set(two_colored)
-                color = tuple(
-                    OVER if (v > j or (v == j and j in chosen)) else UNDER
-                    for j, v in enumerate(w, 1))
-                out.append(DecoratedPermutation(w, color))
-    return out

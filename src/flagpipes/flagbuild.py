@@ -46,7 +46,6 @@ __all__ = [
     "cover_choice",
     "FlagPositroid",
     "flag_of_fpp",
-    "extended_cover_dream",
     "phi",
     "psi",
 ]
@@ -183,27 +182,6 @@ def flag_of_fpp(D: PipeDream) -> FlagPositroid:
     return FlagPositroid(n=D.cols,
                          ranks=tuple(range(1, D.rows + 1)),
                          constituents=constituents)
-
-
-def extended_cover_dream(P: Positroid, C) -> PipeDream:
-    """Dream on n+1 columns for the 0-embedding of the cover along C:
-    P's dream shifted one column right, so that column 1 stands for the new
-    ground element 0, then :func:`append_row` along column 1 and the
-    shifted choice.  C is checked against P's unblocked columns first, so
-    an error names a column in P's numbering.
-
-    >>> from flagpipes.pipedream import dream_from_fill
-    >>> p = Positroid.from_dream(dream_from_fill(4, (4, 2), {(2, 3): "X"}))
-    >>> extended_cover_dream(p, (1, 3)).grid
-    ('VVVVP', 'VVPXH', 'PEHEH')
-    """
-    C = _choice(C, P.unblocked)
-    D = P.dream
-    # A valid dream behind a pivot-free column, whose forced tiles are all
-    # vertical: valid by construction.
-    shifted = _trusted_dream(D.cols + 1, tuple(p + 1 for p in D.pivots),
-                             tuple(VLINE + row for row in D.grid))
-    return _appended(shifted, [1] + [c + 1 for c in C])
 
 
 def phi(P: Positroid, Q: Positroid) -> BasisSet:

@@ -1,23 +1,17 @@
-"""Permutations in one-line notation, Bruhat order, and Rothe diagrams.
+"""Permutations in one-line notation, Bruhat order, and reduced words.
 
 A permutation of [n] = {1, ..., n} is a tuple of the values (u(1), ..., u(n)).
-Composition is ``compose(a, b)(i) == a(b(i))``, so multiplying on the right by
-the adjacent transposition ``simple(n, i)`` swaps the *values in positions*
-i and i+1 of the one-line notation.
-
-The Rothe diagram used throughout is the "dual" one adapted to pipe dreams:
-
-    Rothe(u) = {(i, j) : u(i) < j and u^{-1}(j) > i}
-
-so ``len(rothe_diagram(u)) == comb(n, 2) - length(u)``: the identity has the
-full staircase and the longest element has the empty diagram.
+Multiplying on the right by the adjacent transposition s_i
+(:func:`right_multiply`) swaps the *values in positions* i and i+1 of the
+one-line notation, and a word in adjacent transpositions is multiplied left
+to right.  Bruhat order compares sorted prefixes (:func:`key`); the subword
+property gives the independent route :func:`bruhat_leq_subword_oracle`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations as _raw_permutations
-from math import comb
+from itertools import permutations as _raw_permutations
 from typing import Iterator
 
 from .config import _guard
@@ -27,36 +21,25 @@ __all__ = [
     "Permutation",
     "Word",
     "Box",
-    "BoxSet",
     "Key",
     "identity",
-    "longest",
     "is_permutation",
     "validate_permutation",
     "all_permutations",
-    "compose",
     "inverse",
-    "simple",
     "right_multiply",
-    "word_to_perm",
     "length",
-    "inversions",
     "descents",
     "ascents",
-    "fixed_points",
     "key",
     "bruhat_leq",
     "bruhat_leq_subword_oracle",
     "reduced_word",
-    "rothe_diagram",
-    "word_x_of_rothe",
-    "grassmannian_shape",
 ]
 
 Permutation = tuple[int, ...]
 Word = tuple[int, ...]  # letters i stand for adjacent transpositions s_i
 Box = tuple[int, int]  # (row, column), 1-indexed, row 1 at the top
-BoxSet = frozenset[Box]
 # key(u): n-1 columns, column j holds sorted {u(1), ..., u(n-j)}
 Key = tuple[tuple[int, ...], ...]
 
@@ -68,15 +51,6 @@ def identity(n: int) -> Permutation:
     (1, 2, 3, 4)
     """
     return tuple(range(1, n + 1))
-
-
-def longest(n: int) -> Permutation:
-    """The longest element (n, n-1, ..., 1).
-
-    >>> longest(4)
-    (4, 3, 2, 1)
-    """
-    return tuple(range(n, 0, -1))
 
 
 def is_permutation(p: tuple[int, ...]) -> bool:
@@ -107,17 +81,6 @@ def all_permutations(n: int) -> Iterator[Permutation]:
     return _raw_permutations(range(1, n + 1))
 
 
-def compose(a: Permutation, b: Permutation) -> Permutation:
-    """The composite ``i -> a(b(i))``.
-
-    >>> compose((2, 1, 3), (1, 3, 2))
-    (2, 3, 1)
-    """
-    if len(a) != len(b):
-        raise SizeMismatchError(f"compose: sizes {len(a)} != {len(b)}")
-    return tuple(a[x - 1] for x in b)
-
-
 def inverse(u: Permutation) -> Permutation:
     """The inverse permutation.
 
@@ -128,19 +91,6 @@ def inverse(u: Permutation) -> Permutation:
     for i, x in enumerate(u, start=1):
         out[x - 1] = i
     return tuple(out)
-
-
-def simple(n: int, i: int) -> Permutation:
-    """The adjacent transposition swapping i and i+1.
-
-    >>> simple(4, 2)
-    (1, 3, 2, 4)
-    """
-    if not 1 <= i <= n - 1:
-        raise DomainError(f"simple reflection index {i} out of range for n={n}")
-    p = list(range(1, n + 1))
-    p[i - 1], p[i] = p[i], p[i - 1]
-    return tuple(p)
 
 
 def right_multiply(u: Permutation, i: int) -> Permutation:
@@ -154,33 +104,6 @@ def right_multiply(u: Permutation, i: int) -> Permutation:
     p = list(u)
     p[i - 1], p[i] = p[i], p[i - 1]
     return tuple(p)
-
-
-def word_to_perm(n: int, word: Word) -> Permutation:
-    """Evaluate a word in adjacent transpositions, multiplying left to right.
-
-    >>> word_to_perm(3, (1, 2))
-    (2, 3, 1)
-    """
-    p = identity(n)
-    for letter in word:
-        p = right_multiply(p, letter)
-    return p
-
-
-def inversions(u: Permutation) -> frozenset[tuple[int, int]]:
-    """Value pairs (a, b) with a < b and a appearing after b in ``u``.
-
-    >>> sorted(inversions((3, 1, 2)))
-    [(1, 3), (2, 3)]
-    """
-    pos = inverse(u)
-    n = len(u)
-    return frozenset(
-        (a, b)
-        for a, b in combinations(range(1, n + 1), 2)
-        if pos[a - 1] > pos[b - 1]
-    )
 
 
 def length(u: Permutation) -> int:
@@ -209,15 +132,6 @@ def ascents(u: Permutation) -> tuple[int, ...]:
     (2,)
     """
     return tuple(i for i in range(1, len(u)) if u[i - 1] < u[i])
-
-
-def fixed_points(u: Permutation) -> tuple[int, ...]:
-    """Positions i with u(i) = i.
-
-    >>> fixed_points((1, 3, 2, 4))
-    (1, 4)
-    """
-    return tuple(i for i in range(1, len(u) + 1) if u[i - 1] == i)
 
 
 def key(u: Permutation) -> Key:
@@ -253,8 +167,6 @@ def reduced_word(u: Permutation) -> Word:
 
     >>> reduced_word((3, 2, 1))
     (2, 1, 2)
-    >>> word_to_perm(3, reduced_word((3, 2, 1)))
-    (3, 2, 1)
     """
     word = []
     d = descents(u)
@@ -292,70 +204,3 @@ def bruhat_leq_subword_oracle(u: Permutation, v: Permutation) -> bool:
                 extended.add(right_multiply(z, letter))
         reachable |= extended
     return u in reachable
-
-
-def rothe_diagram(u: Permutation) -> BoxSet:
-    """Boxes (i, j) with u(i) < j and u^{-1}(j) > i.
-
-    >>> sorted(rothe_diagram((1, 2, 3)))
-    [(1, 2), (1, 3), (2, 3)]
-    >>> rothe_diagram((3, 2, 1))
-    frozenset()
-    >>> len(rothe_diagram((3, 1, 2))) == comb(3, 2) - length((3, 1, 2))
-    True
-    """
-    n = len(u)
-    uinv = inverse(u)
-    return frozenset(
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(u[i - 1] + 1, n + 1)
-        if uinv[j - 1] > i
-    )
-
-
-def word_x_of_rothe(u: Permutation) -> Word:
-    """Letters of the Rothe boxes read bottom-to-top, right-to-left.
-
-    The box in row i that is h-th from the right of its row contributes the
-    letter i + h - 1.  The resulting word multiplies ``u`` up to the longest
-    element and is reduced.
-
-    >>> word_x_of_rothe((5, 3, 1, 6, 2, 7, 4))
-    (5, 6, 4, 3, 4, 5, 6, 2, 3, 4, 1, 2)
-    >>> word_to_perm(7, word_x_of_rothe((5, 3, 1, 6, 2, 7, 4))) == \\
-    ...     compose(inverse((5, 3, 1, 6, 2, 7, 4)), longest(7))
-    True
-    """
-    n = len(u)
-    boxes = rothe_diagram(u)
-    letters: list[int] = []
-    for i in range(n, 0, -1):
-        row = sorted((j for (r, j) in boxes if r == i), reverse=True)
-        for h, _ in enumerate(row, start=1):
-            letters.append(i + h - 1)
-    return tuple(letters)
-
-
-def grassmannian_shape(w: Permutation, k: int | None = None) -> tuple[int, ...]:
-    """Partition attached to a permutation with at most one descent.
-
-    With the descent at position k, part i counts the inversions whose larger
-    entry is w(k - i + 1).
-
-    >>> grassmannian_shape((4, 6, 1, 2, 3, 5))
-    (4, 3)
-    """
-    d = descents(w)
-    if len(d) > 1:
-        raise DomainError(f"more than one descent: {w!r}")
-    if k is None:
-        k = d[0] if d else 0
-    elif d and d[0] != k:
-        raise DomainError(f"descent of {w!r} is not at {k}")
-    n = len(w)
-    shape = []
-    for i in range(1, k + 1):
-        pos = k - i + 1
-        shape.append(sum(1 for j in range(pos + 1, n + 1) if w[pos - 1] > w[j - 1]))
-    return tuple(shape)

@@ -65,21 +65,15 @@ __all__ = [
     "PipeTrace",
     "dream_from_fill",
     "construct_fpp",
-    "exit_permutation",
     "trace_pipes",
     "right_exit_labels",
-    "bottom_exit_labels",
     "is_gamma_free",
-    "is_fpp",
     "box_order",
-    "word_x_of_boxes",
     "word_y_of_crosses",
     "cross_positions",
     "elbow_count",
     "restrict",
-    "trivial_completion",
     "rotate_le",
-    "unrotate_le",
     "enumerate_fpps",
     "enumerate_partial_fpps",
     "enumerate_le_dreams",
@@ -117,7 +111,7 @@ class PipeDream:
 
     ``grid`` holds one string of tile letters per row.  Construction checks
     every cell against the pivot layout; Rothe boxes must hold "X" or "E".
-    Gamma-freeness is *not* enforced here — see :func:`is_fpp`.
+    Gamma-freeness is *not* enforced here — see :func:`is_gamma_free`.
 
     >>> d = construct_fpp((1, 2, 3), (3, 1, 2))
     >>> d.grid
@@ -203,8 +197,6 @@ def _trusted_dream(cols: int, pivots: tuple[int, ...],
       the new row is its forced tiles plus a cross or an elbow on each box,
       and a pivot in a new column below every row changes no forced tile
       above it;
-    - the shifted dream of :func:`~flagpipes.flagbuild.extended_cover_dream`:
-      a valid dream behind a pivot-free column of vertical tiles;
     - :func:`~flagpipes.decperm.dle_of`: the 2-colored rows of the
       canonical FPP of an interval its caller has checked, each row a
       vertical tile left of its pivot and, right of it, a horizontal tile
@@ -378,32 +370,6 @@ def right_exit_labels(D: PipeDream) -> dict[int, int]:
             if side == "right"}
 
 
-def bottom_exit_labels(D: PipeDream) -> dict[int, int]:
-    """Map each bottom-exit column to the label of the pipe leaving there.
-
-    >>> bottom_exit_labels(restrict(construct_fpp((1, 2, 3), (3, 1, 2)), 1))
-    {2: 1, 3: 2}
-    """
-    exits, _ = _sweep(D)
-    return {index: label for label, (side, index) in enumerate(exits, start=1)
-            if side == "bottom"}
-
-
-def exit_permutation(D: PipeDream) -> Permutation:
-    """The permutation v with v(i) = label of the pipe exiting right at row i.
-
-    Only complete dreams (rows == cols) have one; partial dreams raise.
-
-    >>> exit_permutation(construct_fpp((1, 2, 3), (3, 1, 2)))
-    (3, 1, 2)
-    """
-    if not D.is_complete:
-        raise DomainError("exit_permutation needs a complete dream; "
-                          "use right_exit_labels for partial ones")
-    rights = right_exit_labels(D)
-    return tuple(rights[i] for i in range(1, D.rows + 1))
-
-
 def is_gamma_free(D: PipeDream) -> bool:
     """Blocking-pattern freeness via the subarea criterion.
 
@@ -435,15 +401,6 @@ def _gamma_free_exits(D: PipeDream) -> list[tuple[str, int]] | None:
     return exits
 
 
-def is_fpp(D: PipeDream) -> bool:
-    """True iff the (structurally valid) dream avoids the blocking pattern.
-
-    >>> is_fpp(construct_fpp((2, 4, 1, 3), (4, 2, 3, 1)))
-    True
-    """
-    return is_gamma_free(D)
-
-
 def box_order(D: PipeDream) -> tuple[tuple[Box, int], ...]:
     """Boxes read bottom-to-top, right-to-left, with their word letters.
 
@@ -458,16 +415,6 @@ def box_order(D: PipeDream) -> tuple[tuple[Box, int], ...]:
         for h, j in enumerate(cols, start=1):
             out.append(((i, j), i + h - 1))
     return tuple(out)
-
-
-def word_x_of_boxes(D: PipeDream) -> Word:
-    """All box letters in reading order; equals word_x_of_rothe(pivots) when
-    the dream is complete.
-
-    >>> word_x_of_boxes(construct_fpp((1, 2, 3), (3, 1, 2)))
-    (2, 1, 2)
-    """
-    return tuple(letter for _, letter in box_order(D))
 
 
 def word_y_of_crosses(D: PipeDream) -> Word:
@@ -513,25 +460,6 @@ def restrict(D: PipeDream, k: int) -> PipeDream:
     return _trusted_dream(D.cols, D.pivots[:k], D.grid[:k])
 
 
-def trivial_completion(D: PipeDream) -> PipeDream:
-    """Extend to a complete dream: remaining pivots descend, new boxes cross.
-
-    >>> trivial_completion(restrict(construct_fpp((1, 2, 3), (3, 1, 2)), 1)).pivots
-    (1, 3, 2)
-    """
-    if D.is_complete:
-        return D
-    n = D.cols
-    rest = sorted(set(range(1, n + 1)) - set(D.pivots), reverse=True)
-    pivots = D.pivots + tuple(rest)
-    fill: dict[Box, Tile] = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if _structural_tile(pivots, i, j) is None:
-                fill[(i, j)] = D.tile(i, j) if i <= D.rows else CROSS
-    return dream_from_fill(n, pivots, fill)
-
-
 @dataclass(frozen=True)
 class LeDream:
     """A rotated dream: ragged rows of crosses/elbows in partition shape.
@@ -539,8 +467,8 @@ class LeDream:
     Row r of the rotation lists the boxes of dream row k+1-r from right to
     left, so the shape is a partition (weakly decreasing row lengths) exactly
     because the pivots decrease.  ``cols`` is the ambient ground-set size and
-    ``pivots`` the decreasing pivot columns; both are kept so the rotation
-    inverts exactly.
+    ``pivots`` the decreasing pivot columns; both are kept, so distinct
+    dreams rotate to distinct LeDreams.
     """
 
     cols: int
@@ -595,28 +523,6 @@ def rotate_le(D: PipeDream) -> LeDream:
         cols = sorted(D.box_columns(i), reverse=True)
         rows.append("".join(D.tile(i, j) for j in cols))
     return LeDream(cols=D.cols, pivots=D.pivots, rows=tuple(rows))
-
-
-def unrotate_le(le: LeDream) -> PipeDream:
-    """Invert :func:`rotate_le`, returning the trivially completed dream.
-
-    >>> d = construct_fpp((2, 1, 3), (3, 2, 1))
-    >>> unrotate_le(rotate_le(d)) == d
-    True
-    """
-    k, n = len(le.pivots), le.cols
-    fill: dict[Box, Tile] = {}
-    for r in range(1, k + 1):
-        i = k + 1 - r
-        row_i = r  # rotated row r came from dream row k+1-r
-        boxes = sorted(
-            (j for j in range(le.pivots[i - 1] + 1, n + 1)
-             if _structural_tile(le.pivots, i, j) is None),
-            reverse=True)
-        for c, j in enumerate(boxes, start=1):
-            fill[(i, j)] = le.rows[row_i - 1][c - 1]
-    partial = dream_from_fill(n, le.pivots, fill)
-    return trivial_completion(partial)
 
 
 def enumerate_fpps(n: int) -> Iterator[PipeDream]:

@@ -72,8 +72,12 @@ class QuotientPoset:
     def names(self) -> tuple[str, ...]:
         return tuple(w.to_string() for w in self.decperms)
 
+    @cached_property
+    def _by_rank(self) -> tuple[tuple[int, ...], ...]:
+        return _indices_by_rank(self.n, self.elements)
+
     def rank_indices(self, k: int) -> tuple[int, ...]:
-        return tuple(i for i, p in enumerate(self.elements) if p.rank == k)
+        return self._by_rank[k] if 0 <= k <= self.n else ()
 
     @property
     def bottom(self) -> int:
@@ -82,6 +86,15 @@ class QuotientPoset:
     @property
     def top(self) -> int:
         return self.rank_indices(self.n)[0]
+
+
+def _indices_by_rank(n: int, elements) -> tuple[tuple[int, ...], ...]:
+    """The indices of the elements of each rank 0..n, in element order,
+    from one scan of ``elements``."""
+    by_rank: list[list[int]] = [[] for _ in range(n + 1)]
+    for i, p in enumerate(elements):
+        by_rank[p.rank].append(i)
+    return tuple(map(tuple, by_rank))
 
 
 def build_poset(n: int, flavor: str = "representable") -> QuotientPoset:
@@ -125,9 +138,7 @@ def build_poset(n: int, flavor: str = "representable") -> QuotientPoset:
                          in _right_shift_walk(w, "covers_by_shift"))
     else:
         inc = [rank_increments(p.bases) for p in elements]
-        by_rank: list[list[int]] = [[] for _ in range(n + 1)]
-        for i, p in enumerate(elements):
-            by_rank[p.rank].append(i)
+        by_rank = _indices_by_rank(n, elements)
         for lower, upper in zip(by_rank, by_rank[1:]):
             edges.extend((i, j) for i in lower for j in upper
                          if inc[i] & ~inc[j] == 0)
@@ -177,15 +188,22 @@ def iter_maximal_chains(poset: QuotientPoset) -> Iterator[tuple[Positroid, ...]]
     yield from walk()
 
 
-def missing_covers(n: int) -> tuple[tuple[str, str], ...]:
+def missing_covers(rep: QuotientPoset,
+                   mat: QuotientPoset) -> tuple[tuple[str, str], ...]:
     """Matroidal cover pairs that no row-append realizes, as boundary-text
-    pairs (lower, upper), sorted.
+    pairs (lower, upper), sorted: the covers of the matroidal poset ``mat``
+    that the representable poset ``rep`` on the same [n] lacks.
 
-    >>> missing_covers(3)
+    >>> missing_covers(build_poset(3), build_poset(3, "matroidal"))
     (('3o1u2u', '3o2o1u'), ('3o2u1u', '2o3o1u'), ('3o2u1u', '3o2o1u'))
     """
-    rep = build_poset(n, "representable")
-    mat = build_poset(n, "matroidal")
+    if rep.flavor != "representable" or mat.flavor != "matroidal":
+        raise DomainError(f"missing_covers compares a representable and a "
+                          f"matroidal poset, got {rep.flavor!r} and "
+                          f"{mat.flavor!r}")
+    if rep.n != mat.n:
+        raise SizeMismatchError(f"missing_covers: posets on [{rep.n}] and "
+                                f"[{mat.n}]")
     rep_edges = {(rep.names[a], rep.names[b]) for a, b in rep.covers}
     mat_edges = {(mat.names[a], mat.names[b]) for a, b in mat.covers}
     if not rep_edges <= mat_edges:

@@ -1,4 +1,4 @@
-"""Positroids as decreasing-pivot dreams: quotients, standardization, duality.
+"""Positroids as decreasing-pivot dreams: matroid tests, quotients, standardization.
 
 A positroid of rank k on [n] is canonically represented by a k-row partial
 dream whose pivot columns strictly decrease; identity, equality and hashing
@@ -40,9 +40,7 @@ from .pipedream import (
 __all__ = [
     "Positroid",
     "is_matroid",
-    "dual",
     "subset_rank",
-    "closure",
     "rank_increments",
     "is_quotient",
     "unblocked_columns",
@@ -73,17 +71,6 @@ def is_matroid(B: BasisSet) -> bool:
     return True
 
 
-def dual(B: BasisSet) -> BasisSet:
-    """Complement every basis within its ground set.
-
-    >>> dual(basis_set(4, [{2, 4}])).bases
-    ((1, 3),)
-    """
-    ground = set(B.ground)
-    return basis_set(B.n, (ground - set(b) for b in B.bases),
-                     offset_zero=B.offset_zero)
-
-
 def subset_rank(B: BasisSet, S) -> int:
     """Rank of a subset of the ground set: the largest overlap with a basis.
 
@@ -92,18 +79,6 @@ def subset_rank(B: BasisSet, S) -> int:
     """
     S = set(S)
     return max(len(S.intersection(b)) for b in B.bases)
-
-
-def closure(B: BasisSet, S) -> frozenset:
-    """All ground elements whose addition leaves the rank of S unchanged.
-
-    >>> sorted(closure(basis_set(3, [{1}, {3}]), {1}))
-    [1, 2, 3]
-    """
-    S = set(S)
-    r = subset_rank(B, S)
-    return frozenset(e for e in B.ground
-                     if e in S or subset_rank(B, S | {e}) == r)
 
 
 def rank_increments(B: BasisSet) -> int:
@@ -222,11 +197,6 @@ def _exchange(pivots: list[int], rows: list[list[str]], i: int) -> None:
     pivots[i - 1], pivots[i] = b, a
 
 
-def _check_row_pair(D: PipeDream, i: int) -> None:
-    if not 1 <= i <= D.rows - 1:
-        raise DomainError(f"row index {i} out of range for {D.rows} rows")
-
-
 def standardize_step(D: PipeDream, i: int) -> PipeDream:
     """Exchange pivot rows i and i+1 when their pivots ascend.
 
@@ -252,7 +222,8 @@ def standardize_step(D: PipeDream, i: int) -> PipeDream:
     >>> standardize_step(d, 1).grid
     ('VPX', 'PHX')
     """
-    _check_row_pair(D, i)
+    if not 1 <= i <= D.rows - 1:
+        raise DomainError(f"row index {i} out of range for {D.rows} rows")
     if D.pivots[i - 1] > D.pivots[i]:
         return D
     pivots = list(D.pivots)
@@ -260,19 +231,6 @@ def standardize_step(D: PipeDream, i: int) -> PipeDream:
     _exchange(pivots, rows, i)
     return _trusted_dream(D.cols, tuple(pivots),
                           tuple("".join(row) for row in rows))
-
-
-def exchange_column(D: PipeDream, i: int) -> int | None:
-    """The column j* used by :func:`standardize_step`, or None.
-
-    The exit labels of rows i and i+1 swap exactly when this is not None.
-    """
-    _check_row_pair(D, i)
-    b = D.pivots[i]
-    if D.pivots[i - 1] > b:
-        return None
-    x = _exchange_index(D.grid[i - 1], D.grid[i], b)
-    return None if x is None else x + 1
 
 
 def _least_ascent(pivots: list[int], start: int) -> int | None:

@@ -210,7 +210,7 @@ def check_poset_facts() -> tuple[bool, str]:
               and maximal_chain_count(mat3) == 22)
     if not counts:
         return False, "n=3 element/chain counts off"
-    missing = missing_covers(3)
+    missing = missing_covers(rep3, mat3)
     by_bases = []
     for a, b in missing:
         pa = positroid_of(parse_decperm(a)).bases.bases

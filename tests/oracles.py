@@ -6,7 +6,11 @@ fraction-free elimination, rank-axiom checks instead of basis exchange,
 sorted-prefix scans written out from scratch, and so on.  Nothing under
 ``src/`` imports this module; agreement between the two routes is what the
 comparison tests certify.  Everything is exponential-time and meant for the
-tiny sizes the tests use.
+tiny sizes the tests use.  A few plain helpers that only the tests and the
+routes here need (permutation composition and words, the dual of a basis
+family, the exit permutation and trivial completion of a dream, the list of
+every decorated permutation, the 0-embedding dream of a cover) live here
+too, rather than in the library.
 """
 
 from __future__ import annotations
@@ -27,9 +31,10 @@ from flagpipes.exceptions import (
     MalformedDreamError,
     NotACoverError,
     NotUnblockedError,
+    SizeMismatchError,
 )
 from flagpipes.flagbuild import append_row
-from flagpipes.perm import compose, inverse
+from flagpipes.perm import all_permutations, identity, inverse, right_multiply
 from flagpipes.pipedream import (
     CROSS,
     ELBOW,
@@ -41,11 +46,11 @@ from flagpipes.pipedream import (
     _structural_tile,
     construct_fpp,
     dream_from_fill,
-    exit_permutation,
     is_gamma_free,
     restrict,
-    trivial_completion,
+    right_exit_labels,
 )
+from flagpipes.pathgraph import basis_set
 from flagpipes.poset import QuotientPoset
 from flagpipes.positroid import (
     Positroid,
@@ -130,6 +135,52 @@ def flag_minors_by_slicing(A, ranks) -> dict:
     return out
 
 
+# --------------------------------------------------------- permutation algebra
+
+def longest(n: int):
+    """The longest element (n, n-1, ..., 1)."""
+    return tuple(range(n, 0, -1))
+
+
+def compose(a, b):
+    """The composite ``i -> a(b(i))``."""
+    if len(a) != len(b):
+        raise SizeMismatchError(f"compose: sizes {len(a)} != {len(b)}")
+    return tuple(a[x - 1] for x in b)
+
+
+def word_to_perm(n: int, word):
+    """Evaluate a word in adjacent transpositions, multiplying left to right."""
+    p = identity(n)
+    for letter in word:
+        p = right_multiply(p, letter)
+    return p
+
+
+def inversions(u) -> frozenset[tuple[int, int]]:
+    """Value pairs (a, b) with a < b and a appearing after b in ``u``."""
+    pos = inverse(u)
+    n = len(u)
+    return frozenset(
+        (a, b)
+        for a, b in combinations(range(1, n + 1), 2)
+        if pos[a - 1] > pos[b - 1]
+    )
+
+
+def rothe_reading_word(u):
+    """Letters of the Rothe diagram {(i, j) : u(i) < j and u^{-1}(j) > i},
+    read bottom to top and each row right to left: the h-th box from the
+    right in row i carries the letter i + h - 1."""
+    n = len(u)
+    pos = inverse(u)
+    letters = []
+    for i in range(n, 0, -1):
+        boxes = sum(1 for j in range(u[i - 1] + 1, n + 1) if pos[j - 1] > i)
+        letters.extend(range(i, i + boxes))
+    return tuple(letters)
+
+
 # ------------------------------------------------------------ Bruhat interval
 
 def sorted_prefix_leq(u, v) -> bool:
@@ -156,6 +207,13 @@ def interval_restriction_bases(u, v, k: int) -> tuple[tuple[int, ...], ...]:
 
 
 # ------------------------------------------------------------------- matroids
+
+def dual(B):
+    """Complement every basis within its ground set."""
+    ground = set(B.ground)
+    return basis_set(B.n, (ground - set(b) for b in B.bases),
+                     offset_zero=B.offset_zero)
+
 
 def max_overlap_rank(bases, S) -> int:
     S = set(S)
@@ -461,6 +519,49 @@ def nep_values(A) -> tuple[int, ...]:
 
 
 # ------------------------------------------------------------ boundary data
+
+def exit_permutation(D):
+    """The permutation v with v(i) = label of the pipe exiting right at row i.
+
+    Only complete dreams (rows == cols) have one; partial dreams raise.
+    """
+    if not D.is_complete:
+        raise DomainError("exit_permutation needs a complete dream; "
+                          "use right_exit_labels for partial ones")
+    rights = right_exit_labels(D)
+    return tuple(rights[i] for i in range(1, D.rows + 1))
+
+
+def trivial_completion(D) -> PipeDream:
+    """Extend to a complete dream: remaining pivots descend, new boxes cross."""
+    if D.is_complete:
+        return D
+    n = D.cols
+    rest = sorted(set(range(1, n + 1)) - set(D.pivots), reverse=True)
+    pivots = D.pivots + tuple(rest)
+    fill = {}
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if _structural_tile(pivots, i, j) is None:
+                fill[(i, j)] = D.tile(i, j) if i <= D.rows else CROSS
+    return dream_from_fill(n, pivots, fill)
+
+
+def all_decperms(n: int) -> list[DecoratedPermutation]:
+    """Every decorated permutation on [n]: each permutation with each choice
+    of fixed-point colors."""
+    out = []
+    for w in all_permutations(n):
+        fixed = [j for j in range(1, n + 1) if w[j - 1] == j]
+        for r in range(len(fixed) + 1):
+            for two_colored in combinations(fixed, r):
+                chosen = set(two_colored)
+                color = tuple(
+                    2 if v > j or (v == j and j in chosen) else 1
+                    for j, v in enumerate(w, 1))
+                out.append(DecoratedPermutation(w, color))
+    return out
+
 
 def decperm_via_completion(D) -> DecoratedPermutation:
     """Boundary data through the trivial completion: standardize, complete

@@ -1,0 +1,152 @@
+"""Guards on the library's public surface: every public name has a caller,
+and every cross-reference in a docstring names something that exists."""
+
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "flagpipes"
+CALLERS = (sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+           + sorted((ROOT / "perfbench").rglob("*.py")))
+
+# Public names kept without a caller, each for a stated reason.
+KEPT = {
+    ("__init__", "__version__"): "package metadata",
+    ("flagbuild", "phi"): "the paper's elementary-quotient embedding",
+    ("flagbuild", "psi"): "the inverse of that embedding",
+    ("positroid", "subset_rank"):
+        "the benchmark counts its calls (positroid.subset_rank.calls)",
+    ("ratmat", "matroid_of_matrix"): "awaits the witness-matrix builder",
+    ("ratmat", "is_complete_nonneg_representation"):
+        "awaits the witness-matrix builder",
+}
+
+ROLE = re.compile(r":(?:func|meth|class):`~?([\w.]+)`")
+
+
+def _module(stem: str):
+    """The package module of a file stem under ``src/flagpipes``."""
+    return importlib.import_module(
+        "flagpipes" if stem == "__init__" else f"flagpipes.{stem}")
+
+
+def _bindings(tree):
+    """Local names bound by imports from the package: names to (module,
+    name) pairs, and module aliases to module names."""
+    names, modules = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if not node.level:
+                if base != "flagpipes" and not base.startswith("flagpipes."):
+                    continue
+                base = base[len("flagpipes"):].lstrip(".")
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if base:
+                    names[local] = (base, alias.name)
+                else:
+                    modules[local] = alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("flagpipes.") and alias.asname:
+                    modules[alias.asname] = alias.name.split(".", 1)[1]
+    return names, modules
+
+
+def _defined(stmt) -> set[str]:
+    """The names a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return {t.id for t in targets if isinstance(t, ast.Name)}
+    return set()
+
+
+def _references(path: Path) -> set[tuple[str, str]]:
+    """Every (module, name) of the package that the code of one file uses,
+    leaving out a name's uses inside its own definition."""
+    tree = ast.parse(path.read_text())
+    here = path.stem if path.parent == PACKAGE else None
+    names, modules = _bindings(tree)
+    refs = set()
+    for stmt in tree.body:
+        own = {(here, name) for name in _defined(stmt)}
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                ref = names.get(node.id, (here, node.id))
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in modules):
+                ref = (modules[node.value.id], node.attr)
+            else:
+                continue
+            if ref not in own:
+                refs.add(ref)
+    return refs
+
+
+def test_every_public_name_has_a_caller():
+    used = set().union(*map(_references, CALLERS))
+    public = {(path.stem, name) for path in sorted(PACKAGE.glob("*.py"))
+              for name in _module(path.stem).__all__}
+    assert set(KEPT) <= public
+    assert sorted(public - used - set(KEPT)) == []
+
+
+def test_the_caller_scan_sees_module_attributes_and_imports():
+    refs = _references(ROOT / "perfbench" / "workloads.py")
+    assert ("pipedream", "trace_pipes") in refs
+    assert ("perm", "inversions") not in refs  # a local function of that name
+    assert ("positroid", "is_lpm") in _references(
+        ROOT / "scripts" / "survey_covers.py")
+
+
+def _cross_references():
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)):
+                for target in ROLE.findall(ast.get_docstring(node) or ""):
+                    yield path.stem, target
+
+
+def _resolves(module: str, target: str) -> bool:
+    if target.startswith("flagpipes."):
+        parts = target.split(".")
+        for cut in range(len(parts), 0, -1):
+            try:
+                obj = importlib.import_module(".".join(parts[:cut]))
+            except ImportError:
+                continue
+            rest = parts[cut:]
+            break
+    else:
+        obj, rest = _module(module), target.split(".")
+    for part in rest:
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_docstring_cross_references_resolve():
+    refs = list(_cross_references())
+    assert len(refs) >= 40
+    assert [r for r in refs if not _resolves(*r)] == []
+
+
+@pytest.mark.parametrize("module,target,ok", [
+    ("decperm", "DecoratedPermutation.to_string", True),
+    ("positroid", "flagpipes.decperm.dle_of", True),
+    ("pipedream", "is_fpp", False),
+    ("positroid", "flagpipes.decperm.no_such_name", False),
+])
+def test_cross_reference_resolution(module, target, ok):
+    assert _resolves(module, target) is ok

@@ -10,6 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import flagpipes.poset as poset_module
 import flagpipes.serialize as ser
 from flagpipes.cli import main
 from flagpipes.decperm import decperm_of, parse_decperm
@@ -299,6 +300,27 @@ class TestPoset:
         code, out, _ = run(capsys, "poset", "3", "--dot")
         assert code == 0
         assert out.count("style=dashed") == 0
+
+    def test_matroidal_dot_builds_each_poset_once(self, capsys, monkeypatch):
+        built = []
+        real = poset_module.build_poset
+
+        def counting(n, flavor="representable"):
+            built.append((n, flavor))
+            return real(n, flavor)
+
+        monkeypatch.setattr(poset_module, "build_poset", counting)
+        code, out, _ = run(capsys, "poset", "4", "--flavor", "matroidal",
+                           "--dot")
+        assert code == 0 and "style=dashed" in out
+        assert sorted(built) == [(4, "matroidal"), (4, "representable")]
+
+    def test_stats_and_dot_together_are_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["poset", "3", "--stats", "--dot"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not allowed" in captured.err
 
     def test_guard(self, capsys):
         code, _, err = run(capsys, "poset", "5", "--flavor", "matroidal")

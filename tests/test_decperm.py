@@ -11,12 +11,10 @@ from conftest import assert_rebuilds
 from flagpipes import decperm as decperm_module
 from flagpipes.decperm import (
     DecoratedPermutation,
-    all_decperms,
     covered_by_shift,
     covers_by_shift,
     decperm_of,
     dle_of,
-    dual_positroid,
     inverse_decperm,
     left_cyclic_shift,
     left_unblocked_positions,
@@ -41,7 +39,8 @@ from flagpipes.pipedream import (
     restrict,
 )
 from flagpipes.poset import build_poset
-from flagpipes.positroid import dual, enumerate_positroids, unblocked_columns
+from flagpipes.positroid import enumerate_positroids, unblocked_columns
+from oracles import all_decperms, dual
 
 
 def decperms(max_n: int = 6):
@@ -404,7 +403,9 @@ class TestDuality:
         assert inverse_decperm(inverse_decperm(dp)) == dp
         assert inverse_decperm(dp).rank == dp.n - dp.rank
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_dual_positroid_complements_bases(self, n):
+        """The positroid of the inverse boundary data is the dual."""
         for P in enumerate_positroids(n):
-            assert dual_positroid(P).bases == dual(P.bases)
+            Q = positroid_of(inverse_decperm(decperm_of(P.dream)))
+            assert Q.bases == dual(P.bases)

@@ -29,7 +29,6 @@ from flagpipes.flagbuild import (
     FlagPositroid,
     append_row,
     cover_choice,
-    extended_cover_dream,
     flag_of_fpp,
     phi,
     psi,
@@ -311,30 +310,28 @@ class TestFlag:
 class TestEmbedding:
     def test_extended_dream_golden(self):
         p = Positroid.from_dream(dream_from_fill(4, (4, 2), {(2, 3): "X"}))
-        assert extended_cover_dream(p, (1, 3)).grid == (
+        assert oracles.extended_cover_dream_by_hand(p, (1, 3)).grid == (
             "VVVVP", "VVPXH", "PEHEH")
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_extended_dream_matches_the_tile_rule(self, n):
+        """The 0-embedding dream of the cover along C is P's dream behind
+        a new vertical column for the element 0, with a row appended along
+        that column and the shifted C."""
         for P in enumerate_positroids(n):
+            D = P.dream
+            shifted = PipeDream(D.cols + 1, tuple(p + 1 for p in D.pivots),
+                                tuple("V" + row for row in D.grid))
             U = P.unblocked
             for r in range(1, len(U) + 1):
                 for C in combinations(U, r):
-                    D = extended_cover_dream(P, C)
-                    assert_rebuilds(D)
-                    assert D == oracles.extended_cover_dream_by_hand(P, C)
-
-    def test_extended_dream_choice_errors(self):
-        p = Positroid.from_dream(dream_from_fill(4, (4, 2), {(2, 3): "X"}))
-        assert p.unblocked == (1, 3)
-        with pytest.raises(EmptyChoiceError):
-            extended_cover_dream(p, ())
-        for blocked in (2, 4):
-            with pytest.raises(NotUnblockedError) as info:
-                extended_cover_dream(p, (1, blocked))
-            assert info.value.column == blocked
+                    ext = append_row(shifted, (1,) + tuple(c + 1 for c in C))
+                    assert_rebuilds(ext)
+                    assert ext == oracles.extended_cover_dream_by_hand(P, C)
 
     def test_extended_dream_carries_phi_bases(self):
+        """The 0-embedding of a cover pair is the positroid of the
+        extended dream, ground set shifted by one."""
         for n in (2, 3):
             for P in enumerate_positroids(n):
                 if P.rank == n:
@@ -344,7 +341,8 @@ class TestEmbedding:
                     for C in combinations(U, r):
                         Q = Positroid.from_dream(append_row(P.dream, C))
                         R = phi(P, Q)
-                        ext = bases_of(extended_cover_dream(P, C))
+                        ext = bases_of(
+                            oracles.extended_cover_dream_by_hand(P, C))
                         shifted = tuple(tuple(x - 1 for x in b)
                                         for b in ext.bases)
                         assert shifted == R.bases

@@ -1,4 +1,5 @@
-"""Permutation layer: composition algebra, Bruhat order, Rothe diagrams."""
+"""Permutation layer: composition algebra, Bruhat order, reduced words, and
+Rothe diagrams (the box sets of complete dreams)."""
 
 from math import comb
 
@@ -13,25 +14,18 @@ from flagpipes.perm import (
     ascents,
     bruhat_leq,
     bruhat_leq_subword_oracle,
-    compose,
     descents,
-    fixed_points,
-    grassmannian_shape,
     identity,
     inverse,
-    inversions,
     is_permutation,
     key,
     length,
-    longest,
     reduced_word,
-    rothe_diagram,
-    simple,
     right_multiply,
     validate_permutation,
-    word_to_perm,
-    word_x_of_rothe,
 )
+from flagpipes.pipedream import box_order, construct_fpp
+from oracles import compose, inversions, longest, word_to_perm
 
 
 class TestBasics:
@@ -74,12 +68,9 @@ class TestBasics:
             compose((1, 2), (1, 2, 3))
 
     def test_simple_and_right_multiply(self):
-        assert simple(4, 2) == (1, 3, 2, 4)
         assert right_multiply((3, 1, 2), 1) == (1, 3, 2)
-        # right multiplication by s_i equals composition with simple(n, i)
-        assert right_multiply((3, 1, 2), 2) == compose((3, 1, 2), simple(3, 2))
-        with pytest.raises(DomainError):
-            simple(3, 3)
+        # right multiplication by s_2 equals composition with (1, 3, 2)
+        assert right_multiply((3, 1, 2), 2) == compose((3, 1, 2), (1, 3, 2))
         with pytest.raises(DomainError):
             right_multiply((2, 1), 2)
 
@@ -91,10 +82,6 @@ class TestBasics:
     def test_descents_ascents_partition(self, w):
         n = len(w)
         assert sorted(descents(w) + ascents(w)) == list(range(1, n))
-
-    def test_fixed_points(self):
-        assert fixed_points((1, 3, 2, 4)) == (1, 4)
-        assert fixed_points(longest(4)) == ()
 
 
 class TestWords:
@@ -167,43 +154,33 @@ class TestBruhat:
 
 
 class TestRothe:
+    """The Rothe diagram {(i, j) : u(i) < j and u^{-1}(j) > i} is the box
+    set of every complete dream with pivots u; its reading word is the
+    letter sequence of :func:`box_order`."""
+
+    @staticmethod
+    def dream(u):
+        return construct_fpp(u, longest(len(u)))
+
     def test_goldens(self):
-        assert sorted(rothe_diagram((1, 2, 3))) == [(1, 2), (1, 3), (2, 3)]
-        assert rothe_diagram((3, 2, 1)) == frozenset()
+        assert list(self.dream((1, 2, 3)).boxes()) == [(1, 2), (1, 3), (2, 3)]
+        assert list(self.dream((3, 2, 1)).boxes()) == []
 
     @given(sized_permutations())
     def test_box_count_complements_length(self, w):
-        assert len(rothe_diagram(w)) == comb(len(w), 2) - length(w)
+        assert len(list(self.dream(w).boxes())) == comb(len(w), 2) - length(w)
 
     @given(sized_permutations(max_n=5))
     def test_word_x_lifts_to_longest(self, w):
         n = len(w)
-        word = word_x_of_rothe(w)
+        word = tuple(letter for _, letter in box_order(self.dream(w)))
         assert len(word) == comb(n, 2) - length(w)
         target = compose(inverse(w), longest(n))
         assert word_to_perm(n, word) == target
         assert length(target) == len(word)  # the word is reduced
 
     def test_word_x_golden(self):
-        assert word_x_of_rothe((5, 3, 1, 6, 2, 7, 4)) == (
+        D = self.dream((5, 3, 1, 6, 2, 7, 4))
+        assert tuple(letter for _, letter in box_order(D)) == (
             5, 6, 4, 3, 4, 5, 6, 2, 3, 4, 1, 2)
 
-
-class TestGrassmannianShape:
-    def test_golden(self):
-        assert grassmannian_shape((4, 6, 1, 2, 3, 5)) == (4, 3)
-        assert grassmannian_shape(identity(4)) == ()
-
-    def test_rejects_two_descents(self):
-        with pytest.raises(DomainError):
-            grassmannian_shape((2, 1, 4, 3))
-
-    def test_shape_size_is_length(self):
-        for w in all_permutations(5):
-            if len(descents(w)) <= 1:
-                assert sum(grassmannian_shape(w)) == length(w)
-
-    def test_explicit_k_must_match_descent(self):
-        assert grassmannian_shape(identity(4), 2) == (0, 0)
-        with pytest.raises(DomainError):
-            grassmannian_shape((1, 3, 2, 4), 1)

@@ -14,21 +14,12 @@ from flagpipes.exceptions import (
     NotComparableError,
     SizeMismatchError,
 )
-from flagpipes.perm import (
-    all_permutations,
-    bruhat_leq,
-    compose,
-    inverse,
-    length,
-    longest,
-    word_to_perm,
-    word_x_of_rothe,
-)
+from flagpipes.perm import all_permutations, bruhat_leq, inverse, length
 from flagpipes.pipedream import (
     LeDream,
     PipeDream,
     _fillings,
-    bottom_exit_labels,
+    box_order,
     construct_fpp,
     cross_positions,
     dream_from_fill,
@@ -36,17 +27,19 @@ from flagpipes.pipedream import (
     enumerate_fpps,
     enumerate_le_dreams,
     enumerate_partial_fpps,
-    exit_permutation,
-    is_fpp,
     is_gamma_free,
     restrict,
     right_exit_labels,
     rotate_le,
     trace_pipes,
-    trivial_completion,
-    unrotate_le,
-    word_x_of_boxes,
     word_y_of_crosses,
+)
+from oracles import (
+    compose,
+    exit_permutation,
+    longest,
+    trivial_completion,
+    word_to_perm,
 )
 
 
@@ -106,7 +99,7 @@ class TestConstruction:
                 assert D.pivots == u
                 assert exit_permutation(D) == v
                 assert elbow_count(D) == length(v) - length(u)
-                assert is_fpp(D)
+                assert is_gamma_free(D)
 
     @given(permutation_pairs(max_n=5))
     def test_construct_when_comparable(self, pair):
@@ -123,17 +116,18 @@ class TestTraces:
     def test_right_exit_labels_golden(self):
         D = construct_fpp((1, 2, 3), (3, 1, 2))
         assert right_exit_labels(D) == {2: 1, 3: 2, 1: 3}
-        assert bottom_exit_labels(D) == {}
+        assert all(t.exit_side == "right" for t in trace_pipes(D))
 
     def test_exits_partition_labels(self):
         for n in (2, 3):
             for k in range(n + 1):
                 for D in enumerate_partial_fpps(n, k):
                     rights = right_exit_labels(D)
-                    bottoms = bottom_exit_labels(D)
+                    bottoms = [t.label for t in trace_pipes(D)
+                               if t.exit_side == "bottom"]
                     assert len(rights) == k
                     assert sorted(rights) == list(range(1, k + 1))
-                    labels = sorted(list(rights.values()) + list(bottoms.values()))
+                    labels = sorted(list(rights.values()) + bottoms)
                     assert labels == list(range(1, n + 1))
                     assert len(trace_pipes(D)) == n
 
@@ -143,8 +137,6 @@ class TestTraces:
         assert trace_pipes(D) == walked
         assert list(right_exit_labels(D).items()) == [
             (t.exit_index, t.label) for t in walked if t.exit_side == "right"]
-        assert list(bottom_exit_labels(D).items()) == [
-            (t.exit_index, t.label) for t in walked if t.exit_side == "bottom"]
 
     def test_sweep_matches_the_walk_on_every_filling(self):
         count = 0
@@ -171,7 +163,8 @@ class TestWords:
     def test_x_word_matches_diagram_reading(self, n):
         for u in all_permutations(n):
             D = construct_fpp(u, longest(n))
-            assert word_x_of_boxes(D) == word_x_of_rothe(u)
+            word = tuple(letter for _, letter in box_order(D))
+            assert word == oracles.rothe_reading_word(u)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_y_word_evaluates_to_rotated_exit(self, n):
@@ -238,15 +231,18 @@ class TestRotation:
         assert L.pivots == (3, 1)
         assert L.shape == (4, 3)
 
-    def test_roundtrip_on_le_dreams(self):
-        for n in (3, 4):
-            for k in range(1, n + 1):
+    def test_rotation_is_injective_on_le_dreams(self):
+        rotated = set()
+        count = 0
+        for n in range(1, 5):
+            for k in range(n + 1):
                 for P in enumerate_le_dreams(n, k):
                     L = rotate_le(P)
                     assert L.shape == tuple(sorted(L.shape, reverse=True))
-                    back = unrotate_le(L)
-                    assert back == trivial_completion(P)
-                    assert restrict(back, P.rows) == P
+                    assert (L.cols, L.pivots) == (P.cols, P.pivots)
+                    rotated.add(L)
+                    count += 1
+        assert len(rotated) == count == 2 + 5 + 16 + 65
 
     def test_rejects_wrong_pivot_order(self):
         with pytest.raises(DomainError):
@@ -271,7 +267,7 @@ class TestEnumeration:
     def test_dreams_are_distinct_fpps(self):
         seen = set(enumerate_fpps(3))
         assert len(seen) == 19
-        assert all(is_fpp(D) for D in seen)
+        assert all(is_gamma_free(D) for D in seen)
 
     def test_partial_count_golden(self):
         assert sum(1 for _ in enumerate_partial_fpps(3, 2)) == 19

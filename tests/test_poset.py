@@ -24,6 +24,10 @@ from flagpipes.poset import (
 from flagpipes.positroid import enumerate_positroids, is_quotient
 
 
+def missing_at_three():
+    return missing_covers(build_poset(3), build_poset(3, "matroidal"))
+
+
 class TestBuild:
     def test_published_numbers_at_three(self):
         rep = build_poset(3)
@@ -43,6 +47,14 @@ class TestBuild:
             assert len(poset.rank_indices(k)) == by_rank[k]
         assert poset.elements[poset.bottom].rank == 0
         assert poset.elements[poset.top].rank == 3
+
+    @pytest.mark.parametrize("flavor", ["representable", "matroidal"])
+    def test_rank_indices_match_a_scan(self, flavor):
+        for n in range(5):
+            poset = build_poset(n, flavor)
+            for k in range(-1, n + 2):
+                assert poset.rank_indices(k) == tuple(
+                    i for i, p in enumerate(poset.elements) if p.rank == k)
 
     def test_edges_go_up_one_rank(self):
         for flavor in ("representable", "matroidal"):
@@ -99,7 +111,7 @@ class TestBuild:
 
 class TestMissingCovers:
     def test_exact_three_at_n_three(self):
-        assert missing_covers(3) == (
+        assert missing_at_three() == (
             ("3o1u2u", "3o2o1u"),
             ("3o2u1u", "2o3o1u"),
             ("3o2u1u", "3o2o1u"),
@@ -111,7 +123,15 @@ class TestMissingCovers:
         rep_edges = {(rep.names[a], rep.names[b]) for a, b in rep.covers}
         mat_edges = {(mat.names[a], mat.names[b]) for a, b in mat.covers}
         assert rep_edges < mat_edges
-        assert mat_edges - rep_edges == set(missing_covers(3))
+        assert mat_edges - rep_edges == set(missing_covers(rep, mat))
+
+    def test_refuses_posets_of_other_sizes_or_flavors(self):
+        rep, mat = build_poset(3), build_poset(3, "matroidal")
+        with pytest.raises(SizeMismatchError):
+            missing_covers(build_poset(2), mat)
+        for pair in ((mat, rep), (rep, rep), (mat, mat)):
+            with pytest.raises(DomainError, match="representable"):
+                missing_covers(*pair)
 
 
 class TestSelfDuality:
@@ -221,13 +241,13 @@ class TestExports:
 
     def test_dot_dashed_edges(self):
         mat = build_poset(3, "matroidal")
-        dot = export_dot(mat, dashed=missing_covers(3))
+        dot = export_dot(mat, dashed=missing_at_three())
         assert dot.count("[style=dashed]") == 3
         assert '"3o2u1u" -> "3o2o1u" [style=dashed];' in dot
 
     def test_dot_dashed_non_cover_is_drawn_once(self):
         rep = build_poset(3)
-        dot = export_dot(rep, dashed=missing_covers(3) + (("1u2u3u", "1o2u3u"),))
+        dot = export_dot(rep, dashed=missing_at_three() + (("1u2u3u", "1o2u3u"),))
         assert dot.count("[style=dashed]") == 4
         assert dot.count('"3o2u1u" -> "2o3o1u"') == 1
 
