@@ -81,7 +81,7 @@ def _read_json(path: str):
 
 def _dream_from_args(args):
     """A grid from --dream FILE, --decperm STR, or a u/v positional pair."""
-    if getattr(args, "dream", None):
+    if getattr(args, "dream", None) is not None:
         from .serialize import parse_any
 
         kind, value = parse_any(_read_json(args.dream))
@@ -90,11 +90,12 @@ def _dream_from_args(args):
         if kind == "dream":
             return value
         raise DomainError(f"{args.dream} holds a {kind}, not a grid")
-    if getattr(args, "decperm", None):
+    if getattr(args, "decperm", None) is not None:
         from .decperm import parse_decperm, positroid_of
 
         return positroid_of(parse_decperm(args.decperm)).dream
-    if getattr(args, "u", None) and getattr(args, "v", None):
+    if (getattr(args, "u", None) is not None
+            and getattr(args, "v", None) is not None):
         from .pipedream import construct_fpp
 
         return construct_fpp(_perm_arg(args.u), _perm_arg(args.v))
@@ -105,7 +106,7 @@ def _positroid_from_args(args):
     from .decperm import parse_decperm, positroid_of
     from .positroid import Positroid
 
-    if getattr(args, "decperm", None):
+    if getattr(args, "decperm", None) is not None:
         return positroid_of(parse_decperm(args.decperm))
     return Positroid.from_dream(_dream_from_args(args))
 

@@ -29,12 +29,10 @@ from .perm import (
     validate_permutation,
 )
 from .pipedream import (
-    HLINE,
-    PIVOT,
-    VLINE,
     PipeDream,
     _front_fill,
     _sweep,
+    _templates,
     _trusted_dream,
 )
 from .positroid import Positroid, _choice, _each_choice, standardize
@@ -196,17 +194,14 @@ def dle_of(dp: DecoratedPermutation) -> PipeDream:
     v = tuple(dp.perm[j - 1] for j in u)
     if not bruhat_leq(u, v):
         raise DomainError("decorated permutation has no gamma-free dream")
-    # Only the kept rows are rendered.  Their pivots descend, so every
-    # column left of row i's pivot is free above it (a vertical tile), and
-    # right of it a column is a pivot of a row above (horizontal) or a box.
+    # Only the kept rows are rendered: each a template with the front
+    # walk's cross or elbow on every box.
     fill = _front_fill(u, v)
-    rows = []
-    for i, p in enumerate(over, start=1):
-        above = over[:i - 1]
-        rows.append(VLINE * (p - 1) + PIVOT + "".join(
-            HLINE if j in above else fill[(i, j)]
-            for j in range(p + 1, dp.n + 1)))
-    return _trusted_dream(dp.n, tuple(over), tuple(rows))
+    pivots = tuple(over)
+    rows = tuple("".join(fill[(i, j)] if t is None else t
+                         for j, t in enumerate(row, start=1))
+                 for i, row in enumerate(_templates(dp.n, pivots), start=1))
+    return _trusted_dream(dp.n, pivots, rows)
 
 
 def positroid_of(dp: DecoratedPermutation) -> Positroid:

@@ -22,11 +22,8 @@ from .pathgraph import BasisSet, basis_set
 from .pipedream import (
     CROSS,
     ELBOW,
-    EMPTY,
-    HLINE,
-    PIVOT,
-    VLINE,
     PipeDream,
+    _templates,
     _trusted_dream,
     restrict,
 )
@@ -70,22 +67,13 @@ def append_row(D: PipeDream, C) -> PipeDream:
 def _appended(D: PipeDream, C) -> PipeDream:
     """:func:`append_row` along a sorted nonempty choice C that the caller
     has already checked against D's unblocked columns."""
-    p = C[0]
-    pivot_cols = set(D.pivots)
+    pivots = D.pivots + (C[0],)
+    *_, row = _templates(D.cols, pivots)
     chosen = set(C)
-    row = []
-    for j in range(1, D.cols + 1):
-        if j < p:
-            row.append(EMPTY if j in pivot_cols else VLINE)
-        elif j == p:
-            row.append(PIVOT)
-        elif j in pivot_cols:
-            row.append(HLINE)
-        elif j in chosen:
-            row.append(ELBOW)
-        else:
-            row.append(CROSS)
-    return _trusted_dream(D.cols, D.pivots + (p,), D.grid + ("".join(row),))
+    for j, t in enumerate(row, start=1):
+        if t is None:
+            row[j - 1] = ELBOW if j in chosen else CROSS
+    return _trusted_dream(D.cols, pivots, D.grid + ("".join(row),))
 
 
 def quotient_covers(P: Positroid) -> tuple[Positroid, ...]:

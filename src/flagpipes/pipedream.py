@@ -90,19 +90,32 @@ TILES = PIVOT + CROSS + ELBOW + HLINE + VLINE + EMPTY
 Tile = str  # one of TILES
 
 
-def _structural_tile(pivots: tuple[int, ...], i: int, j: int) -> Tile | None:
-    """The forced tile at (i, j), or None when (i, j) is a Rothe box."""
-    ui = pivots[i - 1]
-    if j == ui:
-        return PIVOT
-    try:
-        pivot_row: int | None = pivots.index(j) + 1
-    except ValueError:
-        pivot_row = None
-    below_or_absent = pivot_row is None or pivot_row > i
-    if j > ui:
-        return None if below_or_absent else HLINE
-    return VLINE if below_or_absent else EMPTY
+def _check_pivots(n: int, pivots: tuple[int, ...]) -> None:
+    """Raise unless ``pivots`` are at most n distinct columns in 1..n."""
+    k = len(pivots)
+    if k > n:
+        raise MalformedDreamError(f"more rows ({k}) than columns ({n})")
+    if len(set(pivots)) != k or not all(isinstance(c, int) and 1 <= c <= n
+                                        for c in pivots):
+        raise MalformedDreamError(f"pivots must be distinct in 1..{n}: "
+                                  f"{pivots!r}")
+
+
+def _templates(n: int, pivots: tuple[int, ...]) -> Iterator[list[Tile | None]]:
+    """Each row's forced tiles, top to bottom, with None on every Rothe box.
+
+    Left of its row's pivot a column is empty under a pivot above and
+    vertical otherwise; right of it, horizontal under a pivot above and a
+    box otherwise.  ``left`` and ``right`` hold those two tiles per column,
+    and a row's pivot changes its own column's entries for the rows below.
+    The pivots must already be checked (see :func:`_check_pivots`).
+    """
+    left: list[Tile | None] = [VLINE] * n
+    right: list[Tile | None] = [None] * n
+    for p in pivots:
+        yield left[:p - 1] + [PIVOT] + right[p:]
+        left[p - 1] = EMPTY
+        right[p - 1] = HLINE
 
 
 @dataclass(frozen=True)
@@ -128,22 +141,16 @@ class PipeDream:
         n, k = self.cols, len(self.pivots)
         if len(self.grid) != k:
             raise MalformedDreamError("one grid row per pivot required")
-        if k > n:
-            raise MalformedDreamError(f"more rows ({k}) than columns ({n})")
-        if len(set(self.pivots)) != k or not all(1 <= c <= n for c in self.pivots):
-            raise MalformedDreamError(f"pivots must be distinct in 1..{n}: "
-                                      f"{self.pivots!r}")
-        for i in range(1, k + 1):
-            row = self.grid[i - 1]
+        _check_pivots(n, self.pivots)
+        for i, (row, template) in enumerate(
+                zip(self.grid, _templates(n, self.pivots)), start=1):
             if len(row) != n:
                 raise MalformedDreamError(f"row {i} has length {len(row)}, "
                                           f"expected {n}")
-            for j in range(1, n + 1):
-                actual = row[j - 1]
+            for j, (actual, forced) in enumerate(zip(row, template), start=1):
                 if actual not in TILES:
                     raise MalformedDreamError(f"unknown tile {actual!r} at "
                                               f"({i}, {j})")
-                forced = _structural_tile(self.pivots, i, j)
                 if forced is None:
                     if actual not in (CROSS, ELBOW):
                         raise MalformedDreamError(
@@ -184,23 +191,18 @@ def _trusted_dream(cols: int, pivots: tuple[int, ...],
     constructor, for grids the library derives from pivots it chose or from
     a dream already valid, and that are valid by construction:
 
-    - the fillings of :func:`enumerate_partial_fpps` and
-      :func:`enumerate_le_dreams`: forced tiles plus a cross or an elbow on
-      every box;
+    - every row of :func:`_templates` with a cross or an elbow on each box:
+      the fillings of :func:`enumerate_partial_fpps` and
+      :func:`enumerate_le_dreams`, the new row of
+      :func:`~flagpipes.flagbuild.append_row` and the covers built from it,
+      and the 2-colored rows of :func:`~flagpipes.decperm.dle_of`, filled by
+      the front walk of an interval its caller has checked;
     - :func:`restrict`: a prefix of valid rows, whose forced tiles no
       dropped (lower) row could change;
     - :func:`~flagpipes.positroid.standardize` and
       :func:`~flagpipes.positroid.standardize_step`: the exchange rewrites a
       valid pair of rows into a valid pair, and every other row sees both
-      pivot columns on the same side as before;
-    - :func:`~flagpipes.flagbuild.append_row` and the covers built from it:
-      the new row is its forced tiles plus a cross or an elbow on each box,
-      and a pivot in a new column below every row changes no forced tile
-      above it;
-    - :func:`~flagpipes.decperm.dle_of`: the 2-colored rows of the
-      canonical FPP of an interval its caller has checked, each row a
-      vertical tile left of its pivot and, right of it, a horizontal tile
-      under a pivot above or the front walk's cross or elbow on a box.
+      pivot columns on the same side as before.
 
     Validation runs once, where grids enter from outside: the public
     constructor, :func:`dream_from_fill`, the JSON readers and the command
@@ -221,22 +223,18 @@ def dream_from_fill(n: int, pivots: tuple[int, ...],
     ('PEX',)
     """
     pivots = tuple(pivots)
-    k = len(pivots)
+    _check_pivots(n, pivots)
     rows = []
     used = 0
-    for i in range(1, k + 1):
-        chars = []
-        for j in range(1, n + 1):
-            forced = _structural_tile(pivots, i, j)
-            if forced is not None:
-                chars.append(forced)
-            else:
+    for i, row in enumerate(_templates(n, pivots), start=1):
+        for j, forced in enumerate(row, start=1):
+            if forced is None:
                 try:
-                    chars.append(fill[(i, j)])
+                    row[j - 1] = fill[(i, j)]
                 except KeyError:
                     raise MalformedDreamError(f"no fill for box ({i}, {j})")
                 used += 1
-        rows.append("".join(chars))
+        rows.append("".join(row))
     if used != len(fill):
         raise MalformedDreamError("fill mentions cells that are not boxes")
     return PipeDream(cols=n, pivots=pivots, grid=tuple(rows))
@@ -272,16 +270,13 @@ def _front_fill(u: Permutation, v: Permutation) -> dict[Box, Tile]:
     of :func:`construct_fpp`: rows bottom to top, each right to left."""
     n = len(u)
     vpos = inverse(v)
-    boxes_by_row: dict[int, list[int]] = {i: [] for i in range(1, n + 1)}
-    for i in range(1, n + 1):
-        for j in range(u[i - 1] + 1, n + 1):
-            if _structural_tile(u, i, j) is None:
-                boxes_by_row[i].append(j)
+    boxes_by_row = [[j for j, t in enumerate(template, start=1) if t is None]
+                    for template in _templates(n, u)]
     fill: dict[Box, Tile] = {}
     col = [0] * (n + 1)
     for i in range(n, 0, -1):
         x = v[i - 1]
-        for j in sorted(boxes_by_row[i], reverse=True):
+        for j in reversed(boxes_by_row[i - 1]):
             c = col[j]
             if x < c and vpos[x - 1] < vpos[c - 1]:
                 fill[(i, j)] = CROSS
@@ -551,8 +546,7 @@ def _fillings(n: int, pivots: tuple[int, ...]) -> Iterator[PipeDream]:
     :func:`_trusted_dream`.
     """
     rows = []
-    for i in range(1, len(pivots) + 1):
-        template = [_structural_tile(pivots, i, j) for j in range(1, n + 1)]
+    for template in _templates(n, pivots):
         slots = [j for j, t in enumerate(template) if t is None]
         renders = []
         for choice in product((CROSS, ELBOW), repeat=len(slots)):

@@ -30,7 +30,6 @@ from .pathgraph import BasisSet, basis_set
 __all__ = [
     "RationalMatrix",
     "rational_matrix",
-    "matrix_from_json",
     "matrix_to_json",
     "det",
     "flag_minors",
@@ -128,15 +127,6 @@ def rational_matrix(rows, offset_zero: bool = False) -> RationalMatrix:
     return RationalMatrix(
         rows=tuple(tuple(_exact(x) for x in row) for row in rows),
         offset_zero=offset_zero)
-
-
-def matrix_from_json(data, offset_zero: bool = False) -> RationalMatrix:
-    """Array-of-arrays of rational strings or ints.
-
-    >>> matrix_from_json([[0, "1"], ["-2", "1/3"]]).entry(2, 1)
-    Fraction(-2, 1)
-    """
-    return rational_matrix(data, offset_zero=offset_zero)
 
 
 def matrix_to_json(A: RationalMatrix) -> list[list[str]]:

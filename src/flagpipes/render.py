@@ -21,25 +21,16 @@ _OVERBAR = "̄"
 _UNDERBAR = "̲"
 
 
-def ascii_grid(D: PipeDream, labels: bool = False) -> str:
-    """The tile letters, optionally framed by row/column labels.
+def ascii_grid(D: PipeDream) -> str:
+    """The tile letters, one row per line.
 
     >>> from .pipedream import construct_fpp
     >>> print(ascii_grid(construct_fpp((1, 2, 3), (3, 1, 2))))
     PEE
     .PX
     ..P
-    >>> print(ascii_grid(construct_fpp((1, 2), (2, 1)), labels=True))
-      12
-    1 PE
-    2 .P
     """
-    if not labels:
-        return "\n".join(D.grid)
-    width = len(str(len(D.pivots)))
-    head = " " * (width + 1) + "".join(str(j % 10) for j in range(1, D.cols + 1))
-    body = [f"{i:>{width}} {row}" for i, row in enumerate(D.grid, 1)]
-    return "\n".join([head] + body)
+    return "\n".join(D.grid)
 
 
 def _tile_paths(tile: str, x: float, y: float, s: float) -> list[tuple[str, str]]:

@@ -225,9 +225,9 @@ def _sniff(data):
         if data and all(isinstance(x, dict) and "ok" in x for x in data):
             return "report", data
         if data and all(isinstance(x, list) for x in data):
-            from .ratmat import matrix_from_json
+            from .ratmat import rational_matrix
 
-            return "matrix", matrix_from_json(data)
+            return "matrix", rational_matrix(data)
         if all(type(x) is int for x in data):
             return "permutation", validate_permutation(data)
     raise DomainError("unrecognized JSON document shape")

@@ -203,8 +203,11 @@ def check_standardization() -> tuple[bool, str]:
 def check_poset_facts() -> tuple[bool, str]:
     """Published n=3 poset numbers, missing covers, self-duality, and the
     chain/dream bijection for n <= 4."""
-    rep3 = build_poset(3)
-    mat3 = build_poset(3, flavor="matroidal")
+    posets = {(n, flavor): build_poset(n, flavor=flavor)
+              for n, flavor in ((1, "representable"), (2, "representable"),
+                                (3, "representable"), (3, "matroidal"),
+                                (4, "representable"), (4, "matroidal"))}
+    rep3, mat3 = posets[3, "representable"], posets[3, "matroidal"]
     counts = (len(rep3.elements) == 16
               and maximal_chain_count(rep3) == 19
               and maximal_chain_count(mat3) == 22)
@@ -221,10 +224,10 @@ def check_poset_facts() -> tuple[bool, str]:
         return False, f"missing covers {missing}"
     for n in (3, 4):
         for flavor in ("representable", "matroidal"):
-            if not check_self_dual(build_poset(n, flavor=flavor)):
+            if not check_self_dual(posets[n, flavor]):
                 return False, f"not self-dual at n={n} {flavor}"
     for n in range(1, 5):
-        poset = build_poset(n) if n != 3 else rep3
+        poset = posets[n, "representable"]
         chains = list(iter_maximal_chains(poset))
         dreams = list(enumerate_fpps(n))
         if len(chains) != len(dreams):

@@ -38,12 +38,12 @@ from flagpipes.perm import all_permutations, identity, inverse, right_multiply
 from flagpipes.pipedream import (
     CROSS,
     ELBOW,
+    EMPTY,
     HLINE,
     PIVOT,
     VLINE,
     PipeDream,
     PipeTrace,
-    _structural_tile,
     construct_fpp,
     dream_from_fill,
     is_gamma_free,
@@ -300,6 +300,24 @@ def elementary_quotient_via_extension(lower_bases, upper_bases, n: int) -> bool:
 
 # ------------------------------------------------------------------ fillings
 
+def structural_tile(pivots, i: int, j: int):
+    """The forced tile at (i, j), or None when (i, j) is a Rothe box, read
+    off the pivots cell by cell: the pivot elbow on row i's pivot; left of
+    it vertical unless a row above has its pivot in column j (then empty);
+    right of it horizontal under such a pivot and a box otherwise."""
+    ui = pivots[i - 1]
+    if j == ui:
+        return PIVOT
+    try:
+        pivot_row = pivots.index(j) + 1
+    except ValueError:
+        pivot_row = None
+    below_or_absent = pivot_row is None or pivot_row > i
+    if j > ui:
+        return None if below_or_absent else HLINE
+    return VLINE if below_or_absent else EMPTY
+
+
 def fillings_by_fill(n: int, pivots):
     """Every cross/elbow filling of the Rothe boxes of ``pivots``, the boxes
     listed in reading order and each filling assembled and validated by
@@ -307,7 +325,7 @@ def fillings_by_fill(n: int, pivots):
     boxes = [(i, j)
              for i in range(1, len(pivots) + 1)
              for j in range(1, n + 1)
-             if _structural_tile(pivots, i, j) is None]
+             if structural_tile(pivots, i, j) is None]
     for choice in product((CROSS, ELBOW), repeat=len(boxes)):
         yield dream_from_fill(n, pivots, dict(zip(boxes, choice)))
 
@@ -542,7 +560,7 @@ def trivial_completion(D) -> PipeDream:
     fill = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            if _structural_tile(pivots, i, j) is None:
+            if structural_tile(pivots, i, j) is None:
                 fill[(i, j)] = D.tile(i, j) if i <= D.rows else CROSS
     return dream_from_fill(n, pivots, fill)
 

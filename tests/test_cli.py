@@ -10,6 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 import flagpipes.poset as poset_module
 import flagpipes.serialize as ser
 from flagpipes.cli import main
@@ -19,7 +20,6 @@ from flagpipes.pathgraph import bases_of
 from flagpipes.pipedream import (
     TILES,
     PipeDream,
-    _structural_tile,
     construct_fpp,
     restrict,
 )
@@ -158,6 +158,23 @@ class TestBasesAndDecperm:
         assert json.loads(out) == ser.decperm_to_json(want)
 
 
+class TestEmptyInput:
+    """The n = 0 grid is a grid: an empty --decperm or U V pair selects it
+    rather than reading as a missing source."""
+
+    @pytest.mark.parametrize("verb", ["decperm", "bases", "render"])
+    @pytest.mark.parametrize("source", [("--decperm", ""), ("", "")])
+    def test_grid_verbs_accept_it(self, capsys, verb, source):
+        code, out, err = run(capsys, verb, *source)
+        assert code == 0 and err == ""
+        if verb == "render":
+            assert out == "\n"
+
+    def test_covers_of_it_is_a_domain_error(self, capsys):
+        code, _, err = run(capsys, "covers", "--decperm", "")
+        assert code == 1 and "no covers" in err
+
+
 class TestCoversAndShift:
     def test_covers_count(self, capsys, running_example):
         code, out, _ = run(capsys, "covers", "--decperm", RUNNING)
@@ -236,7 +253,7 @@ def grid_documents(draw):
     for i in range(1, k + 1):
         row = []
         for j in range(1, n + 1):
-            forced = _structural_tile(tuple(pivots), i, j)
+            forced = oracles.structural_tile(tuple(pivots), i, j)
             if structural and forced is not None:
                 row.append(forced)
             elif structural:

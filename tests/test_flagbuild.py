@@ -38,7 +38,6 @@ from flagpipes.pathgraph import bases_of, basis_set
 from flagpipes.perm import all_permutations, bruhat_leq
 from flagpipes.pipedream import (
     PipeDream,
-    _structural_tile,
     construct_fpp,
     dream_from_fill,
     is_gamma_free,
@@ -57,7 +56,7 @@ def uniform_positroid(r: int, n: int) -> Positroid:
     pivots = tuple(range(r, 0, -1))
     fill = {(i, j): "E"
             for i in range(1, r + 1) for j in range(1, n + 1)
-            if _structural_tile(pivots, i, j) is None}
+            if oracles.structural_tile(pivots, i, j) is None}
     return Positroid.from_dream(dream_from_fill(n, pivots, fill))
 
 

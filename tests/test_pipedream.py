@@ -19,6 +19,7 @@ from flagpipes.pipedream import (
     LeDream,
     PipeDream,
     _fillings,
+    _templates,
     box_order,
     construct_fpp,
     cross_positions,
@@ -52,11 +53,41 @@ class TestValidation:
             (2, (3,), ("..P",)),       # pivot column out of range
             (2, (1, 1), ("PE", "PE")),  # repeated pivot
             (3, (1,), ("PQE",)),       # unknown tile letter
+            (3, (0,), ("...",)),       # pivot zero
+            (3, (-1,), ("...",)),      # negative pivot
+            (2, (2.0,), ("..",)),      # pivot that is no integer
+            (2, (1, 2, 3), ("..",) * 3),  # more rows than columns
         ],
     )
     def test_malformed_grids_raise(self, cols, pivots, grid):
         with pytest.raises(MalformedDreamError):
             PipeDream(cols=cols, pivots=pivots, grid=grid)
+
+    @pytest.mark.parametrize(
+        "cols,pivots,fill",
+        [
+            (3, (5,), {}),                         # pivot right of the grid
+            (3, (0,), {}),                         # pivot zero
+            (3, (-1,), {}),                        # negative pivot
+            (3, (2, 2), {(1, 3): "E"}),            # repeated pivot
+            (2, (1, 2, 3), {}),                    # more rows than columns
+            (2, (2.0,), {}),                       # pivot that is no integer
+            (3, (1,), {(1, 2): "E", (1, 3): "X", (1, 1): "E"}),  # pivot cell
+            (3, (1,), {(1, 2): "E", (1, 3): "X", (1, 4): "E"}),  # off the grid
+            (3, (1,), {(1, 2): "E", (1, 3): "Q"}),  # neither cross nor elbow
+        ],
+    )
+    def test_dream_from_fill_rejects_malformed_input(self, cols, pivots, fill):
+        with pytest.raises(MalformedDreamError):
+            dream_from_fill(cols, pivots, fill)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_templates_match_the_cell_rule(self, n):
+        for k in range(n + 1):
+            for pivots in permutations(range(1, n + 1), k):
+                want = [[oracles.structural_tile(pivots, i, j)
+                         for j in range(1, n + 1)] for i in range(1, k + 1)]
+                assert list(_templates(n, pivots)) == want
 
     def test_dream_from_fill_requires_every_box(self):
         with pytest.raises(MalformedDreamError):

@@ -31,7 +31,6 @@ from flagpipes.ratmat import (
     is_complete_nonneg_representation,
     is_lower_reduced,
     is_reverse_echelon,
-    matrix_from_json,
     matrix_to_json,
     matroid_of_matrix,
     pivot_columns,
@@ -109,7 +108,7 @@ class TestConstruction:
         A = rational_matrix([["1/2", -1], [3, "7/5"]])
         data = matrix_to_json(A)
         assert data == [["1/2", "-1"], ["3", "7/5"]]
-        assert matrix_from_json(data) == A
+        assert rational_matrix(data) == A
 
 
 class TestDeterminant:

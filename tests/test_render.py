@@ -26,13 +26,6 @@ class TestAscii:
     def test_goldens(self):
         assert ascii_grid(construct_fpp((1, 2, 3), (3, 1, 2))) == (
             "PEE\n.PX\n..P")
-        assert ascii_grid(construct_fpp((1, 2), (2, 1)), labels=True) == (
-            "  12\n1 PE\n2 .P")
-
-    def test_labels_use_last_digit(self):
-        D = construct_fpp(tuple(range(1, 12)), tuple(range(1, 12)))
-        head = ascii_grid(D, labels=True).splitlines()[0]
-        assert head.endswith("12345678901")
 
 
 class TestSvg:

@@ -39,6 +39,20 @@ class TestRunCheck:
         assert r.name == name
         assert r.seconds >= 0
 
+    def test_poset_facts_builds_each_poset_once(self, monkeypatch):
+        built = []
+        real = verify.build_poset
+
+        def counting(n, flavor="representable"):
+            built.append((n, flavor))
+            return real(n, flavor)
+
+        monkeypatch.setattr(verify, "build_poset", counting)
+        ok, detail = verify.check_poset_facts()
+        assert ok, detail
+        assert sorted(built) == sorted(set(built))
+        assert len(built) == 6
+
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             run_check("no-such-check")
