@@ -3,7 +3,9 @@
 
 Each comparable pair u <= v in Bruhat order contributes one SVG grid,
 captioned with the interval, the elbow count, and the boundary decorated
-permutation.  Output is a single self-contained index.html.
+permutation.  Output is a single self-contained index.html.  The dreams
+come from ``enumerate_fpps`` under its ``enumerate_max_n`` guard; a size
+past the guard prints an error and exits 1.
 
 Usage:
     python3 scripts/render_gallery.py --n 3 --out build/gallery3.html
@@ -12,13 +14,14 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import sys
 from dataclasses import dataclass
 from html import escape
 from pathlib import Path
 
 from flagpipes.decperm import decperm_of
-from flagpipes.perm import all_permutations, bruhat_leq, length
-from flagpipes.pipedream import construct_fpp, elbow_count
+from flagpipes.exceptions import DomainError
+from flagpipes.pipedream import elbow_count, enumerate_fpps, right_exit_labels
 from flagpipes.render import svg_grid, unicode_decperm
 
 
@@ -45,18 +48,19 @@ def one_line(w: tuple[int, ...]) -> str:
 
 
 def main(cfg: Config) -> int:
-    perms = list(all_permutations(cfg.n))
     cards = []
-    for u in perms:
-        for v in perms:
-            if not bruhat_leq(u, v):
-                continue
-            D = construct_fpp(u, v)
-            caption = (f"[{one_line(u)}, {one_line(v)}], "
-                       f"{elbow_count(D)} elbows, "
+    try:
+        for D in enumerate_fpps(cfg.n):
+            u = D.pivots
+            exits = right_exit_labels(D)
+            v = tuple(exits[i] for i in range(1, D.rows + 1))
+            elbows = elbow_count(D)
+            caption = (f"[{one_line(u)}, {one_line(v)}], {elbows} elbows, "
                        f"{unicode_decperm(decperm_of(D))}")
-            cards.append((length(v) - length(u), u, v,
-                          svg_grid(D, cell=cfg.cell), caption))
+            cards.append((elbows, u, v, svg_grid(D, cell=cfg.cell), caption))
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     cards.sort()
     body = "\n".join(
         f'<figure>{svg}<figcaption>{escape(caption)}</figcaption></figure>'

@@ -6,7 +6,7 @@ perm        permutations, Bruhat order, reduced words
 pipedream   tile grids, FPP construction, rotation to partition shape
 pathgraph   non-intersecting path families and basis sets
 positroid   positroids as decreasing-pivot dreams; quotients; standardization
-flagbuild   row appending, quotient covers, flags, the zero-column embedding
+flagbuild   row appending, quotient covers, flags
 decperm     decorated permutations and cyclic-shift covers
 poset       the quotient order on all positroids of a ground set
 ratmat      exact rational matrices, flag minors, sign rules

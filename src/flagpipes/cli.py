@@ -158,11 +158,12 @@ def _cmd_decperm(args) -> None:
 
 
 def _cmd_covers(args) -> None:
-    from .decperm import decperm_of
-    from .flagbuild import quotient_covers
+    from .decperm import covers_by_shift, decperm_of
 
-    P = _positroid_from_args(args)
-    _emit([decperm_of(Q.dream) for Q in quotient_covers(P)])
+    w = decperm_of(_positroid_from_args(args).dream)
+    if w.rank >= w.n:
+        raise DomainError("a full-rank positroid has no covers")
+    _emit(list(covers_by_shift(w)))
 
 
 def _cmd_covered_by(args) -> None:

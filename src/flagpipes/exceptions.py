@@ -15,9 +15,6 @@ __all__ = [
     "GuardExceededError",
     "EmptyChoiceError",
     "NotUnblockedError",
-    "NotACoverError",
-    "EmbeddingDomainError",
-    "RankDeficientError",
     "NotGeneralizedPermutationError",
     "InvariantError",
 ]
@@ -53,27 +50,6 @@ class NotUnblockedError(DomainError):
     def __init__(self, column: int, message: str | None = None):
         self.column = column
         super().__init__(message or f"column {column} is not unblocked")
-
-
-class NotACoverError(DomainError):
-    """A pair of positroids is not an elementary quotient cover."""
-
-
-class EmbeddingDomainError(DomainError):
-    """A basis set is not in the image of the cover-embedding map.
-
-    ``reason`` is one of ``"zero-not-in-lexmin"`` (element 0 missing from the
-    lexicographically minimal basis) or ``"no-zero-free-basis"`` (every basis
-    contains 0).
-    """
-
-    def __init__(self, reason: str, message: str | None = None):
-        self.reason = reason
-        super().__init__(message or reason)
-
-
-class RankDeficientError(DomainError):
-    """A matrix whose top rows must be full rank is rank deficient."""
 
 
 class NotGeneralizedPermutationError(DomainError):

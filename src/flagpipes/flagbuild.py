@@ -1,24 +1,16 @@
-"""Flags of positroids: row appending, rank-raising covers, 0-embeddings.
+"""Flags of positroids: row appending and rank-raising covers.
 
 A flag positroid is a chain of positroids on the same ground set, each a
 quotient of the next.  Covers of a rank-k positroid are produced by
 appending a row to its canonical dream along a nonempty choice of
-unblocked columns; the pair of a positroid and such a cover embeds as a
-single matroid on the ground set extended by a new element 0.
+unblocked columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exceptions import (
-    DomainError,
-    EmbeddingDomainError,
-    InvariantError,
-    NotACoverError,
-    SizeMismatchError,
-)
-from .pathgraph import BasisSet, basis_set
+from .exceptions import DomainError, SizeMismatchError
 from .pipedream import (
     CROSS,
     ELBOW,
@@ -31,7 +23,6 @@ from .positroid import (
     Positroid,
     _choice,
     _each_choice,
-    is_matroid,
     is_quotient,
     standardize,
     unblocked_columns,
@@ -40,11 +31,8 @@ from .positroid import (
 __all__ = [
     "append_row",
     "quotient_covers",
-    "cover_choice",
     "FlagPositroid",
     "flag_of_fpp",
-    "phi",
-    "psi",
 ]
 
 
@@ -103,36 +91,6 @@ def quotient_covers(P: Positroid) -> tuple[Positroid, ...]:
         key=lambda Q: decperm_of(Q.dream).to_string()))
 
 
-def cover_choice(P: Positroid, Q: Positroid) -> tuple[int, ...]:
-    """The unique unblocked choice C with append_row(P, C) giving Q.
-
-    C is read off the decorated permutations w of P and q of Q: it is the
-    set of 1-colored positions of w whose value or color differs in q,
-    since a right cyclic shift moves every chosen position and no other
-    1-colored one.  C is returned when it is a nonempty set of P's
-    unblocked columns and the shift of w along C is q; otherwise Q is no
-    cover of P and :class:`NotACoverError` is raised.  No dream is built
-    and no subset walked.
-
-    >>> from flagpipes.pipedream import construct_fpp, restrict
-    >>> d = construct_fpp((2, 4, 1, 3), (4, 2, 3, 1))
-    >>> p2 = Positroid.from_dream(restrict(d, 2))
-    >>> p3 = Positroid.from_dream(restrict(d, 3))
-    >>> cover_choice(p2, p3)
-    (1, 3)
-    """
-    from .decperm import UNDER, decperm_of, right_cyclic_shift
-
-    if P.n != Q.n:
-        raise SizeMismatchError("cover_choice: ground sets differ")
-    w, q = decperm_of(P.dream), decperm_of(Q.dream)
-    C = tuple(j for j in range(1, P.n + 1) if w.color[j - 1] == UNDER and (
-        q.perm[j - 1] != w.perm[j - 1] or q.color[j - 1] != UNDER))
-    if C and set(C) <= set(P.unblocked) and right_cyclic_shift(w, C) == q:
-        return C
-    raise NotACoverError("no unblocked choice produces the given positroid")
-
-
 @dataclass(frozen=True)
 class FlagPositroid:
     """A chain of positroids on [n] with strictly increasing ranks, each a
@@ -170,48 +128,3 @@ def flag_of_fpp(D: PipeDream) -> FlagPositroid:
     return FlagPositroid(n=D.cols,
                          ranks=tuple(range(1, D.rows + 1)),
                          constituents=constituents)
-
-
-def phi(P: Positroid, Q: Positroid) -> BasisSet:
-    """Embed a cover pair as one matroid on {0} + [n]: bases of P gain the
-    element 0, bases of Q stay; requires Q to be a quotient cover of P.
-
-    >>> from flagpipes.pipedream import construct_fpp, restrict
-    >>> d = construct_fpp((2, 4, 1, 3), (4, 2, 3, 1))
-    >>> p2 = Positroid.from_dream(restrict(d, 2))
-    >>> p3 = Positroid.from_dream(restrict(d, 3))
-    >>> phi(p2, p3).bases
-    ((0, 2, 4), (1, 2, 4), (2, 3, 4))
-    """
-    if P.n != Q.n:
-        raise SizeMismatchError("phi: ground sets differ")
-    if Q.rank != P.rank + 1 or not is_quotient(P.bases, Q.bases):
-        raise NotACoverError("phi needs a quotient cover pair of adjacent ranks")
-    cover_choice(P, Q)  # raises NotACoverError when unrepresentable
-    zero_side = ((0,) + b for b in P.bases.bases)
-    R = basis_set(P.n, list(zero_side) + list(Q.bases.bases), offset_zero=True)
-    if not is_matroid(R):
-        raise InvariantError("phi of a quotient cover pair is not a matroid")
-    return R
-
-
-def psi(R: BasisSet) -> tuple[BasisSet, BasisSet]:
-    """Split a matroid on {0} + [n] back into the pair phi joined: bases
-    through 0 lose it, bases avoiding 0 stay.
-
-    >>> r = basis_set(4, [(0, 2, 4), (1, 2, 4), (2, 3, 4)], offset_zero=True)
-    >>> p, q = psi(r)
-    >>> p.bases, q.bases
-    (((2, 4),), ((1, 2, 4), (2, 3, 4)))
-    """
-    if not R.offset_zero:
-        raise DomainError("psi expects a ground set containing 0")
-    if not is_matroid(R):
-        raise DomainError("psi expects a matroid")
-    if 0 not in R.bases[0]:
-        raise EmbeddingDomainError("zero-not-in-lexmin")
-    zero_free = [b for b in R.bases if 0 not in b]
-    if not zero_free:
-        raise EmbeddingDomainError("no-zero-free-basis")
-    through_zero = [b[1:] for b in R.bases if b[0] == 0]
-    return (basis_set(R.n, through_zero), basis_set(R.n, zero_free))

@@ -178,12 +178,6 @@ class PipeDream:
         return tuple(j for j in range(1, self.cols + 1)
                      if row[j - 1] in (CROSS, ELBOW))
 
-    def boxes(self) -> Iterator[Box]:
-        """All Rothe boxes in reading order (top to bottom, left to right)."""
-        for i in range(1, self.rows + 1):
-            for j in self.box_columns(i):
-                yield (i, j)
-
 
 def _trusted_dream(cols: int, pivots: tuple[int, ...],
                    grid: tuple[str, ...]) -> PipeDream:
@@ -486,10 +480,6 @@ class LeDream:
             if any(c not in (CROSS, ELBOW) for c in row):
                 raise MalformedDreamError(f"rotated rows hold only cross/elbow "
                                           f"tiles: {row!r}")
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(len(row) for row in self.rows)
 
 
 def rotate_le(D: PipeDream) -> LeDream:

@@ -1,4 +1,4 @@
-"""Positroids as decreasing-pivot dreams: matroid tests, quotients, standardization.
+"""Positroids as decreasing-pivot dreams: quotients, standardization.
 
 A positroid of rank k on [n] is canonically represented by a k-row partial
 dream whose pivot columns strictly decrease; identity, equality and hashing
@@ -39,8 +39,6 @@ from .pipedream import (
 
 __all__ = [
     "Positroid",
-    "is_matroid",
-    "subset_rank",
     "rank_increments",
     "is_quotient",
     "unblocked_columns",
@@ -49,36 +47,6 @@ __all__ = [
     "is_lpm",
     "enumerate_positroids",
 ]
-
-
-def is_matroid(B: BasisSet) -> bool:
-    """Basis exchange: for b in B1-B2 some c in B2-B1 re-completes B1.
-
-    >>> is_matroid(basis_set(3, [{1, 2}, {2, 3}]))
-    True
-    >>> is_matroid(basis_set(4, [{1, 2}, {3, 4}]))
-    False
-    """
-    members = set(B.bases)
-    for b1 in members:
-        s1 = set(b1)
-        for b2 in members:
-            s2 = set(b2)
-            for x in s1 - s2:
-                if not any(tuple(sorted((s1 - {x}) | {y})) in members
-                           for y in s2 - s1):
-                    return False
-    return True
-
-
-def subset_rank(B: BasisSet, S) -> int:
-    """Rank of a subset of the ground set: the largest overlap with a basis.
-
-    >>> subset_rank(basis_set(3, [{1, 2}, {2, 3}]), {1, 3})
-    1
-    """
-    S = set(S)
-    return max(len(S.intersection(b)) for b in B.bases)
 
 
 def rank_increments(B: BasisSet) -> int:

@@ -22,10 +22,8 @@ from .exceptions import (
     DomainError,
     InvariantError,
     NotGeneralizedPermutationError,
-    RankDeficientError,
     SizeMismatchError,
 )
-from .pathgraph import BasisSet, basis_set
 
 __all__ = [
     "RationalMatrix",
@@ -36,10 +34,6 @@ __all__ = [
     "pivot_columns",
     "check_sign_rule",
     "embed_append",
-    "matroid_of_matrix",
-    "is_lower_reduced",
-    "is_reverse_echelon",
-    "is_complete_nonneg_representation",
 ]
 
 
@@ -313,74 +307,3 @@ def embed_append(A: RationalMatrix) -> RationalMatrix:
     return RationalMatrix(
         rows=tuple((c,) + row for c, row in zip(new_col, A.rows)),
         offset_zero=True)
-
-
-def matroid_of_matrix(A: RationalMatrix, r: int) -> BasisSet:
-    """Column sets whose first-r-row minor is nonzero.
-
-    >>> matroid_of_matrix(rational_matrix([[1, 1, 0], [0, 0, 1]]), 2).bases
-    ((1, 3), (2, 3))
-    """
-    if not 1 <= r <= A.k:
-        raise DomainError(f"rank {r} out of range for {A.k} rows")
-    bases = [S for (_, S), v in flag_minors(A, (r,)).items() if v]
-    if not bases:
-        raise RankDeficientError(f"first {r} rows have rank below {r}")
-    n = A.n - 1 if A.offset_zero else A.n
-    return basis_set(n, bases, offset_zero=A.offset_zero)
-
-
-def is_lower_reduced(A: RationalMatrix) -> bool:
-    """Below every row's pivot entry, only zeros.
-
-    >>> is_lower_reduced(rational_matrix([[0, 1], [1, 0]]))
-    True
-    >>> is_lower_reduced(rational_matrix([[1, 0], [1, 1]]))
-    False
-    """
-    for i, u in enumerate(pivot_columns(A), 1):
-        if any(A.entry(ip, u) != 0 for ip in range(i + 1, A.k + 1)):
-            return False
-    return True
-
-
-def is_reverse_echelon(A: RationalMatrix, ranks=None) -> bool:
-    """Within each rank block, pivot columns move strictly left going down.
-
-    >>> is_reverse_echelon(rational_matrix([[0, 1], [1, 1]]))
-    True
-    >>> is_reverse_echelon(rational_matrix([[0, 1], [1, 1]]), ranks=(1, 2))
-    True
-    """
-    ranks = tuple(ranks) if ranks is not None else (A.k,)
-    if ranks[-1] != A.k:
-        raise DomainError("last rank must equal the row count")
-    u = pivot_columns(A)
-    lo = 0
-    for r in ranks:
-        block = u[lo:r]
-        if any(a <= b for a, b in zip(block, block[1:])):
-            return False
-        lo = r
-    return True
-
-
-def is_complete_nonneg_representation(A: RationalMatrix, ranks=None) -> bool:
-    """Reduced shape (reverse echelon per rank block, lower reduced) with
-    every pivot entry exactly (-1) to its northeast-pivot count.
-
-    >>> M = rational_matrix([[0, 0, 0, 0, 1, 1, 0],
-    ...                      [0, 0, -1, -1, 0, 1, 1],
-    ...                      [1, 1, 0, 0, 0, 0, 0],
-    ...                      [0, 0, 0, 0, 0, 1, 2]])
-    >>> is_complete_nonneg_representation(M, ranks=(3, 4))
-    True
-    """
-    try:
-        u = pivot_columns(A)
-    except DomainError:
-        return False
-    if not is_reverse_echelon(A, ranks) or not is_lower_reduced(A):
-        return False
-    return all(A.entry(i, u[i - 1]) == (-1) ** e
-               for i, e in enumerate(_northeast_counts(u), 1))

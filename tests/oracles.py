@@ -2,15 +2,17 @@
 
 Every function here recomputes a quantity the library computes elsewhere,
 by a deliberately different method: cofactor expansion instead of
-fraction-free elimination, rank-axiom checks instead of basis exchange,
-sorted-prefix scans written out from scratch, and so on.  Nothing under
+fraction-free elimination, flats and closures instead of rank-increment
+masks, sorted-prefix scans written out from scratch, and so on.  Nothing under
 ``src/`` imports this module; agreement between the two routes is what the
 comparison tests certify.  Everything is exponential-time and meant for the
 tiny sizes the tests use.  A few plain helpers that only the tests and the
 routes here need (permutation composition and words, the dual of a basis
-family, the exit permutation and trivial completion of a dream, the list of
-every decorated permutation, the 0-embedding dream of a cover) live here
-too, rather than in the library.
+family, the basis-exchange matroid test, the exit permutation and trivial
+completion of a dream, the list of every decorated permutation, the
+0-embedding of a cover and its dream, the matroid of a matrix and the shape
+predicates of a nonnegative witness matrix) live here too, rather than in
+the library.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from flagpipes.exceptions import (
     DomainError,
     EmptyChoiceError,
     MalformedDreamError,
-    NotACoverError,
     NotUnblockedError,
     SizeMismatchError,
 )
@@ -58,7 +59,15 @@ from flagpipes.positroid import (
     rank_increments,
     standardize,
 )
-from flagpipes.ratmat import det, pivot_columns
+from flagpipes.ratmat import det, flag_minors, pivot_columns
+
+
+class NotACoverError(DomainError):
+    """A pair of positroids is not an elementary quotient cover."""
+
+
+class RankDeficientError(DomainError):
+    """A matrix whose top rows must be full rank is rank deficient."""
 
 
 # ---------------------------------------------------------------- determinants
@@ -218,6 +227,20 @@ def dual(B):
 def max_overlap_rank(bases, S) -> int:
     S = set(S)
     return max(len(S & set(b)) for b in bases)
+
+
+def is_matroid(B) -> bool:
+    """Basis exchange: for b in B1-B2 some c in B2-B1 re-completes B1."""
+    members = set(B.bases)
+    for b1 in members:
+        s1 = set(b1)
+        for b2 in members:
+            s2 = set(b2)
+            for x in s1 - s2:
+                if not any(tuple(sorted((s1 - {x}) | {y})) in members
+                           for y in s2 - s1):
+                    return False
+    return True
 
 
 def is_matroid_via_rank_axioms(bases, ground) -> bool:
@@ -536,6 +559,53 @@ def nep_values(A) -> tuple[int, ...]:
                  for i in range(len(u)))
 
 
+def matroid_of_matrix(A, r: int):
+    """Column sets whose first-r-row minor is nonzero."""
+    if not 1 <= r <= A.k:
+        raise DomainError(f"rank {r} out of range for {A.k} rows")
+    bases = [S for (_, S), v in flag_minors(A, (r,)).items() if v]
+    if not bases:
+        raise RankDeficientError(f"first {r} rows have rank below {r}")
+    n = A.n - 1 if A.offset_zero else A.n
+    return basis_set(n, bases, offset_zero=A.offset_zero)
+
+
+def is_lower_reduced(A) -> bool:
+    """Below every row's pivot entry, only zeros."""
+    for i, u in enumerate(pivot_columns(A), 1):
+        if any(A.entry(ip, u) != 0 for ip in range(i + 1, A.k + 1)):
+            return False
+    return True
+
+
+def is_reverse_echelon(A, ranks=None) -> bool:
+    """Within each rank block, pivot columns move strictly left going down."""
+    ranks = tuple(ranks) if ranks is not None else (A.k,)
+    if ranks[-1] != A.k:
+        raise DomainError("last rank must equal the row count")
+    u = pivot_columns(A)
+    lo = 0
+    for r in ranks:
+        block = u[lo:r]
+        if any(a <= b for a, b in zip(block, block[1:])):
+            return False
+        lo = r
+    return True
+
+
+def is_complete_nonneg_representation(A, ranks=None) -> bool:
+    """Reduced shape (reverse echelon per rank block, lower reduced) with
+    every pivot entry exactly (-1) to its northeast-pivot count."""
+    try:
+        u = pivot_columns(A)
+    except DomainError:
+        return False
+    if not is_reverse_echelon(A, ranks) or not is_lower_reduced(A):
+        return False
+    return all(A.entry(i, u[i - 1]) == (-1) ** e
+               for i, e in enumerate(nep_values(A), 1))
+
+
 # ------------------------------------------------------------ boundary data
 
 def exit_permutation(D):
@@ -591,6 +661,13 @@ def decperm_via_completion(D) -> DecoratedPermutation:
     pi = compose(exit_permutation(T), inverse(T.pivots))
     color = tuple(2 if j in S.pivots else 1 for j in range(1, S.cols + 1))
     return DecoratedPermutation(pi, color)
+
+
+def zero_join(P, Q):
+    """The 0-embedding of a cover pair as one basis family on {0} + [n]:
+    the bases of P with 0 added, together with the bases of Q."""
+    zero_side = [(0,) + b for b in P.bases.bases]
+    return basis_set(P.n, zero_side + list(Q.bases.bases), offset_zero=True)
 
 
 def extended_cover_dream_by_hand(P, C) -> PipeDream:

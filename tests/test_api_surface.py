@@ -1,5 +1,6 @@
-"""Guards on the library's public surface: every public name has a caller,
-and every cross-reference in a docstring names something that exists."""
+"""Guards on the library's source: every public name and every public
+member of a public class has a caller, every cross-reference in a docstring
+names something that exists, and no invariant rests on an ``assert``."""
 
 import ast
 import importlib
@@ -16,15 +17,9 @@ CALLERS = (sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")
 # Public names kept without a caller, each for a stated reason.
 KEPT = {
     ("__init__", "__version__"): "package metadata",
-    ("flagbuild", "phi"): "the paper's elementary-quotient embedding",
-    ("flagbuild", "psi"): "the inverse of that embedding",
-    ("positroid", "subset_rank"):
-        "the benchmark counts its calls (positroid.subset_rank.calls)",
-    ("ratmat", "matroid_of_matrix"): "awaits the witness-matrix builder",
-    ("ratmat", "is_complete_nonneg_representation"):
-        "awaits the witness-matrix builder",
 }
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 ROLE = re.compile(r":(?:func|meth|class):`~?([\w.]+)`")
 
 
@@ -60,7 +55,7 @@ def _bindings(tree):
 
 def _defined(stmt) -> set[str]:
     """The names a top-level statement defines."""
-    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+    if isinstance(stmt, (*FUNCTIONS, ast.ClassDef)):
         return {stmt.name}
     if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
         targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
@@ -97,6 +92,66 @@ def test_every_public_name_has_a_caller():
               for name in _module(path.stem).__all__}
     assert set(KEPT) <= public
     assert sorted(public - used - set(KEPT)) == []
+
+
+def _members():
+    """Public methods and properties of the classes in each module's
+    ``__all__``, as (module, class, member) triples."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        public = set(_module(path.stem).__all__)
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, ast.ClassDef) and stmt.name in public:
+                for node in stmt.body:
+                    if (isinstance(node, FUNCTIONS)
+                            and not node.name.startswith("_")):
+                        yield path.stem, stmt.name, node.name
+
+
+def _attribute_uses(path: Path) -> set:
+    """Every attribute name one file reads, each paired with the (module,
+    class, method) whose body holds the read, or None outside methods."""
+    here = path.stem if path.parent == PACKAGE else None
+    uses = set()
+
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(node, ast.ClassDef) and isinstance(child, FUNCTIONS):
+                walk(child, (here, node.name, child.name))
+                continue
+            if isinstance(child, ast.Attribute):
+                uses.add((child.attr, owner))
+            walk(child, owner)
+
+    walk(ast.parse(path.read_text()), None)
+    return uses
+
+
+def test_every_public_member_has_a_caller():
+    uses = set().union(*map(_attribute_uses, CALLERS))
+    uncalled = [member for member in _members()
+                if not any(name == member[2] and owner != member
+                           for name, owner in uses)]
+    assert uncalled == []
+
+
+def test_the_member_scan_leaves_out_a_members_own_body(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("class C:\n"
+                    "    def walk(self):\n"
+                    "        return self.walk()\n"
+                    "\n"
+                    "C().run\n")
+    assert _attribute_uses(path) == {("walk", (None, "C", "walk")),
+                                     ("run", None)}
+
+
+def test_no_module_asserts():
+    """Invariants are raised explicitly, so they hold under ``python -O``."""
+    asserts = [(path.name, node.lineno)
+               for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Assert)]
+    assert asserts == []
 
 
 def test_the_caller_scan_sees_module_attributes_and_imports():

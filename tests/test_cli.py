@@ -552,6 +552,7 @@ class TestInstalledEntryPoint:
         (["verify", "golden-grids"], ("concurrent.futures",)),
         (["render", "2413", "4231", "--svg"],
          tuple(m for m in HEAVY if m != "flagpipes.render") + UNUSED_BY_GRIDS),
+        (["covers", "--decperm", RUNNING], HEAVY + ("flagpipes.flagbuild",)),
     ])
     def test_verbs_load_only_their_layers(self, argv, unused):
         script = (
@@ -579,8 +580,8 @@ class TestInstalledEntryPoint:
     @pytest.mark.parametrize("verb", ["covers", "bases"])
     def test_optimized_mode_prints_the_same_on_the_trusted_routes(self, verb):
         """covers and bases run positroid_of's unchecked canonical dream and
-        quotient_covers without a gamma-freeness sweep; neither leans on
-        an assert."""
+        the unchecked results of the shift walk; neither leans on an
+        assert."""
         argv = ["-m", "flagpipes.cli", verb, "--decperm", "5o1u3u9o2u7o6u4u8u"]
         plain, optimized = (
             subprocess.run([sys.executable, *flags, *argv],

@@ -6,7 +6,6 @@ from itertools import combinations
 import pytest
 
 import oracles
-import flagpipes.flagbuild as flagbuild
 from conftest import assert_rebuilds
 from flagpipes.decperm import (
     DecoratedPermutation,
@@ -14,27 +13,23 @@ from flagpipes.decperm import (
     decperm_of,
     parse_decperm,
     positroid_of,
+    right_cyclic_shift,
     unblocked_positions,
 )
 from flagpipes.exceptions import (
     DomainError,
     EmptyChoiceError,
     GuardExceededError,
-    InvariantError,
-    NotACoverError,
     NotUnblockedError,
     SizeMismatchError,
 )
 from flagpipes.flagbuild import (
     FlagPositroid,
     append_row,
-    cover_choice,
     flag_of_fpp,
-    phi,
-    psi,
     quotient_covers,
 )
-from flagpipes.pathgraph import bases_of, basis_set
+from flagpipes.pathgraph import bases_of
 from flagpipes.perm import all_permutations, bruhat_leq
 from flagpipes.pipedream import (
     PipeDream,
@@ -46,7 +41,6 @@ from flagpipes.pipedream import (
 from flagpipes.positroid import (
     Positroid,
     enumerate_positroids,
-    is_matroid,
     is_quotient,
     standardize,
 )
@@ -171,25 +165,28 @@ class TestQuotientCovers:
             for r in range(1, len(U) + 1):
                 for C in combinations(U, r):
                     Q = Positroid.from_dream(append_row(P.dream, C))
-                    assert cover_choice(P, Q) == C
+                    assert oracles.cover_choice_by_search(P, Q) == C
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_cover_choice_matches_the_search(self, n):
-        """The choice read off the decorated permutations is the one the
-        row-append search finds, on every ordered pair."""
-        def outcome(routine, P, Q):
-            try:
-                return routine(P, Q)
-            except NotACoverError:
-                return None
-
+        """On every ordered pair, the row-append search finds a choice
+        exactly when the shift walk lists Q among P's covers, and the right
+        cyclic shift along that choice gives Q's decorated permutation."""
         elements = list(enumerate_positroids(n))
         found = 0
         for P in elements:
+            w = decperm_of(P.dream)
+            shifts = set(covers_by_shift(w)) if P.rank < n else set()
             for Q in elements:
-                C = outcome(cover_choice, P, Q)
-                assert C == outcome(oracles.cover_choice_by_search, P, Q)
-                found += C is not None
+                q = decperm_of(Q.dream)
+                try:
+                    C = oracles.cover_choice_by_search(P, Q)
+                except oracles.NotACoverError:
+                    assert q not in shifts
+                    continue
+                assert q in shifts
+                assert right_cyclic_shift(w, C) == q
+                found += 1
         assert found == sum(len(quotient_covers(P))
                             for P in elements if P.rank < n)
 
@@ -199,12 +196,8 @@ class TestQuotientCovers:
         assert is_quotient(P.bases, Q.bases)
         assert oracles.elementary_quotient_via_extension(
             P.bases.bases, Q.bases.bases, 3)
-        with pytest.raises(NotACoverError):
-            cover_choice(P, Q)
-        with pytest.raises(NotACoverError):
+        with pytest.raises(oracles.NotACoverError):
             oracles.cover_choice_by_search(P, Q)
-        with pytest.raises(NotACoverError):
-            phi(P, Q)
 
 
 class TestBenchmarkSizes:
@@ -254,15 +247,6 @@ class TestChoiceGuard:
         with pytest.raises(GuardExceededError,
                            match=r"quotient_covers: 13 .*covers_max_unblocked = 12\b"):
             quotient_covers(P)
-
-    @pytest.mark.parametrize("n", [13, 25])
-    def test_cover_choice_walks_no_subsets(self, n):
-        """cover_choice reads the choice off directly, so it answers at once
-        above the guard: all n columns, or no cover at all."""
-        P = self.bottom(n)
-        assert cover_choice(P, uniform_positroid(1, n)) == tuple(range(1, n + 1))
-        with pytest.raises(NotACoverError):
-            cover_choice(P, uniform_positroid(2, n))
 
 
 class TestFlag:
@@ -329,8 +313,8 @@ class TestEmbedding:
                     assert ext == oracles.extended_cover_dream_by_hand(P, C)
 
     def test_extended_dream_carries_phi_bases(self):
-        """The 0-embedding of a cover pair is the positroid of the
-        extended dream, ground set shifted by one."""
+        """The 0-embedding of a cover pair is a matroid, and the positroid
+        of the extended dream, ground set shifted by one."""
         for n in (2, 3):
             for P in enumerate_positroids(n):
                 if P.rank == n:
@@ -339,7 +323,8 @@ class TestEmbedding:
                 for r in range(1, len(U) + 1):
                     for C in combinations(U, r):
                         Q = Positroid.from_dream(append_row(P.dream, C))
-                        R = phi(P, Q)
+                        R = oracles.zero_join(P, Q)
+                        assert oracles.is_matroid(R)
                         ext = bases_of(
                             oracles.extended_cover_dream_by_hand(P, C))
                         shifted = tuple(tuple(x - 1 for x in b)
@@ -350,41 +335,16 @@ class TestEmbedding:
         d = construct_fpp((2, 4, 1, 3), (4, 2, 3, 1))
         p2 = Positroid.from_dream(restrict(d, 2))
         p3 = Positroid.from_dream(restrict(d, 3))
-        R = phi(p2, p3)
+        R = oracles.zero_join(p2, p3)
         assert R.bases == ((0, 2, 4), (1, 2, 4), (2, 3, 4))
         assert R.offset_zero
-        assert is_matroid(R)
-
-    def test_phi_raises_when_the_join_is_no_matroid(self, monkeypatch):
-        d = construct_fpp((2, 4, 1, 3), (4, 2, 3, 1))
-        p2 = Positroid.from_dream(restrict(d, 2))
-        p3 = Positroid.from_dream(restrict(d, 3))
-        monkeypatch.setattr(flagbuild, "is_matroid", lambda R: False)
-        with pytest.raises(InvariantError):
-            phi(p2, p3)
+        assert oracles.is_matroid(R)
 
     def test_phi_rejects_non_adjacent_ranks(self):
+        """Ranks two apart join into no matroid on {0} + [n]."""
         d = construct_fpp((2, 4, 1, 3), (4, 2, 3, 1))
         p1 = Positroid.from_dream(restrict(d, 1))
         p3 = Positroid.from_dream(restrict(d, 3))
-        with pytest.raises(NotACoverError):
-            phi(p1, p3)
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_psi_inverts_phi(self, n):
-        for P in enumerate_positroids(n):
-            if P.rank == n:
-                continue
-            for Q in quotient_covers(P):
-                left, right = psi(phi(P, Q))
-                assert left == P.bases
-                assert right == Q.bases
-
-    def test_psi_errors(self):
-        with pytest.raises(DomainError):
-            psi(basis_set(3, [(1, 2)]))  # ground set lacks 0
-        from flagpipes.exceptions import EmbeddingDomainError
-        with pytest.raises(EmbeddingDomainError):
-            psi(basis_set(2, [(1, 2)], offset_zero=True))  # 0 not in lex-min
-        with pytest.raises(EmbeddingDomainError):
-            psi(basis_set(2, [(0, 1), (0, 2)], offset_zero=True))  # all through 0
+        assert is_quotient(p1.bases, p3.bases)
+        assert not oracles.elementary_quotient_via_extension(
+            p1.bases.bases, p3.bases.bases, 4)

@@ -10,7 +10,6 @@ from conftest import assert_rebuilds
 from flagpipes import positroid as positroid_module
 from flagpipes.decperm import parse_decperm, positroid_of
 from flagpipes.exceptions import DomainError, SizeMismatchError
-from flagpipes.flagbuild import phi
 from flagpipes.pathgraph import bases_of, basis_set
 from flagpipes.pipedream import (
     PipeDream,
@@ -27,11 +26,9 @@ from flagpipes.positroid import (
     _exchange_index,
     enumerate_positroids,
     is_lpm,
-    is_matroid,
     is_quotient,
     standardize,
     standardize_step,
-    subset_rank,
     unblocked_columns,
 )
 
@@ -53,19 +50,19 @@ def all_matroids_on_three():
         for r in range(1, len(list(combinations(range(1, 4), k))) + 1):
             for chosen in combinations(list(combinations(range(1, 4), k)), r):
                 B = basis_set(3, chosen)
-                if is_matroid(B):
+                if oracles.is_matroid(B):
                     out.append(B)
     return out
 
 
 class TestMatroidPrimitives:
     def test_exchange_goldens(self):
-        assert is_matroid(basis_set(3, [{1, 2}, {2, 3}]))
-        assert not is_matroid(basis_set(4, [{1, 2}, {3, 4}]))
+        assert oracles.is_matroid(basis_set(3, [{1, 2}, {2, 3}]))
+        assert not oracles.is_matroid(basis_set(4, [{1, 2}, {3, 4}]))
 
     @given(small_families())
     def test_exchange_agrees_with_rank_axioms(self, B):
-        assert is_matroid(B) == oracles.is_matroid_via_rank_axioms(
+        assert oracles.is_matroid(B) == oracles.is_matroid_via_rank_axioms(
             B.bases, B.ground)
 
     def test_dual_involution(self):
@@ -76,8 +73,8 @@ class TestMatroidPrimitives:
 
     def test_rank_and_closure(self):
         B = basis_set(3, [{1, 2}, {2, 3}])
-        assert subset_rank(B, {1, 3}) == 1
-        assert subset_rank(B, set()) == 0
+        assert oracles.max_overlap_rank(B.bases, {1, 3}) == 1
+        assert oracles.max_overlap_rank(B.bases, set()) == 0
         # closures of {1}, {2} and {1, 2}, indexed by bitmask over (1, 2, 3)
         table = oracles.closure_table(B.bases, B.ground)
         assert table[0b001] == frozenset({1, 3})
@@ -115,7 +112,7 @@ class TestQuotient:
     def test_closure_route_agrees_on_offset_zero_sets(self):
         d = construct_fpp((2, 4, 1, 3), (4, 2, 3, 1))
         p1, p2, p3 = (Positroid.from_dream(restrict(d, k)) for k in (1, 2, 3))
-        family = [phi(p1, p2), phi(p2, p3),
+        family = [oracles.zero_join(p1, p2), oracles.zero_join(p2, p3),
                   basis_set(4, p1.bases.bases, offset_zero=True),
                   basis_set(4, p2.bases.bases, offset_zero=True)]
         tables = [oracles.closure_table(B.bases, B.ground) for B in family]

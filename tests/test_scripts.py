@@ -57,3 +57,16 @@ def test_gallery_writes_html(tmp_path):
     html = out.read_text()
     assert html.count("<figure>") == 3
     assert "<svg" in html
+
+
+def test_gallery_refuses_past_the_enumeration_guard(tmp_path, monkeypatch):
+    monkeypatch.delenv("POSITROID_MAX_N", raising=False)
+    out = tmp_path / "g.html"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS[0].parent / "render_gallery.py"),
+         "--n", "7", "--out", str(out)],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: enumerate_fpps: 7 exceeds")
+    assert proc.stdout == ""
+    assert not out.exists()
