@@ -102,13 +102,15 @@ def _dream_from_args(args):
     raise DomainError("no grid given: pass U V, --dream FILE, or --decperm STR")
 
 
-def _positroid_from_args(args):
-    from .decperm import parse_decperm, positroid_of
+def _decperm_from_args(args):
+    """The decorated permutation given by --decperm STR, or that of the
+    positroid of the grid from --dream FILE or a u/v positional pair."""
+    from .decperm import decperm_of, parse_decperm
     from .positroid import Positroid
 
     if getattr(args, "decperm", None) is not None:
-        return positroid_of(parse_decperm(args.decperm))
-    return Positroid.from_dream(_dream_from_args(args))
+        return parse_decperm(args.decperm)
+    return decperm_of(Positroid.from_dream(_dream_from_args(args)).dream)
 
 
 def _emit(payload) -> None:
@@ -158,18 +160,18 @@ def _cmd_decperm(args) -> None:
 
 
 def _cmd_covers(args) -> None:
-    from .decperm import covers_by_shift, decperm_of
+    from .decperm import covers_by_shift
 
-    w = decperm_of(_positroid_from_args(args).dream)
+    w = _decperm_from_args(args)
     if w.rank >= w.n:
         raise DomainError("a full-rank positroid has no covers")
     _emit(list(covers_by_shift(w)))
 
 
 def _cmd_covered_by(args) -> None:
-    from .decperm import covered_by_shift, decperm_of
+    from .decperm import covered_by_shift
 
-    w = decperm_of(_positroid_from_args(args).dream)
+    w = _decperm_from_args(args)
     _emit(list(covered_by_shift(w)))
 
 

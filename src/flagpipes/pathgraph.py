@@ -1,4 +1,4 @@
-"""Non-intersecting path families on a dream and the basis sets they cut out.
+"""Basis sets cut out by the non-intersecting path families on a dream.
 
 The network of a partial dream (Postnikov's Le-diagram network) has a source
 at every pivot elbow, an internal vertex at every elbow tile, and a sink above
@@ -10,94 +10,26 @@ from a source to a sink.
 
 An admissible family chooses one path per source such that all paths are
 pairwise vertex-disjoint.  The set of sink columns of a family is a basis;
-the collection of all bases of a dream is its basis set.
+the collection of all bases of a dream is its basis set.  :func:`bases_of`
+reads it off one bottom-up scan of the rows that never lists a family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .config import _guard
 from .exceptions import DomainError
 from .pipedream import ELBOW, PIVOT, PipeDream, right_exit_labels
 
 __all__ = [
-    "Vertex",
-    "Path",
     "BasisSet",
     "basis_set",
-    "admissible_collections",
     "bases_of",
     "lex_min_basis",
     "lex_max_basis",
 ]
-
-Vertex = tuple[int, int]  # (row, column); row 0 is the sink row
-Path = tuple[Vertex, ...]
-
-
-def _successors(D: PipeDream) -> dict[Vertex, tuple[Vertex, ...]]:
-    """Each pivot or elbow vertex's out-neighbours, from one row-by-row pass
-    over the grid: the nearest vertex above it in its column (the sink if
-    none), then the next elbow to its right in its row, if any."""
-    above = [0] * (D.cols + 1)  # row of the lowest vertex so far, by column
-    succ: dict[Vertex, tuple[Vertex, ...]] = {}
-    for i, row in enumerate(D.grid, start=1):
-        cols = [j for j, t in enumerate(row, start=1) if t in (PIVOT, ELBOW)]
-        for j, right in zip(cols, cols[1:]):
-            succ[(i, j)] = ((above[j], j), (i, right))
-        if cols:
-            succ[(i, cols[-1])] = ((above[cols[-1]], cols[-1]),)
-        for j in cols:
-            above[j] = i
-    return succ
-
-
-def _paths_from(succ: dict[Vertex, tuple[Vertex, ...]],
-                start: Vertex) -> Iterator[Path]:
-    """All source-to-sink paths from ``start``, up-moves tried first."""
-    stack: list[tuple[Vertex, tuple[Vertex, ...]]] = [(start, (start,))]
-    while stack:
-        v, walk = stack.pop()
-        if v[0] == 0:
-            yield walk
-            continue
-        for w in reversed(succ[v]):
-            stack.append((w, walk + (w,)))
-
-
-def admissible_collections(D: PipeDream) -> list[tuple[Path, ...]]:
-    """All vertex-disjoint families, one path per source, in canonical order.
-
-    Families are tuples of paths ordered by source row (top row first) and
-    listed sorted by their vertex sequences.  Guarded to ground sets of size
-    12 (override with POSITROID_MAX_N).
-
-    >>> from flagpipes.pipedream import construct_fpp, restrict
-    >>> D = restrict(construct_fpp((1, 2, 3), (3, 1, 2)), 1)
-    >>> [fam[0][-1] for fam in admissible_collections(D)]
-    [(0, 1), (0, 2), (0, 3)]
-    """
-    _guard("admissible_collections", "pathgraph_max_n", D.cols)
-    succ = _successors(D)
-    sources = enumerate(D.pivots, start=1)  # (row, pivot column)
-    per_source = [list(_paths_from(succ, s)) for s in sources]
-    families: list[tuple[Path, ...]] = []
-
-    def extend(idx: int, used: set[Vertex], chosen: list[Path]) -> None:
-        if idx == len(per_source):
-            families.append(tuple(chosen))
-            return
-        for path in per_source[idx]:
-            if used.isdisjoint(path):
-                chosen.append(path)
-                extend(idx + 1, used | set(path), chosen)
-                chosen.pop()
-
-    extend(0, set(), [])
-    families.sort()
-    return families
 
 
 @dataclass(frozen=True)
@@ -154,15 +86,53 @@ def basis_set(n: int, bases: Iterable[Iterable[int]],
 def bases_of(D: PipeDream) -> BasisSet:
     """Sink-column sets of all admissible families of ``D``.
 
+    The rows are read from the bottom up.  A *state* is the set of columns
+    in which a path of a partial family, built on the rows read so far, is
+    heading up.  In row i a path heading up a column that holds a vertex of
+    row i stops there, and row i's own path starts at its pivot; the row's
+    vertices are then walked left to right, each path at a vertex going up
+    (its column joins the state) or right to the row's next vertex.  A
+    branch where two paths meet at one vertex is dropped, and so is a
+    branch where a path leaves the row's last vertex to the right.  Paths
+    in columns without a vertex in row i pass it unchanged.
+
+    Equal states are merged.  This is sound because paths move only up and
+    right: the vertices still to come all lie above row i, so how the family
+    can be completed, and which sinks it reaches, depends only on the
+    columns heading up and not on the routes taken below.  After row 1 the
+    states are exactly the sink sets.  Guarded to ground sets of size 12
+    (override with POSITROID_MAX_N).
+
     >>> from flagpipes.pipedream import construct_fpp, restrict
     >>> bases_of(restrict(construct_fpp((2, 4, 1, 3), (4, 2, 3, 1)), 2)).bases
     ((2, 4),)
+    >>> bases_of(restrict(construct_fpp((1, 2, 3), (3, 1, 2)), 1)).bases
+    ((1,), (2,), (3,))
     """
-    sinks = {tuple(sorted(path[-1][1] for path in fam))
-             for fam in admissible_collections(D)}
-    if not sinks:
-        raise DomainError("no admissible family; dream is not gamma-free")
-    return basis_set(D.cols, sinks)
+    _guard("bases_of", "pathgraph_max_n", D.cols)
+    # Bit j - 1 of a state is column j.  While row i is walked, the bits of
+    # the columns already passed hold the state above row i and the others
+    # the state below it, so one mask carries both; ``carry`` marks a path
+    # moving right into the next vertex.
+    states = {0}
+    for row, pivot in zip(reversed(D.grid), reversed(D.pivots)):
+        pairs = {(s, False) for s in states}
+        for j, tile in enumerate(row, start=1):
+            if tile not in (PIVOT, ELBOW):
+                continue
+            bit = 1 << (j - 1)
+            step = set()
+            for s, carry in pairs:
+                arriving = carry + (j == pivot) + bool(s & bit)
+                if arriving == 0:
+                    step.add((s, False))
+                elif arriving == 1:
+                    step.add((s | bit, False))
+                    step.add((s & ~bit, True))
+            pairs = step
+        states = {s for s, carry in pairs if not carry}
+    return basis_set(D.cols, ([j for j in range(1, D.cols + 1)
+                               if s >> (j - 1) & 1] for s in states))
 
 
 def lex_min_basis(D: PipeDream) -> tuple[int, ...]:

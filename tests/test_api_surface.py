@@ -1,6 +1,7 @@
-"""Guards on the library's source: every public name and every public
-member of a public class has a caller, every cross-reference in a docstring
-names something that exists, and no invariant rests on an ``assert``."""
+"""Guards on the library's source: every public name, every public member
+of a public class and every private module-level helper has a caller, every
+cross-reference in a docstring names something that exists, and no
+invariant rests on an ``assert``."""
 
 import ast
 import importlib
@@ -92,6 +93,33 @@ def test_every_public_name_has_a_caller():
               for name in _module(path.stem).__all__}
     assert set(KEPT) <= public
     assert sorted(public - used - set(KEPT)) == []
+
+
+def _private_definitions():
+    """Module-level private functions and classes of the package, as
+    (module, name) pairs."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if (isinstance(stmt, (*FUNCTIONS, ast.ClassDef))
+                    and stmt.name.startswith("_")
+                    and not stmt.name.startswith("__")):
+                yield path.stem, stmt.name
+
+
+def test_every_private_helper_has_a_caller():
+    """A private helper is used by the library, its scripts or the
+    benchmark, not only by the tests and not only by itself."""
+    used = set().union(*map(_references, CALLERS))
+    private = list(_private_definitions())
+    assert len(private) >= 50
+    assert [p for p in private if p not in used] == []
+
+
+def test_the_caller_scan_does_not_count_a_bare_import(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("from flagpipes.config import _guard, current_limits\n"
+                    "current_limits()\n")
+    assert _references(path) == {("config", "current_limits")}
 
 
 def _members():

@@ -194,6 +194,15 @@ class TestCoversAndShift:
         docs = json.loads(out)
         assert docs and all(set(d) == {"perm", "color"} for d in docs)
 
+    def test_covers_walks_the_given_decperm_without_a_dream(
+            self, capsys, monkeypatch):
+        def refuse(dp):
+            raise AssertionError("covers built a positroid from --decperm")
+
+        monkeypatch.setattr("flagpipes.decperm.positroid_of", refuse)
+        code, out, _ = run(capsys, "covers", "--decperm", RUNNING)
+        assert code == 0 and len(json.loads(out)) == 15
+
     def test_shift_right(self, capsys):
         code, out, _ = run(capsys, "shift", "--decperm", "1u2u", "--set", "2")
         assert code == 0

@@ -37,7 +37,7 @@ GUARDED = [
     ("build_poset", lambda: build_poset(6), "poset_representable_max_n", 5, 6),
     ("build_poset", lambda: build_poset(5, "matroidal"),
      "poset_matroidal_max_n", 4, 5),
-    ("admissible_collections",
+    ("bases_of",
      lambda: bases_of(PipeDream(cols=13, pivots=(1,), grid=("P" + "E" * 12,))),
      "pathgraph_max_n", 12, 13),
     ("flag_minors", lambda: flag_minors(rational_matrix([[1] * 13]), (1,)),

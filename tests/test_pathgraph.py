@@ -1,14 +1,14 @@
-"""Path-family engine: disjoint route families and the basis sets they cut."""
+"""Basis sets of dreams: the row scan against the listed path families."""
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
 import oracles
+from flagpipes.decperm import parse_decperm, positroid_of
 from flagpipes.exceptions import DomainError, GuardExceededError
 from flagpipes.pathgraph import (
     BasisSet,
-    admissible_collections,
     bases_of,
     basis_set,
     lex_min_basis,
@@ -22,6 +22,7 @@ from flagpipes.pipedream import (
     enumerate_partial_fpps,
     restrict,
 )
+from flagpipes.positroid import enumerate_positroids
 
 
 class TestBasisSet:
@@ -97,33 +98,58 @@ class TestBasesOf:
         assert B.bases == tuple((j,) for j in range(1, 14))
 
 
+def edge_list_sinks(D):
+    """The sink sets of the families the edge-list oracle lists."""
+    return basis_set(D.cols, ([path[-1][1] for path in fam]
+                              for fam in oracles.path_families_by_edges(D)))
+
+
 class TestGraph:
     def test_family_sinks_golden(self):
         D = restrict(construct_fpp((1, 2, 3), (3, 1, 2)), 1)
-        assert [fam[0][-1] for fam in admissible_collections(D)] == [
-            (0, 1), (0, 2), (0, 3)]
+        families = oracles.path_families_by_edges(D)
+        assert [fam[0][-1] for fam in families] == [(0, 1), (0, 2), (0, 3)]
+        assert bases_of(D) == edge_list_sinks(D)
 
     def test_families_are_disjoint(self):
         D = restrict(construct_fpp((2, 4, 1, 3), (4, 2, 3, 1)), 3)
-        for fam in admissible_collections(D):
+        families = oracles.path_families_by_edges(D)
+        assert families
+        for fam in families:
             seen = set()
             for path in fam:
                 assert seen.isdisjoint(path)
                 seen.update(path)
+        assert bases_of(D) == edge_list_sinks(D)
 
-    def test_families_match_the_edge_list_route_on_every_filling(self):
+    def test_bases_are_the_edge_list_sinks_on_every_filling(self):
         count = 0
         for n in range(1, 5):
             for k in range(n + 1):
                 for pivots in permutations(range(1, n + 1), k):
                     for D in _fillings(n, pivots):
-                        assert admissible_collections(D) == \
-                            oracles.path_families_by_edges(D)
+                        assert bases_of(D) == edge_list_sinks(D)
                         count += 1
         assert count == 810
 
-    def test_families_match_the_edge_list_route_at_n5(
-            self, gamma_free_dreams_n5):
+    def test_bases_are_the_edge_list_sinks_at_n5(self, gamma_free_dreams_n5):
+        assert len(gamma_free_dreams_n5) == 9430
         for D in gamma_free_dreams_n5:
-            assert admissible_collections(D) == \
-                oracles.path_families_by_edges(D)
+            assert bases_of(D) == edge_list_sinks(D)
+
+    def test_bases_are_the_edge_list_sinks_on_every_positroid(self):
+        count = 0
+        for n in range(7):
+            for P in enumerate_positroids(n):
+                assert bases_of(P.dream) == edge_list_sinks(P.dream)
+                count += 1
+        assert count == 2372
+
+    def test_uniform_matroids_have_every_k_subset(self):
+        for n in range(13):
+            for k in range(n + 1):
+                w = ",".join(f"{j + n - k}o" if j <= k else f"{j - k}u"
+                             for j in range(1, n + 1))
+                D = positroid_of(parse_decperm(w)).dream
+                assert bases_of(D).bases == tuple(
+                    combinations(range(1, n + 1), k))
