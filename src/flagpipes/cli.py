@@ -81,7 +81,7 @@ def _read_json(path: str):
 
 def _dream_from_args(args):
     """A grid from --dream FILE, --decperm STR, or a u/v positional pair."""
-    if getattr(args, "dream", None) is not None:
+    if args.dream is not None:
         from .serialize import parse_any
 
         kind, value = parse_any(_read_json(args.dream))
@@ -90,12 +90,11 @@ def _dream_from_args(args):
         if kind == "dream":
             return value
         raise DomainError(f"{args.dream} holds a {kind}, not a grid")
-    if getattr(args, "decperm", None) is not None:
+    if args.decperm is not None:
         from .decperm import parse_decperm, positroid_of
 
         return positroid_of(parse_decperm(args.decperm)).dream
-    if (getattr(args, "u", None) is not None
-            and getattr(args, "v", None) is not None):
+    if args.u is not None and args.v is not None:
         from .pipedream import construct_fpp
 
         return construct_fpp(_perm_arg(args.u), _perm_arg(args.v))
@@ -108,7 +107,7 @@ def _decperm_from_args(args):
     from .decperm import decperm_of, parse_decperm
     from .positroid import Positroid
 
-    if getattr(args, "decperm", None) is not None:
+    if args.decperm is not None:
         return parse_decperm(args.decperm)
     return decperm_of(Positroid.from_dream(_dream_from_args(args)).dream)
 
@@ -220,10 +219,9 @@ def _cmd_convert(args) -> None:
     _emit(value)
 
 
-def _add_grid_source(sub, positional: bool = True) -> None:
-    if positional:
-        sub.add_argument("u", nargs="?", help="lower permutation, one-line")
-        sub.add_argument("v", nargs="?", help="upper permutation, one-line")
+def _add_grid_source(sub) -> None:
+    sub.add_argument("u", nargs="?", help="lower permutation, one-line")
+    sub.add_argument("v", nargs="?", help="upper permutation, one-line")
     sub.add_argument("--dream", help="JSON grid or positroid file ('-' for stdin)")
     sub.add_argument("--decperm", help="boundary string such as 2o1u")
 

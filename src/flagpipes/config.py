@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
-from .exceptions import GuardExceededError
+from .exceptions import DomainError, GuardExceededError
 
 __all__ = ["Limits", "ENV_MAX_N", "current_limits"]
 
@@ -71,3 +71,11 @@ def _guard(routine: str, field: str, value: int) -> None:
         raise GuardExceededError(
             f"{routine}: {value} exceeds {field} = {cap} "
             f"(guarded; {ENV_MAX_N} raises it)")
+
+
+def _check_sizes(routine: str, **sizes: int) -> None:
+    """Refuse a negative size, naming the routine and the size."""
+    for name, value in sizes.items():
+        if value < 0:
+            raise DomainError(f"{routine}: {name} must be at least 0, "
+                              f"got {value}")

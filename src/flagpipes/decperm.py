@@ -30,9 +30,8 @@ from .perm import (
 )
 from .pipedream import (
     PipeDream,
-    _front_fill,
+    _front_rows,
     _sweep,
-    _templates,
     _trusted_dream,
 )
 from .positroid import Positroid, _choice, _each_choice, standardize
@@ -194,14 +193,7 @@ def dle_of(dp: DecoratedPermutation) -> PipeDream:
     v = tuple(dp.perm[j - 1] for j in u)
     if not bruhat_leq(u, v):
         raise DomainError("decorated permutation has no gamma-free dream")
-    # Only the kept rows are rendered: each a template with the front
-    # walk's cross or elbow on every box.
-    fill = _front_fill(u, v)
-    pivots = tuple(over)
-    rows = tuple("".join(fill[(i, j)] if t is None else t
-                         for j, t in enumerate(row, start=1))
-                 for i, row in enumerate(_templates(dp.n, pivots), start=1))
-    return _trusted_dream(dp.n, pivots, rows)
+    return _trusted_dream(dp.n, tuple(over), _front_rows(u, v)[:len(over)])
 
 
 def positroid_of(dp: DecoratedPermutation) -> Positroid:

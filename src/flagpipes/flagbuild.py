@@ -44,8 +44,7 @@ def append_row(D: PipeDream, C) -> PipeDream:
     forced tiles plus a cross or an elbow on each box, and its pivot column
     was no pivot column before, so every row above keeps its forced tiles.
 
-    >>> from flagpipes.pipedream import dream_from_fill
-    >>> d = dream_from_fill(4, (4, 2), {(2, 3): "X"})
+    >>> d = PipeDream(cols=4, pivots=(4, 2), grid=("VVVP", "VPXH"))
     >>> append_row(d, {1, 3}).grid
     ('VVVP', 'VPXH', 'PHEH')
     """

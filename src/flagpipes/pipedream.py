@@ -31,9 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations as _raw_permutations, product
-from typing import Iterator, Mapping
+from typing import Iterator
 
-from .config import _guard
+from .config import _check_sizes, _guard
 from .exceptions import (
     DomainError,
     MalformedDreamError,
@@ -63,7 +63,6 @@ __all__ = [
     "PipeDream",
     "LeDream",
     "PipeTrace",
-    "dream_from_fill",
     "construct_fpp",
     "trace_pipes",
     "right_exit_labels",
@@ -189,8 +188,8 @@ def _trusted_dream(cols: int, pivots: tuple[int, ...],
       the fillings of :func:`enumerate_partial_fpps` and
       :func:`enumerate_le_dreams`, the new row of
       :func:`~flagpipes.flagbuild.append_row` and the covers built from it,
-      and the 2-colored rows of :func:`~flagpipes.decperm.dle_of`, filled by
-      the front walk of an interval its caller has checked;
+      and the 2-colored rows of :func:`~flagpipes.decperm.dle_of`, a row
+      prefix of :func:`_front_rows` on an interval its caller has checked;
     - :func:`restrict`: a prefix of valid rows, whose forced tiles no
       dropped (lower) row could change;
     - :func:`~flagpipes.positroid.standardize` and
@@ -199,39 +198,14 @@ def _trusted_dream(cols: int, pivots: tuple[int, ...],
       pivot columns on the same side as before.
 
     Validation runs once, where grids enter from outside: the public
-    constructor, :func:`dream_from_fill`, the JSON readers and the command
-    line.  A grid passed here unchecked must be one that constructor accepts.
+    constructor, the JSON readers and the command line.  A grid passed here
+    unchecked must be one that constructor accepts.
     """
     D = object.__new__(PipeDream)
     object.__setattr__(D, "cols", cols)
     object.__setattr__(D, "pivots", pivots)
     object.__setattr__(D, "grid", grid)
     return D
-
-
-def dream_from_fill(n: int, pivots: tuple[int, ...],
-                    fill: Mapping[Box, Tile]) -> PipeDream:
-    """Assemble a dream from its pivots and a cross/elbow value per box.
-
-    >>> dream_from_fill(3, (1,), {(1, 2): "E", (1, 3): "X"}).grid
-    ('PEX',)
-    """
-    pivots = tuple(pivots)
-    _check_pivots(n, pivots)
-    rows = []
-    used = 0
-    for i, row in enumerate(_templates(n, pivots), start=1):
-        for j, forced in enumerate(row, start=1):
-            if forced is None:
-                try:
-                    row[j - 1] = fill[(i, j)]
-                except KeyError:
-                    raise MalformedDreamError(f"no fill for box ({i}, {j})")
-                used += 1
-        rows.append("".join(row))
-    if used != len(fill):
-        raise MalformedDreamError("fill mentions cells that are not boxes")
-    return PipeDream(cols=n, pivots=pivots, grid=tuple(rows))
 
 
 def construct_fpp(u: Permutation, v: Permutation) -> PipeDream:
@@ -255,32 +229,34 @@ def construct_fpp(u: Permutation, v: Permutation) -> PipeDream:
         raise SizeMismatchError(f"construct_fpp: sizes {len(u)} != {len(v)}")
     if not bruhat_leq(u, v):
         raise NotComparableError(f"{u!r} is not below {v!r} in Bruhat order")
-    return dream_from_fill(len(u), u, _front_fill(u, v))
+    return PipeDream(cols=len(u), pivots=u, grid=_front_rows(u, v))
 
 
-def _front_fill(u: Permutation, v: Permutation) -> dict[Box, Tile]:
-    """The cross/elbow value of every box of the canonical FPP of a Bruhat
-    interval u <= v that the caller has already checked, by the front walk
-    of :func:`construct_fpp`: rows bottom to top, each right to left."""
+def _front_rows(u: Permutation, v: Permutation) -> tuple[str, ...]:
+    """The rows of the canonical FPP of a Bruhat interval u <= v that the
+    caller has already checked: the front walk of :func:`construct_fpp`,
+    rows bottom to top and each right to left, writes a cross or an elbow
+    on every box of the row templates of ``u``."""
     n = len(u)
     vpos = inverse(v)
-    boxes_by_row = [[j for j, t in enumerate(template, start=1) if t is None]
-                    for template in _templates(n, u)]
-    fill: dict[Box, Tile] = {}
+    rows = list(_templates(n, u))
     col = [0] * (n + 1)
     for i in range(n, 0, -1):
         x = v[i - 1]
-        for j in reversed(boxes_by_row[i - 1]):
+        row = rows[i - 1]
+        for j in range(n, 0, -1):
+            if row[j - 1] is not None:
+                continue
             c = col[j]
             if x < c and vpos[x - 1] < vpos[c - 1]:
-                fill[(i, j)] = CROSS
+                row[j - 1] = CROSS
             else:
-                fill[(i, j)] = ELBOW
+                row[j - 1] = ELBOW
                 x, col[j] = c, x
         col[u[i - 1]] = x
     if col[1:] != list(range(1, n + 1)):
         raise MalformedDreamError("internal: construction front corrupted")
-    return fill
+    return tuple("".join(row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -368,8 +344,8 @@ def is_gamma_free(D: PipeDream) -> bool:
 
     >>> is_gamma_free(construct_fpp((1, 2, 3), (3, 1, 2)))
     True
-    >>> is_gamma_free(dream_from_fill(3, (1, 2, 3),
-    ...     {(1, 2): "X", (1, 3): "E", (2, 3): "E"}))
+    >>> is_gamma_free(PipeDream(cols=3, pivots=(1, 2, 3),
+    ...                         grid=("PXE", ".PE", "..P")))
     False
     """
     return _gamma_free_exits(D) is not None
@@ -518,6 +494,7 @@ def enumerate_fpps(n: int) -> Iterator[PipeDream]:
     >>> sum(1 for _ in enumerate_fpps(3))
     19
     """
+    _check_sizes("enumerate_fpps", n=n)
     _guard("enumerate_fpps", "enumerate_max_n", n)
     for u in all_permutations(n):
         for v in all_permutations(n):
@@ -556,6 +533,7 @@ def enumerate_partial_fpps(n: int, k: int) -> Iterator[PipeDream]:
     >>> sum(1 for _ in enumerate_partial_fpps(3, 2))
     19
     """
+    _check_sizes("enumerate_partial_fpps", n=n, k=k)
     _guard("enumerate_partial_fpps", "enumerate_max_n", n)
     for pivots in _raw_permutations(range(1, n + 1), k):
         for D in _fillings(n, pivots):
@@ -569,6 +547,7 @@ def enumerate_le_dreams(n: int, k: int) -> Iterator[PipeDream]:
     >>> sum(1 for _ in enumerate_le_dreams(3, 1))
     7
     """
+    _check_sizes("enumerate_le_dreams", n=n, k=k)
     _guard("enumerate_le_dreams", "enumerate_max_n", n)
     for D, _ in _le_dreams_with_exits(n, k):
         yield D

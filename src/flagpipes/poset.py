@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
-from .config import _guard
+from .config import _check_sizes, _guard
 from .decperm import (
     DecoratedPermutation,
     _decperm_from_exits,
@@ -37,7 +37,7 @@ from .pipedream import (
     construct_fpp,
     restrict,
 )
-from .positroid import Positroid, rank_increments
+from .positroid import Positroid, _trusted_positroid, rank_increments
 
 __all__ = [
     "QuotientPoset",
@@ -119,8 +119,7 @@ def build_poset(n: int, flavor: str = "representable") -> QuotientPoset:
     """
     if flavor not in FLAVORS:
         raise DomainError(f"unknown flavor {flavor!r}; pick one of {FLAVORS}")
-    if n < 0:
-        raise DomainError(f"poset size must be at least 0, got {n}")
+    _check_sizes("build_poset", n=n)
     _guard("build_poset", f"poset_{flavor}_max_n", n)
     named = []
     for k in range(n + 1):
@@ -129,7 +128,7 @@ def build_poset(n: int, flavor: str = "representable") -> QuotientPoset:
             named.append((k, w.to_string(), w, D))
     named.sort(key=lambda t: t[:2])
     decperms = tuple(t[2] for t in named)
-    elements = tuple(Positroid(dream=t[3]) for t in named)
+    elements = tuple(_trusted_positroid(t[3]) for t in named)
     edges = []
     if flavor == "representable":
         index = {(w.perm, w.color): i for i, w in enumerate(decperms)}

@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterator
 
-from .config import _guard
+from .config import _check_sizes, _guard
 from .exceptions import (
     DomainError,
     EmptyChoiceError,
@@ -185,8 +185,7 @@ def standardize_step(D: PipeDream, i: int) -> PipeDream:
     the elbow at j* lands on a box.  The rows above and below still see
     both pivot columns on the same side as before.
 
-    >>> from flagpipes.pipedream import dream_from_fill
-    >>> d = dream_from_fill(3, (1, 2), {(1, 2): "X", (1, 3): "X", (2, 3): "X"})
+    >>> d = PipeDream(cols=3, pivots=(1, 2), grid=("PXX", ".PX"))
     >>> standardize_step(d, 1).grid
     ('VPX', 'PHX')
     """
@@ -217,9 +216,8 @@ def standardize(D: PipeDream) -> PipeDream:
     grid valid (see :func:`standardize_step`); a dream whose pivots already
     descend is returned as it is.
 
-    >>> from flagpipes.pipedream import dream_from_fill
-    >>> standardize(dream_from_fill(3, (1, 2),
-    ...     {(1, 2): "X", (1, 3): "X", (2, 3): "X"})).pivots
+    >>> standardize(PipeDream(cols=3, pivots=(1, 2),
+    ...                       grid=("PXX", ".PX"))).pivots
     (2, 1)
     """
     pivots = list(D.pivots)
@@ -314,14 +312,29 @@ def is_lpm(P: Positroid) -> bool:
     return all(mu[r] >= mu[r + 1] for r in range(len(mu) - 1))
 
 
+def _trusted_positroid(D: PipeDream) -> Positroid:
+    """A :class:`Positroid` built without the pivot check of its
+    constructor, for the dreams :func:`enumerate_le_dreams` lists, whose
+    pivots descend by construction: the positroids of
+    :func:`enumerate_positroids` and the elements of
+    :func:`~flagpipes.poset.build_poset`."""
+    P = object.__new__(Positroid)
+    object.__setattr__(P, "dream", D)
+    return P
+
+
 def enumerate_positroids(n: int) -> Iterator[Positroid]:
     """All positroids on [n], ranks ascending, canonical dreams in grid order.
+
+    Guarded to n <= 6 (override with POSITROID_MAX_N).
 
     >>> sum(1 for _ in enumerate_positroids(3))
     16
     """
+    _check_sizes("enumerate_positroids", n=n)
+    _guard("enumerate_positroids", "enumerate_max_n", n)
     for k in range(0, n + 1):
         dreams = sorted(enumerate_le_dreams(n, k),
                         key=lambda d: (d.pivots, d.grid))
         for D in dreams:
-            yield Positroid(dream=D)
+            yield _trusted_positroid(D)

@@ -112,15 +112,14 @@ class RationalMatrix:
             offset_zero=False)
 
 
-def rational_matrix(rows, offset_zero: bool = False) -> RationalMatrix:
+def rational_matrix(rows) -> RationalMatrix:
     """Build a matrix from ints, Fractions, or strings such as "-1", "3/2".
 
     >>> rational_matrix([["-1", "3/2"]]).rows
     ((Fraction(-1, 1), Fraction(3, 2)),)
     """
     return RationalMatrix(
-        rows=tuple(tuple(_exact(x) for x in row) for row in rows),
-        offset_zero=offset_zero)
+        rows=tuple(tuple(_exact(x) for x in row) for row in rows))
 
 
 def matrix_to_json(A: RationalMatrix) -> list[list[str]]:

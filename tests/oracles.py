@@ -8,8 +8,9 @@ masks, sorted-prefix scans written out from scratch, and so on.  Nothing under
 comparison tests certify.  Everything is exponential-time and meant for the
 tiny sizes the tests use.  A few plain helpers that only the tests and the
 routes here need (permutation composition and words, the dual of a basis
-family, the basis-exchange matroid test, the exit permutation and trivial
-completion of a dream, the list of every decorated permutation, the
+family, the basis-exchange matroid test, a dream assembled from a
+cross/elbow value per box, the exit permutation and trivial completion of
+a dream, the list of every decorated permutation, the
 0-embedding of a cover and its dream, the matroid of a matrix and the shape
 predicates of a nonnegative witness matrix) live here too, rather than in
 the library.
@@ -46,7 +47,6 @@ from flagpipes.pipedream import (
     PipeDream,
     PipeTrace,
     construct_fpp,
-    dream_from_fill,
     is_gamma_free,
     restrict,
     right_exit_labels,
@@ -339,6 +339,78 @@ def structural_tile(pivots, i: int, j: int):
     if j > ui:
         return None if below_or_absent else HLINE
     return VLINE if below_or_absent else EMPTY
+
+
+def dream_from_fill(n: int, pivots, fill) -> PipeDream:
+    """Assemble a dream from its pivots and a cross/elbow value per box,
+    the boxes found by :func:`structural_tile` and the grid validated by
+    the public constructor; a missing box or a filled cell that is no box
+    raises."""
+    pivots = tuple(pivots)
+    rows = []
+    used = 0
+    for i in range(1, len(pivots) + 1):
+        row = []
+        for j in range(1, n + 1):
+            t = structural_tile(pivots, i, j)
+            if t is None:
+                try:
+                    t = fill[(i, j)]
+                except KeyError:
+                    raise MalformedDreamError(f"no fill for box ({i}, {j})")
+                used += 1
+            row.append(t)
+        rows.append("".join(row))
+    if used != len(fill):
+        raise MalformedDreamError("fill mentions cells that are not boxes")
+    return PipeDream(cols=n, pivots=pivots, grid=tuple(rows))
+
+
+def front_fill(u, v) -> dict:
+    """The cross/elbow value of every box of the canonical FPP of u <= v,
+    as a box -> tile dict: the front walk of ``construct_fpp``, rows bottom
+    to top and each right to left, over boxes found cell by cell."""
+    n = len(u)
+    vpos = {x: i for i, x in enumerate(v)}
+    fill = {}
+    col = [0] * (n + 1)
+    for i in range(n, 0, -1):
+        x = v[i - 1]
+        for j in range(n, 0, -1):
+            if structural_tile(u, i, j) is not None:
+                continue
+            c = col[j]
+            if x < c and vpos[x] < vpos[c]:
+                fill[(i, j)] = CROSS
+            else:
+                fill[(i, j)] = ELBOW
+                x, col[j] = c, x
+        col[u[i - 1]] = x
+    return fill
+
+
+def fpp_by_fill(u, v) -> PipeDream:
+    """``construct_fpp`` of a Bruhat interval the caller has checked, by
+    the box -> tile route: :func:`front_fill` assembled by
+    :func:`dream_from_fill`."""
+    return dream_from_fill(len(u), u, front_fill(u, v))
+
+
+def dle_by_fill(dp) -> PipeDream:
+    """``dle_of`` by the box -> tile route: the 2-colored rows of
+    :func:`front_fill` on the interval of the pivot order, assembled by
+    :func:`dream_from_fill`."""
+    over = sorted((j for j, c in enumerate(dp.color, 1) if c == 2),
+                  reverse=True)
+    under = sorted((j for j, c in enumerate(dp.color, 1) if c == 1),
+                   reverse=True)
+    u = tuple(over + under)
+    v = tuple(dp.perm[j - 1] for j in u)
+    if not sorted_prefix_leq(u, v):
+        raise DomainError("decorated permutation has no gamma-free dream")
+    fill = front_fill(u, v)
+    return dream_from_fill(dp.n, over, {box: t for box, t in fill.items()
+                                        if box[0] <= len(over)})
 
 
 def fillings_by_fill(n: int, pivots):

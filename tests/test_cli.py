@@ -3,8 +3,10 @@
 import contextlib
 import io
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -599,3 +601,36 @@ class TestInstalledEntryPoint:
         assert plain.returncode == optimized.returncode == 0
         assert plain.stdout == optimized.stdout
         assert plain.stdout.strip()
+
+
+def readme_commands():
+    """The ``flagpipes`` lines of the README's "Command line" example block,
+    as argument lists with any ``> file`` redirect cut off.  Left out: the
+    lines that read an input file, and the bare ``flagpipes verify`` that
+    the acceptance suite runs already."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    out = []
+    for line in block.splitlines():
+        argv = shlex.split(line)
+        if argv[:1] != ["flagpipes"] or argv == ["flagpipes", "verify"]:
+            continue
+        if "--dream grid.json" in line or "convert stored.json" in line:
+            continue
+        out.append(argv[1:argv.index(">")] if ">" in argv else argv[1:])
+    return out
+
+
+README_COMMANDS = readme_commands()
+
+
+def test_the_readme_lists_its_command_examples():
+    assert len(README_COMMANDS) >= 10
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+def test_readme_command_example_runs(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.strip()

@@ -4,7 +4,7 @@ import pytest
 
 from flagpipes.config import ENV_MAX_N, Limits, current_limits
 from flagpipes.decperm import covered_by_shift, covers_by_shift, parse_decperm
-from flagpipes.exceptions import GuardExceededError
+from flagpipes.exceptions import DomainError, GuardExceededError
 from flagpipes.flagbuild import quotient_covers
 from flagpipes.pathgraph import bases_of
 from flagpipes.perm import bruhat_leq_subword_oracle
@@ -15,7 +15,7 @@ from flagpipes.pipedream import (
     enumerate_partial_fpps,
 )
 from flagpipes.poset import build_poset
-from flagpipes.positroid import Positroid
+from flagpipes.positroid import Positroid, enumerate_positroids
 from flagpipes.ratmat import flag_minors, rational_matrix
 
 
@@ -30,6 +30,8 @@ GUARDED = [
     ("enumerate_partial_fpps", lambda: next(enumerate_partial_fpps(7, 1)),
      "enumerate_max_n", 6, 7),
     ("enumerate_le_dreams", lambda: next(enumerate_le_dreams(7, 1)),
+     "enumerate_max_n", 6, 7),
+    ("enumerate_positroids", lambda: next(enumerate_positroids(7)),
      "enumerate_max_n", 6, 7),
     ("bruhat_leq_subword_oracle",
      lambda: bruhat_leq_subword_oracle(tuple(range(1, 8)), tuple(range(1, 8))),
@@ -63,6 +65,35 @@ def test_guard_error_names_routine_size_limit_and_override(
     assert message.startswith(f"{routine}: {size} ")
     assert f"{field} = {cap}" in message
     assert ENV_MAX_N in message
+
+
+# (routine, call with a negative size, the size named in the error)
+BAD_SIZES = [
+    ("enumerate_fpps", lambda: next(enumerate_fpps(-1)), "n"),
+    ("enumerate_partial_fpps", lambda: next(enumerate_partial_fpps(-1, 0)),
+     "n"),
+    ("enumerate_partial_fpps", lambda: next(enumerate_partial_fpps(3, -1)),
+     "k"),
+    ("enumerate_le_dreams", lambda: next(enumerate_le_dreams(-1, 0)), "n"),
+    ("enumerate_le_dreams", lambda: next(enumerate_le_dreams(3, -1)), "k"),
+    ("enumerate_positroids", lambda: next(enumerate_positroids(-1)), "n"),
+    ("build_poset", lambda: build_poset(-1), "n"),
+]
+
+
+@pytest.mark.parametrize("routine, call, size", BAD_SIZES,
+                         ids=[f"{b[0]}:{b[2]}" for b in BAD_SIZES])
+def test_a_negative_size_is_a_domain_error_naming_the_routine(
+        routine, call, size):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert not isinstance(info.value, GuardExceededError)
+    assert str(info.value) == f"{routine}: {size} must be at least 0, got -1"
+
+
+def test_more_rows_than_columns_list_nothing():
+    assert list(enumerate_partial_fpps(3, 4)) == []
+    assert list(enumerate_le_dreams(3, 4)) == []
 
 
 def test_a_changed_override_takes_effect_at_once(monkeypatch):

@@ -125,6 +125,20 @@ class TestBoundaryData:
     def test_dle_of_golden(self):
         assert dle_of(parse_decperm("2o1u4o3u")).pivots == (3, 1)
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_dle_of_matches_the_box_fill_route(self, n):
+        """dle_of keeps a row prefix of the front walk's rows unchecked; its
+        dream, or its error, equals the old route's: the walk's box -> tile
+        dict assembled and validated by oracles.dream_from_fill."""
+        def outcome(build, dp):
+            try:
+                return build(dp)
+            except DomainError as exc:
+                return type(exc), str(exc)
+
+        for dp in all_decperms(n):
+            assert outcome(dle_of, dp) == outcome(oracles.dle_by_fill, dp)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_decperm_dream_mutual_inverse(self, n):
         for dp in all_decperms(n):

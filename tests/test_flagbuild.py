@@ -34,7 +34,6 @@ from flagpipes.perm import all_permutations, bruhat_leq
 from flagpipes.pipedream import (
     PipeDream,
     construct_fpp,
-    dream_from_fill,
     is_gamma_free,
     restrict,
 )
@@ -51,7 +50,7 @@ def uniform_positroid(r: int, n: int) -> Positroid:
     fill = {(i, j): "E"
             for i in range(1, r + 1) for j in range(1, n + 1)
             if oracles.structural_tile(pivots, i, j) is None}
-    return Positroid.from_dream(dream_from_fill(n, pivots, fill))
+    return Positroid.from_dream(oracles.dream_from_fill(n, pivots, fill))
 
 
 class TestAppendRow:
@@ -292,7 +291,8 @@ class TestFlag:
 
 class TestEmbedding:
     def test_extended_dream_golden(self):
-        p = Positroid.from_dream(dream_from_fill(4, (4, 2), {(2, 3): "X"}))
+        p = Positroid.from_dream(
+            oracles.dream_from_fill(4, (4, 2), {(2, 3): "X"}))
         assert oracles.extended_cover_dream_by_hand(p, (1, 3)).grid == (
             "VVVVP", "VVPXH", "PEHEH")
 

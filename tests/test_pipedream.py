@@ -7,6 +7,7 @@ from hypothesis import given
 
 import oracles
 from conftest import assert_rebuilds, permutation_pairs
+from flagpipes import pipedream
 from flagpipes.exceptions import (
     DomainError,
     GuardExceededError,
@@ -23,7 +24,6 @@ from flagpipes.pipedream import (
     box_order,
     construct_fpp,
     cross_positions,
-    dream_from_fill,
     elbow_count,
     enumerate_fpps,
     enumerate_le_dreams,
@@ -79,7 +79,7 @@ class TestValidation:
     )
     def test_dream_from_fill_rejects_malformed_input(self, cols, pivots, fill):
         with pytest.raises(MalformedDreamError):
-            dream_from_fill(cols, pivots, fill)
+            oracles.dream_from_fill(cols, pivots, fill)
 
     @pytest.mark.parametrize("n", range(7))
     def test_templates_match_the_cell_rule(self, n):
@@ -91,9 +91,10 @@ class TestValidation:
 
     def test_dream_from_fill_requires_every_box(self):
         with pytest.raises(MalformedDreamError):
-            dream_from_fill(3, (1,), {(1, 2): "E"})
+            oracles.dream_from_fill(3, (1,), {(1, 2): "E"})
         with pytest.raises(MalformedDreamError):
-            dream_from_fill(3, (1,), {(1, 2): "E", (1, 3): "X", (2, 2): "E"})
+            oracles.dream_from_fill(
+                3, (1,), {(1, 2): "E", (1, 3): "X", (2, 2): "E"})
 
     def test_empty_dream_is_fine(self):
         D = PipeDream(cols=3, pivots=(), grid=())
@@ -111,6 +112,33 @@ class TestConstruction:
         assert elbow_count(D) == 7
         assert cross_positions(D) == (1, 2, 4, 5, 11)
         assert word_y_of_crosses(D) == (5, 6, 3, 4, 1)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_matches_the_box_fill_route(self, n):
+        """The front walk writes its rows straight into the templates; the
+        grids equal the old route's, the walk's box -> tile dict assembled
+        and validated by oracles.dream_from_fill."""
+        for u in all_permutations(n):
+            for v in all_permutations(n):
+                if bruhat_leq(u, v):
+                    assert construct_fpp(u, v) == oracles.fpp_by_fill(u, v)
+
+    def test_lists_the_templates_twice_and_checks_the_pivots_once(
+            self, monkeypatch):
+        """One template listing for the front walk and one, with the one
+        pivot check, in the constructor's validation."""
+        calls = {"_templates": 0, "_check_pivots": 0}
+        for name in calls:
+            def counted(*args, _name=name, _inner=getattr(pipedream, name)):
+                calls[_name] += 1
+                return _inner(*args)
+            monkeypatch.setattr(pipedream, name, counted)
+        pairs = [(u, v) for u in all_permutations(4)
+                 for v in all_permutations(4) if bruhat_leq(u, v)]
+        for u, v in pairs:
+            construct_fpp(u, v)
+        assert calls == {"_templates": 2 * len(pairs),
+                         "_check_pivots": len(pairs)}
 
     def test_rejects_incomparable_and_mismatched(self):
         with pytest.raises(NotComparableError):
@@ -212,8 +240,8 @@ class TestWords:
 
 class TestGammaFree:
     def test_documented_violation(self):
-        bad = dream_from_fill(3, (1, 2, 3),
-                              {(1, 2): "X", (1, 3): "E", (2, 3): "E"})
+        bad = oracles.dream_from_fill(3, (1, 2, 3),
+                                      {(1, 2): "X", (1, 3): "E", (2, 3): "E"})
         assert not is_gamma_free(bad)
 
     def test_two_routes_agree_on_every_filling(self):

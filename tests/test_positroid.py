@@ -15,12 +15,12 @@ from flagpipes.pipedream import (
     PipeDream,
     _fillings,
     construct_fpp,
-    dream_from_fill,
     enumerate_le_dreams,
     enumerate_partial_fpps,
     restrict,
     right_exit_labels,
 )
+from flagpipes.poset import build_poset
 from flagpipes.positroid import (
     Positroid,
     _exchange_index,
@@ -155,7 +155,8 @@ class TestUnblocked:
 
 class TestStandardizeStep:
     def test_small_golden(self):
-        d = dream_from_fill(3, (1, 2), {(1, 2): "X", (1, 3): "X", (2, 3): "X"})
+        d = oracles.dream_from_fill(
+            3, (1, 2), {(1, 2): "X", (1, 3): "X", (2, 3): "X"})
         assert standardize_step(d, 1).grid == ("VPX", "PHX")
 
     def test_eleven_column_step_golden(self):
@@ -286,9 +287,16 @@ class TestPositroid:
         with pytest.raises(DomainError):
             Positroid(dream=D)
 
+    def test_unchecked_builds_pass_the_constructor(self):
+        # enumerate_positroids and build_poset skip the pivot check.
+        listed = [P for n in range(6) for P in enumerate_positroids(n)]
+        listed += build_poset(4, "matroidal").elements
+        for P in listed:
+            assert Positroid(dream=P.dream) == P
+
     def test_rejects_blocked_pattern(self):
-        bad = dream_from_fill(3, (1, 2, 3),
-                              {(1, 2): "X", (1, 3): "E", (2, 3): "E"})
+        bad = oracles.dream_from_fill(3, (1, 2, 3),
+                                      {(1, 2): "X", (1, 3): "E", (2, 3): "E"})
         with pytest.raises(DomainError):
             Positroid.from_dream(bad)
 

@@ -85,7 +85,8 @@ class TestConstruction:
         A = rational_matrix([[1, 2, 3], [4, 5, 6]])
         assert (A.k, A.n) == (2, 3)
         assert A.column_labels == (1, 2, 3)
-        B = rational_matrix([[1, 2, 3]], offset_zero=True)
+        B = RationalMatrix(rational_matrix([[1, 2, 3]]).rows,
+                           offset_zero=True)
         assert B.column_labels == (0, 1, 2)
         assert B.entry(1, 0) == 1
 
@@ -209,7 +210,8 @@ class TestFlagMinors:
                               rng.randint(1, 9)) for _ in range(n)]
                     for _ in range(k)]
             inputs = [rational_matrix(rows),
-                      rational_matrix(rows, offset_zero=True)]
+                      RationalMatrix(rational_matrix(rows).rows,
+                                     offset_zero=True)]
             if 2 <= k and n < 12:
                 inputs.append(embed_append(rational_matrix(rows)))
             for A in inputs:
