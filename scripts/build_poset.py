@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from flagpipes.exceptions import DomainError
 from flagpipes.poset import (
     build_poset,
     check_self_dual,
@@ -65,7 +67,7 @@ def main(cfg: Config) -> int:
                 rep, missing = poset, ()
             else:
                 missing = missing_covers(rep or build_poset(n), poset)
-            print(f"{n:>3} {flavor:<14} {len(poset.elements):>6} "
+            print(f"{n:>3} {flavor:<14} {len(poset.decperms):>6} "
                   f"{len(poset.covers):>7} {chains:>7} {str(dual):>9} "
                   f"{len(missing):>8}")
             if cfg.out_dir is not None:
@@ -80,4 +82,8 @@ def main(cfg: Config) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(parse_args()))
+    try:
+        raise SystemExit(main(parse_args()))
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(1)

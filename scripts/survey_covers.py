@@ -14,10 +14,12 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import sys
 from collections import Counter
 from dataclasses import dataclass
 
 from flagpipes.decperm import covers_by_shift, decperm_of
+from flagpipes.exceptions import DomainError
 from flagpipes.flagbuild import quotient_covers
 from flagpipes.positroid import enumerate_positroids, is_lpm
 
@@ -78,4 +80,8 @@ def main(cfg: Config) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(parse_args()))
+    try:
+        raise SystemExit(main(parse_args()))
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(1)

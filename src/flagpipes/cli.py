@@ -189,7 +189,7 @@ def _cmd_poset(args) -> None:
 
     poset = build_poset(args.n, flavor=args.flavor)
     if args.stats:
-        _emit({"elements": len(poset.elements),
+        _emit({"elements": len(poset.decperms),
                "maxChains": maximal_chain_count(poset)})
     elif args.dot:
         dashed = (missing_covers(build_poset(args.n), poset)

@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import product
 
 from .exceptions import DomainError
 from .perm import (
     Permutation,
+    all_permutations,
     bruhat_leq,
     inverse,
     validate_permutation,
@@ -106,9 +108,10 @@ class DecoratedPermutation:
 def _trusted_decperm(perm: Permutation,
                      color: tuple[int, ...]) -> DecoratedPermutation:
     """A :class:`DecoratedPermutation` built without the checks of its
-    constructor, for results the library derives from one already valid:
-    a shift, an inverse, or the pipe exits of a dream.  Their permutation
-    and forced colors hold by construction.
+    constructor, for results the library derives from one already valid
+    (a shift, an inverse, or the pipe exits of a dream) and for the listing
+    of :func:`_all_decperms`.  Their permutation and forced colors hold by
+    construction.
 
     Validation runs once, where boundary data enters from outside: the
     public constructor, :func:`parse_decperm`, the JSON readers and the
@@ -158,13 +161,6 @@ def decperm_of(D: PipeDream) -> DecoratedPermutation:
     """
     S = standardize(D)
     exits, _ = _sweep(S)
-    return _decperm_from_exits(S, exits)
-
-
-def _decperm_from_exits(S: PipeDream,
-                        exits: list[tuple[str, int]]) -> DecoratedPermutation:
-    """:func:`decperm_of` of a dream S whose pivots already descend, given
-    the pipe exits of its :func:`~flagpipes.pipedream._sweep`."""
     pivots = S.pivots
     perm = [0] * S.cols
     for label, (side, index) in enumerate(exits, start=1):
@@ -174,6 +170,17 @@ def _decperm_from_exits(S: PipeDream,
     for p in pivots:
         color[p - 1] = OVER
     return _trusted_decperm(tuple(perm), tuple(color))
+
+
+def _all_decperms(n: int) -> list[DecoratedPermutation]:
+    """Every decorated permutation on [n], unsorted: each permutation, with
+    both colors on every fixed point and the forced color elsewhere."""
+    out = []
+    for w in all_permutations(n):
+        colors = [(UNDER, OVER) if v == j else (OVER if v > j else UNDER,)
+                  for j, v in enumerate(w, 1)]
+        out.extend(_trusted_decperm(w, color) for color in product(*colors))
+    return out
 
 
 def dle_of(dp: DecoratedPermutation) -> PipeDream:

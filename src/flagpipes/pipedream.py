@@ -348,12 +348,6 @@ def is_gamma_free(D: PipeDream) -> bool:
     ...                         grid=("PXE", ".PE", "..P")))
     False
     """
-    return _gamma_free_exits(D) is not None
-
-
-def _gamma_free_exits(D: PipeDream) -> list[tuple[str, int]] | None:
-    """:func:`is_gamma_free` that keeps what its sweep found: the pipe
-    exits of :func:`_sweep` when D is gamma-free, None when it is not."""
     k = D.rows
     grid = D.grid
     exits, crosses = _sweep(D)
@@ -362,8 +356,8 @@ def _gamma_free_exits(D: PipeDream) -> list[tuple[str, int]] | None:
         for (i, j) in cells:
             for r in range(i, cap):
                 if grid[r][j - 1] in (ELBOW, PIVOT):
-                    return None
-    return exits
+                    return False
+    return True
 
 
 def box_order(D: PipeDream) -> tuple[tuple[Box, int], ...]:
@@ -549,20 +543,8 @@ def enumerate_le_dreams(n: int, k: int) -> Iterator[PipeDream]:
     """
     _check_sizes("enumerate_le_dreams", n=n, k=k)
     _guard("enumerate_le_dreams", "enumerate_max_n", n)
-    for D, _ in _le_dreams_with_exits(n, k):
-        yield D
-
-
-def _le_dreams_with_exits(
-        n: int, k: int) -> Iterator[tuple[PipeDream, list[tuple[str, int]]]]:
-    """The dreams of :func:`enumerate_le_dreams`, in the same order and
-    unguarded, each with the pipe exits of the sweep that showed it
-    gamma-free, so a caller reads boundary data off them without sweeping
-    again (see :func:`~flagpipes.poset.build_poset`).
-    """
     # combinations yields increasing tuples; reversed, the pivots descend.
     for chosen in combinations(range(1, n + 1), k):
         for D in _fillings(n, chosen[::-1]):
-            exits = _gamma_free_exits(D)
-            if exits is not None:
-                yield D, exits
+            if is_gamma_free(D):
+                yield D

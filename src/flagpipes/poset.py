@@ -1,14 +1,18 @@
 """The graded poset of positroids on [n] under the quotient order.
 
-Two flavors share one container, and both key every element by its
-decorated permutation.  "Representable" edges are the right cyclic shifts
-of :func:`~flagpipes.decperm.covers_by_shift`, which realize exactly the
+Positroids on [n] biject with decorated permutations, so the poset stores
+only those: its elements are listed straight from the permutations of [n],
+and a positroid is built for an element only when a caller reads
+:attr:`QuotientPoset.elements`.  Two flavors share one container.
+"Representable" edges are the right cyclic shifts of
+:func:`~flagpipes.decperm.covers_by_shift`, which realize exactly the
 row-append covers; the row-append route itself stays as the cross-check of
 ``verify quotient-covers`` and the tests.  "Matroidal" edges are the bare
 quotient test on adjacent ranks, run on one rank-increment mask per
-element.  Every representable cover is matroidal; the difference is
-reported by :func:`missing_covers`.  Maximal chains of the representable
-flavor biject with complete flag positroid pipe dreams.
+element, so that flavor builds every positroid.  Every representable cover
+is matroidal; the difference is reported by :func:`missing_covers`.
+Maximal chains of the representable flavor biject with complete flag
+positroid pipe dreams.
 """
 
 from __future__ import annotations
@@ -20,9 +24,10 @@ from typing import Iterator
 from .config import _check_sizes, _guard
 from .decperm import (
     DecoratedPermutation,
-    _decperm_from_exits,
+    _all_decperms,
     _right_shift_walk,
     inverse_decperm,
+    positroid_of,
 )
 from .exceptions import (
     DomainError,
@@ -31,13 +36,8 @@ from .exceptions import (
 )
 from .pathgraph import lex_max_basis, lex_min_basis
 from .perm import bruhat_leq
-from .pipedream import (
-    PipeDream,
-    _le_dreams_with_exits,
-    construct_fpp,
-    restrict,
-)
-from .positroid import Positroid, _trusted_positroid, rank_increments
+from .pipedream import PipeDream, construct_fpp, restrict
+from .positroid import Positroid, rank_increments
 
 __all__ = [
     "QuotientPoset",
@@ -57,14 +57,14 @@ FLAVORS = ("representable", "matroidal")
 
 @dataclass(frozen=True)
 class QuotientPoset:
-    """Positroids on [n] with rank-adjacent cover edges (index pairs into
-    ``elements``, which is sorted by rank then boundary text).
-    ``decperms[i]`` is the decorated permutation of ``elements[i]``, and
-    ``names[i]`` its text form."""
+    """Positroids on [n], stored as their decorated permutations
+    ``decperms`` (sorted by rank then text form), with rank-adjacent cover
+    edges as index pairs into them.  ``names[i]`` is the text form of
+    ``decperms[i]`` and ``elements[i]`` its positroid; both are derived on
+    first read and cached."""
 
     n: int
     flavor: str
-    elements: tuple[Positroid, ...]
     decperms: tuple[DecoratedPermutation, ...]
     covers: tuple[tuple[int, int], ...]
 
@@ -73,8 +73,12 @@ class QuotientPoset:
         return tuple(w.to_string() for w in self.decperms)
 
     @cached_property
+    def elements(self) -> tuple[Positroid, ...]:
+        return tuple(map(positroid_of, self.decperms))
+
+    @cached_property
     def _by_rank(self) -> tuple[tuple[int, ...], ...]:
-        return _indices_by_rank(self.n, self.elements)
+        return _indices_by_rank(self.n, self.decperms)
 
     def rank_indices(self, k: int) -> tuple[int, ...]:
         return self._by_rank[k] if 0 <= k <= self.n else ()
@@ -88,61 +92,60 @@ class QuotientPoset:
         return self.rank_indices(self.n)[0]
 
 
-def _indices_by_rank(n: int, elements) -> tuple[tuple[int, ...], ...]:
+def _indices_by_rank(n: int, decperms) -> tuple[tuple[int, ...], ...]:
     """The indices of the elements of each rank 0..n, in element order,
-    from one scan of ``elements``."""
+    from one scan of ``decperms``."""
     by_rank: list[list[int]] = [[] for _ in range(n + 1)]
-    for i, p in enumerate(elements):
-        by_rank[p.rank].append(i)
+    for i, w in enumerate(decperms):
+        by_rank[w.rank].append(i)
     return tuple(map(tuple, by_rank))
 
 
 def build_poset(n: int, flavor: str = "representable") -> QuotientPoset:
     """Assemble the poset of all positroids on [n] for one edge flavor.
 
-    Each element's pipes are swept once: the sweep that shows its Le dream
-    gamma-free also gives the pipe exits, and those are its decorated
-    permutation (the dream's pivots already descend, so standardizing it
-    would change nothing).  That decorated permutation names the element,
-    orders it within its rank and indexes the edges.  The representable
-    edges of an element are its right cyclic shifts, one walk per element
-    that computes each top-completion set once per pair of ends
+    The elements are the decorated permutations on [n], listed from the
+    permutations of [n] and sorted by rank then text form.  The
+    representable edges of an element are its right cyclic shifts, one walk
+    per element that computes each top-completion set once per pair of ends
     ``(min C, max C)``, the only part of a choice C it reads; each shifted
     ``(perm, color)`` pair is looked up in the index, and two choices that
-    give one pair raise.  The matroidal edges join each element
-    to those of the next rank whose rank-increment masks cover its own
-    (see :func:`~flagpipes.positroid.is_quotient`).
+    give one pair raise.  No positroid is built for them.  The matroidal
+    edges join each element to those of the next rank whose rank-increment
+    masks cover its own (see :func:`~flagpipes.positroid.is_quotient`); the
+    positroids whose bases give those masks are the poset's
+    :attr:`~QuotientPoset.elements`, built once.
 
     >>> p = build_poset(3)
-    >>> len(p.elements), len(p.covers)
+    >>> len(p.decperms), len(p.covers)
     (16, 33)
     """
     if flavor not in FLAVORS:
         raise DomainError(f"unknown flavor {flavor!r}; pick one of {FLAVORS}")
     _check_sizes("build_poset", n=n)
     _guard("build_poset", f"poset_{flavor}_max_n", n)
-    named = []
-    for k in range(n + 1):
-        for D, exits in _le_dreams_with_exits(n, k):
-            w = _decperm_from_exits(D, exits)
-            named.append((k, w.to_string(), w, D))
-    named.sort(key=lambda t: t[:2])
-    decperms = tuple(t[2] for t in named)
-    elements = tuple(_trusted_positroid(t[3]) for t in named)
+    decperms = tuple(sorted(_all_decperms(n),
+                            key=lambda w: (w.rank, w.to_string())))
     edges = []
+    elements = None
     if flavor == "representable":
         index = {(w.perm, w.color): i for i, w in enumerate(decperms)}
         for i, w in enumerate(decperms):
             edges.extend((i, index[pair]) for pair
                          in _right_shift_walk(w, "covers_by_shift"))
     else:
+        elements = tuple(map(positroid_of, decperms))
         inc = [rank_increments(p.bases) for p in elements]
-        by_rank = _indices_by_rank(n, elements)
+        by_rank = _indices_by_rank(n, decperms)
         for lower, upper in zip(by_rank, by_rank[1:]):
             edges.extend((i, j) for i in lower for j in upper
                          if inc[i] & ~inc[j] == 0)
-    return QuotientPoset(n=n, flavor=flavor, elements=elements,
-                         decperms=decperms, covers=tuple(sorted(edges)))
+    poset = QuotientPoset(n=n, flavor=flavor, decperms=decperms,
+                          covers=tuple(sorted(edges)))
+    if elements is not None:
+        # Fill the cache of QuotientPoset.elements, whose bases are read.
+        vars(poset)["elements"] = elements
+    return poset
 
 
 def maximal_chain_count(poset: QuotientPoset) -> int:
@@ -284,8 +287,8 @@ def export_json(poset: QuotientPoset) -> dict:
     return {
         "n": poset.n,
         "flavor": poset.flavor,
-        "nodes": [{"decperm": name, "rank": p.rank}
-                  for name, p in zip(poset.names, poset.elements)],
+        "nodes": [{"decperm": name, "rank": w.rank}
+                  for name, w in zip(poset.names, poset.decperms)],
         "covers": [[a, b] for a, b in poset.covers],
     }
 

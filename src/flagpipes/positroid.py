@@ -316,8 +316,7 @@ def _trusted_positroid(D: PipeDream) -> Positroid:
     """A :class:`Positroid` built without the pivot check of its
     constructor, for the dreams :func:`enumerate_le_dreams` lists, whose
     pivots descend by construction: the positroids of
-    :func:`enumerate_positroids` and the elements of
-    :func:`~flagpipes.poset.build_poset`."""
+    :func:`enumerate_positroids`."""
     P = object.__new__(Positroid)
     object.__setattr__(P, "dream", D)
     return P

@@ -925,7 +925,8 @@ def build_poset_by_names(n: int, flavor: str) -> QuotientPoset:
     sorted by (rank, text), representable edges looked up by the text of
     each :func:`right_shifts_by_choice` result, matroidal edges by
     rank-increment masks; each decorated permutation passes the public
-    constructor again."""
+    constructor again, and ``elements`` holds the positroids of the
+    filling sweep of :func:`enumerate_positroids`."""
     named = []
     for p in enumerate_positroids(n):
         w = decperm_of(p.dream)
@@ -946,8 +947,10 @@ def build_poset_by_names(n: int, flavor: str) -> QuotientPoset:
                          if q.rank == p.rank + 1 and inc[i] & ~inc[j] == 0)
     decperms = tuple(DecoratedPermutation(t[2].perm, t[2].color)
                      for t in named)
-    return QuotientPoset(n=n, flavor=flavor, elements=elements,
-                         decperms=decperms, covers=tuple(sorted(edges)))
+    poset = QuotientPoset(n=n, flavor=flavor, decperms=decperms,
+                          covers=tuple(sorted(edges)))
+    vars(poset)["elements"] = elements  # the cache of the lazy property
+    return poset
 
 
 def self_dual_by_names(poset) -> bool:

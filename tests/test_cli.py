@@ -343,6 +343,21 @@ class TestPoset:
         assert code == 0 and "style=dashed" in out
         assert sorted(built) == [(4, "matroidal"), (4, "representable")]
 
+    @pytest.mark.parametrize("form", [("--stats",), ("--dot",), ()])
+    def test_representable_output_builds_no_positroid(self, capsys,
+                                                      monkeypatch, form):
+        built = []
+        real = poset_module.build_poset
+
+        def keeping(n, flavor="representable"):
+            built.append(real(n, flavor))
+            return built[-1]
+
+        monkeypatch.setattr(poset_module, "build_poset", keeping)
+        code, _, _ = run(capsys, "poset", "4", *form)
+        assert code == 0 and len(built) == 1
+        assert "elements" not in vars(built[0])
+
     def test_stats_and_dot_together_are_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["poset", "3", "--stats", "--dot"])

@@ -116,6 +116,17 @@ class TestRepresentation:
         texts = {dp.to_string() for dp in all_decperms(4)}
         assert len(texts) == 65
 
+    def test_listing_matches_the_oracle(self):
+        counts = []
+        for n in range(7):
+            listed = [(w.perm, w.color)
+                      for w in decperm_module._all_decperms(n)]
+            assert len(set(listed)) == len(listed)
+            assert set(listed) == {(w.perm, w.color)
+                                   for w in all_decperms(n)}
+            counts.append(len(listed))
+        assert counts == [1, 2, 5, 16, 65, 326, 1957]
+
 
 class TestBoundaryData:
     def test_decperm_of_golden(self):
@@ -339,7 +350,7 @@ class TestShifts:
         omega = inverse_decperm(pi)
         assert len(covered_by_shift(omega)) == 15 and len(calls) == 1
         calls.clear()
-        assert len(build_poset(4).elements) == 65 and len(calls) == 65
+        assert len(build_poset(4).decperms) == 65 and len(calls) == 65
 
     @pytest.mark.parametrize("n", range(7))
     def test_walks_match_one_shift_per_choice(self, n):

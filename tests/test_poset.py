@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 import oracles
+import flagpipes.poset as poset_module
 from flagpipes.config import ENV_MAX_N
 from flagpipes.decperm import covers_by_shift, decperm_of, parse_decperm
 from flagpipes.exceptions import DomainError, GuardExceededError, SizeMismatchError
@@ -132,6 +133,35 @@ class TestMissingCovers:
         for pair in ((mat, rep), (rep, rep), (mat, mat)):
             with pytest.raises(DomainError, match="representable"):
                 missing_covers(*pair)
+
+
+class TestLazyElements:
+    """The poset stores decorated permutations; a positroid is built only
+    when a caller reads ``elements``, and then once per element."""
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_readers_of_the_order_build_no_positroid(self, monkeypatch, n):
+        monkeypatch.setenv(ENV_MAX_N, "5")
+        poset = build_poset(n)
+        maximal_chain_count(poset)
+        check_self_dual(poset)
+        export_json(poset)
+        export_dot(poset)
+        missing_covers(poset, build_poset(n, "matroidal"))
+        assert "elements" not in vars(poset)
+
+    def test_matroidal_builds_each_positroid_once(self, monkeypatch):
+        calls = []
+        real = poset_module.positroid_of
+
+        def counted(w):
+            calls.append(w)
+            return real(w)
+
+        monkeypatch.setattr(poset_module, "positroid_of", counted)
+        poset = build_poset(4, "matroidal")
+        assert len(poset.elements) == 65
+        assert len(calls) == 65
 
 
 class TestSelfDuality:

@@ -288,7 +288,8 @@ class TestPositroid:
             Positroid(dream=D)
 
     def test_unchecked_builds_pass_the_constructor(self):
-        # enumerate_positroids and build_poset skip the pivot check.
+        # enumerate_positroids skips the pivot check; the poset's elements
+        # come from positroid_of, which keeps it.
         listed = [P for n in range(6) for P in enumerate_positroids(n)]
         listed += build_poset(4, "matroidal").elements
         for P in listed:

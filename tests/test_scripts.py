@@ -38,6 +38,32 @@ def test_build_poset_writes_files(tmp_path):
     assert dot.startswith("digraph quotient_poset {")
 
 
+@pytest.mark.parametrize("args, message", [
+    (("--min-n", "6", "--max-n", "6"), "error: build_poset: 6 exceeds"),
+    (("--min-n", "-1", "--max-n", "0"),
+     "error: build_poset: n must be at least 0"),
+])
+def test_build_poset_reports_a_domain_error(monkeypatch, args, message):
+    monkeypatch.delenv("POSITROID_MAX_N", raising=False)
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS[0].parent / "build_poset.py"), *args],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(message)
+    assert "Traceback" not in proc.stderr
+
+
+def test_survey_reports_a_domain_error(monkeypatch):
+    monkeypatch.delenv("POSITROID_MAX_N", raising=False)
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS[0].parent / "survey_covers.py"),
+         "--min-n", "7", "--max-n", "7"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: enumerate_positroids: 7 exceeds")
+    assert proc.stdout == ""
+
+
 def test_survey_cross_check_clean():
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS[0].parent / "survey_covers.py"),
