@@ -65,7 +65,11 @@ def _limits_for(raw: str | None) -> Limits:
 
 def _guard(routine: str, field: str, value: int) -> None:
     """Refuse a size ``value`` above the limit ``field``, naming the
-    routine, the value, the limit and its override."""
+    routine, the value, the limit and its override.  An override only
+    raises a limit, so a size within the default needs no environment
+    read."""
+    if value <= getattr(Limits, field):
+        return
     cap = getattr(current_limits(), field)
     if value > cap:
         raise GuardExceededError(

@@ -11,9 +11,8 @@ cover engine: by self-duality, the left shifts that realize covered
 elements are right shifts seen through :func:`inverse_decperm`, with
 positions carried through the permutation (position r of w is position
 w(r) of its inverse).  A listing of every cover walks all choices in one
-pass: the top-completion set reads only the ends min(C) and max(C) of a
-choice, so the walk computes it once per pair of ends, not once per
-choice.
+pass, finding the unblocked positions once and scanning for each choice's
+top-completion set, which reads only the ends min(C) and max(C).
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from .exceptions import DomainError
 from .perm import (
     Permutation,
     all_permutations,
-    bruhat_leq,
     inverse,
     validate_permutation,
 )
@@ -187,7 +185,10 @@ def dle_of(dp: DecoratedPermutation) -> PipeDream:
     """The canonical decreasing-pivot dream with the given boundary data:
     pivot rows list the 2-colored positions in decreasing order, the tail of
     the completion lists the 1-colored ones, and the exit permutation is the
-    permutation composed with that pivot order.
+    permutation composed with that pivot order.  That pair of permutations
+    is a Bruhat interval for every decorated permutation; the front walk of
+    :func:`~flagpipes.pipedream._front_rows` is its one comparability test,
+    since its end check raises on exactly the pairs that are not.
 
     >>> dle_of(parse_decperm("2o1u4o3u")).pivots
     (3, 1)
@@ -198,8 +199,6 @@ def dle_of(dp: DecoratedPermutation) -> PipeDream:
                    reverse=True)
     u = tuple(over + under)
     v = tuple(dp.perm[j - 1] for j in u)
-    if not bruhat_leq(u, v):
-        raise DomainError("decorated permutation has no gamma-free dream")
     return _trusted_dream(dp.n, tuple(over), _front_rows(u, v)[:len(over)])
 
 
@@ -208,7 +207,8 @@ def positroid_of(dp: DecoratedPermutation) -> Positroid:
 
     Its canonical dream :func:`dle_of` is a row prefix of an FPP, hence
     gamma-free, and its pivots descend, so it is the positroid's dream as
-    it is: no gamma-freeness sweep and no standardization.
+    it is: no Bruhat test beyond the front walk, no gamma-freeness sweep
+    and no standardization.
 
     >>> positroid_of(parse_decperm("1u2o")).bases.bases
     ((2,),)
@@ -247,33 +247,22 @@ def tc_set(dp: DecoratedPermutation, C) -> tuple[int, ...]:
     >>> tc_set(pi, {2, 5, 8, 9})
     ()
     """
-    return _tc(dp, _choice(C, unblocked_positions(dp)))
+    return _top_completion(dp, _choice(C, unblocked_positions(dp)))
 
 
-def _tc(dp: DecoratedPermutation, C) -> tuple[int, ...]:
-    """:func:`tc_set` of a sorted choice already known to be unblocked."""
-    return _top_completion(dp.perm, _over(dp), C)
-
-
-def _over(dp: DecoratedPermutation) -> list[int]:
-    """The 2-colored positions, increasing."""
-    return [j for j, c in enumerate(dp.color, 1) if c == OVER]
-
-
-def _top_completion(perm: Permutation, over, C) -> tuple[int, ...]:
-    """The greedy walk of :func:`tc_set` in one pass over the increasing
-    2-colored positions ``over``: each pick is the first position after the
-    last pick whose value tops the running value.  It reads only ``C[0]``
-    and the value at ``C[-1]``, so a walk over many choices computes it once
-    per pair of ends.  Its entries are 2-colored, increase and lie left of
-    ``C[0]``, so ``tc + C`` lists the moved positions of a shift in order.
+def _top_completion(dp: DecoratedPermutation, C) -> tuple[int, ...]:
+    """:func:`tc_set` of a sorted choice C already known to be unblocked,
+    in one pass over positions ``1 .. C[0]-1``: each pick is the first
+    2-colored position after the last pick whose value tops the running
+    value, which starts at the value of ``C[-1]``.  Its entries are
+    2-colored, increase and lie left of ``C[0]``, so ``tc + C`` lists the
+    moved positions of a shift in order.
     """
+    perm, color = dp.perm, dp.color
     out: list[int] = []
-    first, m = C[0], perm[C[-1] - 1]
-    for t in over:
-        if t >= first:
-            break
-        if perm[t - 1] > m:
+    m = perm[C[-1] - 1]
+    for t in range(1, C[0]):
+        if color[t - 1] == OVER and perm[t - 1] > m:
             out.append(t)
             m = perm[t - 1]
     return tuple(out)
@@ -297,7 +286,7 @@ def _shift(dp: DecoratedPermutation, C) -> DecoratedPermutation:
     """:func:`right_cyclic_shift` on a sorted choice already known to be
     unblocked."""
     return _trusted_decperm(*_cycle(dp.perm, dp.color,
-                                    _tc(dp, C) + tuple(C)))
+                                    _top_completion(dp, C) + tuple(C)))
 
 
 def _cycle(perm: Permutation, color: tuple[int, ...],
@@ -321,25 +310,11 @@ def _right_shift_walk(dp: DecoratedPermutation, routine: str) -> tuple:
     positions, in the walk order of
     :func:`~flagpipes.positroid._each_choice` (which guards the walk and
     refuses two choices with one result), each as its ``(perm, color)``
-    pair.
-
-    One walk derives each fact once: the unblocked positions and the
-    2-colored positions once per walk, and the top-completion set once per
-    pair of ends ``(C[0], C[-1])``, the only part of C it reads (see
-    :func:`_top_completion`), instead of once per choice.
+    pair.  The unblocked positions are found once per walk, the
+    top-completion set once per choice.
     """
-    perm, color = dp.perm, dp.color
-    over = _over(dp)
-    tcs: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def shift(C):
-        ends = C[0], C[-1]
-        tc = tcs.get(ends)
-        if tc is None:
-            tc = tcs[ends] = _top_completion(perm, over, C)
-        return _cycle(perm, color, tc + C)
-
-    return _each_choice(routine, unblocked_positions(dp), shift)
+    return _each_choice(routine, unblocked_positions(dp), lambda C: _cycle(
+        dp.perm, dp.color, _top_completion(dp, C) + C))
 
 
 def covers_by_shift(dp: DecoratedPermutation) -> tuple[DecoratedPermutation, ...]:
@@ -383,7 +358,7 @@ def or_set(dp: DecoratedPermutation, R) -> tuple[int, ...]:
     (9,)
     """
     w, C = _mirrored(dp, R)
-    return tuple(sorted(w.perm[t - 1] for t in _tc(w, C)))
+    return tuple(sorted(w.perm[t - 1] for t in _top_completion(w, C)))
 
 
 def left_cyclic_shift(dp: DecoratedPermutation, R) -> DecoratedPermutation:

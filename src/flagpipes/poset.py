@@ -35,7 +35,6 @@ from .exceptions import (
     SizeMismatchError,
 )
 from .pathgraph import lex_max_basis, lex_min_basis
-from .perm import bruhat_leq
 from .pipedream import PipeDream, construct_fpp, restrict
 from .positroid import Positroid, rank_increments
 
@@ -268,10 +267,7 @@ def chain_to_fpp(chain) -> PipeDream:
             raise DomainError("chain is not the flag of any dream")
         u.append(du.pop())
         v.append(dv.pop())
-    u, v = tuple(u), tuple(v)
-    if not bruhat_leq(u, v):
-        raise DomainError("chain is not the flag of any dream")
-    D = construct_fpp(u, v)
+    D = construct_fpp(tuple(u), tuple(v))
     for k, p in enumerate(chain):
         if Positroid.from_dream(restrict(D, k)).key != p.key:
             raise DomainError("chain is not the flag of any dream")

@@ -1,8 +1,11 @@
 """Enumeration guards: every one names its routine, size, limit and override."""
 
+from dataclasses import fields
+
 import pytest
 
-from flagpipes.config import ENV_MAX_N, Limits, current_limits
+from flagpipes import config
+from flagpipes.config import ENV_MAX_N, Limits, _guard, current_limits
 from flagpipes.decperm import covered_by_shift, covers_by_shift, parse_decperm
 from flagpipes.exceptions import DomainError, GuardExceededError
 from flagpipes.flagbuild import quotient_covers
@@ -108,3 +111,16 @@ def test_a_changed_override_takes_effect_at_once(monkeypatch):
     assert current_limits() == Limits()
     with pytest.raises(GuardExceededError):
         next(enumerate_le_dreams(7, 1))
+
+
+def test_a_size_within_the_default_reads_no_environment(monkeypatch):
+    """An override only raises a limit, so a size at or below a field's
+    default passes without reading the environment."""
+    def unread():
+        raise AssertionError("environment read")
+
+    monkeypatch.setattr(config, "current_limits", unread)
+    for field in fields(Limits):
+        _guard("routine", field.name, field.default)
+    with pytest.raises(AssertionError, match="environment read"):
+        _guard("routine", "enumerate_max_n", Limits.enumerate_max_n + 1)

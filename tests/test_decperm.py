@@ -234,10 +234,10 @@ class TestCompletionSets:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_tc_reads_only_the_ends_of_a_choice(self, n):
-        """The fact the shift walks memoize on: tc_set(w, C) equals that of
-        the choice (min C, max C); it is 2-colored, increases and lies left
-        of min C, so tc + C lists the moved positions in order.  The scan
-        agrees with the search written out pick by pick."""
+        """tc_set(w, C) equals that of the choice (min C, max C); it is
+        2-colored, increases and lies left of min C, so tc + C lists the
+        moved positions in order.  The scan agrees with the search written
+        out pick by pick."""
         for w in all_decperms(n):
             U = unblocked_positions(w)
             assert U == oracles.unblocked_by_hand(w)
@@ -392,6 +392,21 @@ class TestChoiceGuard:
     def test_twelve_positions_are_listed(self):
         assert len(covers_by_shift(identity(12, "u"))) == 4095
         assert len(covered_by_shift(identity(12, "o"))) == 4095
+
+    def test_twelve_positions_with_top_completions(self):
+        """At the guard limit, with 2-colored positions between the
+        unblocked ones, so that the top-completion set changes with the
+        ends of a choice: every choice is scanned on its own."""
+        pi = parse_decperm("5o,1u,9o,2u,12o,3u,15o,4u,6u,19o,16o,7u,18o,"
+                           "17o,8u,10u,11u,13u,14u,20u")
+        U = unblocked_positions(pi)
+        assert len(U) == 12
+        assert len({tc_set(pi, C) for r in range(1, 13)
+                    for C in combinations(U, r)}) == 14
+        want = oracles.right_shifts_by_choice(pi)
+        assert len(want) == 4095
+        assert covers_by_shift(pi) == tuple(
+            sorted(want, key=DecoratedPermutation.to_string))
 
     @pytest.mark.parametrize("routine, mark", [
         (covers_by_shift, "u"), (covered_by_shift, "o")])

@@ -20,6 +20,7 @@ from flagpipes.pipedream import (
     LeDream,
     PipeDream,
     _fillings,
+    _front_rows,
     _templates,
     box_order,
     construct_fpp,
@@ -139,6 +140,20 @@ class TestConstruction:
             construct_fpp(u, v)
         assert calls == {"_templates": 2 * len(pairs),
                          "_check_pivots": len(pairs)}
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_front_walk_is_the_bruhat_test(self, n):
+        """The end check of the front walk (the front must come back as the
+        identity) fails on exactly the pairs that are not Bruhat-comparable,
+        so ``dle_of`` needs no comparability test of its own."""
+        for u in all_permutations(n):
+            for v in all_permutations(n):
+                if bruhat_leq(u, v):
+                    _front_rows(u, v)
+                else:
+                    with pytest.raises(MalformedDreamError,
+                                       match="front corrupted"):
+                        _front_rows(u, v)
 
     def test_rejects_incomparable_and_mismatched(self):
         with pytest.raises(NotComparableError):
