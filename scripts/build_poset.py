@@ -14,11 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from flagpipes.exceptions import DomainError
 from flagpipes.poset import (
+    FLAVORS,
     build_poset,
     check_self_dual,
     export_dot,
@@ -28,38 +28,26 @@ from flagpipes.poset import (
 )
 
 
-@dataclass(frozen=True)
-class Config:
-    min_n: int = 1
-    max_n: int = 4
-    flavors: tuple[str, ...] = ("representable", "matroidal")
-    out_dir: Path | None = None
-    dot: bool = field(default=True)
-
-
-def parse_args(argv=None) -> Config:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--min-n", type=int, default=Config.min_n)
-    parser.add_argument("--max-n", type=int, default=Config.max_n)
-    parser.add_argument("--flavor", choices=("representable", "matroidal"),
+    parser.add_argument("--min-n", type=int, default=1)
+    parser.add_argument("--max-n", type=int, default=4)
+    parser.add_argument("--flavor", choices=FLAVORS,
                         help="restrict to one flavor")
     parser.add_argument("--out-dir", type=Path,
                         help="write <flavor>_<n>.json/.dot files here")
-    parser.add_argument("--no-dot", action="store_true")
-    args = parser.parse_args(argv)
-    flavors = (args.flavor,) if args.flavor else Config.flavors
-    return Config(min_n=args.min_n, max_n=args.max_n, flavors=flavors,
-                  out_dir=args.out_dir, dot=not args.no_dot)
+    return parser.parse_args(argv)
 
 
-def main(cfg: Config) -> int:
+def main(args: argparse.Namespace) -> int:
     header = f"{'n':>3} {'flavor':<14} {'elems':>6} {'covers':>7} " \
              f"{'chains':>7} {'self-dual':>9} {'missing':>8}"
     print(header)
     print("-" * len(header))
-    for n in range(cfg.min_n, cfg.max_n + 1):
+    flavors = (args.flavor,) if args.flavor else FLAVORS
+    for n in range(args.min_n, args.max_n + 1):
         rep = None
-        for flavor in cfg.flavors:
+        for flavor in flavors:
             poset = build_poset(n, flavor=flavor)
             chains = maximal_chain_count(poset)
             dual = check_self_dual(poset)
@@ -70,14 +58,13 @@ def main(cfg: Config) -> int:
             print(f"{n:>3} {flavor:<14} {len(poset.decperms):>6} "
                   f"{len(poset.covers):>7} {chains:>7} {str(dual):>9} "
                   f"{len(missing):>8}")
-            if cfg.out_dir is not None:
-                cfg.out_dir.mkdir(parents=True, exist_ok=True)
-                stem = cfg.out_dir / f"{flavor}_{n}"
+            if args.out_dir is not None:
+                args.out_dir.mkdir(parents=True, exist_ok=True)
+                stem = args.out_dir / f"{flavor}_{n}"
                 stem.with_suffix(".json").write_text(
                     json.dumps(export_json(poset), indent=2) + "\n")
-                if cfg.dot:
-                    stem.with_suffix(".dot").write_text(
-                        export_dot(poset, dashed=missing) + "\n")
+                stem.with_suffix(".dot").write_text(
+                    export_dot(poset, dashed=missing) + "\n")
     return 0
 
 

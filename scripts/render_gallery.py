@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from html import escape
 from pathlib import Path
 
@@ -24,22 +23,14 @@ from flagpipes.exceptions import DomainError
 from flagpipes.pipedream import elbow_count, enumerate_fpps, right_exit_labels
 from flagpipes.render import svg_grid, unicode_decperm
 
-
-@dataclass(frozen=True)
-class Config:
-    n: int = 3
-    out: Path = Path("gallery.html")
-    cell: int = 28
+CELL = 28  # pixels per grid cell
 
 
-def parse_args(argv=None) -> Config:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--n", type=int, default=Config.n)
-    parser.add_argument("--out", type=Path, default=Config.out)
-    parser.add_argument("--cell", type=int, default=Config.cell,
-                        help="cell size in pixels")
-    args = parser.parse_args(argv)
-    return Config(n=args.n, out=args.out, cell=args.cell)
+    parser.add_argument("--n", type=int, default=3)
+    parser.add_argument("--out", type=Path, default=Path("gallery.html"))
+    return parser.parse_args(argv)
 
 
 def one_line(w: tuple[int, ...]) -> str:
@@ -47,17 +38,17 @@ def one_line(w: tuple[int, ...]) -> str:
     return sep.join(str(x) for x in w)
 
 
-def main(cfg: Config) -> int:
+def main(args: argparse.Namespace) -> int:
     cards = []
     try:
-        for D in enumerate_fpps(cfg.n):
+        for D in enumerate_fpps(args.n):
             u = D.pivots
             exits = right_exit_labels(D)
             v = tuple(exits[i] for i in range(1, D.rows + 1))
             elbows = elbow_count(D)
             caption = (f"[{one_line(u)}, {one_line(v)}], {elbows} elbows, "
                        f"{unicode_decperm(decperm_of(D))}")
-            cards.append((elbows, u, v, svg_grid(D, cell=cfg.cell), caption))
+            cards.append((elbows, u, v, svg_grid(D, cell=CELL), caption))
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -67,13 +58,13 @@ def main(cfg: Config) -> int:
         for _, _, _, svg, caption in cards)
     html = (
         "<!doctype html><meta charset='utf-8'>"
-        f"<title>interval dreams on [{cfg.n}]</title>"
+        f"<title>interval dreams on [{args.n}]</title>"
         "<style>body{font-family:sans-serif}figure{display:inline-block;"
         "margin:8px;text-align:center}figcaption{font-size:12px}</style>"
-        f"<h1>{len(cards)} interval dreams on [{cfg.n}]</h1>\n" + body + "\n")
-    cfg.out.parent.mkdir(parents=True, exist_ok=True)
-    cfg.out.write_text(html)
-    print(f"wrote {len(cards)} grids to {cfg.out}")
+        f"<h1>{len(cards)} interval dreams on [{args.n}]</h1>\n" + body + "\n")
+    args.out.parent.mkdir(parents=True, exist_ok=True)
+    args.out.write_text(html)
+    print(f"wrote {len(cards)} grids to {args.out}")
     return 0
 
 

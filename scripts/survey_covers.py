@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from dataclasses import dataclass
 
 from flagpipes.decperm import covers_by_shift, decperm_of
 from flagpipes.exceptions import DomainError
@@ -24,27 +23,18 @@ from flagpipes.flagbuild import quotient_covers
 from flagpipes.positroid import enumerate_positroids, is_lpm
 
 
-@dataclass(frozen=True)
-class Config:
-    min_n: int = 1
-    max_n: int = 4
-    cross_check: bool = False
-
-
-def parse_args(argv=None) -> Config:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--min-n", type=int, default=Config.min_n)
-    parser.add_argument("--max-n", type=int, default=Config.max_n)
+    parser.add_argument("--min-n", type=int, default=1)
+    parser.add_argument("--max-n", type=int, default=4)
     parser.add_argument("--cross-check", action="store_true",
                         help="verify covers against the shift route")
-    args = parser.parse_args(argv)
-    return Config(min_n=args.min_n, max_n=args.max_n,
-                  cross_check=args.cross_check)
+    return parser.parse_args(argv)
 
 
-def main(cfg: Config) -> int:
+def main(args: argparse.Namespace) -> int:
     mismatches = 0
-    for n in range(cfg.min_n, cfg.max_n + 1):
+    for n in range(args.min_n, args.max_n + 1):
         by_rank: dict[int, Counter] = {}
         lpm_by_rank: Counter = Counter()
         total = 0
@@ -54,7 +44,7 @@ def main(cfg: Config) -> int:
             by_rank.setdefault(P.rank, Counter())[unblocked] += 1
             if is_lpm(P):
                 lpm_by_rank[P.rank] += 1
-            if cfg.cross_check and P.rank < n:
+            if args.cross_check and P.rank < n:
                 via_dreams = {decperm_of(Q.dream).to_string()
                               for Q in quotient_covers(P)}
                 via_shifts = {w.to_string()
@@ -72,7 +62,7 @@ def main(cfg: Config) -> int:
             print(f"  rank {rank}: {sum(dist.values())} positroids, "
                   f"{lpm_by_rank[rank]} lattice-path shape, "
                   f"{covers} covers  [{spread}]")
-    if cfg.cross_check:
+    if args.cross_check:
         verdict = "agree everywhere" if mismatches == 0 else \
             f"{mismatches} mismatches"
         print(f"cover routes: {verdict}")

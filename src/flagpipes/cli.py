@@ -151,11 +151,12 @@ def _cmd_bases(args) -> None:
 def _cmd_decperm(args) -> None:
     from .decperm import decperm_of
     from .pipedream import restrict
+    from .positroid import Positroid
 
     D = _dream_from_args(args)
     if args.k is not None:
         D = restrict(D, args.k)
-    _emit(decperm_of(D))
+    _emit(decperm_of(Positroid.from_dream(D).dream))
 
 
 def _cmd_covers(args) -> None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, fields
-from functools import lru_cache
 
 from .exceptions import DomainError, GuardExceededError
 
@@ -42,25 +41,13 @@ def current_limits() -> Limits:
     """Return the active limits, honouring ``POSITROID_MAX_N``.
 
     A non-integer value in the environment is ignored.  The environment is
-    read on every call, so a new value takes effect at once; each value is
-    parsed only once.
+    read on every call, so a new value takes effect at once.
     """
-    return _limits_for(os.environ.get(ENV_MAX_N))
-
-
-@lru_cache(maxsize=16)
-def _limits_for(raw: str | None) -> Limits:
-    """The limits for one raw value of ``POSITROID_MAX_N`` (None if unset).
-    ``Limits`` is frozen, so every caller may share the cached instance."""
-    if raw is None:
-        return Limits()
     try:
-        override = int(raw)
-    except ValueError:
+        override = int(os.environ[ENV_MAX_N])
+    except (KeyError, ValueError):
         return Limits()
-    base = Limits()
-    bumped = {f.name: max(getattr(base, f.name), override) for f in fields(base)}
-    return Limits(**bumped)
+    return Limits(**{f.name: max(f.default, override) for f in fields(Limits)})
 
 
 def _guard(routine: str, field: str, value: int) -> None:

@@ -34,7 +34,13 @@ from .pipedream import (
     _sweep,
     _trusted_dream,
 )
-from .positroid import Positroid, _choice, _each_choice, standardize
+from .positroid import (
+    Positroid,
+    _choice,
+    _each_choice,
+    _trusted_positroid,
+    standardize,
+)
 
 __all__ = [
     "DecoratedPermutation",
@@ -213,7 +219,7 @@ def positroid_of(dp: DecoratedPermutation) -> Positroid:
     >>> positroid_of(parse_decperm("1u2o")).bases.bases
     ((2,),)
     """
-    return Positroid(dream=dle_of(dp))
+    return _trusted_positroid(dle_of(dp))
 
 
 def unblocked_positions(dp: DecoratedPermutation) -> tuple[int, ...]:

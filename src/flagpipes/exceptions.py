@@ -47,9 +47,9 @@ class EmptyChoiceError(DomainError):
 class NotUnblockedError(DomainError):
     """A requested column is not unblocked; carries the offending column."""
 
-    def __init__(self, column: int, message: str | None = None):
+    def __init__(self, column: int):
         self.column = column
-        super().__init__(message or f"column {column} is not unblocked")
+        super().__init__(f"column {column} is not unblocked")
 
 
 class NotGeneralizedPermutationError(DomainError):

@@ -23,6 +23,7 @@ from .positroid import (
     Positroid,
     _choice,
     _each_choice,
+    _trusted_positroid,
     is_quotient,
     standardize,
     unblocked_columns,
@@ -85,8 +86,8 @@ def quotient_covers(P: Positroid) -> tuple[Positroid, ...]:
         raise DomainError("a full-rank positroid has no covers")
     return tuple(sorted(
         _each_choice("quotient_covers", P.unblocked,
-                     lambda C: Positroid(
-                         dream=standardize(_appended(P.dream, C)))),
+                     lambda C: _trusted_positroid(
+                         standardize(_appended(P.dream, C)))),
         key=lambda Q: decperm_of(Q.dream).to_string()))
 
 

@@ -458,6 +458,7 @@ def rotate_le(D: PipeDream) -> LeDream:
     Accepts either a partial dream whose pivots strictly decrease, or a
     complete dream whose pivot permutation has at most one ascent (then the
     rows up to the ascent are rotated; the rest is the trivial completion).
+    Other pivots are refused by the :class:`LeDream` constructor.
 
     >>> rotate_le(construct_fpp((2, 1, 3), (3, 2, 1))).rows
     ('E', 'E')
@@ -469,8 +470,6 @@ def rotate_le(D: PipeDream) -> LeDream:
                               "at most one allowed")
         k = asc[0] if asc else D.rows
         D = restrict(D, k)
-    if any(a <= b for a, b in zip(D.pivots, D.pivots[1:])):
-        raise DomainError(f"pivots must strictly decrease: {D.pivots!r}")
     k = D.rows
     rows = []
     for r in range(1, k + 1):

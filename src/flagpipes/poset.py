@@ -106,8 +106,8 @@ def build_poset(n: int, flavor: str = "representable") -> QuotientPoset:
     The elements are the decorated permutations on [n], listed from the
     permutations of [n] and sorted by rank then text form.  The
     representable edges of an element are its right cyclic shifts, one walk
-    per element that computes each top-completion set once per pair of ends
-    ``(min C, max C)``, the only part of a choice C it reads; each shifted
+    per element that scans the top-completion set of each choice C, which
+    reads only its ends ``(min C, max C)``; each shifted
     ``(perm, color)`` pair is looked up in the index, and two choices that
     give one pair raise.  No positroid is built for them.  The matroidal
     edges join each element to those of the next rank whose rank-increment
@@ -268,9 +268,8 @@ def chain_to_fpp(chain) -> PipeDream:
         u.append(du.pop())
         v.append(dv.pop())
     D = construct_fpp(tuple(u), tuple(v))
-    for k, p in enumerate(chain):
-        if Positroid.from_dream(restrict(D, k)).key != p.key:
-            raise DomainError("chain is not the flag of any dream")
+    if fpp_to_chain(D) != chain:
+        raise DomainError("chain is not the flag of any dream")
     return D
 
 

@@ -240,6 +240,8 @@ class Positroid:
 
     The dream determines the bases, so equality and hashing go by the dream
     alone, and ``bases`` is computed from it on first access and cached.
+    The constructor checks that the dream is a Le dream: its pivots strictly
+    decrease and it is gamma-free.
     """
 
     dream: PipeDream
@@ -249,10 +251,15 @@ class Positroid:
         if any(a <= b for a, b in zip(pivots, pivots[1:])):
             raise DomainError("canonical dream needs strictly decreasing pivots"
                               "; use Positroid.from_dream")
+        if not is_gamma_free(self.dream):
+            raise DomainError("dream is not gamma-free")
 
     @classmethod
     def from_dream(cls, D: PipeDream) -> "Positroid":
-        """Canonicalize any gamma-free partial dream.
+        """Canonicalize any gamma-free partial dream.  The gamma-free test
+        runs on D, not on its standardization: standardizing keeps a
+        gamma-free dream gamma-free, but also turns many dreams that are
+        not into ones that are.
 
         >>> from flagpipes.pipedream import construct_fpp, restrict
         >>> p = Positroid.from_dream(
@@ -262,7 +269,7 @@ class Positroid:
         """
         if not is_gamma_free(D):
             raise DomainError("dream is not gamma-free")
-        return cls(dream=standardize(D))
+        return _trusted_positroid(standardize(D))
 
     @cached_property
     def bases(self) -> BasisSet:
@@ -313,10 +320,12 @@ def is_lpm(P: Positroid) -> bool:
 
 
 def _trusted_positroid(D: PipeDream) -> Positroid:
-    """A :class:`Positroid` built without the pivot check of its
-    constructor, for the dreams :func:`enumerate_le_dreams` lists, whose
-    pivots descend by construction: the positroids of
-    :func:`enumerate_positroids`."""
+    """A :class:`Positroid` built without the checks of its constructor,
+    for a dream that is a Le dream by construction: the standardized
+    dreams of :meth:`Positroid.from_dream`, the listings of
+    :func:`enumerate_le_dreams`, :func:`~flagpipes.decperm.positroid_of`'s
+    canonical dreams and the covers of
+    :func:`~flagpipes.flagbuild.quotient_covers`."""
     P = object.__new__(Positroid)
     object.__setattr__(P, "dream", D)
     return P

@@ -159,6 +159,18 @@ class TestBasesAndDecperm:
         want = decperm_of(construct_fpp((1, 2, 3), (3, 1, 2)))
         assert json.loads(out) == ser.decperm_to_json(want)
 
+    @pytest.mark.parametrize("verb", ["decperm", "covers"])
+    def test_a_grid_that_is_not_gamma_free_has_no_boundary_data(
+            self, capsys, tmp_path, verb):
+        """Its bases {12, 14, 23, 34} form no positroid, so neither verb
+        reads a decorated permutation off it."""
+        D = PipeDream(cols=4, pivots=(2, 1), grid=("VPXE", "PHEX"))
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(ser.dream_to_json(D)))
+        code, out, err = run(capsys, verb, "--dream", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: dream is not gamma-free\n"
+
 
 class TestEmptyInput:
     """The n = 0 grid is a grid: an empty --decperm or U V pair selects it

@@ -10,6 +10,7 @@ from conftest import assert_rebuilds
 from flagpipes import positroid as positroid_module
 from flagpipes.decperm import parse_decperm, positroid_of
 from flagpipes.exceptions import DomainError, SizeMismatchError
+from flagpipes.flagbuild import quotient_covers
 from flagpipes.pathgraph import bases_of, basis_set
 from flagpipes.pipedream import (
     PipeDream,
@@ -287,11 +288,22 @@ class TestPositroid:
         with pytest.raises(DomainError):
             Positroid(dream=D)
 
+    def test_rejects_a_dream_that_is_not_gamma_free(self):
+        # Descending pivots, but the bases {12, 14, 23, 34} form no positroid.
+        D = PipeDream(cols=4, pivots=(2, 1), grid=("VPXE", "PHEX"))
+        assert bases_of(D).bases == ((1, 2), (1, 4), (2, 3), (3, 4))
+        with pytest.raises(DomainError, match="not gamma-free"):
+            Positroid(dream=D)
+
     def test_unchecked_builds_pass_the_constructor(self):
-        # enumerate_positroids skips the pivot check; the poset's elements
-        # come from positroid_of, which keeps it.
+        # enumerate_positroids, positroid_of (the poset's elements),
+        # quotient_covers and from_dream skip the constructor's checks.
         listed = [P for n in range(6) for P in enumerate_positroids(n)]
         listed += build_poset(4, "matroidal").elements
+        listed += [Q for P in enumerate_positroids(4) if P.rank < 4
+                   for Q in quotient_covers(P)]
+        listed += [Positroid.from_dream(D) for k in range(5)
+                   for D in enumerate_partial_fpps(4, k)]
         for P in listed:
             assert Positroid(dream=P.dream) == P
 

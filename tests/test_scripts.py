@@ -1,20 +1,49 @@
 """The experiment scripts stay importable and runnable."""
 
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = sorted(
-    (Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+
+
+def readme_script_commands():
+    """The lines of the README's "Experiment scripts" example block, as
+    argument lists."""
+    section = (ROOT / "README.md").read_text().split(
+        "\n## Experiment scripts\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.splitlines() if line.strip()]
+
+
+README_SCRIPTS = readme_script_commands()
 
 
 def test_scripts_exist():
     names = {p.name for p in SCRIPTS}
     assert {"build_poset.py", "survey_covers.py",
             "render_gallery.py"} <= names
+
+
+def test_the_readme_runs_every_script():
+    assert sorted(argv[1] for argv in README_SCRIPTS) == \
+        [f"scripts/{p.name}" for p in SCRIPTS]
+
+
+@pytest.mark.parametrize("argv", README_SCRIPTS, ids=lambda a: Path(a[1]).name)
+def test_readme_script_example_runs(tmp_path, argv):
+    """Each documented invocation, its output paths moved under tmp_path."""
+    argv = [sys.executable] + [str(tmp_path / a) if a.startswith("build/")
+                               else a for a in argv[1:]]
+    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
 
 
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
