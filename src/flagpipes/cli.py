@@ -7,9 +7,10 @@ violated (bad interval, malformed grid, unreadable JSON, guard exceeded,
 ...), 2 on usage errors.  The POSITROID_MAX_N environment variable relaxes
 the enumeration guards.
 
-Each verb imports the layers it uses when it runs, so a process loads only
-what its verb needs: ``fpp`` never loads the poset, the check suite, the
-matrix layer or the renderer.
+Each verb imports the layers it uses when it runs, and so does each check
+of ``verify``, so a process loads only what its verb, or its check, needs:
+``fpp`` never loads the poset, the check suite, the matrix layer or the
+renderer, and ``verify golden-grids`` loads no layer above the grids.
 """
 
 from __future__ import annotations
@@ -80,36 +81,54 @@ def _read_json(path: str):
 
 
 def _dream_from_args(args):
-    """A grid from --dream FILE, --decperm STR, or a u/v positional pair."""
+    """A grid from --dream FILE, --decperm STR, or a u/v positional pair,
+    and whether it is known to be gamma-free: a positroid document was
+    swept when it was read, and a boundary string gives a canonical grid."""
     if args.dream is not None:
         from .serialize import parse_any
 
         kind, value = parse_any(_read_json(args.dream))
         if kind == "positroid":
-            return value.dream
+            return value.dream, True
         if kind == "dream":
-            return value
+            return value, False
         raise DomainError(f"{args.dream} holds a {kind}, not a grid")
     if args.decperm is not None:
         from .decperm import parse_decperm, positroid_of
 
-        return positroid_of(parse_decperm(args.decperm)).dream
+        return positroid_of(parse_decperm(args.decperm)).dream, True
     if args.u is not None and args.v is not None:
         from .pipedream import construct_fpp
 
-        return construct_fpp(_perm_arg(args.u), _perm_arg(args.v))
+        return construct_fpp(_perm_arg(args.u), _perm_arg(args.v)), False
     raise DomainError("no grid given: pass U V, --dream FILE, or --decperm STR")
+
+
+def _boundary_from_args(args, k=None):
+    """The decorated permutation of the grid from :func:`_dream_from_args`,
+    cut to its first k rows when k is given.  A grid from a dream document
+    or a u/v pair is swept for gamma-freeness after the cut; a grid known
+    to be gamma-free is not swept again, nor is a restriction of it."""
+    from .decperm import decperm_of
+    from .pipedream import restrict
+    from .positroid import Positroid
+
+    D, gamma_free = _dream_from_args(args)
+    if k is not None:
+        D = restrict(D, k)
+    if not gamma_free:
+        D = Positroid.from_dream(D).dream
+    return decperm_of(D)
 
 
 def _decperm_from_args(args):
     """The decorated permutation given by --decperm STR, or that of the
     positroid of the grid from --dream FILE or a u/v positional pair."""
-    from .decperm import decperm_of, parse_decperm
-    from .positroid import Positroid
-
     if args.decperm is not None:
+        from .decperm import parse_decperm
+
         return parse_decperm(args.decperm)
-    return decperm_of(Positroid.from_dream(_dream_from_args(args)).dream)
+    return _boundary_from_args(args)
 
 
 def _emit(payload) -> None:
@@ -135,28 +154,22 @@ def _cmd_fpp(args) -> None:
 
 
 def _cmd_render(args) -> None:
-    _draw(_dream_from_args(args), svg=args.svg)
+    D, _ = _dream_from_args(args)
+    _draw(D, svg=args.svg)
 
 
 def _cmd_bases(args) -> None:
     from .pathgraph import bases_of
     from .pipedream import restrict
 
-    D = _dream_from_args(args)
+    D, _ = _dream_from_args(args)
     if args.k is not None:
         D = restrict(D, args.k)
     _emit(bases_of(D))
 
 
 def _cmd_decperm(args) -> None:
-    from .decperm import decperm_of
-    from .pipedream import restrict
-    from .positroid import Positroid
-
-    D = _dream_from_args(args)
-    if args.k is not None:
-        D = restrict(D, args.k)
-    _emit(decperm_of(Positroid.from_dream(D).dream))
+    _emit(_boundary_from_args(args, args.k))
 
 
 def _cmd_covers(args) -> None:

@@ -17,12 +17,12 @@ from .pipedream import (
     PipeDream,
     _templates,
     _trusted_dream,
-    restrict,
 )
 from .positroid import (
     Positroid,
     _choice,
     _each_choice,
+    _restriction_positroids,
     _trusted_positroid,
     is_quotient,
     standardize,
@@ -123,8 +123,6 @@ def flag_of_fpp(D: PipeDream) -> FlagPositroid:
     >>> [p.bases.bases for p in f.constituents]
     [((1,), (2,), (3,)), ((1, 2), (1, 3)), ((1, 2, 3),)]
     """
-    constituents = tuple(Positroid.from_dream(restrict(D, k))
-                         for k in range(1, D.rows + 1))
-    return FlagPositroid(n=D.cols,
-                         ranks=tuple(range(1, D.rows + 1)),
-                         constituents=constituents)
+    ranks = tuple(range(1, D.rows + 1))
+    return FlagPositroid(n=D.cols, ranks=ranks,
+                         constituents=_restriction_positroids(D, ranks))

@@ -35,8 +35,8 @@ from .exceptions import (
     SizeMismatchError,
 )
 from .pathgraph import lex_max_basis, lex_min_basis
-from .pipedream import PipeDream, construct_fpp, restrict
-from .positroid import Positroid, rank_increments
+from .pipedream import PipeDream, construct_fpp
+from .positroid import Positroid, _restriction_positroids, rank_increments
 
 __all__ = [
     "QuotientPoset",
@@ -238,8 +238,7 @@ def fpp_to_chain(D: PipeDream) -> tuple[Positroid, ...]:
     """
     if not D.is_complete:
         raise DomainError("chains need a complete dream")
-    return tuple(Positroid.from_dream(restrict(D, k))
-                 for k in range(0, D.rows + 1))
+    return _restriction_positroids(D, range(0, D.rows + 1))
 
 
 def chain_to_fpp(chain) -> PipeDream:

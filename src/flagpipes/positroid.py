@@ -34,6 +34,7 @@ from .pipedream import (
     _trusted_dream,
     enumerate_le_dreams,
     is_gamma_free,
+    restrict,
     rotate_le,
 )
 
@@ -324,11 +325,22 @@ def _trusted_positroid(D: PipeDream) -> Positroid:
     for a dream that is a Le dream by construction: the standardized
     dreams of :meth:`Positroid.from_dream`, the listings of
     :func:`enumerate_le_dreams`, :func:`~flagpipes.decperm.positroid_of`'s
-    canonical dreams and the covers of
-    :func:`~flagpipes.flagbuild.quotient_covers`."""
+    canonical dreams, the covers of
+    :func:`~flagpipes.flagbuild.quotient_covers` and the restrictions of
+    :func:`_restriction_positroids`."""
     P = object.__new__(Positroid)
     object.__setattr__(P, "dream", D)
     return P
+
+
+def _restriction_positroids(D: PipeDream, ranks) -> tuple[Positroid, ...]:
+    """The positroids of the restrictions of D to its first k rows, for
+    each k in ``ranks``.  One gamma-freeness sweep of D serves them all: a
+    restriction of a gamma-free dream is gamma-free."""
+    if not is_gamma_free(D):
+        raise DomainError("dream is not gamma-free")
+    return tuple(_trusted_positroid(standardize(restrict(D, k)))
+                 for k in ranks)
 
 
 def enumerate_positroids(n: int) -> Iterator[Positroid]:

@@ -1,17 +1,18 @@
 """Exact rational matrices: flag minors, sign rule, zero-column embedding.
 
 Everything here is exact Fraction arithmetic — nonnegativity of a minor is
-a sign question, so floating point is refused at the door.  Every route
-first clears denominators row by row (each row times the positive lcm of
-its denominators) and works on the integer rows.  Determinants use
-fraction-free (Bareiss) elimination; flag minors are built rank by rank,
-each rank-r minor by Laplace expansion along row r over the rank-(r-1)
-minors, and divided by the product of the row scales once at the end.
+a sign question, so floating point is refused at the door.  A matrix clears
+its denominators row by row once, when it is validated (each row times the
+positive lcm of its denominators), and every route works on those integer
+rows.  Determinants use fraction-free (Bareiss) elimination; flag minors
+are built rank by rank, each rank-r minor by Laplace expansion along row r
+over the rank-(r-1) minors, and divided by the product of the row scales
+once at the end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -38,11 +39,11 @@ __all__ = [
 
 
 def _exact(value) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         raise DomainError("floating point entries are not allowed; "
                           "pass ints, Fractions, or strings like '3/2'")
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
@@ -69,6 +70,11 @@ class RationalMatrix:
 
     rows: tuple[tuple[Fraction, ...], ...]
     offset_zero: bool = False
+    # The rows with denominators cleared and the positive row scales (see
+    # _integer_rows): derived from ``rows``, so left out of ==, hash and repr.
+    _ints: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False)
+    _scales: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.rows or not self.rows[0]:
@@ -80,6 +86,9 @@ class RationalMatrix:
             for x in row:
                 if not isinstance(x, Fraction):
                     raise DomainError("entries must be Fractions")
+        ints, scales = _integer_rows(self.rows)
+        object.__setattr__(self, "_ints", ints)
+        object.__setattr__(self, "_scales", scales)
 
     @property
     def k(self) -> int:
@@ -96,7 +105,7 @@ class RationalMatrix:
 
     def _col_index(self, label: int) -> int:
         idx = label if self.offset_zero else label - 1
-        if not 0 <= idx < self.n:
+        if not 0 <= idx < len(self.rows[0]):
             raise DomainError(f"no column labeled {label}")
         return idx
 
@@ -104,12 +113,25 @@ class RationalMatrix:
         return self.rows[i - 1][self._col_index(label)]
 
     def submatrix(self, row_count: int, labels) -> "RationalMatrix":
-        """First ``row_count`` rows restricted to the labeled columns."""
+        """First ``row_count`` rows restricted to the labeled columns.
+
+        Built without a second validation: the entries and integer rows are
+        slices of this matrix's, and the row scales stay those of the full
+        rows, which may exceed the lcm of a sliced row's denominators; a
+        minor divides by their product all the same, and ``Fraction``
+        reduces the quotient."""
         cols = [self._col_index(l) for l in labels]
-        return RationalMatrix(
-            rows=tuple(tuple(row[c] for c in cols)
-                       for row in self.rows[:row_count]),
-            offset_zero=False)
+        rows = tuple([tuple([row[c] for c in cols])
+                      for row in self.rows[:row_count]])
+        if not rows or not rows[0]:
+            raise DomainError("matrix dimensions must be positive")
+        sub = object.__new__(RationalMatrix)
+        object.__setattr__(sub, "rows", rows)
+        object.__setattr__(sub, "offset_zero", False)
+        object.__setattr__(sub, "_ints", tuple(
+            [tuple([row[c] for c in cols]) for row in self._ints[:row_count]]))
+        object.__setattr__(sub, "_scales", self._scales[:len(rows)])
+        return sub
 
 
 def rational_matrix(rows) -> RationalMatrix:
@@ -119,7 +141,7 @@ def rational_matrix(rows) -> RationalMatrix:
     ((Fraction(-1, 1), Fraction(3, 2)),)
     """
     return RationalMatrix(
-        rows=tuple(tuple(_exact(x) for x in row) for row in rows))
+        rows=tuple([tuple([_exact(x) for x in row]) for row in rows]))
 
 
 def matrix_to_json(A: RationalMatrix) -> list[list[str]]:
@@ -131,23 +153,33 @@ def matrix_to_json(A: RationalMatrix) -> list[list[str]]:
     return [[str(x) for x in row] for row in A.rows]
 
 
-def _integer_rows(rows) -> tuple[list[list[int]], list[int]]:
+def _integer_rows(rows) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Each row times the lcm of its denominators: the integer rows and the
     (positive) scales.  A minor on rows I is the integer minor divided by
     the product of the scales of I."""
-    m: list[list[int]] = []
-    scales: list[int] = []
+    m = []
+    scales = []
     for row in rows:
-        scale = lcm(*(x.denominator for x in row))
+        scale = lcm(*[x.denominator for x in row])
         scales.append(scale)
-        m.append([x.numerator * (scale // x.denominator) for x in row])
-    return m, scales
+        if scale == 1:
+            m.append(tuple([x.numerator for x in row]))
+        else:
+            m.append(tuple([x.numerator * (scale // x.denominator)
+                            for x in row]))
+    return tuple(m), tuple(scales)
 
 
-def _bareiss(m: list[list[int]]) -> int:
+def _bareiss(rows) -> int:
     """Determinant of a nonempty square integer matrix by fraction-free
-    elimination; ``m`` is overwritten."""
-    size = len(m)
+    elimination on a copy of ``rows``; sizes 1 and 2 by their formulas."""
+    size = len(rows)
+    if size == 1:
+        return rows[0][0]
+    if size == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    m = [list(row) for row in rows]
     sign = 1
     prev = 1
     for col in range(size):
@@ -175,8 +207,9 @@ def det(A: RationalMatrix) -> Fraction:
     """
     if A.k != A.n:
         raise SizeMismatchError("determinant needs a square matrix")
-    m, scales = _integer_rows(A.rows)
-    return Fraction(_bareiss(m), prod(scales))
+    scale = prod(A._scales)
+    value = _bareiss(A._ints)
+    return Fraction(value) if scale == 1 else Fraction(value, scale)
 
 
 @lru_cache(maxsize=128)
@@ -219,7 +252,7 @@ def flag_minors(A: RationalMatrix,
     if not ranks:
         return out
     n = A.n
-    m, scales = _integer_rows(A.rows[:ranks[-1]])
+    m, scales = A._ints, A._scales
     below = [1]
     scale = 1
     for r in range(1, ranks[-1] + 1):
@@ -246,12 +279,13 @@ def pivot_columns(A: RationalMatrix) -> tuple[int, ...]:
     >>> pivot_columns(rational_matrix([[0, 1], [1, 0]]))
     (2, 1)
     """
+    labels = A.column_labels
     pivots = []
-    for i, row in enumerate(A.rows, 1):
-        j = next((c for c, x in enumerate(row) if x != 0), None)
+    for i, row in enumerate(A._ints, 1):
+        j = next((c for c, x in enumerate(row) if x), None)
         if j is None:
             raise DomainError(f"row {i} is zero and has no pivot")
-        pivots.append(A.column_labels[j])
+        pivots.append(labels[j])
     return tuple(pivots)
 
 
@@ -271,21 +305,22 @@ def check_sign_rule(A: RationalMatrix) -> bool:
     >>> check_sign_rule(rational_matrix([[0, 1], [-1, 0]]))
     True
     """
-    for i, row in enumerate(A.rows, 1):
-        if sum(1 for x in row if x != 0) != 1:
+    # Row scales are positive, so the integer rows carry the zero pattern,
+    # the pivot signs and the signs of the minors.
+    m = A._ints
+    for i, row in enumerate(m, 1):
+        if len(row) - row.count(0) != 1:
             raise NotGeneralizedPermutationError(f"row {i} needs exactly one nonzero")
-    for label, column in zip(A.column_labels, zip(*A.rows)):
-        if sum(1 for x in column if x != 0) != 1:
+    for label, column in zip(A.column_labels, zip(*m)):
+        if len(column) - column.count(0) != 1:
             raise NotGeneralizedPermutationError(
                 f"column {label} needs exactly one nonzero")
     u = pivot_columns(A)
-    rule = all((A.entry(i, ui) > 0) == (e % 2 == 0)
-               for i, (ui, e) in enumerate(zip(u, _northeast_counts(u)), 1))
-    # Row scales are positive, so the integer minors carry the signs.
-    m, _ = _integer_rows(A.rows)
+    cols = [A._col_index(c) for c in u]
+    rule = all((m[i][c] > 0) == (e % 2 == 0)
+               for i, (c, e) in enumerate(zip(cols, _northeast_counts(u))))
     minors = all(
-        _bareiss([[m[r][A._col_index(c)] for c in sorted(u[:i])]
-                  for r in range(i)]) >= 0
+        _bareiss([[m[r][c] for c in sorted(cols[:i])] for r in range(i)]) >= 0
         for i in range(1, A.k + 1))
     if rule != minors:
         raise InvariantError("sign rule and minor nonnegativity disagree")

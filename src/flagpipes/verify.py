@@ -5,6 +5,9 @@ Each check recomputes a documented fact by at least two independent routes
 plus a short report.  The command line exposes these as ``verify``; the
 test suite asserts each one.  Checks with a stated time budget fail if
 they run over it.
+
+Each check imports the layers it uses when it runs, so a process that runs
+one check loads only what that check needs.
 """
 
 from __future__ import annotations
@@ -12,68 +15,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 
-from .decperm import (
-    covered_by_shift,
-    covers_by_shift,
-    decperm_of,
-    inverse_decperm,
-    left_cyclic_shift,
-    left_unblocked_positions,
-    or_set,
-    parse_decperm,
-    positroid_of,
-    right_cyclic_shift,
-    tc_set,
-    unblocked_positions,
-)
 from .exceptions import DomainError
-from .flagbuild import append_row, flag_of_fpp, quotient_covers
-from .pathgraph import bases_of, lex_max_basis, lex_min_basis
-from .perm import (
-    all_permutations,
-    bruhat_leq,
-    bruhat_leq_subword_oracle,
-    length,
-)
-from .pipedream import (
-    construct_fpp,
-    cross_positions,
-    elbow_count,
-    enumerate_fpps,
-    enumerate_partial_fpps,
-    is_gamma_free,
-    restrict,
-    right_exit_labels,
-    rotate_le,
-    word_y_of_crosses,
-)
-from .positroid import (
-    enumerate_positroids,
-    is_quotient,
-    standardize,
-    standardize_step,
-    unblocked_columns,
-)
-from .poset import (
-    build_poset,
-    chain_to_fpp,
-    check_self_dual,
-    fpp_to_chain,
-    iter_maximal_chains,
-    maximal_chain_count,
-    missing_covers,
-)
-from .ratmat import (
-    RationalMatrix,
-    check_sign_rule,
-    det,
-    embed_append,
-    flag_minors,
-    rational_matrix,
-)
 
 __all__ = ["CheckResult", "CHECK_NAMES", "run_check", "run_all"]
 
@@ -95,6 +39,9 @@ class CheckResult:
 
 def check_interval_fpp_count() -> tuple[bool, str]:
     """Dream enumeration counts intervals: 19 at n=3, oracle-matched at n=4."""
+    from .perm import all_permutations, bruhat_leq_subword_oracle
+    from .pipedream import enumerate_fpps
+
     three = sum(1 for _ in enumerate_fpps(3))
     four = sum(1 for _ in enumerate_fpps(4))
     oracle = sum(1 for u in all_permutations(4) for v in all_permutations(4)
@@ -105,6 +52,9 @@ def check_interval_fpp_count() -> tuple[bool, str]:
 
 def check_elbow_length_law() -> tuple[bool, str]:
     """Elbow count equals the length difference on every interval of S5."""
+    from .perm import all_permutations, bruhat_leq, length
+    from .pipedream import construct_fpp, elbow_count
+
     perms = list(all_permutations(5))
     pairs = bad = 0
     for u in perms:
@@ -119,6 +69,9 @@ def check_elbow_length_law() -> tuple[bool, str]:
 
 def check_golden_grids() -> tuple[bool, str]:
     """Three published grids reproduced tile-for-tile."""
+    from .pipedream import (construct_fpp, cross_positions, elbow_count,
+                            rotate_le, word_y_of_crosses)
+
     D = construct_fpp((5, 3, 1, 6, 2, 7, 4), (6, 7, 3, 5, 1, 4, 2))
     big = (elbow_count(D) == 7
            and cross_positions(D) == (1, 2, 4, 5, 11)
@@ -132,6 +85,11 @@ def check_golden_grids() -> tuple[bool, str]:
 
 def check_bases_engine() -> tuple[bool, str]:
     """Path-family bases: published lex extremes and constituent bases."""
+    from .decperm import parse_decperm, positroid_of
+    from .flagbuild import flag_of_fpp
+    from .pathgraph import lex_max_basis, lex_min_basis
+    from .pipedream import construct_fpp
+
     P = positroid_of(parse_decperm("5o1u3u9o2u7o6u4u8u"))
     extremes = (lex_min_basis(P.dream) == (1, 4, 6)
                 and lex_max_basis(P.dream) == (5, 7, 9))
@@ -146,6 +104,11 @@ def check_quotient_covers() -> tuple[bool, str]:
     """Cover counts 2^|U|-1, quotient law, and shift agreement for n <= 4;
     every row appended along unblocked columns keeps the dream gamma-free,
     which is why ``quotient_covers`` runs no gamma-freeness sweep."""
+    from .decperm import covers_by_shift, decperm_of
+    from .flagbuild import append_row, quotient_covers
+    from .pipedream import is_gamma_free
+    from .positroid import enumerate_positroids, is_quotient
+
     positroids = covers = appended = 0
     for n in range(1, 5):
         for P in enumerate_positroids(n):
@@ -181,6 +144,10 @@ def check_quotient_covers() -> tuple[bool, str]:
 def check_standardization() -> tuple[bool, str]:
     """Swapping adjacent pivot rows never changes bases, unblocked columns,
     or right-exit labels; checked on every partial dream with n <= 4."""
+    from .pathgraph import bases_of
+    from .pipedream import enumerate_partial_fpps, right_exit_labels
+    from .positroid import standardize, standardize_step, unblocked_columns
+
     steps = fulls = 0
     for n in range(1, 5):
         for k in range(1, n + 1):
@@ -203,6 +170,12 @@ def check_standardization() -> tuple[bool, str]:
 def check_poset_facts() -> tuple[bool, str]:
     """Published n=3 poset numbers, missing covers, self-duality, and the
     chain/dream bijection for n <= 4."""
+    from .decperm import parse_decperm, positroid_of
+    from .pipedream import enumerate_fpps
+    from .poset import (build_poset, chain_to_fpp, check_self_dual,
+                        fpp_to_chain, iter_maximal_chains,
+                        maximal_chain_count, missing_covers)
+
     posets = {(n, flavor): build_poset(n, flavor=flavor)
               for n, flavor in ((1, "representable"), (2, "representable"),
                                 (3, "representable"), (3, "matroidal"),
@@ -243,6 +216,10 @@ def check_poset_facts() -> tuple[bool, str]:
 
 def check_richardson_shadow() -> tuple[bool, str]:
     """Constituent bases equal sorted k-prefixes over the interval, n <= 4."""
+    from .pathgraph import bases_of
+    from .perm import all_permutations, bruhat_leq
+    from .pipedream import construct_fpp, restrict
+
     intervals = 0
     for n in range(1, 5):
         perms = list(all_permutations(n))
@@ -262,7 +239,11 @@ def check_richardson_shadow() -> tuple[bool, str]:
     return True, f"{intervals} intervals, all constituent bases match prefixes"
 
 
-def _random_matrix(rng: random.Random, rows: int, cols: int) -> RationalMatrix:
+def _random_matrix(rng: random.Random, rows: int, cols: int):
+    from fractions import Fraction
+
+    from .ratmat import rational_matrix
+
     return rational_matrix(
         [[Fraction(rng.randint(-9, 9), rng.randint(1, 9))
           for _ in range(cols)] for _ in range(rows)])
@@ -271,6 +252,12 @@ def _random_matrix(rng: random.Random, rows: int, cols: int) -> RationalMatrix:
 def check_exact_linear_algebra(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Golden matrix minors, the zero-column embedding identity on 500
     random matrices, and the sign rule on every +-1 pattern up to 5x5."""
+    from fractions import Fraction
+
+    from .perm import all_permutations
+    from .ratmat import (check_sign_rule, det, embed_append, flag_minors,
+                         rational_matrix)
+
     M = rational_matrix([[0, 0, 0, 0, 1, 1, 0],
                          [0, 0, -1, -1, 0, 1, 1],
                          [1, 1, 0, 0, 0, 0, 0],
@@ -295,12 +282,13 @@ def check_exact_linear_algebra(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
             if v != want:
                 return False, "embedding minor identity failed"
     patterns = 0
+    zero, unit = Fraction(0), {1: Fraction(1), -1: Fraction(-1)}
     for k in range(1, 6):
         for perm in all_permutations(k):
             for signs in product((1, -1), repeat=k):
-                rows = [[Fraction(0)] * k for _ in range(k)]
+                rows = [[zero] * k for _ in range(k)]
                 for i in range(k):
-                    rows[i][perm[i] - 1] = Fraction(signs[i])
+                    rows[i][perm[i] - 1] = unit[signs[i]]
                 A = rational_matrix(rows)
                 patterns += 1
                 rule = check_sign_rule(A)
@@ -317,6 +305,14 @@ def check_decperm_table() -> tuple[bool, str]:
     side's goldens, and cover-level self-duality, all on the running
     9-column example: each of its 15 right shifts covers it back through a
     left shift, so it lies among the covered elements of every one."""
+    from .decperm import (covered_by_shift, covers_by_shift, decperm_of,
+                          inverse_decperm, left_cyclic_shift,
+                          left_unblocked_positions, or_set, parse_decperm,
+                          positroid_of, right_cyclic_shift, tc_set,
+                          unblocked_positions)
+    from .flagbuild import append_row
+    from .positroid import standardize
+
     pi = parse_decperm("5o1u3u9o2u7o6u4u8u")
     if unblocked_positions(pi) != (2, 5, 8, 9):
         return False, "unblocked positions wrong"

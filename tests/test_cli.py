@@ -38,6 +38,16 @@ HEAVY = ("flagpipes.verify", "flagpipes.poset", "flagpipes.ratmat",
 # Layers a grid built from a permutation pair never reaches.
 UNUSED_BY_GRIDS = ("flagpipes.decperm", "flagpipes.positroid",
                    "flagpipes.pathgraph", "flagpipes.flagbuild")
+# The modules a check that reads only permutations and grids may load.
+GRID_CHECK_LAYERS = ("cli", "config", "exceptions", "perm", "pipedream",
+                     "verify")
+
+
+def outside(*allowed):
+    """Every module of the package but the named ones."""
+    package = Path(__file__).resolve().parent.parent / "src" / "flagpipes"
+    return tuple(f"flagpipes.{p.stem}" for p in sorted(package.glob("*.py"))
+                 if p.stem != "__init__" and p.stem not in allowed)
 
 
 def run(capsys, *argv):
@@ -170,6 +180,28 @@ class TestBasesAndDecperm:
         code, out, err = run(capsys, verb, "--dream", str(path))
         assert (code, out) == (1, "")
         assert err == "error: dream is not gamma-free\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["decperm"], ["decperm", "--k", "2"], ["covers"], ["covered-by"]])
+    def test_a_positroid_document_is_swept_once(
+            self, capsys, tmp_path, monkeypatch, running_example, argv):
+        """Reading the document checks its grid; the verb, and a --k cut of
+        the grid, add no second gamma-freeness sweep."""
+        import flagpipes.positroid as positroid_module
+
+        path = tmp_path / "pos.json"
+        path.write_text(json.dumps(ser.positroid_to_json(running_example)))
+        sweeps = []
+        real = positroid_module.is_gamma_free
+
+        def counting(D):
+            sweeps.append(D)
+            return real(D)
+
+        monkeypatch.setattr(positroid_module, "is_gamma_free", counting)
+        code, out, _ = run(capsys, *argv, "--dream", str(path))
+        assert code == 0 and out
+        assert sweeps == [running_example.dream]
 
 
 class TestEmptyInput:
@@ -587,7 +619,12 @@ class TestInstalledEntryPoint:
         (["fpp", "2413", "4231"], HEAVY + UNUSED_BY_GRIDS),
         (["fpp", "2413", "4231", "--ascii"],
          tuple(m for m in HEAVY if m != "flagpipes.render")),
-        (["verify", "golden-grids"], ("concurrent.futures",)),
+        (["verify", "golden-grids"],
+         ("concurrent.futures",) + outside(*GRID_CHECK_LAYERS)),
+        (["verify", "interval-fpp-count"], outside(*GRID_CHECK_LAYERS)),
+        (["verify", "elbow-length-law"], outside(*GRID_CHECK_LAYERS)),
+        (["verify", "exact-linear-algebra"],
+         outside("cli", "config", "exceptions", "perm", "ratmat", "verify")),
         (["render", "2413", "4231", "--svg"],
          tuple(m for m in HEAVY if m != "flagpipes.render") + UNUSED_BY_GRIDS),
         (["covers", "--decperm", RUNNING], HEAVY + ("flagpipes.flagbuild",)),

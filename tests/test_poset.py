@@ -9,8 +9,8 @@ import flagpipes.poset as poset_module
 from flagpipes.config import ENV_MAX_N
 from flagpipes.decperm import covers_by_shift, decperm_of, parse_decperm
 from flagpipes.exceptions import DomainError, GuardExceededError, SizeMismatchError
-from flagpipes.flagbuild import quotient_covers
-from flagpipes.pipedream import construct_fpp, enumerate_fpps
+from flagpipes.flagbuild import flag_of_fpp, quotient_covers
+from flagpipes.pipedream import PipeDream, construct_fpp, enumerate_fpps
 from flagpipes.poset import (
     build_poset,
     chain_to_fpp,
@@ -222,6 +222,31 @@ class TestChains:
         from flagpipes.pipedream import restrict
         with pytest.raises(DomainError):
             fpp_to_chain(restrict(construct_fpp((1, 2), (2, 1)), 1))
+
+    @pytest.mark.parametrize("build", [fpp_to_chain, flag_of_fpp])
+    def test_one_gamma_freeness_sweep_per_dream(self, monkeypatch, build):
+        """A restriction of a gamma-free dream is gamma-free, so the sweep
+        of the whole dream serves every restriction."""
+        import flagpipes.positroid as positroid_module
+
+        sweeps = []
+        real = positroid_module.is_gamma_free
+
+        def counting(D):
+            sweeps.append(D)
+            return real(D)
+
+        monkeypatch.setattr(positroid_module, "is_gamma_free", counting)
+        D = construct_fpp((1, 2, 3, 4, 5, 6), (6, 5, 4, 3, 2, 1))
+        build(D)
+        assert sweeps == [D]
+
+    @pytest.mark.parametrize("build", [fpp_to_chain, flag_of_fpp])
+    def test_a_dream_that_is_not_gamma_free_is_refused(self, build):
+        D = PipeDream(cols=4, pivots=(2, 1, 3, 4),
+                      grid=("VPXE", "PHEX", "..PX", "...P"))
+        with pytest.raises(DomainError, match="^dream is not gamma-free$"):
+            build(D)
 
     def test_chain_to_fpp_rejects_malformed(self):
         good = fpp_to_chain(construct_fpp((1, 2, 3), (3, 1, 2)))

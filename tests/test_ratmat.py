@@ -100,6 +100,37 @@ class TestConstruction:
         assert S.rows == ((Fraction(1), Fraction(3)),)
         assert not S.offset_zero
 
+    def test_submatrix_equals_the_validated_matrix(self):
+        """submatrix skips validation and slices the integer rows; it still
+        equals, hashes and prints like the matrix built from its entries,
+        and its determinant divides by the full rows' scales to the same
+        value."""
+        A = rational_matrix([["1/2", "-3/4", 5], ["2/3", 0, "-7/6"],
+                             [1, "5/9", -3]])
+        for B in (A, embed_append(A)):
+            for r in range(1, B.k + 1):
+                for size in range(1, B.n + 1):
+                    for labels in combinations(B.column_labels, size):
+                        S = B.submatrix(r, labels)
+                        R = rational_matrix([[B.entry(i, c) for c in labels]
+                                             for i in range(1, r + 1)])
+                        assert S == R
+                        assert hash(S) == hash(R)
+                        assert repr(S) == repr(R)
+                        if r == size:
+                            assert det(S) == det(R)
+
+    def test_integer_rows_stay_out_of_repr_and_json(self):
+        import flagpipes.serialize as ser
+
+        A = rational_matrix([["1/2", 3], [0, "-2/3"]])
+        assert repr(A) == (
+            "RationalMatrix(rows=((Fraction(1, 2), Fraction(3, 1)), "
+            "(Fraction(0, 1), Fraction(-2, 3))), offset_zero=False)")
+        assert repr(A.submatrix(1, (2,))) == (
+            "RationalMatrix(rows=((Fraction(3, 1),),), offset_zero=False)")
+        assert ser.to_json(A) == [["1/2", "3"], ["0", "-2/3"]]
+
     def test_json_roundtrip(self):
         A = rational_matrix([["1/2", -1], [3, "7/5"]])
         data = matrix_to_json(A)
@@ -116,6 +147,21 @@ class TestDeterminant:
     def test_needs_square(self):
         with pytest.raises(SizeMismatchError):
             det(rational_matrix([[1, 2, 3], [4, 5, 6]]))
+
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_small_sizes_match_cofactor_expansion(self, size):
+        """Sizes 1 and 2 skip elimination: every matrix over a few entries,
+        alone and as the leading block of a wider matrix whose rows carry
+        one more denominator."""
+        values = [Fraction(-2), Fraction(-1, 2), Fraction(0), Fraction(1, 3),
+                  Fraction(1)]
+        for entries in product(values, repeat=size * size):
+            rows = [list(entries[i * size:(i + 1) * size])
+                    for i in range(size)]
+            want = oracles.laplace_det(rows)
+            assert det(rational_matrix(rows)) == want
+            wide = rational_matrix([row + [Fraction(1, 7)] for row in rows])
+            assert det(wide.submatrix(size, range(1, size + 1))) == want
 
     @given(square_matrices())
     def test_matches_cofactor_expansion(self, A):
@@ -289,7 +335,7 @@ class TestSignRule:
             "from flagpipes.exceptions import InvariantError\n"
             "from flagpipes.perm import all_permutations\n"
             "verdicts = []\n"
-            "for k in (1, 2, 3, 4):\n"
+            "for k in (1, 2, 3, 4, 5):\n"
             "    for perm in all_permutations(k):\n"
             "        for signs in product((1, -1), repeat=k):\n"
             "            rows = [[0] * k for _ in range(k)]\n"
@@ -310,7 +356,7 @@ class TestSignRule:
         assert plain.returncode == optimized.returncode == 0
         assert plain.stdout == optimized.stdout
         verdicts, raised = json.loads(optimized.stdout)
-        assert len(verdicts) == 2 + 8 + 48 + 384 and raised
+        assert len(verdicts) == 2 + 8 + 48 + 384 + 3840 and raised
 
 
 class TestEmbedding:

@@ -2,10 +2,13 @@
 
 import concurrent.futures
 import re
+import subprocess
+import sys
 import time
 
 import pytest
 
+import flagpipes.poset as poset_module
 import flagpipes.verify as verify
 from flagpipes.exceptions import DomainError
 from flagpipes.verify import CHECK_NAMES, CheckResult, run_all, run_check
@@ -41,17 +44,27 @@ class TestRunCheck:
 
     def test_poset_facts_builds_each_poset_once(self, monkeypatch):
         built = []
-        real = verify.build_poset
+        real = poset_module.build_poset
 
         def counting(n, flavor="representable"):
             built.append((n, flavor))
             return real(n, flavor)
 
-        monkeypatch.setattr(verify, "build_poset", counting)
+        monkeypatch.setattr(poset_module, "build_poset", counting)
         ok, detail = verify.check_poset_facts()
         assert ok, detail
         assert sorted(built) == sorted(set(built))
         assert len(built) == 6
+
+    @pytest.mark.parametrize("name", CHECK_NAMES)
+    def test_each_check_passes_alone_in_a_fresh_interpreter(self, name):
+        """Each check imports its own layers: run alone, it finds every
+        name it uses without the imports of any other check."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "flagpipes.cli", "verify", name,
+             "--jobs", "1"], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.startswith(f"PASS {name}: ")
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):
