@@ -83,7 +83,8 @@ def _read_json(path: str):
 def _dream_from_args(args):
     """A grid from --dream FILE, --decperm STR, or a u/v positional pair,
     and whether it is known to be gamma-free: a positroid document was
-    swept when it was read, and a boundary string gives a canonical grid."""
+    swept when it was read, a boundary string gives a canonical grid, and
+    the grid of a u/v pair is an FPP, which is gamma-free."""
     if args.dream is not None:
         from .serialize import parse_any
 
@@ -100,15 +101,15 @@ def _dream_from_args(args):
     if args.u is not None and args.v is not None:
         from .pipedream import construct_fpp
 
-        return construct_fpp(_perm_arg(args.u), _perm_arg(args.v)), False
+        return construct_fpp(_perm_arg(args.u), _perm_arg(args.v)), True
     raise DomainError("no grid given: pass U V, --dream FILE, or --decperm STR")
 
 
 def _boundary_from_args(args, k=None):
     """The decorated permutation of the grid from :func:`_dream_from_args`,
     cut to its first k rows when k is given.  A grid from a dream document
-    or a u/v pair is swept for gamma-freeness after the cut; a grid known
-    to be gamma-free is not swept again, nor is a restriction of it."""
+    is swept for gamma-freeness after the cut; a grid known to be
+    gamma-free is not swept again, nor is a restriction of it."""
     from .decperm import decperm_of
     from .pipedream import restrict
     from .positroid import Positroid

@@ -18,9 +18,9 @@ top-completion set, which reads only the ends min(C) and max(C).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import product
 
+from .config import _Frozen
 from .exceptions import DomainError
 from .perm import (
     Permutation,
@@ -63,8 +63,7 @@ OVER = 2   # value sits above its position, or a 2-colored fixed point
 UNDER = 1  # value sits below its position, or a 1-colored fixed point
 
 
-@dataclass(frozen=True)
-class DecoratedPermutation:
+class DecoratedPermutation(_Frozen):
     """A permutation of [n] with a 1/2 color at every position.
 
     >>> DecoratedPermutation((2, 1), (2, 1)).rank
@@ -73,10 +72,13 @@ class DecoratedPermutation:
     '1u2o'
     """
 
+    _fields = ("perm", "color")
     perm: Permutation
     color: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, perm: Permutation, color: tuple[int, ...]) -> None:
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "color", color)
         validate_permutation(self.perm)
         n = len(self.perm)
         if len(self.color) != n:
@@ -88,6 +90,14 @@ class DecoratedPermutation:
                 raise DomainError(f"position {j}: value {v} forces color 2")
             if v < j and c != UNDER:
                 raise DomainError(f"position {j}: value {v} forces color 1")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.perm, self.color) == (other.perm, other.color)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.perm, self.color))
 
     @property
     def n(self) -> int:

@@ -8,8 +8,7 @@ unblocked columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .config import _Frozen
 from .exceptions import DomainError, SizeMismatchError
 from .pipedream import (
     CROSS,
@@ -91,16 +90,20 @@ def quotient_covers(P: Positroid) -> tuple[Positroid, ...]:
         key=lambda Q: decperm_of(Q.dream).to_string()))
 
 
-@dataclass(frozen=True)
-class FlagPositroid:
+class FlagPositroid(_Frozen):
     """A chain of positroids on [n] with strictly increasing ranks, each a
     quotient of the next; partial flags carry an explicit rank list."""
 
+    _fields = ("n", "ranks", "constituents")
     n: int
     ranks: tuple[int, ...]
     constituents: tuple[Positroid, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, ranks: tuple[int, ...],
+                 constituents: tuple[Positroid, ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "constituents", constituents)
         if not self.constituents:
             raise DomainError("a flag needs at least one constituent")
         if any(p.n != self.n for p in self.constituents):

@@ -16,10 +16,9 @@ reads it off one bottom-up scan of the rows that never lists a family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-from .config import _guard
+from .config import _Frozen, _guard
 from .exceptions import DomainError
 from .pipedream import ELBOW, PIVOT, PipeDream, right_exit_labels
 
@@ -32,20 +31,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BasisSet:
+class BasisSet(_Frozen):
     """The bases of a matroid on [1..n], or on [0..n] when ``offset_zero``.
 
     ``bases`` holds each basis as a sorted tuple, the tuples themselves in
     lexicographic order.  Use :func:`basis_set` to normalize raw data.
     """
 
+    _fields = ("n", "k", "offset_zero", "bases")
     n: int
     k: int
     offset_zero: bool
     bases: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, k: int, offset_zero: bool,
+                 bases: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "offset_zero", offset_zero)
+        object.__setattr__(self, "bases", bases)
         lo = 0 if self.offset_zero else 1
         seen = set()
         for b in self.bases:

@@ -29,11 +29,10 @@ the cross exits at a row >= r (bottom exits count as below every row).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, permutations as _raw_permutations, product
 from typing import Iterator
 
-from .config import _check_sizes, _guard
+from .config import _Frozen, _check_sizes, _guard
 from .exceptions import (
     DomainError,
     MalformedDreamError,
@@ -117,8 +116,7 @@ def _templates(n: int, pivots: tuple[int, ...]) -> Iterator[list[Tile | None]]:
         right[p - 1] = HLINE
 
 
-@dataclass(frozen=True)
-class PipeDream:
+class PipeDream(_Frozen):
     """A structurally validated tile grid.
 
     ``grid`` holds one string of tile letters per row.  Construction checks
@@ -132,11 +130,16 @@ class PipeDream:
     'X'
     """
 
+    _fields = ("cols", "pivots", "grid")
     cols: int
     pivots: tuple[int, ...]
     grid: tuple[str, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, cols: int, pivots: tuple[int, ...],
+                 grid: tuple[str, ...]) -> None:
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "grid", grid)
         n, k = self.cols, len(self.pivots)
         if len(self.grid) != k:
             raise MalformedDreamError("one grid row per pivot required")
@@ -158,6 +161,15 @@ class PipeDream:
                 elif actual != forced:
                     raise MalformedDreamError(
                         f"tile at ({i}, {j}) must be {forced!r}, got {actual!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.cols, self.pivots, self.grid)
+                    == (other.cols, other.pivots, other.grid))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.cols, self.pivots, self.grid))
 
     @property
     def rows(self) -> int:
@@ -259,8 +271,7 @@ def _front_rows(u: Permutation, v: Permutation) -> tuple[str, ...]:
     return tuple("".join(row) for row in rows)
 
 
-@dataclass(frozen=True)
-class PipeTrace:
+class PipeTrace(_Frozen):
     """The journey of one pipe through a dream, as :func:`trace_pipes`
     reports it.
 
@@ -269,10 +280,18 @@ class PipeTrace:
     ``exit_index`` is a row) or "bottom" (then it is a column).
     """
 
+    _fields = ("label", "horizontal_crosses", "exit_side", "exit_index")
     label: int
     horizontal_crosses: tuple[Box, ...]
     exit_side: str
     exit_index: int
+
+    def __init__(self, label: int, horizontal_crosses: tuple[Box, ...],
+                 exit_side: str, exit_index: int) -> None:
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "horizontal_crosses", horizontal_crosses)
+        object.__setattr__(self, "exit_side", exit_side)
+        object.__setattr__(self, "exit_index", exit_index)
 
 
 def _sweep(D: PipeDream) -> tuple[list[tuple[str, int]], list[list[Box]]]:
@@ -419,8 +438,7 @@ def restrict(D: PipeDream, k: int) -> PipeDream:
     return _trusted_dream(D.cols, D.pivots[:k], D.grid[:k])
 
 
-@dataclass(frozen=True)
-class LeDream:
+class LeDream(_Frozen):
     """A rotated dream: ragged rows of crosses/elbows in partition shape.
 
     Row r of the rotation lists the boxes of dream row k+1-r from right to
@@ -430,11 +448,16 @@ class LeDream:
     dreams rotate to distinct LeDreams.
     """
 
+    _fields = ("cols", "pivots", "rows")
     cols: int
     pivots: tuple[int, ...]
     rows: tuple[str, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, cols: int, pivots: tuple[int, ...],
+                 rows: tuple[str, ...]) -> None:
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "rows", rows)
         k, n = len(self.pivots), self.cols
         if any(a <= b for a, b in zip(self.pivots, self.pivots[1:])):
             raise MalformedDreamError(f"pivots must strictly decrease: "

@@ -17,11 +17,10 @@ positroid pipe dreams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
-from .config import _check_sizes, _guard
+from .config import _Frozen, _check_sizes, _guard
 from .decperm import (
     DecoratedPermutation,
     _all_decperms,
@@ -54,18 +53,26 @@ __all__ = [
 FLAVORS = ("representable", "matroidal")
 
 
-@dataclass(frozen=True)
-class QuotientPoset:
+class QuotientPoset(_Frozen):
     """Positroids on [n], stored as their decorated permutations
     ``decperms`` (sorted by rank then text form), with rank-adjacent cover
     edges as index pairs into them.  ``names[i]`` is the text form of
     ``decperms[i]`` and ``elements[i]`` its positroid; both are derived on
     first read and cached."""
 
+    _fields = ("n", "flavor", "decperms", "covers")
     n: int
     flavor: str
     decperms: tuple[DecoratedPermutation, ...]
     covers: tuple[tuple[int, int], ...]
+
+    def __init__(self, n: int, flavor: str,
+                 decperms: tuple[DecoratedPermutation, ...],
+                 covers: tuple[tuple[int, int], ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "flavor", flavor)
+        object.__setattr__(self, "decperms", decperms)
+        object.__setattr__(self, "covers", covers)
 
     @cached_property
     def names(self) -> tuple[str, ...]:

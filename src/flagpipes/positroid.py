@@ -9,12 +9,11 @@ pivot-column set, or its right-exit pipe set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Iterator
 
-from .config import _check_sizes, _guard
+from .config import _Frozen, _check_sizes, _guard
 from .exceptions import (
     DomainError,
     EmptyChoiceError,
@@ -235,8 +234,7 @@ def standardize(D: PipeDream) -> PipeDream:
                           tuple("".join(row) for row in rows))
 
 
-@dataclass(frozen=True)
-class Positroid:
+class Positroid(_Frozen):
     """A positroid, identified by its canonical decreasing-pivot dream.
 
     The dream determines the bases, so equality and hashing go by the dream
@@ -245,15 +243,25 @@ class Positroid:
     decrease and it is gamma-free.
     """
 
+    _fields = ("dream",)
     dream: PipeDream
 
-    def __post_init__(self) -> None:
+    def __init__(self, dream: PipeDream) -> None:
+        object.__setattr__(self, "dream", dream)
         pivots = self.dream.pivots
         if any(a <= b for a, b in zip(pivots, pivots[1:])):
             raise DomainError("canonical dream needs strictly decreasing pivots"
                               "; use Positroid.from_dream")
         if not is_gamma_free(self.dream):
             raise DomainError("dream is not gamma-free")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.dream,) == (other.dream,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.dream,))
 
     @classmethod
     def from_dream(cls, D: PipeDream) -> "Positroid":

@@ -12,13 +12,12 @@ once at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import lcm, prod
 
-from .config import _guard
+from .config import _Frozen, _guard
 from .exceptions import (
     DomainError,
     InvariantError,
@@ -59,8 +58,7 @@ def _exact(value) -> Fraction:
     raise DomainError(f"cannot read {value!r} as an exact rational")
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
+class RationalMatrix(_Frozen):
     """A k-by-n grid of exact rationals; with ``offset_zero`` the columns
     are labeled 0..n-1 instead of 1..n (ground sets through 0).
 
@@ -68,15 +66,19 @@ class RationalMatrix:
     Fraction(1, 2)
     """
 
+    # ``_ints`` and ``_scales`` hold the rows with denominators cleared and
+    # the positive row scales (see _integer_rows): derived from ``rows``, so
+    # not fields, and left out of ==, hash and repr.
+    _fields = ("rows", "offset_zero")
     rows: tuple[tuple[Fraction, ...], ...]
-    offset_zero: bool = False
-    # The rows with denominators cleared and the positive row scales (see
-    # _integer_rows): derived from ``rows``, so left out of ==, hash and repr.
-    _ints: tuple[tuple[int, ...], ...] = field(
-        init=False, repr=False, compare=False)
-    _scales: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    offset_zero: bool
+    _ints: tuple[tuple[int, ...], ...]
+    _scales: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, rows: tuple[tuple[Fraction, ...], ...],
+                 offset_zero: bool = False) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "offset_zero", offset_zero)
         if not self.rows or not self.rows[0]:
             raise DomainError("matrix dimensions must be positive")
         width = len(self.rows[0])

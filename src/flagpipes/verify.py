@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from itertools import combinations, product
 
+from .config import _Frozen
 from .exceptions import DomainError
 
 __all__ = ["CheckResult", "CHECK_NAMES", "run_check", "run_all"]
@@ -24,12 +24,19 @@ __all__ = ["CheckResult", "CHECK_NAMES", "run_check", "run_all"]
 DEFAULT_SEED = 20250825
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Frozen):
+    _fields = ("name", "ok", "detail", "seconds")
     name: str
     ok: bool
     detail: str
     seconds: float
+
+    def __init__(self, name: str, ok: bool, detail: str,
+                 seconds: float) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "seconds", seconds)
 
     @property
     def line(self) -> str:

@@ -41,6 +41,9 @@ UNUSED_BY_GRIDS = ("flagpipes.decperm", "flagpipes.positroid",
 # The modules a check that reads only permutations and grids may load.
 GRID_CHECK_LAYERS = ("cli", "config", "exceptions", "perm", "pipedream",
                      "verify")
+# Standard modules no flagpipes process imports: ``dataclasses`` brings in
+# ``inspect``, and with it ``ast``, ``dis`` and ``tokenize``.
+UNUSED_STDLIB = ("dataclasses", "inspect")
 
 
 def outside(*allowed):
@@ -202,6 +205,52 @@ class TestBasesAndDecperm:
         code, out, _ = run(capsys, *argv, "--dream", str(path))
         assert code == 0 and out
         assert sweeps == [running_example.dream]
+
+    @pytest.mark.parametrize("verb", ["decperm", "covers", "covered-by"])
+    def test_a_permutation_pair_is_not_swept(self, capsys, monkeypatch, verb):
+        """The grid of a U V pair is an FPP, so gamma-free, and so is each
+        of its row prefixes: on every Bruhat pair with n <= 4 (and every
+        --k of ``decperm``) the verb prints what the route through
+        ``Positroid.from_dream`` gives, with no gamma-freeness sweep."""
+        import flagpipes.positroid as positroid_module
+        from flagpipes.decperm import covered_by_shift, covers_by_shift
+        from flagpipes.perm import all_permutations, bruhat_leq
+        from flagpipes.positroid import Positroid
+
+        def swept(u, v, k):
+            D = construct_fpp(u, v)
+            if k is not None:
+                D = restrict(D, k)
+            w = decperm_of(Positroid.from_dream(D).dream)
+            if verb == "decperm":
+                return 0, ser.decperm_to_json(w)
+            if verb == "covers" and w.rank >= w.n:
+                return 1, None
+            shifts = covers_by_shift if verb == "covers" else covered_by_shift
+            return 0, [ser.decperm_to_json(x) for x in shifts(w)]
+
+        cases = [(u, v, k) for n in range(5)
+                 for u in all_permutations(n) for v in all_permutations(n)
+                 if bruhat_leq(u, v)
+                 for k in ([None, *range(n + 1)] if verb == "decperm"
+                           else [None])]
+        expected = [swept(*case) for case in cases]
+        sweeps = []
+        monkeypatch.setattr(positroid_module, "is_gamma_free",
+                            lambda D: sweeps.append(D))
+        for (u, v, k), (want_code, want) in zip(cases, expected):
+            argv = [verb, "".join(map(str, u)), "".join(map(str, v))]
+            if k is not None:
+                argv += ["--k", str(k)]
+            code, out, err = run(capsys, *argv)
+            assert code == want_code, argv
+            if code:
+                assert (out, err) == (
+                    "", "error: a full-rank positroid has no covers\n")
+            else:
+                assert json.loads(out) == want, argv
+        assert len(cases) == (1390 if verb == "decperm" else 237)
+        assert sweeps == []
 
 
 class TestEmptyInput:
@@ -628,8 +677,17 @@ class TestInstalledEntryPoint:
         (["render", "2413", "4231", "--svg"],
          tuple(m for m in HEAVY if m != "flagpipes.render") + UNUSED_BY_GRIDS),
         (["covers", "--decperm", RUNNING], HEAVY + ("flagpipes.flagbuild",)),
+        (["decperm", "2413", "4231"],
+         ("concurrent.futures",) + outside(
+             "cli", "config", "decperm", "exceptions", "pathgraph", "perm",
+             "pipedream", "positroid", "serialize")),
+        (["poset", "4", "--dot"],
+         ("concurrent.futures",) + outside(
+             "cli", "config", "decperm", "exceptions", "pathgraph", "perm",
+             "pipedream", "poset", "positroid")),
     ])
     def test_verbs_load_only_their_layers(self, argv, unused):
+        unused += UNUSED_STDLIB
         script = (
             "import json, sys\n"
             "import flagpipes.cli\n"
@@ -641,6 +699,19 @@ class TestInstalledEntryPoint:
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True)
         assert json.loads(proc.stderr.splitlines()[-1]) == [0, [[], []]]
+
+    def test_no_module_imports_dataclasses_or_inspect(self):
+        modules = ("flagpipes",) + outside()
+        script = (
+            "import importlib, json, sys\n"
+            f"for name in {modules!r}:\n"
+            "    importlib.import_module(name)\n"
+            f"print(json.dumps([len({modules!r}), "
+            f"[m for m in {UNUSED_STDLIB!r} if m in sys.modules]]))\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [15, []]
 
     def test_optimized_mode_prints_the_same(self):
         argv = ["-m", "flagpipes.cli", "poset", "4", "--flavor", "matroidal"]
