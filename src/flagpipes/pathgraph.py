@@ -20,7 +20,7 @@ from typing import Iterable
 
 from .config import _Frozen, _guard
 from .exceptions import DomainError
-from .pipedream import ELBOW, PIVOT, PipeDream, right_exit_labels
+from .pipedream import ELBOW, PipeDream, right_exit_labels
 
 __all__ = [
     "BasisSet",
@@ -116,27 +116,36 @@ def bases_of(D: PipeDream) -> BasisSet:
     _guard("bases_of", "pathgraph_max_n", D.cols)
     # Bit j - 1 of a state is column j.  While row i is walked, the bits of
     # the columns already passed hold the state above row i and the others
-    # the state below it, so one mask carries both; ``carry`` marks a path
-    # moving right into the next vertex.
+    # the state below it, so one mask carries both.  ``right`` holds the
+    # states with a path moving right into the next vertex, ``up`` the
+    # others.  The pivot is the row's first vertex, so no path moves right
+    # into it.
     states = {0}
     for row, pivot in zip(reversed(D.grid), reversed(D.pivots)):
-        pairs = {(s, False) for s in states}
-        for j, tile in enumerate(row, start=1):
-            if tile not in (PIVOT, ELBOW):
+        bit = 1 << (pivot - 1)
+        right = {s for s in states if not s & bit}
+        up = {s | bit for s in right}
+        for j in range(pivot + 1, D.cols + 1):
+            if row[j - 1] != ELBOW:
                 continue
             bit = 1 << (j - 1)
-            step = set()
-            for s, carry in pairs:
-                arriving = carry + (j == pivot) + bool(s & bit)
-                if arriving == 0:
-                    step.add((s, False))
-                elif arriving == 1:
-                    step.add((s | bit, False))
-                    step.add((s & ~bit, True))
-            pairs = step
-        states = {s for s, carry in pairs if not carry}
-    return basis_set(D.cols, ([j for j in range(1, D.cols + 1)
-                               if s >> (j - 1) & 1] for s in states))
+            up, right = (up | {s | bit for s in right if not s & bit},
+                         {s & ~bit for s in up if s & bit}
+                         | {s for s in right if not s & bit})
+        states = up
+    # The result is built unchecked: the states are distinct masks, each
+    # with one bit per row, and there is at least one, since the family
+    # whose paths all go straight up ends in the pivot columns.  Each basis
+    # is a tuple of a list, which is allocated at its exact size (a tuple of
+    # a generator keeps the larger block of its first guess).
+    cols = range(1, D.cols + 1)
+    B = object.__new__(BasisSet)
+    object.__setattr__(B, "n", D.cols)
+    object.__setattr__(B, "k", D.rows)
+    object.__setattr__(B, "offset_zero", False)
+    object.__setattr__(B, "bases", tuple(sorted(
+        tuple([j for j in cols if s >> (j - 1) & 1]) for s in states)))
+    return B
 
 
 def lex_min_basis(D: PipeDream) -> tuple[int, ...]:

@@ -9,7 +9,12 @@ and a positroid is built for an element only when a caller reads
 row-append covers; the row-append route itself stays as the cross-check of
 ``verify quotient-covers`` and the tests.  "Matroidal" edges are the bare
 quotient test on adjacent ranks, run on one rank-increment mask per
-element, so that flavor builds every positroid.  Every representable cover
+element, so that flavor builds every positroid.  It tests an element only
+against the next rank's elements whose lex-first and lex-last bases each
+contain its own: when M is a quotient of N, every element that raises the
+rank of a set in M raises it in N, so M's greedy basis in any order lies
+inside N's, and these two bases are the greedy bases of 1 < ... < n and of
+n > ... > 1.  So the candidates lose no cover.  Every representable cover
 is matroidal; the difference is reported by :func:`missing_covers`.
 Maximal chains of the representable flavor biject with complete flag
 positroid pipe dreams.
@@ -107,6 +112,16 @@ def _indices_by_rank(n: int, decperms) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, by_rank))
 
 
+def _mask(basis) -> int:
+    """A basis of a matroid on [n] as a bitmask, bit e - 1 for element e."""
+    return sum(1 << (e - 1) for e in basis)
+
+
+def _outside(mask: int, n: int) -> list[int]:
+    """The one-bit masks of the elements of [n] outside ``mask``."""
+    return [1 << e for e in range(n) if not mask >> e & 1]
+
+
 def build_poset(n: int, flavor: str = "representable") -> QuotientPoset:
     """Assemble the poset of all positroids on [n] for one edge flavor.
 
@@ -120,7 +135,12 @@ def build_poset(n: int, flavor: str = "representable") -> QuotientPoset:
     edges join each element to those of the next rank whose rank-increment
     masks cover its own (see :func:`~flagpipes.positroid.is_quotient`); the
     positroids whose bases give those masks are the poset's
-    :attr:`~QuotientPoset.elements`, built once.
+    :attr:`~QuotientPoset.elements`, built once.  The next rank's elements
+    are bucketed by their lex-first and lex-last bases (lo, hi), and a
+    rank-k element with ends (lo, hi) is tested only against the buckets
+    (lo + e, hi + f) for e not in lo and f not in hi: a quotient's greedy
+    bases lie inside its cover's (see the module docstring), so every cover
+    is among them.
 
     >>> p = build_poset(3)
     >>> len(p.decperms), len(p.covers)
@@ -142,10 +162,20 @@ def build_poset(n: int, flavor: str = "representable") -> QuotientPoset:
     else:
         elements = tuple(map(positroid_of, decperms))
         inc = [rank_increments(p.bases) for p in elements]
+        missing = [~x for x in inc]
+        ends = [(_mask(p.bases.bases[0]), _mask(p.bases.bases[-1]))
+                for p in elements]
         by_rank = _indices_by_rank(n, decperms)
         for lower, upper in zip(by_rank, by_rank[1:]):
-            edges.extend((i, j) for i in lower for j in upper
-                         if inc[i] & ~inc[j] == 0)
+            buckets: dict[tuple[int, int], list[int]] = {}
+            for j in upper:
+                buckets.setdefault(ends[j], []).append(j)
+            for i in lower:
+                lo, hi = ends[i]
+                x, his = inc[i], _outside(hi, n)
+                edges.extend((i, j) for e in _outside(lo, n) for f in his
+                             for j in buckets.get((lo | e, hi | f), ())
+                             if not x & missing[j])
     poset = QuotientPoset(n=n, flavor=flavor, decperms=decperms,
                           covers=tuple(sorted(edges)))
     if elements is not None:

@@ -9,7 +9,7 @@ pivot-column set, or its right-exit pipe set.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterator
 
@@ -49,26 +49,56 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=None)
+def _subset_masks(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Sets of subsets of an m-element ground set, as 2^m-bit integers with
+    bit S for the subset whose bitmask is S: ``has[i]``, the subsets that
+    contain element i, and ``layer[t]``, the subsets of size t."""
+    size = 1 << m
+    has = tuple(int(("1" * (1 << i) + "0" * (1 << i)) * (size >> i + 1), 2)
+                for i in range(m))
+    counts = [S.bit_count() for S in reversed(range(size))]
+    layer = tuple(int("".join("1" if c == t else "0" for c in counts), 2)
+                  for t in range(m + 1))
+    return has, layer
+
+
 def rank_increments(B: BasisSet) -> int:
     """One bit per (subset, element) pair, set when the element raises the
     rank of the subset.  With the ground set indexed in order and subsets
-    read as bitmasks of those indices, bit ``S * m + i`` (m the size of the
-    ground set) stands for adding element ``i`` to ``S``.  Ranks come from
-    the bases as bitmasks, once per subset.
+    read as bitmasks S of those indices, bit ``i * 2**m + S`` (m the size
+    of the ground set) stands for adding element ``i`` to ``S``.
+
+    The work runs on sets of subsets, each a 2^m-bit integer with bit S for
+    subset S, so one integer operation treats every subset at once.  The
+    bases' bits, closed downwards by one shift per element, are the
+    independent sets.  Those of size t, closed upwards, are the sets R_t of
+    rank at least t.  Element i raises the rank of S exactly when S + i is
+    in R_t and S is not, for t = rank(S) + 1; shifting ``R_t & has[i]``
+    down by 2^i moves each S + i onto S.
 
     >>> bin(rank_increments(basis_set(2, [{1}])))
-    '0b10001'
+    '0b101'
     """
-    ground = B.ground
-    m = len(ground)
-    place = {e: i for i, e in enumerate(ground)}
-    masks = [sum(1 << place[e] for e in b) for b in B.bases]
-    rank = [max((S & b).bit_count() for b in masks) for S in range(1 << m)]
-    inc = 0
-    for S in range(1 << m):
+    m = len(B.ground)
+    lo = 0 if B.offset_zero else 1
+    has, layer = _subset_masks(m)
+    bit = [1 << e >> lo for e in range(B.n + 1)]
+    ind = 0
+    for b in B.bases:
+        ind |= 1 << sum(map(bit.__getitem__, b))
+    for i in range(m):
+        ind |= (ind & has[i]) >> (1 << i)
+    raised = [0] * m
+    for t in range(1, B.k + 1):
+        R = ind & layer[t]
         for i in range(m):
-            if rank[S | 1 << i] > rank[S]:
-                inc |= 1 << (S * m + i)
+            R |= (R & ~has[i]) << (1 << i)
+        for i in range(m):
+            raised[i] |= (R & has[i]) >> (1 << i) & ~R
+    inc = 0
+    for i, sets in enumerate(raised):
+        inc |= sets << (i << m)
     return inc
 
 

@@ -56,7 +56,6 @@ from flagpipes.poset import QuotientPoset
 from flagpipes.positroid import (
     Positroid,
     enumerate_positroids,
-    rank_increments,
     standardize,
 )
 from flagpipes.ratmat import det, flag_minors, pivot_columns
@@ -222,6 +221,23 @@ def dual(B):
     ground = set(B.ground)
     return basis_set(B.n, (ground - set(b) for b in B.bases),
                      offset_zero=B.offset_zero)
+
+
+def rank_increments_by_bases(B) -> int:
+    """Rank-increment bits by a max over the bases for each subset: bit
+    ``S * m + i`` (m the size of the ground set, S a bitmask of ground
+    indices) is set when element ``i`` raises the rank of S."""
+    ground = B.ground
+    m = len(ground)
+    place = {e: i for i, e in enumerate(ground)}
+    masks = [sum(1 << place[e] for e in b) for b in B.bases]
+    rank = [max((S & b).bit_count() for b in masks) for S in range(1 << m)]
+    inc = 0
+    for S in range(1 << m):
+        for i in range(m):
+            if rank[S | 1 << i] > rank[S]:
+                inc |= 1 << (S * m + i)
+    return inc
 
 
 def max_overlap_rank(bases, S) -> int:
@@ -923,8 +939,9 @@ def cover_choice_by_search(P, Q) -> tuple[int, ...]:
 def build_poset_by_names(n: int, flavor: str) -> QuotientPoset:
     """The quotient poset with its edges indexed by text form: elements
     sorted by (rank, text), representable edges looked up by the text of
-    each :func:`right_shifts_by_choice` result, matroidal edges by
-    rank-increment masks; each decorated permutation passes the public
+    each :func:`right_shifts_by_choice` result, matroidal edges by the
+    rank-increment masks of :func:`rank_increments_by_bases` on every pair
+    of adjacent ranks; each decorated permutation passes the public
     constructor again, and ``elements`` holds the positroids of the
     filling sweep of :func:`enumerate_positroids`."""
     named = []
@@ -941,7 +958,7 @@ def build_poset_by_names(n: int, flavor: str) -> QuotientPoset:
             edges.extend((i, index[q.to_string()])
                          for q in right_shifts_by_choice(w))
     else:
-        inc = [rank_increments(p.bases) for p in elements]
+        inc = [rank_increments_by_bases(p.bases) for p in elements]
         for i, p in enumerate(elements):
             edges.extend((i, j) for j, q in enumerate(elements)
                          if q.rank == p.rank + 1 and inc[i] & ~inc[j] == 0)

@@ -89,6 +89,19 @@ class TestBasesOf:
             assert B.bases[0] == lex_min_basis(D)
             assert B.bases[-1] == lex_max_basis(D)
 
+    def test_unchecked_result_passes_the_checked_constructor(self,
+                                                            monkeypatch):
+        """``bases_of`` builds its :class:`BasisSet` unchecked; normalizing
+        and validating the same bases again gives it back."""
+        dreams = [D for n in range(5) for k in range(n + 1)
+                  for D in enumerate_partial_fpps(n, k)]
+        monkeypatch.setenv("POSITROID_MAX_N", "6")
+        dreams += [P.dream for n in range(7) for P in enumerate_positroids(n)]
+        assert len(dreams) == 2953
+        for D in dreams:
+            B = bases_of(D)
+            assert B == basis_set(D.cols, B.bases)
+
     def test_guard_and_override(self, monkeypatch):
         wide = PipeDream(cols=13, pivots=(1,), grid=("P" + "E" * 12,))
         with pytest.raises(GuardExceededError):

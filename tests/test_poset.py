@@ -1,5 +1,7 @@
 """The two-flavor cover poset, its chains, and the chain/dream bijection."""
 
+import hashlib
+
 import pytest
 
 import oracles
@@ -191,6 +193,16 @@ def test_build_matches_the_name_indexed_route(monkeypatch, n, flavor):
     assert check_self_dual(poset) is True
     if n:  # the name route cannot parse the empty text of n = 0
         assert oracles.self_dual_by_names(poset) is True
+
+
+def test_matroidal_covers_at_six_are_pinned(monkeypatch):
+    """The candidate buckets of the matroidal build lose no cover: the
+    n = 6 edge list is the one the all-pairs route gave."""
+    monkeypatch.setenv(ENV_MAX_N, "6")
+    covers = build_poset(6, "matroidal").covers
+    assert len(covers) == 18076
+    assert hashlib.sha256(repr(covers).encode()).hexdigest().startswith(
+        "7cf6aedfdf1d6dac")
 
 
 class TestChains:

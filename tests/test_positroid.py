@@ -28,6 +28,7 @@ from flagpipes.positroid import (
     enumerate_positroids,
     is_lpm,
     is_quotient,
+    rank_increments,
     standardize,
     standardize_step,
     unblocked_columns,
@@ -131,6 +132,68 @@ class TestQuotient:
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatchError):
             is_quotient(basis_set(3, [{1}]), basis_set(4, [{1, 2}]))
+
+
+def increment_pairs(B, inc, old_layout=False):
+    """The (subset, element) pairs of a rank-increment mask, the subset as
+    a frozenset of ground elements, in either bit layout."""
+    ground = B.ground
+    m = len(ground)
+    pairs = set()
+    while inc:
+        bit = (inc & -inc).bit_length() - 1
+        inc &= inc - 1
+        S, i = divmod(bit, m) if old_layout else (bit % (1 << m), bit >> m)
+        pairs.add((frozenset(e for j, e in enumerate(ground) if S >> j & 1),
+                   ground[i]))
+    return pairs
+
+
+def assert_increments_agree(B):
+    assert increment_pairs(B, rank_increments(B)) == increment_pairs(
+        B, oracles.rank_increments_by_bases(B), old_layout=True)
+
+
+class TestRankIncrements:
+    def test_golden_layout(self):
+        B = basis_set(2, [{1}])
+        # Element 1 raises the rank of {} and of {2}.
+        assert rank_increments(B) == 0b101
+        assert oracles.rank_increments_by_bases(B) == 0b10001
+        assert increment_pairs(B, rank_increments(B)) == {
+            (frozenset(), 1), (frozenset({2}), 1)}
+
+    def test_every_positroid_up_to_six(self, monkeypatch):
+        monkeypatch.setenv("POSITROID_MAX_N", "6")
+        count = 0
+        for n in range(7):
+            for P in enumerate_positroids(n):
+                count += 1
+                assert_increments_agree(P.bases)
+        assert count == 2372
+
+    @pytest.mark.parametrize("offset_zero", [False, True])
+    def test_rank_zero_and_full_rank(self, offset_zero):
+        for n in range(7):
+            ground = range(0 if offset_zero else 1, n + 1)
+            empty = basis_set(n, [()], offset_zero=offset_zero)
+            full = basis_set(n, [ground], offset_zero=offset_zero)
+            assert rank_increments(empty) == 0
+            assert len(increment_pairs(full, rank_increments(full))) == \
+                len(ground) * 2 ** (len(ground) - 1)
+            assert_increments_agree(empty)
+            assert_increments_agree(full)
+
+    def test_offset_zero_sets(self):
+        count = 0
+        for n in range(1, 5):
+            for P in enumerate_positroids(n):
+                count += 1
+                assert_increments_agree(
+                    basis_set(n, P.bases.bases, offset_zero=True))
+                for Q in quotient_covers(P) if P.rank < n else ():
+                    assert_increments_agree(oracles.zero_join(P, Q))
+        assert count == 88
 
 
 class TestUnblocked:

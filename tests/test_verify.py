@@ -1,6 +1,7 @@
 """The published-fact check runner: results, budgets, parallel mode."""
 
 import concurrent.futures
+import inspect
 import re
 import subprocess
 import sys
@@ -59,12 +60,65 @@ class TestRunCheck:
     @pytest.mark.parametrize("name", CHECK_NAMES)
     def test_each_check_passes_alone_in_a_fresh_interpreter(self, name):
         """Each check imports its own layers: run alone, it finds every
-        name it uses without the imports of any other check."""
-        proc = subprocess.run(
-            [sys.executable, "-m", "flagpipes.cli", "verify", name,
-             "--jobs", "1"], capture_output=True, text=True)
+        name it uses without the imports of any other check.  Its declared
+        layers are loaded when it is entered, and it loads no module of the
+        package beyond those, so its timing holds no import."""
+        script = (
+            "import sys\n"
+            "import flagpipes.cli\n"
+            "import flagpipes.verify as verify\n"
+            f"name = {name!r}\n"
+            "func, budget, layers = verify._CHECKS[name]\n"
+            "loaded = {}\n"
+            "def package():\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m.startswith('flagpipes.'))\n"
+            "def probe(*args):\n"
+            "    loaded['entry'] = package()\n"
+            "    try:\n"
+            "        return func(*args)\n"
+            "    finally:\n"
+            "        loaded['exit'] = package()\n"
+            "verify._CHECKS[name] = (probe, budget, layers)\n"
+            "code = flagpipes.cli.main(['verify', name, '--jobs', '1'])\n"
+            "missing = [m for m in layers\n"
+            "           if f'flagpipes.{m}' not in loaded['entry']]\n"
+            "extra = sorted(set(loaded['exit']) - set(loaded['entry']))\n"
+            "print(repr((code, missing, extra)), file=sys.stderr)\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.startswith(f"PASS {name}: ")
+        assert proc.stderr.splitlines()[-1] == "(0, [], [])"
+
+    @pytest.mark.parametrize("name", CHECK_NAMES)
+    def test_declared_layers_are_the_checks_own_imports(self, name):
+        func, _, layers = verify._CHECKS[name]
+        source = inspect.getsource(func)
+        assert layers == tuple(sorted(set(
+            re.findall(r"^\s+from \.(\w+) import", source, re.M))))
+
+    def test_layers_load_before_the_clock_starts(self, monkeypatch):
+        events = []
+
+        class Clock:
+            @staticmethod
+            def perf_counter():
+                events.append("clock")
+                return 0.0
+
+        def probe():
+            events.append("check")
+            return True, "probed"
+
+        monkeypatch.setattr(verify, "time", Clock)
+        monkeypatch.setattr(verify, "import_module",
+                            lambda module: events.append(module))
+        monkeypatch.setitem(verify._CHECKS, "probe",
+                            (probe, None, ("perm", "pipedream")))
+        assert run_check("probe").ok
+        assert events == ["flagpipes.perm", "flagpipes.pipedream", "clock",
+                          "check", "clock"]
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):
@@ -74,7 +128,7 @@ class TestRunCheck:
         def sleepy():
             time.sleep(0.05)
             return True, "slept"
-        monkeypatch.setitem(verify._CHECKS, "sleepy", (sleepy, 0.01))
+        monkeypatch.setitem(verify._CHECKS, "sleepy", (sleepy, 0.01, ()))
         r = run_check("sleepy")
         assert not r.ok
         assert "budget" in r.detail
@@ -83,7 +137,7 @@ class TestRunCheck:
         def sleepy():
             time.sleep(0.02)
             return True, "slept"
-        monkeypatch.setitem(verify._CHECKS, "sleepy", (sleepy, None))
+        monkeypatch.setitem(verify._CHECKS, "sleepy", (sleepy, None, ()))
         assert run_check("sleepy").ok
 
 
