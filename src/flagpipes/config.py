@@ -22,17 +22,32 @@ ENV_MAX_N = "POSITROID_MAX_N"
 class _Frozen:
     """Base of the library's immutable value classes.
 
-    A subclass lists its field names in ``_fields`` and stores them in its
-    own ``__init__`` with ``object.__setattr__``; after that no attribute
-    can be assigned or deleted.  Two values are equal when they have the
-    same class and equal fields, the hash is that of the field tuple, and
-    ``repr`` reads ``Class(field=value, ...)``.  Instances keep a
-    ``__dict__``, so ``cached_property`` and pickling work as for any
-    object.  A class whose values are compared and hashed in hot loops
-    spells out ``__eq__`` and ``__hash__`` over its own fields.
+    A subclass annotates the names its instances store and lists its
+    fields in ``_fields``.  Its ``__init__`` validates the arguments and
+    stores them with one ``self.__dict__.update(...)``, past the
+    ``__setattr__`` that refuses any later assignment or deletion.
+    :meth:`_Frozen._trusted` is the one unchecked builder, for derived
+    values valid by construction, each caller stating why: validation runs
+    once, where values enter from outside.  Values are equal when class
+    and fields are, the hash is that of the field tuple, and ``repr`` reads
+    ``Class(field=value, ...)``.  A class whose values are compared and
+    hashed in hot loops spells out ``__eq__`` and ``__hash__``.
     """
 
     _fields: tuple[str, ...] = ()
+
+    @classmethod
+    def _trusted(cls, **fields):
+        """An instance holding ``fields``, a keyword per annotated name,
+        unchecked.  The first call puts the class's own builder on it, which
+        stores each with ``object.__setattr__`` and takes no dict per call."""
+        names = list(cls.__annotations__)
+        scope = {"new": object.__new__, "store": object.__setattr__}
+        exec(f"def _trusted(cls, *, {', '.join(names)}):\n    obj = new(cls)\n"
+             + "".join(f"    store(obj, {n!r}, {n})\n" for n in names)
+             + "    return obj\n", scope)
+        cls._trusted = classmethod(scope["_trusted"])
+        return cls._trusted(**fields)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -83,15 +98,12 @@ class Limits(_Frozen):
                  poset_matroidal_max_n: int = poset_matroidal_max_n,
                  minors_max_n: int = minors_max_n,
                  covers_max_unblocked: int = covers_max_unblocked) -> None:
-        object.__setattr__(self, "subword_max_n", subword_max_n)
-        object.__setattr__(self, "enumerate_max_n", enumerate_max_n)
-        object.__setattr__(self, "pathgraph_max_n", pathgraph_max_n)
-        object.__setattr__(self, "poset_representable_max_n",
-                           poset_representable_max_n)
-        object.__setattr__(self, "poset_matroidal_max_n",
-                           poset_matroidal_max_n)
-        object.__setattr__(self, "minors_max_n", minors_max_n)
-        object.__setattr__(self, "covers_max_unblocked", covers_max_unblocked)
+        self.__dict__.update(
+            subword_max_n=subword_max_n, enumerate_max_n=enumerate_max_n,
+            pathgraph_max_n=pathgraph_max_n, minors_max_n=minors_max_n,
+            poset_representable_max_n=poset_representable_max_n,
+            poset_matroidal_max_n=poset_matroidal_max_n,
+            covers_max_unblocked=covers_max_unblocked)
 
 
 def current_limits() -> Limits:
@@ -123,8 +135,11 @@ def _guard(routine: str, field: str, value: int) -> None:
 
 
 def _check_sizes(routine: str, **sizes: int) -> None:
-    """Refuse a negative size, naming the routine and the size."""
+    """Refuse a size that is not a non-negative ``int``, naming the routine."""
     for name, value in sizes.items():
+        if type(value) is not int:
+            raise DomainError(f"{routine}: {name} must be an integer, "
+                              f"got {value!r}")
         if value < 0:
             raise DomainError(f"{routine}: {name} must be at least 0, "
                               f"got {value}")

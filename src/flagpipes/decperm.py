@@ -32,13 +32,11 @@ from .pipedream import (
     PipeDream,
     _front_rows,
     _sweep,
-    _trusted_dream,
 )
 from .positroid import (
     Positroid,
     _choice,
     _each_choice,
-    _trusted_positroid,
     standardize,
 )
 
@@ -77,8 +75,7 @@ class DecoratedPermutation(_Frozen):
     color: tuple[int, ...]
 
     def __init__(self, perm: Permutation, color: tuple[int, ...]) -> None:
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "color", color)
+        self.__dict__.update(perm=perm, color=color)
         validate_permutation(self.perm)
         n = len(self.perm)
         if len(self.color) != n:
@@ -119,24 +116,6 @@ class DecoratedPermutation(_Frozen):
         return ",".join(parts) if self.n > 9 else "".join(parts)
 
 
-def _trusted_decperm(perm: Permutation,
-                     color: tuple[int, ...]) -> DecoratedPermutation:
-    """A :class:`DecoratedPermutation` built without the checks of its
-    constructor, for results the library derives from one already valid
-    (a shift, an inverse, or the pipe exits of a dream) and for the listing
-    of :func:`_all_decperms`.  Their permutation and forced colors hold by
-    construction.
-
-    Validation runs once, where boundary data enters from outside: the
-    public constructor, :func:`parse_decperm`, the JSON readers and the
-    command line.
-    """
-    w = object.__new__(DecoratedPermutation)
-    object.__setattr__(w, "perm", perm)
-    object.__setattr__(w, "color", color)
-    return w
-
-
 def parse_decperm(s: str) -> DecoratedPermutation:
     """Inverse of :meth:`DecoratedPermutation.to_string`.  The empty text
     is the decorated permutation on [0]; text made only of separators is
@@ -166,7 +145,8 @@ def decperm_of(D: PipeDream) -> DecoratedPermutation:
     that row's pivot column, and the pipe leaving the bottom of column c
     ends at c.  (In the trivial completion that pipe runs straight down to
     the row whose pivot is c and leaves to the right there.)  Color 2 sits
-    exactly at the pivot columns of the k retained rows.
+    exactly at the pivot columns of the k retained rows.  Each pipe exits
+    once, so :meth:`~flagpipes.config._Frozen._trusted` builds the result.
 
     >>> from flagpipes.pipedream import construct_fpp, restrict
     >>> d = restrict(construct_fpp((2, 4, 1, 3), (4, 2, 3, 1)), 2)
@@ -183,17 +163,19 @@ def decperm_of(D: PipeDream) -> DecoratedPermutation:
     color = [UNDER] * S.cols
     for p in pivots:
         color[p - 1] = OVER
-    return _trusted_decperm(tuple(perm), tuple(color))
+    return DecoratedPermutation._trusted(perm=tuple(perm), color=tuple(color))
 
 
 def _all_decperms(n: int) -> list[DecoratedPermutation]:
     """Every decorated permutation on [n], unsorted: each permutation, with
-    both colors on every fixed point and the forced color elsewhere."""
+    both colors on every fixed point and the forced color elsewhere: valid,
+    so :meth:`~flagpipes.config._Frozen._trusted` builds each."""
     out = []
     for w in all_permutations(n):
         colors = [(UNDER, OVER) if v == j else (OVER if v > j else UNDER,)
                   for j, v in enumerate(w, 1)]
-        out.extend(_trusted_decperm(w, color) for color in product(*colors))
+        out.extend(DecoratedPermutation._trusted(perm=w, color=color)
+                   for color in product(*colors))
     return out
 
 
@@ -204,7 +186,8 @@ def dle_of(dp: DecoratedPermutation) -> PipeDream:
     permutation composed with that pivot order.  That pair of permutations
     is a Bruhat interval for every decorated permutation; the front walk of
     :func:`~flagpipes.pipedream._front_rows` is its one comparability test,
-    since its end check raises on exactly the pairs that are not.
+    since its end check raises on exactly the pairs that are not.  Past it
+    the rows are an FPP's, built by :meth:`~flagpipes.config._Frozen._trusted`.
 
     >>> dle_of(parse_decperm("2o1u4o3u")).pivots
     (3, 1)
@@ -215,7 +198,8 @@ def dle_of(dp: DecoratedPermutation) -> PipeDream:
                    reverse=True)
     u = tuple(over + under)
     v = tuple(dp.perm[j - 1] for j in u)
-    return _trusted_dream(dp.n, tuple(over), _front_rows(u, v)[:len(over)])
+    return PipeDream._trusted(cols=dp.n, pivots=tuple(over),
+                              grid=_front_rows(u, v)[:len(over)])
 
 
 def positroid_of(dp: DecoratedPermutation) -> Positroid:
@@ -224,12 +208,13 @@ def positroid_of(dp: DecoratedPermutation) -> Positroid:
     Its canonical dream :func:`dle_of` is a row prefix of an FPP, hence
     gamma-free, and its pivots descend, so it is the positroid's dream as
     it is: no Bruhat test beyond the front walk, no gamma-freeness sweep
-    and no standardization.
+    and no standardization.  The positroid is built by
+    :meth:`~flagpipes.config._Frozen._trusted`.
 
     >>> positroid_of(parse_decperm("1u2o")).bases.bases
     ((2,),)
     """
-    return _trusted_positroid(dle_of(dp))
+    return Positroid._trusted(dream=dle_of(dp))
 
 
 def unblocked_positions(dp: DecoratedPermutation) -> tuple[int, ...]:
@@ -300,9 +285,10 @@ def right_cyclic_shift(dp: DecoratedPermutation, C) -> DecoratedPermutation:
 
 def _shift(dp: DecoratedPermutation, C) -> DecoratedPermutation:
     """:func:`right_cyclic_shift` on a sorted choice already known to be
-    unblocked."""
-    return _trusted_decperm(*_cycle(dp.perm, dp.color,
-                                    _top_completion(dp, C) + tuple(C)))
+    unblocked.  :func:`_cycle` keeps a decorated permutation valid, so
+    :meth:`~flagpipes.config._Frozen._trusted` builds the result."""
+    perm, color = _cycle(dp.perm, dp.color, _top_completion(dp, C) + tuple(C))
+    return DecoratedPermutation._trusted(perm=perm, color=color)
 
 
 def _cycle(perm: Permutation, color: tuple[int, ...],
@@ -335,14 +321,14 @@ def _right_shift_walk(dp: DecoratedPermutation, routine: str) -> tuple:
 
 def covers_by_shift(dp: DecoratedPermutation) -> tuple[DecoratedPermutation, ...]:
     """One shift per nonempty choice of unblocked positions, sorted by text
-    form; all results are distinct.
+    form; all results are distinct and valid (see :func:`_shift`).
 
     >>> len(covers_by_shift(parse_decperm("1u2u3u")))
     7
     """
     return tuple(sorted(
-        (_trusted_decperm(*pair)
-         for pair in _right_shift_walk(dp, "covers_by_shift")),
+        (DecoratedPermutation._trusted(perm=perm, color=color)
+         for perm, color in _right_shift_walk(dp, "covers_by_shift")),
         key=DecoratedPermutation.to_string))
 
 
@@ -398,13 +384,15 @@ def covered_by_shift(dp: DecoratedPermutation) -> tuple[DecoratedPermutation, ..
     7
     """
     return tuple(sorted(
-        (inverse_decperm(_trusted_decperm(*pair)) for pair
+        (inverse_decperm(DecoratedPermutation._trusted(perm=perm, color=color))
+         for perm, color
          in _right_shift_walk(inverse_decperm(dp), "covered_by_shift")),
         key=DecoratedPermutation.to_string))
 
 
 def inverse_decperm(dp: DecoratedPermutation) -> DecoratedPermutation:
-    """Invert the permutation and flip the color across each value's arc.
+    """Invert the permutation and flip the color across each value's arc,
+    which keeps it valid: :meth:`~flagpipes.config._Frozen._trusted` builds it.
 
     >>> inverse_decperm(parse_decperm("5o1u3u9o2u7o6u4u8u")).to_string()
     '2o5o3o8o1u7o6u9o4u'
@@ -413,4 +401,4 @@ def inverse_decperm(dp: DecoratedPermutation) -> DecoratedPermutation:
     color = [0] * dp.n
     for j, v in enumerate(dp.perm, 1):
         color[v - 1] = OVER + UNDER - dp.color[j - 1]
-    return _trusted_decperm(inv, tuple(color))
+    return DecoratedPermutation._trusted(perm=inv, color=tuple(color))

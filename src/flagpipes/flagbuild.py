@@ -15,14 +15,12 @@ from .pipedream import (
     ELBOW,
     PipeDream,
     _templates,
-    _trusted_dream,
 )
 from .positroid import (
     Positroid,
     _choice,
     _each_choice,
     _restriction_positroids,
-    _trusted_positroid,
     is_quotient,
     standardize,
     unblocked_columns,
@@ -40,9 +38,10 @@ def append_row(D: PipeDream, C) -> PipeDream:
     """Append row k+1 with pivot at min(C) and elbows at the rest of C.
 
     C must be a nonempty set of unblocked columns of D; the retained rows
-    are untouched.  The result is built unchecked: the new row is its
-    forced tiles plus a cross or an elbow on each box, and its pivot column
-    was no pivot column before, so every row above keeps its forced tiles.
+    are untouched.  The result is built unchecked, by
+    :meth:`~flagpipes.config._Frozen._trusted`: the new row is its forced
+    tiles plus a cross or an elbow on each box, and its pivot column was no
+    pivot column before, so every row above keeps its forced tiles.
 
     >>> d = PipeDream(cols=4, pivots=(4, 2), grid=("VVVP", "VPXH"))
     >>> append_row(d, {1, 3}).grid
@@ -60,7 +59,8 @@ def _appended(D: PipeDream, C) -> PipeDream:
     for j, t in enumerate(row, start=1):
         if t is None:
             row[j - 1] = ELBOW if j in chosen else CROSS
-    return _trusted_dream(D.cols, pivots, D.grid + ("".join(row),))
+    return PipeDream._trusted(cols=D.cols, pivots=pivots,
+                              grid=D.grid + ("".join(row),))
 
 
 def quotient_covers(P: Positroid) -> tuple[Positroid, ...]:
@@ -72,7 +72,7 @@ def quotient_covers(P: Positroid) -> tuple[Positroid, ...]:
     ``verify quotient-covers`` checks that the two routes agree, and that a
     row appended along unblocked columns keeps the dream gamma-free: so
     each cover is its appended dream standardized, with no gamma-freeness
-    sweep.
+    sweep, and each is built by :meth:`~flagpipes.config._Frozen._trusted`.
 
     >>> from flagpipes.pipedream import PipeDream
     >>> bottom = Positroid.from_dream(PipeDream(cols=2, pivots=(), grid=()))
@@ -85,8 +85,8 @@ def quotient_covers(P: Positroid) -> tuple[Positroid, ...]:
         raise DomainError("a full-rank positroid has no covers")
     return tuple(sorted(
         _each_choice("quotient_covers", P.unblocked,
-                     lambda C: _trusted_positroid(
-                         standardize(_appended(P.dream, C)))),
+                     lambda C: Positroid._trusted(
+                         dream=standardize(_appended(P.dream, C)))),
         key=lambda Q: decperm_of(Q.dream).to_string()))
 
 
@@ -101,9 +101,7 @@ class FlagPositroid(_Frozen):
 
     def __init__(self, n: int, ranks: tuple[int, ...],
                  constituents: tuple[Positroid, ...]) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ranks", ranks)
-        object.__setattr__(self, "constituents", constituents)
+        self.__dict__.update(n=n, ranks=ranks, constituents=constituents)
         if not self.constituents:
             raise DomainError("a flag needs at least one constituent")
         if any(p.n != self.n for p in self.constituents):

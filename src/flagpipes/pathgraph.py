@@ -46,10 +46,7 @@ class BasisSet(_Frozen):
 
     def __init__(self, n: int, k: int, offset_zero: bool,
                  bases: tuple[tuple[int, ...], ...]) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "offset_zero", offset_zero)
-        object.__setattr__(self, "bases", bases)
+        self.__dict__.update(n=n, k=k, offset_zero=offset_zero, bases=bases)
         lo = 0 if self.offset_zero else 1
         seen = set()
         for b in self.bases:
@@ -133,19 +130,16 @@ def bases_of(D: PipeDream) -> BasisSet:
                          {s & ~bit for s in up if s & bit}
                          | {s for s in right if not s & bit})
         states = up
-    # The result is built unchecked: the states are distinct masks, each
-    # with one bit per row, and there is at least one, since the family
-    # whose paths all go straight up ends in the pivot columns.  Each basis
-    # is a tuple of a list, which is allocated at its exact size (a tuple of
-    # a generator keeps the larger block of its first guess).
+    # Built unchecked by :meth:`~flagpipes.config._Frozen._trusted`: the
+    # states are distinct masks, each with one bit per row, and there is at
+    # least one, since the family whose paths all go straight up ends in
+    # the pivot columns.  Each basis is a tuple of a list, allocated at its
+    # exact size (a tuple of a generator keeps its first guess's block).
     cols = range(1, D.cols + 1)
-    B = object.__new__(BasisSet)
-    object.__setattr__(B, "n", D.cols)
-    object.__setattr__(B, "k", D.rows)
-    object.__setattr__(B, "offset_zero", False)
-    object.__setattr__(B, "bases", tuple(sorted(
-        tuple([j for j in cols if s >> (j - 1) & 1]) for s in states)))
-    return B
+    bases = tuple(sorted(tuple([j for j in cols if s >> (j - 1) & 1])
+                         for s in states))
+    return BasisSet._trusted(n=D.cols, k=D.rows, offset_zero=False,
+                             bases=bases)
 
 
 def lex_min_basis(D: PipeDream) -> tuple[int, ...]:

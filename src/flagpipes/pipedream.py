@@ -137,9 +137,7 @@ class PipeDream(_Frozen):
 
     def __init__(self, cols: int, pivots: tuple[int, ...],
                  grid: tuple[str, ...]) -> None:
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "pivots", pivots)
-        object.__setattr__(self, "grid", grid)
+        self.__dict__.update(cols=cols, pivots=pivots, grid=grid)
         n, k = self.cols, len(self.pivots)
         if len(self.grid) != k:
             raise MalformedDreamError("one grid row per pivot required")
@@ -188,36 +186,6 @@ class PipeDream(_Frozen):
         row = self.grid[i - 1]
         return tuple(j for j in range(1, self.cols + 1)
                      if row[j - 1] in (CROSS, ELBOW))
-
-
-def _trusted_dream(cols: int, pivots: tuple[int, ...],
-                   grid: tuple[str, ...]) -> PipeDream:
-    """A :class:`PipeDream` built without the structural checks of its
-    constructor, for grids the library derives from pivots it chose or from
-    a dream already valid, and that are valid by construction:
-
-    - every row of :func:`_templates` with a cross or an elbow on each box:
-      the fillings of :func:`enumerate_partial_fpps` and
-      :func:`enumerate_le_dreams`, the new row of
-      :func:`~flagpipes.flagbuild.append_row` and the covers built from it,
-      and the 2-colored rows of :func:`~flagpipes.decperm.dle_of`, a row
-      prefix of :func:`_front_rows` on an interval its caller has checked;
-    - :func:`restrict`: a prefix of valid rows, whose forced tiles no
-      dropped (lower) row could change;
-    - :func:`~flagpipes.positroid.standardize` and
-      :func:`~flagpipes.positroid.standardize_step`: the exchange rewrites a
-      valid pair of rows into a valid pair, and every other row sees both
-      pivot columns on the same side as before.
-
-    Validation runs once, where grids enter from outside: the public
-    constructor, the JSON readers and the command line.  A grid passed here
-    unchecked must be one that constructor accepts.
-    """
-    D = object.__new__(PipeDream)
-    object.__setattr__(D, "cols", cols)
-    object.__setattr__(D, "pivots", pivots)
-    object.__setattr__(D, "grid", grid)
-    return D
 
 
 def construct_fpp(u: Permutation, v: Permutation) -> PipeDream:
@@ -288,10 +256,9 @@ class PipeTrace(_Frozen):
 
     def __init__(self, label: int, horizontal_crosses: tuple[Box, ...],
                  exit_side: str, exit_index: int) -> None:
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "horizontal_crosses", horizontal_crosses)
-        object.__setattr__(self, "exit_side", exit_side)
-        object.__setattr__(self, "exit_index", exit_index)
+        self.__dict__.update(label=label,
+                             horizontal_crosses=horizontal_crosses,
+                             exit_side=exit_side, exit_index=exit_index)
 
 
 def _sweep(D: PipeDream) -> tuple[list[tuple[str, int]], list[list[Box]]]:
@@ -427,15 +394,17 @@ def elbow_count(D: PipeDream) -> int:
 def restrict(D: PipeDream, k: int) -> PipeDream:
     """The partial dream of the first k rows (gamma-freeness is inherited).
 
-    Built unchecked: a forced tile of row i depends only on the pivots of
-    rows up to i, so the first k rows of a valid dream are a valid dream.
+    Built unchecked by :meth:`~flagpipes.config._Frozen._trusted`: a forced
+    tile of row i depends only on the pivots of rows up to i, so the first
+    k rows of a valid dream are a valid dream.
 
     >>> restrict(construct_fpp((1, 2, 3), (3, 1, 2)), 1).grid
     ('PEE',)
     """
     if not 0 <= k <= D.rows:
         raise DomainError(f"cannot restrict {D.rows} rows to {k}")
-    return _trusted_dream(D.cols, D.pivots[:k], D.grid[:k])
+    return PipeDream._trusted(cols=D.cols, pivots=D.pivots[:k],
+                              grid=D.grid[:k])
 
 
 class LeDream(_Frozen):
@@ -455,9 +424,7 @@ class LeDream(_Frozen):
 
     def __init__(self, cols: int, pivots: tuple[int, ...],
                  rows: tuple[str, ...]) -> None:
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "pivots", pivots)
-        object.__setattr__(self, "rows", rows)
+        self.__dict__.update(cols=cols, pivots=pivots, rows=rows)
         k, n = len(self.pivots), self.cols
         if any(a <= b for a, b in zip(self.pivots, self.pivots[1:])):
             raise MalformedDreamError(f"pivots must strictly decrease: "
@@ -526,7 +493,7 @@ def _fillings(n: int, pivots: tuple[int, ...]) -> Iterator[PipeDream]:
     filling of a row's slots is rendered once, and a dream is one choice of
     rendered row per row.  Every cell is forced or a box holding a cross or
     an elbow, so each dream is valid by construction and is built with
-    :func:`_trusted_dream`.
+    :meth:`~flagpipes.config._Frozen._trusted`.
     """
     rows = []
     for template in _templates(n, pivots):
@@ -538,7 +505,7 @@ def _fillings(n: int, pivots: tuple[int, ...]) -> Iterator[PipeDream]:
             renders.append("".join(template))
         rows.append(renders)
     for grid in product(*rows):
-        yield _trusted_dream(n, pivots, grid)
+        yield PipeDream._trusted(cols=n, pivots=pivots, grid=grid)
 
 
 def enumerate_partial_fpps(n: int, k: int) -> Iterator[PipeDream]:

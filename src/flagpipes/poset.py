@@ -74,10 +74,8 @@ class QuotientPoset(_Frozen):
     def __init__(self, n: int, flavor: str,
                  decperms: tuple[DecoratedPermutation, ...],
                  covers: tuple[tuple[int, int], ...]) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "flavor", flavor)
-        object.__setattr__(self, "decperms", decperms)
-        object.__setattr__(self, "covers", covers)
+        self.__dict__.update(n=n, flavor=flavor, decperms=decperms,
+                             covers=covers)
 
     @cached_property
     def names(self) -> tuple[str, ...]:

@@ -30,7 +30,6 @@ from .pipedream import (
     VLINE,
     PipeDream,
     _sweep,
-    _trusted_dream,
     enumerate_le_dreams,
     is_gamma_free,
     restrict,
@@ -207,13 +206,14 @@ def standardize_step(D: PipeDream, i: int) -> PipeDream:
     Without an exchange column nothing right of b moves.  Descending pivots
     are a no-op.
 
-    The result is built unchecked, since the exchange turns a valid pair of
-    rows into a valid pair.  Nothing left of a moves.  Between a and b each
-    row takes the other's tiles, which are exactly its new forced tiles or
-    boxes; right of b the two rows hold tiles of one kind per column (both
-    horizontal or both boxes), so swapping them keeps each row valid, and
-    the elbow at j* lands on a box.  The rows above and below still see
-    both pivot columns on the same side as before.
+    The result is built by :meth:`~flagpipes.config._Frozen._trusted`,
+    since the exchange turns a valid pair of rows into a valid pair.
+    Nothing left of a moves.  Between a and b each row takes the other's
+    tiles, which are exactly its new forced tiles or boxes; right of b the
+    two rows hold tiles of one kind per column (both horizontal or both
+    boxes), so swapping them keeps each row valid, and the elbow at j*
+    lands on a box.  The rows above and below still see both pivot columns
+    on the same side as before.
 
     >>> d = PipeDream(cols=3, pivots=(1, 2), grid=("PXX", ".PX"))
     >>> standardize_step(d, 1).grid
@@ -226,8 +226,8 @@ def standardize_step(D: PipeDream, i: int) -> PipeDream:
     pivots = list(D.pivots)
     rows = [list(row) for row in D.grid]
     _exchange(pivots, rows, i)
-    return _trusted_dream(D.cols, tuple(pivots),
-                          tuple("".join(row) for row in rows))
+    return PipeDream._trusted(cols=D.cols, pivots=tuple(pivots),
+                              grid=tuple("".join(row) for row in rows))
 
 
 def _least_ascent(pivots: list[int], start: int) -> int | None:
@@ -242,9 +242,10 @@ def standardize(D: PipeDream) -> PipeDream:
     """Apply :func:`standardize_step` at the least ascent until pivots descend.
 
     The steps run in place on a pivot list and rows of tile lists, and one
-    dream is built at the end, unchecked, since each exchange keeps the
-    grid valid (see :func:`standardize_step`); a dream whose pivots already
-    descend is returned as it is.
+    dream is built at the end, unchecked, by
+    :meth:`~flagpipes.config._Frozen._trusted`, since each exchange keeps
+    the grid valid (see :func:`standardize_step`); a dream whose pivots
+    already descend is returned as it is.
 
     >>> standardize(PipeDream(cols=3, pivots=(1, 2),
     ...                       grid=("PXX", ".PX"))).pivots
@@ -260,8 +261,8 @@ def standardize(D: PipeDream) -> PipeDream:
         # Rows above i - 1 still descend, so the next least ascent is at
         # i - 1 or later.
         i = _least_ascent(pivots, max(1, i - 1))
-    return _trusted_dream(D.cols, tuple(pivots),
-                          tuple("".join(row) for row in rows))
+    return PipeDream._trusted(cols=D.cols, pivots=tuple(pivots),
+                              grid=tuple("".join(row) for row in rows))
 
 
 class Positroid(_Frozen):
@@ -277,7 +278,7 @@ class Positroid(_Frozen):
     dream: PipeDream
 
     def __init__(self, dream: PipeDream) -> None:
-        object.__setattr__(self, "dream", dream)
+        self.__dict__.update(dream=dream)
         pivots = self.dream.pivots
         if any(a <= b for a, b in zip(pivots, pivots[1:])):
             raise DomainError("canonical dream needs strictly decreasing pivots"
@@ -298,7 +299,8 @@ class Positroid(_Frozen):
         """Canonicalize any gamma-free partial dream.  The gamma-free test
         runs on D, not on its standardization: standardizing keeps a
         gamma-free dream gamma-free, but also turns many dreams that are
-        not into ones that are.
+        not into ones that are.  The standardized dream is a Le dream, so
+        :meth:`~flagpipes.config._Frozen._trusted` builds the positroid.
 
         >>> from flagpipes.pipedream import construct_fpp, restrict
         >>> p = Positroid.from_dream(
@@ -308,7 +310,7 @@ class Positroid(_Frozen):
         """
         if not is_gamma_free(D):
             raise DomainError("dream is not gamma-free")
-        return _trusted_positroid(standardize(D))
+        return cls._trusted(dream=standardize(D))
 
     @cached_property
     def bases(self) -> BasisSet:
@@ -358,31 +360,20 @@ def is_lpm(P: Positroid) -> bool:
     return all(mu[r] >= mu[r + 1] for r in range(len(mu) - 1))
 
 
-def _trusted_positroid(D: PipeDream) -> Positroid:
-    """A :class:`Positroid` built without the checks of its constructor,
-    for a dream that is a Le dream by construction: the standardized
-    dreams of :meth:`Positroid.from_dream`, the listings of
-    :func:`enumerate_le_dreams`, :func:`~flagpipes.decperm.positroid_of`'s
-    canonical dreams, the covers of
-    :func:`~flagpipes.flagbuild.quotient_covers` and the restrictions of
-    :func:`_restriction_positroids`."""
-    P = object.__new__(Positroid)
-    object.__setattr__(P, "dream", D)
-    return P
-
-
 def _restriction_positroids(D: PipeDream, ranks) -> tuple[Positroid, ...]:
     """The positroids of the restrictions of D to its first k rows, for
     each k in ``ranks``.  One gamma-freeness sweep of D serves them all: a
-    restriction of a gamma-free dream is gamma-free."""
+    restriction of a gamma-free dream is gamma-free, so each standardized
+    one is a Le dream for :meth:`~flagpipes.config._Frozen._trusted`."""
     if not is_gamma_free(D):
         raise DomainError("dream is not gamma-free")
-    return tuple(_trusted_positroid(standardize(restrict(D, k)))
+    return tuple(Positroid._trusted(dream=standardize(restrict(D, k)))
                  for k in ranks)
 
 
 def enumerate_positroids(n: int) -> Iterator[Positroid]:
     """All positroids on [n], ranks ascending, canonical dreams in grid order.
+    Built by :meth:`~flagpipes.config._Frozen._trusted` from Le dreams.
 
     Guarded to n <= 6 (override with POSITROID_MAX_N).
 
@@ -395,4 +386,4 @@ def enumerate_positroids(n: int) -> Iterator[Positroid]:
         dreams = sorted(enumerate_le_dreams(n, k),
                         key=lambda d: (d.pivots, d.grid))
         for D in dreams:
-            yield _trusted_positroid(D)
+            yield Positroid._trusted(dream=D)

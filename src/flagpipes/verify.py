@@ -35,10 +35,7 @@ class CheckResult(_Frozen):
 
     def __init__(self, name: str, ok: bool, detail: str,
                  seconds: float) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "detail", detail)
-        object.__setattr__(self, "seconds", seconds)
+        self.__dict__.update(name=name, ok=ok, detail=detail, seconds=seconds)
 
     @property
     def line(self) -> str:
@@ -260,7 +257,9 @@ def _random_matrix(rng: random.Random, rows: int, cols: int):
 
 def check_exact_linear_algebra(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Golden matrix minors, the zero-column embedding identity on 500
-    random matrices, and the sign rule on every +-1 pattern up to 5x5."""
+    random matrices, and the sign rule on every +-1 pattern up to 5x5,
+    where the determinants of the leading minors are the one cross-check
+    of :func:`~flagpipes.ratmat.check_sign_rule`."""
     from fractions import Fraction
 
     from .perm import all_permutations

@@ -1,7 +1,8 @@
 """Guards on the library's source: every public name, every public member
 of a public class and every private module-level helper has a caller, every
-cross-reference in a docstring names something that exists, and no
-invariant rests on an ``assert``."""
+cross-reference in a docstring names something that exists, no invariant
+rests on an ``assert``, and only ``config`` stores fields past the frozen
+base."""
 
 import ast
 import importlib
@@ -180,6 +181,29 @@ def test_no_module_asserts():
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.Assert)]
     assert asserts == []
+
+
+def _object_hooks(path: Path) -> list[tuple[str, int]]:
+    """Each use of ``object.__setattr__`` or ``object.__new__`` in a file,
+    as (attribute, line) pairs."""
+    return [(node.attr, node.lineno)
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "object"
+            and node.attr in ("__setattr__", "__new__")]
+
+
+def test_only_config_stores_fields_past_the_frozen_base():
+    """Value classes store their fields with one ``self.__dict__.update``
+    and build unchecked values with ``_Frozen._trusted``, so ``config``,
+    which defines that builder, is the one module to use
+    ``object.__setattr__`` or ``object.__new__``."""
+    assert {attr for attr, _ in _object_hooks(PACKAGE / "config.py")} == {
+        "__new__", "__setattr__"}
+    elsewhere = {path.name: hooks for path in sorted(PACKAGE.glob("*.py"))
+                 if path.name != "config.py"
+                 and (hooks := _object_hooks(path))}
+    assert elsewhere == {}
 
 
 def test_the_caller_scan_sees_module_attributes_and_imports():

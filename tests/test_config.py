@@ -68,28 +68,41 @@ def test_guard_error_names_routine_size_limit_and_override(
     assert ENV_MAX_N in message
 
 
-# (routine, call with a negative size, the size named in the error)
+# (routine, call with a bad value of one size, the size named in the error)
 BAD_SIZES = [
-    ("enumerate_fpps", lambda: next(enumerate_fpps(-1)), "n"),
-    ("enumerate_partial_fpps", lambda: next(enumerate_partial_fpps(-1, 0)),
+    ("enumerate_fpps", lambda v: next(enumerate_fpps(v)), "n"),
+    ("enumerate_partial_fpps", lambda v: next(enumerate_partial_fpps(v, 0)),
      "n"),
-    ("enumerate_partial_fpps", lambda: next(enumerate_partial_fpps(3, -1)),
+    ("enumerate_partial_fpps", lambda v: next(enumerate_partial_fpps(3, v)),
      "k"),
-    ("enumerate_le_dreams", lambda: next(enumerate_le_dreams(-1, 0)), "n"),
-    ("enumerate_le_dreams", lambda: next(enumerate_le_dreams(3, -1)), "k"),
-    ("enumerate_positroids", lambda: next(enumerate_positroids(-1)), "n"),
-    ("build_poset", lambda: build_poset(-1), "n"),
+    ("enumerate_le_dreams", lambda v: next(enumerate_le_dreams(v, 0)), "n"),
+    ("enumerate_le_dreams", lambda v: next(enumerate_le_dreams(3, v)), "k"),
+    ("enumerate_positroids", lambda v: next(enumerate_positroids(v)), "n"),
+    ("build_poset", lambda v: build_poset(v), "n"),
 ]
+BAD_SIZE_IDS = [f"{b[0]}:{b[2]}" for b in BAD_SIZES]
+# Sizes of another type: a float, even a whole one, a bool and a string.
+NOT_INTEGERS = [2.5, 2.0, True, "3"]
 
 
-@pytest.mark.parametrize("routine, call, size", BAD_SIZES,
-                         ids=[f"{b[0]}:{b[2]}" for b in BAD_SIZES])
+@pytest.mark.parametrize("routine, call, size", BAD_SIZES, ids=BAD_SIZE_IDS)
 def test_a_negative_size_is_a_domain_error_naming_the_routine(
         routine, call, size):
     with pytest.raises(DomainError) as info:
-        call()
+        call(-1)
     assert not isinstance(info.value, GuardExceededError)
     assert str(info.value) == f"{routine}: {size} must be at least 0, got -1"
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+@pytest.mark.parametrize("routine, call, size", BAD_SIZES, ids=BAD_SIZE_IDS)
+def test_a_size_that_is_not_an_int_is_a_domain_error_naming_the_routine(
+        routine, call, size, value):
+    with pytest.raises(DomainError) as info:
+        call(value)
+    assert not isinstance(info.value, GuardExceededError)
+    assert str(info.value) == (f"{routine}: {size} must be an integer, "
+                               f"got {value!r}")
 
 
 def test_more_rows_than_columns_list_nothing():

@@ -143,3 +143,24 @@ def test_cached_properties_fill_once():
     assert poset.names is poset.names
     P = Positroid.from_dream(D)
     assert P.bases is P.bases
+
+
+@pytest.mark.parametrize("x, names, text", SAMPLES, ids=IDS)
+def test_a_trusted_build_has_value_semantics(x, names, text):
+    """``_trusted`` stores what the class annotates, its fields and any
+    derived state, without the constructor's checks; the value it builds
+    compares, hashes, prints, refuses changes and pickles as the
+    constructor's does."""
+    stored = type(x).__annotations__
+    assert set(names) <= set(stored)
+    built = type(x)._trusted(**{name: getattr(x, name) for name in stored})
+    assert type(built) is type(x) and built is not x
+    assert built == x and hash(built) == hash(x)
+    assert repr(built) == text
+    for name in (*names, "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(built, name, None)
+        with pytest.raises(AttributeError):
+            delattr(built, name)
+    copy = pickle.loads(pickle.dumps(built))
+    assert copy == x and hash(copy) == hash(x) and repr(copy) == text

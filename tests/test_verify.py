@@ -10,6 +10,7 @@ import time
 import pytest
 
 import flagpipes.poset as poset_module
+import flagpipes.ratmat as ratmat
 import flagpipes.verify as verify
 from flagpipes.exceptions import DomainError
 from flagpipes.verify import CHECK_NAMES, CheckResult, run_all, run_check
@@ -119,6 +120,15 @@ class TestRunCheck:
         assert run_check("probe").ok
         assert events == ["flagpipes.perm", "flagpipes.pipedream", "clock",
                           "check", "clock"]
+
+    def test_a_wrong_sign_rule_fails_exact_linear_algebra(self, monkeypatch):
+        """The check is the sign rule's one cross-check: a rule whose verdict
+        disagrees with the leading minors fails it."""
+        rule = ratmat.check_sign_rule
+        monkeypatch.setattr(ratmat, "check_sign_rule", lambda A: not rule(A))
+        ok, detail = verify.check_exact_linear_algebra()
+        assert ok is False
+        assert detail.startswith("sign rule disagreement")
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):
