@@ -235,10 +235,23 @@ def _cmd_convert(args) -> None:
 
 
 def _add_grid_source(sub) -> None:
+    """U V, --dream and --decperm, of which at most one may be given
+    (checked by :func:`_one_grid_source` after parsing)."""
     sub.add_argument("u", nargs="?", help="lower permutation, one-line")
     sub.add_argument("v", nargs="?", help="upper permutation, one-line")
     sub.add_argument("--dream", help="JSON grid or positroid file ('-' for stdin)")
     sub.add_argument("--decperm", help="boundary string such as 2o1u")
+    sub.set_defaults(grid_parser=sub)
+
+
+def _one_grid_source(args) -> None:
+    """Refuse two or more grid sources as a usage error naming them."""
+    given = [name for name, value in (("U V", args.u), ("--dream", args.dream),
+                                      ("--decperm", args.decperm))
+             if value is not None]
+    if len(given) > 1:
+        named = ", ".join(given[:-1]) + " and " + given[-1]
+        args.grid_parser.error(f"one grid source allowed, got {named}")
 
 
 def _add_drawing(sub, ascii_help: str) -> None:
@@ -318,6 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(args, "grid_parser"):
+        _one_grid_source(args)
     try:
         out = args.func(args)
     except DomainError as exc:

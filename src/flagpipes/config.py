@@ -19,13 +19,29 @@ __all__ = ["Limits", "ENV_MAX_N", "current_limits"]
 ENV_MAX_N = "POSITROID_MAX_N"
 
 
+def _compile_stores(cls) -> None:
+    """Put the class's own ``_store`` and ``_trusted`` on it, each taking
+    a keyword per name the class annotates and storing it with
+    ``object.__setattr__``: every instance keeps the compact attribute
+    storage, and no call takes a dict."""
+    names = list(cls.__annotations__)
+    keywords = ", ".join(names)
+    stores = "".join(f"    store(obj, {n!r}, {n})\n" for n in names)
+    scope = {"new": object.__new__, "store": object.__setattr__}
+    exec(f"def _store(obj, *, {keywords}):\n{stores}"
+         f"def _trusted(cls, *, {keywords}):\n    obj = new(cls)\n{stores}"
+         "    return obj\n", scope)
+    cls._store = scope["_store"]
+    cls._trusted = classmethod(scope["_trusted"])
+
+
 class _Frozen:
     """Base of the library's immutable value classes.
 
     A subclass annotates the names its instances store and lists its
     fields in ``_fields``.  Its ``__init__`` validates the arguments and
-    stores them with one ``self.__dict__.update(...)``, past the
-    ``__setattr__`` that refuses any later assignment or deletion.
+    stores them with one ``self._store(...)``, past the ``__setattr__``
+    that refuses any later assignment or deletion.
     :meth:`_Frozen._trusted` is the one unchecked builder, for derived
     values valid by construction, each caller stating why: validation runs
     once, where values enter from outside.  Values are equal when class
@@ -39,15 +55,17 @@ class _Frozen:
     @classmethod
     def _trusted(cls, **fields):
         """An instance holding ``fields``, a keyword per annotated name,
-        unchecked.  The first call puts the class's own builder on it, which
-        stores each with ``object.__setattr__`` and takes no dict per call."""
-        names = list(cls.__annotations__)
-        scope = {"new": object.__new__, "store": object.__setattr__}
-        exec(f"def _trusted(cls, *, {', '.join(names)}):\n    obj = new(cls)\n"
-             + "".join(f"    store(obj, {n!r}, {n})\n" for n in names)
-             + "    return obj\n", scope)
-        cls._trusted = classmethod(scope["_trusted"])
+        unchecked.  The first call compiles the class's own builder (see
+        :func:`_compile_stores`)."""
+        _compile_stores(cls)
         return cls._trusted(**fields)
+
+    def _store(self, **fields) -> None:
+        """Store ``fields``, a keyword per annotated name, on a new
+        instance.  The first call compiles the class's own store (see
+        :func:`_compile_stores`)."""
+        _compile_stores(self.__class__)
+        self._store(**fields)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -98,7 +116,7 @@ class Limits(_Frozen):
                  poset_matroidal_max_n: int = poset_matroidal_max_n,
                  minors_max_n: int = minors_max_n,
                  covers_max_unblocked: int = covers_max_unblocked) -> None:
-        self.__dict__.update(
+        self._store(
             subword_max_n=subword_max_n, enumerate_max_n=enumerate_max_n,
             pathgraph_max_n=pathgraph_max_n, minors_max_n=minors_max_n,
             poset_representable_max_n=poset_representable_max_n,

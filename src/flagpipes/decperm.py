@@ -75,7 +75,7 @@ class DecoratedPermutation(_Frozen):
     color: tuple[int, ...]
 
     def __init__(self, perm: Permutation, color: tuple[int, ...]) -> None:
-        self.__dict__.update(perm=perm, color=color)
+        self._store(perm=perm, color=color)
         validate_permutation(self.perm)
         n = len(self.perm)
         if len(self.color) != n:

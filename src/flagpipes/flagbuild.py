@@ -101,7 +101,7 @@ class FlagPositroid(_Frozen):
 
     def __init__(self, n: int, ranks: tuple[int, ...],
                  constituents: tuple[Positroid, ...]) -> None:
-        self.__dict__.update(n=n, ranks=ranks, constituents=constituents)
+        self._store(n=n, ranks=ranks, constituents=constituents)
         if not self.constituents:
             raise DomainError("a flag needs at least one constituent")
         if any(p.n != self.n for p in self.constituents):

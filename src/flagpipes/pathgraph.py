@@ -46,7 +46,7 @@ class BasisSet(_Frozen):
 
     def __init__(self, n: int, k: int, offset_zero: bool,
                  bases: tuple[tuple[int, ...], ...]) -> None:
-        self.__dict__.update(n=n, k=k, offset_zero=offset_zero, bases=bases)
+        self._store(n=n, k=k, offset_zero=offset_zero, bases=bases)
         lo = 0 if self.offset_zero else 1
         seen = set()
         for b in self.bases:

@@ -19,7 +19,11 @@ ever move down or right, and leave through the right or bottom edge.
 
 Tracing reads the grid once, row by row, carrying every pipe at the same
 time (see ``_sweep``): pipe exits, horizontal crosses, exit labels and the
-gamma-freeness test all come from that one sweep.
+gamma-freeness test all come from that one sweep.  The Le enumeration
+traces no pipe: on strictly decreasing pivots gamma-freeness is the Le
+condition, which reads two column masks per rendered row (see
+``enumerate_le_dreams``), so it prunes the fillings instead of sweeping
+each one.
 
 A dream is a flag positroid pipe dream (FPP) when it avoids the blocking
 pattern: a cross at (i, j), an elbow or pivot elbow below it at (r, j), an
@@ -137,7 +141,7 @@ class PipeDream(_Frozen):
 
     def __init__(self, cols: int, pivots: tuple[int, ...],
                  grid: tuple[str, ...]) -> None:
-        self.__dict__.update(cols=cols, pivots=pivots, grid=grid)
+        self._store(cols=cols, pivots=pivots, grid=grid)
         n, k = self.cols, len(self.pivots)
         if len(self.grid) != k:
             raise MalformedDreamError("one grid row per pivot required")
@@ -256,9 +260,8 @@ class PipeTrace(_Frozen):
 
     def __init__(self, label: int, horizontal_crosses: tuple[Box, ...],
                  exit_side: str, exit_index: int) -> None:
-        self.__dict__.update(label=label,
-                             horizontal_crosses=horizontal_crosses,
-                             exit_side=exit_side, exit_index=exit_index)
+        self._store(label=label, horizontal_crosses=horizontal_crosses,
+                    exit_side=exit_side, exit_index=exit_index)
 
 
 def _sweep(D: PipeDream) -> tuple[list[tuple[str, int]], list[list[Box]]]:
@@ -424,7 +427,7 @@ class LeDream(_Frozen):
 
     def __init__(self, cols: int, pivots: tuple[int, ...],
                  rows: tuple[str, ...]) -> None:
-        self.__dict__.update(cols=cols, pivots=pivots, rows=rows)
+        self._store(cols=cols, pivots=pivots, rows=rows)
         k, n = len(self.pivots), self.cols
         if any(a <= b for a, b in zip(self.pivots, self.pivots[1:])):
             raise MalformedDreamError(f"pivots must strictly decrease: "
@@ -485,27 +488,64 @@ def enumerate_fpps(n: int) -> Iterator[PipeDream]:
                 yield construct_fpp(u, v)
 
 
-def _fillings(n: int, pivots: tuple[int, ...]) -> Iterator[PipeDream]:
-    """Every cross/elbow filling of the Rothe boxes of ``pivots``, as
-    ``product`` walks the boxes in reading order.
+def _renders(n: int,
+             pivots: tuple[int, ...]) -> list[list[tuple[str, int, int]]]:
+    """Each row's renders, top to bottom: every cross/elbow filling of the
+    row's Rothe boxes, in ``product`` order, as ``(text, hits, danger)``.
 
-    Each row's forced tiles and box slots are worked out once; every
-    filling of a row's slots is rendered once, and a dream is one choice of
-    rendered row per row.  Every cell is forced or a box holding a cross or
-    an elbow, so each dream is valid by construction and is built with
-    :meth:`~flagpipes.config._Frozen._trusted`.
+    The row's forced tiles and box slots are worked out once.  ``hits`` is
+    the mask of the render's elbow columns (bit j for column j + 1), and
+    ``danger`` that of its crosses with an elbow to their right.
     """
     rows = []
     for template in _templates(n, pivots):
         slots = [j for j, t in enumerate(template) if t is None]
         renders = []
         for choice in product((CROSS, ELBOW), repeat=len(slots)):
-            for j, t in zip(slots, choice):
+            hits = danger = 0
+            # Right to left: a cross meets ``hits`` holding the elbows
+            # to its right.
+            for j, t in zip(slots[::-1], choice[::-1]):
                 template[j] = t
-            renders.append("".join(template))
+                if t == ELBOW:
+                    hits |= 1 << j
+                elif hits:
+                    danger |= 1 << j
+            renders.append(("".join(template), hits, danger))
         rows.append(renders)
-    for grid in product(*rows):
+    return rows
+
+
+def _fillings(n: int, pivots: tuple[int, ...]) -> Iterator[PipeDream]:
+    """Every cross/elbow filling of the Rothe boxes of ``pivots``, as
+    ``product`` walks the boxes in reading order.
+
+    A dream is one choice of rendered row (:func:`_renders`) per row.
+    Every cell is forced or a box holding a cross or an elbow, so each
+    dream is valid by construction and is built with
+    :meth:`~flagpipes.config._Frozen._trusted`.
+    """
+    texts = [[text for text, _, _ in renders]
+             for renders in _renders(n, pivots)]
+    for grid in product(*texts):
         yield PipeDream._trusted(cols=n, pivots=pivots, grid=grid)
+
+
+def _le_grids(rows: list[list[tuple[str, int, int]]], i: int = 0,
+              blocked: int = 0,
+              above: tuple[str, ...] = ()) -> Iterator[tuple[str, ...]]:
+    """The grids of :func:`_renders` rows ``rows[i:]`` below ``above`` that
+    keep the Le condition, depth-first in ``product`` order.  ``blocked``
+    is the OR of the ``danger`` masks above: a row may follow exactly when
+    none of its elbows lies below a cross that has an elbow to its right.
+    """
+    if i == len(rows):
+        yield above
+        return
+    for text, hits, danger in rows[i]:
+        if not hits & blocked:
+            yield from _le_grids(rows, i + 1, blocked | danger,
+                                 above + (text,))
 
 
 def enumerate_partial_fpps(n: int, k: int) -> Iterator[PipeDream]:
@@ -527,6 +567,16 @@ def enumerate_partial_fpps(n: int, k: int) -> Iterator[PipeDream]:
 def enumerate_le_dreams(n: int, k: int) -> Iterator[PipeDream]:
     """All gamma-free k-row dreams with strictly decreasing pivots.
 
+    On such pivots gamma-freeness is Postnikov's Le condition
+    (arXiv:math/0609764, section 6): no cross has an elbow to its right in
+    its row and an elbow below it in its column.  No pivot lies below a box
+    when the pivots descend, so only elbows matter, and the condition
+    checks row by row (:func:`_le_grids`).  Only the dreams that keep it
+    are built, each with :meth:`~flagpipes.config._Frozen._trusted`, in the
+    order of filtering :func:`_fillings` by :func:`is_gamma_free`; the two
+    agree on every descending-pivot filling with n <= 8 (109601 of 417199
+    fillings at n = 8 are gamma-free).
+
     >>> sum(1 for _ in enumerate_le_dreams(3, 1))
     7
     """
@@ -534,6 +584,6 @@ def enumerate_le_dreams(n: int, k: int) -> Iterator[PipeDream]:
     _guard("enumerate_le_dreams", "enumerate_max_n", n)
     # combinations yields increasing tuples; reversed, the pivots descend.
     for chosen in combinations(range(1, n + 1), k):
-        for D in _fillings(n, chosen[::-1]):
-            if is_gamma_free(D):
-                yield D
+        pivots = chosen[::-1]
+        for grid in _le_grids(_renders(n, pivots)):
+            yield PipeDream._trusted(cols=n, pivots=pivots, grid=grid)

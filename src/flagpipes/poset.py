@@ -74,8 +74,7 @@ class QuotientPoset(_Frozen):
     def __init__(self, n: int, flavor: str,
                  decperms: tuple[DecoratedPermutation, ...],
                  covers: tuple[tuple[int, int], ...]) -> None:
-        self.__dict__.update(n=n, flavor=flavor, decperms=decperms,
-                             covers=covers)
+        self._store(n=n, flavor=flavor, decperms=decperms, covers=covers)
 
     @cached_property
     def names(self) -> tuple[str, ...]:

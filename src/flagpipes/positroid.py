@@ -278,7 +278,7 @@ class Positroid(_Frozen):
     dream: PipeDream
 
     def __init__(self, dream: PipeDream) -> None:
-        self.__dict__.update(dream=dream)
+        self._store(dream=dream)
         pivots = self.dream.pivots
         if any(a <= b for a, b in zip(pivots, pivots[1:])):
             raise DomainError("canonical dream needs strictly decreasing pivots"

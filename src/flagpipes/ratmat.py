@@ -86,8 +86,8 @@ class RationalMatrix(_Frozen):
                 if not isinstance(x, Fraction):
                     raise DomainError("entries must be Fractions")
         ints, scales = _integer_rows(rows)
-        self.__dict__.update(rows=rows, offset_zero=offset_zero, _ints=ints,
-                             _scales=scales)
+        self._store(rows=rows, offset_zero=offset_zero, _ints=ints,
+                    _scales=scales)
 
     @property
     def k(self) -> int:

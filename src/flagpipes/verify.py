@@ -35,7 +35,7 @@ class CheckResult(_Frozen):
 
     def __init__(self, name: str, ok: bool, detail: str,
                  seconds: float) -> None:
-        self.__dict__.update(name=name, ok=ok, detail=detail, seconds=seconds)
+        self._store(name=name, ok=ok, detail=detail, seconds=seconds)
 
     @property
     def line(self) -> str:
@@ -109,14 +109,24 @@ def check_bases_engine() -> tuple[bool, str]:
 def check_quotient_covers() -> tuple[bool, str]:
     """Cover counts 2^|U|-1, quotient law, and shift agreement for n <= 4;
     every row appended along unblocked columns keeps the dream gamma-free,
-    which is why ``quotient_covers`` runs no gamma-freeness sweep."""
+    which is why ``quotient_covers`` runs no gamma-freeness sweep.  The
+    Le dreams behind the positroids, pruned by the Le condition, are the
+    gamma-free fillings of the descending pivots, dream for dream and in
+    order."""
     from .decperm import covers_by_shift, decperm_of
     from .flagbuild import append_row, quotient_covers
-    from .pipedream import is_gamma_free
+    from .pipedream import _fillings, enumerate_le_dreams, is_gamma_free
     from .positroid import enumerate_positroids, is_quotient
 
-    positroids = covers = appended = 0
+    positroids = covers = appended = le = 0
     for n in range(1, 5):
+        for k in range(n + 1):
+            swept = [D for chosen in combinations(range(1, n + 1), k)
+                     for D in _fillings(n, chosen[::-1]) if is_gamma_free(D)]
+            if list(enumerate_le_dreams(n, k)) != swept:
+                return False, ("Le dreams differ from the swept fillings "
+                               f"at n={n}, k={k}")
+            le += len(swept)
         for P in enumerate_positroids(n):
             positroids += 1
             if P.rank == n:
@@ -144,7 +154,8 @@ def check_quotient_covers() -> tuple[bool, str]:
             if via_dreams != via_shifts:
                 return False, f"shift mismatch at {decperm_of(P.dream).to_string()}"
     return True, (f"{positroids} positroids, {covers} covers, {appended} "
-                  "appended dreams gamma-free, both routes agree")
+                  "appended dreams gamma-free, both routes agree, "
+                  f"{le} Le dreams match the swept fillings")
 
 
 def check_standardization() -> tuple[bool, str]:

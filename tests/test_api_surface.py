@@ -194,9 +194,9 @@ def _object_hooks(path: Path) -> list[tuple[str, int]]:
 
 
 def test_only_config_stores_fields_past_the_frozen_base():
-    """Value classes store their fields with one ``self.__dict__.update``
-    and build unchecked values with ``_Frozen._trusted``, so ``config``,
-    which defines that builder, is the one module to use
+    """Value classes store their fields with one ``self._store`` and build
+    unchecked values with ``_Frozen._trusted``, so ``config``, which
+    compiles that store and that builder, is the one module to use
     ``object.__setattr__`` or ``object.__new__``."""
     assert {attr for attr, _ in _object_hooks(PACKAGE / "config.py")} == {
         "__new__", "__setattr__"}

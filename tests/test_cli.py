@@ -139,6 +139,36 @@ class TestGridSources:
         code, _, err = run(capsys, "render")
         assert code == 1 and "no grid given" in err
 
+    @pytest.mark.parametrize("verb", ["render", "bases", "decperm", "covers",
+                                      "covered-by"])
+    @pytest.mark.parametrize("sources, named", [
+        (["--decperm", "3o1u2u", "--dream", "g.json"], "--dream and --decperm"),
+        (["123", "321", "--decperm", "3o1u2u"], "U V and --decperm"),
+        (["123", "321", "--dream", "g.json"], "U V and --dream"),
+        (["123", "321", "--dream", "g.json", "--decperm", "3o1u2u"],
+         "U V, --dream and --decperm"),
+    ], ids=["dream-decperm", "pair-decperm", "pair-dream", "all-three"])
+    def test_two_sources_are_a_usage_error(self, capsys, tmp_path,
+                                           monkeypatch, verb, sources, named):
+        """The refusal comes before any source is read: the dream file
+        does not exist."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([verb, *sources])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: flagpipes {verb}")
+        assert f"one grid source allowed, got {named}\n" in captured.err
+
+    def test_one_source_of_each_kind_is_accepted(self, capsys, tmp_path):
+        D = construct_fpp((1, 2, 3), (3, 2, 1))
+        path = tmp_path / "dream.json"
+        path.write_text(json.dumps(ser.dream_to_json(D)))
+        outs = [run(capsys, "bases", *source)
+                for source in (["123", "321"], ["--dream", str(path)])]
+        assert outs[0] == outs[1] and outs[0][0] == 0
+
     def test_dream_from_stdin(self, capsys, monkeypatch):
         import io
         D = construct_fpp((1, 2), (2, 1))

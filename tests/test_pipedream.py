@@ -1,6 +1,6 @@
 """Pipe-dream layer: grids, traces, words, rotation, enumeration."""
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given
@@ -8,6 +8,7 @@ from hypothesis import given
 import oracles
 from conftest import assert_rebuilds, permutation_pairs
 from flagpipes import pipedream
+from flagpipes.config import ENV_MAX_N
 from flagpipes.exceptions import (
     DomainError,
     GuardExceededError,
@@ -17,6 +18,8 @@ from flagpipes.exceptions import (
 )
 from flagpipes.perm import all_permutations, bruhat_leq, inverse, length
 from flagpipes.pipedream import (
+    CROSS,
+    ELBOW,
     LeDream,
     PipeDream,
     _fillings,
@@ -348,15 +351,61 @@ class TestEnumeration:
         assert sum(1 for _ in enumerate_partial_fpps(3, 2)) == 19
         assert sum(1 for _ in enumerate_le_dreams(3, 1)) == 7
 
-    @pytest.mark.parametrize("n", range(6))
+    @pytest.mark.parametrize("n", range(7))
     def test_enumerations_match_the_validated_fill_route(self, n):
         for k in range(n + 1):
             le = list(enumerate_le_dreams(n, k))
             assert le == list(oracles.le_dreams_by_fill(n, k))
-            partial = list(enumerate_partial_fpps(n, k))
-            assert partial == list(oracles.partial_fpps_by_fill(n, k))
+            partial = []
+            if n <= 5:
+                partial = list(enumerate_partial_fpps(n, k))
+                assert partial == list(oracles.partial_fpps_by_fill(n, k))
             for D in le + partial:
                 assert PipeDream(D.cols, D.pivots, D.grid) == D
+
+    @staticmethod
+    def keeps_the_le_condition(D):
+        """No cross with an elbow to its right in its row and an elbow
+        below it in its column."""
+        grid = D.grid
+        return not any(t == CROSS and ELBOW in row[j + 1:]
+                       and any(below[j] == ELBOW for below in grid[i + 1:])
+                       for i, row in enumerate(grid)
+                       for j, t in enumerate(row))
+
+    def test_le_rule_is_gamma_freeness_on_descending_pivots(self, monkeypatch):
+        monkeypatch.setenv(ENV_MAX_N, "7")
+        for n in range(8):
+            fillings = 0
+            for k in range(n + 1):
+                kept = []
+                for chosen in combinations(range(1, n + 1), k):
+                    for D in _fillings(n, chosen[::-1]):
+                        fillings += 1
+                        free = is_gamma_free(D)
+                        assert free == self.keeps_the_le_condition(D)
+                        if free:
+                            kept.append(D)
+                assert list(enumerate_le_dreams(n, k)) == kept
+        assert fillings == 29212
+
+    def test_the_le_walk_builds_only_what_it_yields(self, monkeypatch):
+        next(enumerate_le_dreams(1, 0))  # compiles PipeDream._trusted
+        real = PipeDream._trusted
+        built = []
+
+        def counting(cls, **fields):
+            built.append(fields["grid"])
+            return real(**fields)
+
+        monkeypatch.setattr(PipeDream, "_trusted", classmethod(counting))
+        total = 0
+        for k in range(7):
+            built.clear()
+            yielded = [D.grid for D in enumerate_le_dreams(6, k)]
+            assert built == yielded
+            total += len(yielded)
+        assert total == 1957
 
     def test_guards(self):
         with pytest.raises(GuardExceededError):

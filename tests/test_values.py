@@ -3,6 +3,7 @@
 defaults, no assignment or deletion, and pickling."""
 
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -164,3 +165,13 @@ def test_a_trusted_build_has_value_semantics(x, names, text):
             delattr(built, name)
     copy = pickle.loads(pickle.dumps(built))
     assert copy == x and hash(copy) == hash(x) and repr(copy) == text
+
+
+@pytest.mark.parametrize("x, names, text", SAMPLES, ids=IDS)
+def test_a_validated_build_is_as_compact_as_a_trusted_one(x, names, text):
+    """Both builds store the fields past the instance dict, so the dict
+    that ``vars`` makes has the same size for each."""
+    validated = type(x)(**{name: getattr(x, name) for name in names})
+    trusted = type(x)._trusted(**{name: getattr(x, name)
+                                  for name in type(x).__annotations__})
+    assert sys.getsizeof(vars(validated)) == sys.getsizeof(vars(trusted))

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import inspect
+import itertools
 import re
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import time
 
 import pytest
 
+import flagpipes.pipedream as pipedream
 import flagpipes.poset as poset_module
 import flagpipes.ratmat as ratmat
 import flagpipes.verify as verify
@@ -129,6 +131,18 @@ class TestRunCheck:
         ok, detail = verify.check_exact_linear_algebra()
         assert ok is False
         assert detail.startswith("sign rule disagreement")
+
+    def test_an_unpruned_le_walk_fails_quotient_covers(self, monkeypatch):
+        """The check compares the Le walk with the swept fillings: a walk
+        that keeps every filling fails it."""
+        def unpruned(n, k):
+            for chosen in itertools.combinations(range(1, n + 1), k):
+                yield from pipedream._fillings(n, chosen[::-1])
+
+        monkeypatch.setattr(pipedream, "enumerate_le_dreams", unpruned)
+        ok, detail = verify.check_quotient_covers()
+        assert ok is False
+        assert detail == "Le dreams differ from the swept fillings at n=4, k=2"
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):
