@@ -5,7 +5,9 @@ Enumerates every positroid on [n] for n in the requested range and reports,
 per (n, rank): how many positroids there are, how their cover counts
 distribute over the number of unblocked columns (the count is always
 2^u - 1 for u unblocked columns), and how many have lattice-path shape.
-Optionally cross-checks every cover against the cyclic-shift route.
+Optionally cross-checks every cover against the cyclic-shift route, and
+that the covers come in the order of their decorated permutations read off
+each cover's dream.
 
 Usage:
     python3 scripts/survey_covers.py --max-n 4 --cross-check
@@ -28,7 +30,8 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--min-n", type=int, default=1)
     parser.add_argument("--max-n", type=int, default=4)
     parser.add_argument("--cross-check", action="store_true",
-                        help="verify covers against the shift route")
+                        help="verify covers and their order against the "
+                             "shift route")
     return parser.parse_args(argv)
 
 
@@ -45,14 +48,16 @@ def main(args: argparse.Namespace) -> int:
             if is_lpm(P):
                 lpm_by_rank[P.rank] += 1
             if args.cross_check and P.rank < n:
-                via_dreams = {decperm_of(Q.dream).to_string()
-                              for Q in quotient_covers(P)}
-                via_shifts = {w.to_string()
-                              for w in covers_by_shift(decperm_of(P.dream))}
-                if via_dreams != via_shifts:
+                w = decperm_of(P.dream)
+                via_dreams = [decperm_of(Q.dream).to_string()
+                              for Q in quotient_covers(P)]
+                via_shifts = [q.to_string() for q in covers_by_shift(w)]
+                if via_dreams != sorted(via_dreams):
                     mismatches += 1
-                    print(f"!! route mismatch at "
-                          f"{decperm_of(P.dream).to_string()}")
+                    print(f"!! covers out of swept order at {w.to_string()}")
+                elif via_dreams != via_shifts:
+                    mismatches += 1
+                    print(f"!! route mismatch at {w.to_string()}")
         print(f"n={n}: {total} positroids")
         for rank in sorted(by_rank):
             dist = by_rank[rank]

@@ -145,7 +145,10 @@ def decperm_of(D: PipeDream) -> DecoratedPermutation:
     that row's pivot column, and the pipe leaving the bottom of column c
     ends at c.  (In the trivial completion that pipe runs straight down to
     the row whose pivot is c and leaves to the right there.)  Color 2 sits
-    exactly at the pivot columns of the k retained rows.  Each pipe exits
+    exactly at the pivot columns of the k retained rows.  The sweep's exit
+    labels are the permutation as they stand: its bottom labels already sit
+    at their columns (0 under a pivot column), and each row's right label
+    is written at its pivot column; no cross is recorded.  Each pipe exits
     once, so :meth:`~flagpipes.config._Frozen._trusted` builds the result.
 
     >>> from flagpipes.pipedream import construct_fpp, restrict
@@ -154,14 +157,10 @@ def decperm_of(D: PipeDream) -> DecoratedPermutation:
     '1u2o3u4o'
     """
     S = standardize(D)
-    exits, _ = _sweep(S)
-    pivots = S.pivots
-    perm = [0] * S.cols
-    for label, (side, index) in enumerate(exits, start=1):
-        end = pivots[index - 1] if side == "right" else index
-        perm[end - 1] = label
+    right, perm, _ = _sweep(S)
     color = [UNDER] * S.cols
-    for p in pivots:
+    for p, label in zip(S.pivots, right):
+        perm[p - 1] = label
         color[p - 1] = OVER
     return DecoratedPermutation._trusted(perm=tuple(perm), color=tuple(color))
 

@@ -8,12 +8,15 @@ unblocked columns.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .config import _Frozen
 from .exceptions import DomainError, SizeMismatchError
 from .pipedream import (
     CROSS,
     ELBOW,
     PipeDream,
+    Tile,
     _templates,
 )
 from .positroid import (
@@ -47,47 +50,70 @@ def append_row(D: PipeDream, C) -> PipeDream:
     >>> append_row(d, {1, 3}).grid
     ('VVVP', 'VPXH', 'PHEH')
     """
-    return _appended(D, _choice(C, unblocked_columns(D)))
+    C = _choice(C, unblocked_columns(D))
+    return _appended(D, C, _crossed_row(D, C[0]))
 
 
-def _appended(D: PipeDream, C) -> PipeDream:
+def _crossed_row(D: PipeDream, p: int) -> list[Tile]:
+    """The tiles of a row appended to D with its pivot at column p and a
+    cross on every box: the last row template of the new pivots (see
+    :func:`~flagpipes.pipedream._templates`), its boxes crossed."""
+    *_, row = _templates(D.cols, D.pivots + (p,))
+    return [CROSS if t is None else t for t in row]
+
+
+def _appended(D: PipeDream, C, crossed: list[Tile]) -> PipeDream:
     """:func:`append_row` along a sorted nonempty choice C that the caller
-    has already checked against D's unblocked columns."""
-    pivots = D.pivots + (C[0],)
-    *_, row = _templates(D.cols, pivots)
-    chosen = set(C)
-    for j, t in enumerate(row, start=1):
-        if t is None:
-            row[j - 1] = ELBOW if j in chosen else CROSS
-    return PipeDream._trusted(cols=D.cols, pivots=pivots,
+    has already checked against D's unblocked columns, given the new row's
+    ``_crossed_row(D, C[0])``.  The rest of C lies right of the new pivot
+    and off every pivot column, so each of its columns is a box of the new
+    row, and takes an elbow."""
+    row = crossed.copy()
+    for j in C[1:]:
+        row[j - 1] = ELBOW
+    return PipeDream._trusted(cols=D.cols, pivots=D.pivots + (C[0],),
                               grid=D.grid + ("".join(row),))
 
 
 def quotient_covers(P: Positroid) -> tuple[Positroid, ...]:
     """All rank-(k+1) positroids covering P: one per nonempty choice of
-    unblocked columns of its canonical dream; requires rank < n.
+    unblocked columns of its canonical dream, sorted by the text of their
+    decorated permutations; requires rank < n.
 
-    This is the row-append route.  The poset takes the same covers from the
-    cyclic shifts of :func:`~flagpipes.decperm.covers_by_shift`, and
-    ``verify quotient-covers`` checks that the two routes agree, and that a
-    row appended along unblocked columns keeps the dream gamma-free: so
-    each cover is its appended dream standardized, with no gamma-freeness
-    sweep, and each is built by :meth:`~flagpipes.config._Frozen._trusted`.
+    The covers are built by the row-append route: each is its appended
+    dream standardized, with no gamma-freeness sweep, built by
+    :meth:`~flagpipes.config._Frozen._trusted`, and the appended row's
+    tiles are worked out once per pivot column, not once per choice.  They
+    are named and ordered by the shift route: the cover along C has the
+    decorated permutation :func:`~flagpipes.decperm.right_cyclic_shift` of
+    P's along C, so P's dream is swept once per walk and no cover's dream
+    is swept.  ``verify quotient-covers`` checks, for n <= 4, that the two
+    routes give the same covers in the same order, and that a row appended
+    along unblocked columns keeps the dream gamma-free.
 
     >>> from flagpipes.pipedream import PipeDream
     >>> bottom = Positroid.from_dream(PipeDream(cols=2, pivots=(), grid=()))
     >>> [q.bases.bases for q in quotient_covers(bottom)]
     [((1,),), ((2,),), ((1,), (2,))]
     """
-    from .decperm import decperm_of
+    from .decperm import _shift, decperm_of
 
     if P.rank >= P.n:
         raise DomainError("a full-rank positroid has no covers")
-    return tuple(sorted(
-        _each_choice("quotient_covers", P.unblocked,
-                     lambda C: Positroid._trusted(
-                         dream=standardize(_appended(P.dream, C)))),
-        key=lambda Q: decperm_of(Q.dream).to_string()))
+    D, U = P.dream, P.unblocked
+    w = decperm_of(D)
+    crossed = {p: _crossed_row(D, p) for p in U}
+    keys: list[str] = []
+
+    def cover(C) -> Positroid:
+        keys.append(_shift(w, C).to_string())
+        return Positroid._trusted(
+            dream=standardize(_appended(D, C, crossed[C[0]])))
+
+    covers = _each_choice("quotient_covers", U, cover)
+    # _each_choice keeps one result per call, in call order, so keys[i]
+    # names covers[i]; the sort reads the keys alone.
+    return tuple(Q for _, Q in sorted(zip(keys, covers), key=itemgetter(0)))
 
 
 class FlagPositroid(_Frozen):

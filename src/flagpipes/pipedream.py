@@ -19,7 +19,8 @@ ever move down or right, and leave through the right or bottom edge.
 
 Tracing reads the grid once, row by row, carrying every pipe at the same
 time (see ``_sweep``): pipe exits, horizontal crosses, exit labels and the
-gamma-freeness test all come from that one sweep.  The Le enumeration
+gamma-freeness test all come from that one sweep, which records the crosses
+only for the readers that ask for them.  The Le enumeration
 traces no pipe: on strictly decreasing pivots gamma-freeness is the Le
 condition, which reads two column masks per rendered row (see
 ``enumerate_le_dreams``), so it prunes the fillings instead of sweeping
@@ -264,39 +265,41 @@ class PipeTrace(_Frozen):
                     exit_side=exit_side, exit_index=exit_index)
 
 
-def _sweep(D: PipeDream) -> tuple[list[tuple[str, int]], list[list[Box]]]:
-    """Every pipe's exit and horizontal crosses, in one pass over the grid.
+def _sweep(D: PipeDream, crosses: bool = False
+           ) -> tuple[list[int], list[int], list[list[Box]] | None]:
+    """Where every pipe leaves, in one pass over the grid.
 
-    Returns ``(exits, crosses)``: entry ``label - 1`` of ``exits`` is the
-    pipe's ``(exit_side, exit_index)`` and of ``crosses`` the cross tiles it
-    passes left-to-right.  Rows are read top to bottom, each row left to
-    right; ``down[j]`` holds the pipe entering column j+1 from above and
-    ``h`` the pipe moving right.  A cross records a horizontal pass of
-    ``h``, an elbow swaps ``h`` and ``down[j]``, a pivot elbow turns
-    ``down[j]`` right, and ``h`` leaves through the right edge at the end of
-    the row; whatever is left in ``down`` leaves through the bottom.  Pipes
-    move only down or right, so each pipe meets its crosses in sweep order.
-    The structural validation of :class:`PipeDream` guarantees that a pipe
-    reaches every cross and elbow from both sides.
+    Returns ``(right, bottom, passes)``: entry ``i - 1`` of ``right`` is the
+    label of the pipe leaving the right edge of row i, entry ``j - 1`` of
+    ``bottom`` that of the pipe leaving the bottom of column j (0 under a
+    pivot column, where no pipe leaves).  With ``crosses``, entry
+    ``label - 1`` of ``passes`` lists the cross tiles that pipe passes
+    left-to-right; without it ``passes`` is None and no cross is recorded.
+    Rows are read top to bottom, each row left to right; ``down[j]`` holds
+    the pipe entering column j+1 from above and ``h`` the pipe moving
+    right.  An elbow swaps ``h`` and ``down[j]``, a pivot elbow turns
+    ``down[j]`` right, a cross lets ``h`` pass, and ``h`` leaves through
+    the right edge at the end of the row; whatever is left in ``down``
+    leaves through the bottom.  Pipes move only down or right, so each
+    pipe meets its crosses in sweep order.  The structural validation of
+    :class:`PipeDream` guarantees that a pipe reaches every cross and elbow
+    from both sides.
     """
     n = D.cols
-    exits: list[tuple[str, int]] = [("bottom", 0)] * n
-    crosses: list[list[Box]] = [[] for _ in range(n)]
+    passes = [[] for _ in range(n)] if crosses else None
+    right: list[int] = []
     down = list(range(1, n + 1))
     for i, row in enumerate(D.grid, start=1):
         h = 0
         for j, t in enumerate(row):
-            if t == CROSS:
-                crosses[h - 1].append((i, j + 1))
-            elif t == ELBOW:
+            if t == ELBOW:
                 h, down[j] = down[j], h
             elif t == PIVOT:
                 h, down[j] = down[j], 0
-        exits[h - 1] = ("right", i)
-    for j, label in enumerate(down, start=1):
-        if label:
-            exits[label - 1] = ("bottom", j)
-    return exits, crosses
+            elif t == CROSS and crosses:
+                passes[h - 1].append((i, j + 1))
+        right.append(h)
+    return right, down, passes
 
 
 def trace_pipes(D: PipeDream) -> tuple[PipeTrace, ...]:
@@ -306,22 +309,28 @@ def trace_pipes(D: PipeDream) -> tuple[PipeTrace, ...]:
     >>> [t.exit_side for t in trace_pipes(construct_fpp((1, 2, 3), (3, 1, 2)))]
     ['right', 'right', 'right']
     """
-    exits, crosses = _sweep(D)
+    right, bottom, passes = _sweep(D, crosses=True)
+    exits: list[tuple[str, int]] = [("bottom", 0)] * D.cols
+    for i, label in enumerate(right, start=1):
+        exits[label - 1] = ("right", i)
+    for j, label in enumerate(bottom, start=1):
+        if label:
+            exits[label - 1] = ("bottom", j)
     return tuple(PipeTrace(label=label, horizontal_crosses=tuple(cells),
                            exit_side=side, exit_index=index)
                  for label, ((side, index), cells)
-                 in enumerate(zip(exits, crosses), start=1))
+                 in enumerate(zip(exits, passes), start=1))
 
 
 def right_exit_labels(D: PipeDream) -> dict[int, int]:
-    """Map each row to the label of the pipe leaving through its right edge.
+    """Map each row to the label of the pipe leaving through its right
+    edge, in order of label.
 
     >>> right_exit_labels(construct_fpp((1, 2, 3), (3, 1, 2)))
     {2: 1, 3: 2, 1: 3}
     """
-    exits, _ = _sweep(D)
-    return {index: label for label, (side, index) in enumerate(exits, start=1)
-            if side == "right"}
+    right, _, _ = _sweep(D)
+    return {i: label for label, i in sorted(zip(right, range(1, D.rows + 1)))}
 
 
 def is_gamma_free(D: PipeDream) -> bool:
@@ -339,11 +348,13 @@ def is_gamma_free(D: PipeDream) -> bool:
     """
     k = D.rows
     grid = D.grid
-    exits, crosses = _sweep(D)
-    for (side, index), cells in zip(exits, crosses):
-        cap = k if side == "bottom" else index
+    right, _, passes = _sweep(D, crosses=True)
+    cap = [k] * D.cols
+    for i, label in enumerate(right, start=1):
+        cap[label - 1] = i
+    for last, cells in zip(cap, passes):
         for (i, j) in cells:
-            for r in range(i, cap):
+            for r in range(i, last):
                 if grid[r][j - 1] in (ELBOW, PIVOT):
                     return False
     return True

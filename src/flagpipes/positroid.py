@@ -131,10 +131,10 @@ def unblocked_columns(D: PipeDream) -> tuple[int, ...]:
     (1, 3)
     """
     blocked = set(D.pivots)
-    exits, crosses = _sweep(D)
-    for (side, _), cells in zip(exits, crosses):
-        if side == "bottom":
-            blocked.update(j for (_, j) in cells)
+    _, bottom, passes = _sweep(D, crosses=True)
+    for label in bottom:
+        if label:
+            blocked.update(j for (_, j) in passes[label - 1])
     return tuple(j for j in range(1, D.cols + 1) if j not in blocked)
 
 

@@ -108,11 +108,18 @@ class RationalMatrix(_Frozen):
             raise DomainError(f"no column labeled {label}")
         return idx
 
+    def _check_row(self, i: int) -> None:
+        """Refuse a row number outside 1..k (a boolean is no number)."""
+        if type(i) is not int or not 1 <= i <= len(self.rows):
+            raise DomainError(f"no row {i!r}: rows are 1..{len(self.rows)}")
+
     def entry(self, i: int, label: int) -> Fraction:
+        self._check_row(i)
         return self.rows[i - 1][self._col_index(label)]
 
     def submatrix(self, row_count: int, labels) -> "RationalMatrix":
-        """First ``row_count`` rows restricted to the labeled columns.
+        """First ``row_count`` rows restricted to the labeled columns;
+        ``row_count`` must lie in 1..k.
 
         Built without a second validation, by
         :meth:`~flagpipes.config._Frozen._trusted`: the entries and integer
@@ -120,11 +127,12 @@ class RationalMatrix(_Frozen):
         the full rows, which may exceed the lcm of a sliced row's
         denominators; a minor divides by their product all the same, and
         ``Fraction`` reduces the quotient."""
+        self._check_row(row_count)
         cols = [self._col_index(l) for l in labels]
+        if not cols:
+            raise DomainError("matrix dimensions must be positive")
         rows = tuple([tuple([row[c] for c in cols])
                       for row in self.rows[:row_count]])
-        if not rows or not rows[0]:
-            raise DomainError("matrix dimensions must be positive")
         return RationalMatrix._trusted(
             rows=rows, offset_zero=False,
             _ints=tuple([tuple([row[c] for c in cols])
@@ -135,11 +143,18 @@ class RationalMatrix(_Frozen):
 def rational_matrix(rows) -> RationalMatrix:
     """Build a matrix from ints, Fractions, or strings such as "-1", "3/2".
 
+    A string is not a row: its characters would read as entries.
+
     >>> rational_matrix([["-1", "3/2"]]).rows
     ((Fraction(-1, 1), Fraction(3, 2)),)
     """
-    return RationalMatrix(
-        rows=tuple([tuple([_exact(x) for x in row]) for row in rows]))
+    exact = []
+    for i, row in enumerate(rows, 1):
+        if isinstance(row, str):
+            raise DomainError(f"row {i} is the string {row!r}, not a list "
+                              "of entries")
+        exact.append(tuple([_exact(x) for x in row]))
+    return RationalMatrix(rows=tuple(exact))
 
 
 def matrix_to_json(A: RationalMatrix) -> list[list[str]]:

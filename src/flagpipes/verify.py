@@ -109,10 +109,13 @@ def check_bases_engine() -> tuple[bool, str]:
 def check_quotient_covers() -> tuple[bool, str]:
     """Cover counts 2^|U|-1, quotient law, and shift agreement for n <= 4;
     every row appended along unblocked columns keeps the dream gamma-free,
-    which is why ``quotient_covers`` runs no gamma-freeness sweep.  The
-    Le dreams behind the positroids, pruned by the Le condition, are the
-    gamma-free fillings of the descending pivots, dream for dream and in
-    order."""
+    which is why ``quotient_covers`` runs no gamma-freeness sweep.
+    ``quotient_covers`` orders its covers by their right cyclic shifts and
+    sweeps none of their dreams, so here each cover's dream is swept: the
+    covers must come in the order of that swept text, and list exactly the
+    shifts.  The Le dreams behind the positroids, pruned by the Le
+    condition, are the gamma-free fillings of the descending pivots, dream
+    for dream and in order."""
     from .decperm import covers_by_shift, decperm_of
     from .flagbuild import append_row, quotient_covers
     from .pipedream import _fillings, enumerate_le_dreams, is_gamma_free
@@ -148,14 +151,17 @@ def check_quotient_covers() -> tuple[bool, str]:
             for Q in up:
                 if not is_quotient(P.bases, Q.bases):
                     return False, f"non-quotient cover above {decperm_of(P.dream).to_string()}"
-            via_dreams = {decperm_of(Q.dream).to_string() for Q in up}
-            via_shifts = {w.to_string()
-                          for w in covers_by_shift(decperm_of(P.dream))}
+            via_dreams = [decperm_of(Q.dream).to_string() for Q in up]
+            if via_dreams != sorted(via_dreams):
+                return False, ("covers out of swept order above "
+                               f"{decperm_of(P.dream).to_string()}")
+            via_shifts = [w.to_string()
+                          for w in covers_by_shift(decperm_of(P.dream))]
             if via_dreams != via_shifts:
                 return False, f"shift mismatch at {decperm_of(P.dream).to_string()}"
     return True, (f"{positroids} positroids, {covers} covers, {appended} "
-                  "appended dreams gamma-free, both routes agree, "
-                  f"{le} Le dreams match the swept fillings")
+                  "appended dreams gamma-free, both routes agree, covers "
+                  f"in swept order, {le} Le dreams match the swept fillings")
 
 
 def check_standardization() -> tuple[bool, str]:

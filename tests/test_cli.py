@@ -578,6 +578,9 @@ class TestConvert:
         ('[["1", "x"]]', 1),
         ('[["1e999999999"]]', 1),
         ('[[true]]', 1),
+        ('[["1", "-1/2"], [0, 3]]', 0),
+        ('["12", "34"]', 1),
+        ('[["12"], "34"]', 1),
         ('{"tiles": [], "pivots": [], "cols": Infinity}', 1),
         ('{"perm": [1], "color": [NaN]}', 1),
         ('null', 1),

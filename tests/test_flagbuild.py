@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from conftest import assert_rebuilds
+from flagpipes import decperm
 from flagpipes.decperm import (
     DecoratedPermutation,
     covers_by_shift,
@@ -118,6 +119,31 @@ class TestQuotientCovers:
             covers = quotient_covers(P)
             expected = oracles.quotient_covers_by_append_row(P)
             assert [Q.key for Q in covers] == [Q.key for Q in expected]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_sorted_by_the_swept_text_of_each_cover(self, n):
+        """The shift route names and orders the covers; sweeping each
+        cover's dream gives the same order."""
+        for P in enumerate_positroids(n):
+            if P.rank == n:
+                continue
+            covers = quotient_covers(P)
+            assert list(covers) == sorted(
+                covers, key=lambda Q: decperm_of(Q.dream).to_string())
+
+    def test_one_decperm_of_per_walk(self, monkeypatch, running_example):
+        """The walk reads P's decorated permutation once and sweeps no
+        cover's dream."""
+        calls = []
+        real = decperm.decperm_of
+
+        def counting(D):
+            calls.append(D)
+            return real(D)
+
+        monkeypatch.setattr(decperm, "decperm_of", counting)
+        assert len(quotient_covers(running_example)) == 15
+        assert calls == [running_example.dream]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_appended_dreams_rebuild(self, n):

@@ -24,6 +24,7 @@ from flagpipes.pipedream import (
     PipeDream,
     _fillings,
     _front_rows,
+    _sweep,
     _templates,
     box_order,
     construct_fpp,
@@ -214,6 +215,16 @@ class TestTraces:
         assert trace_pipes(D) == walked
         assert list(right_exit_labels(D).items()) == [
             (t.exit_index, t.label) for t in walked if t.exit_side == "right"]
+        # The sweep itself: each row's right-exit label, each column's
+        # bottom label (0 under a pivot column), and the crosses only when
+        # asked for.
+        right, bottom = [0] * D.rows, [0] * D.cols
+        for t in walked:
+            exits = right if t.exit_side == "right" else bottom
+            exits[t.exit_index - 1] = t.label
+        passes = [list(t.horizontal_crosses) for t in walked]
+        assert _sweep(D) == (right, bottom, None)
+        assert _sweep(D, crosses=True) == (right, bottom, passes)
 
     def test_sweep_matches_the_walk_on_every_filling(self):
         count = 0
@@ -229,6 +240,29 @@ class TestTraces:
         assert len(gamma_free_dreams_n5) == 9430
         for D in gamma_free_dreams_n5:
             self.assert_sweep_matches_the_walk(D)
+
+    def test_only_the_cross_readers_ask_for_crosses(self, monkeypatch):
+        """One sweep per reader; decperm_of and right_exit_labels read the
+        exit labels alone, so the sweep records no cross for them."""
+        from flagpipes import decperm, positroid
+
+        asked = []
+        real = pipedream._sweep
+
+        def spy(D, crosses=False):
+            asked.append(crosses)
+            return real(D, crosses)
+
+        for module in (pipedream, positroid, decperm):
+            monkeypatch.setattr(module, "_sweep", spy)
+        D = restrict(construct_fpp((2, 4, 1, 3), (4, 2, 3, 1)), 2)
+        for reader, crosses in [(trace_pipes, True), (is_gamma_free, True),
+                                (positroid.unblocked_columns, True),
+                                (decperm.decperm_of, False),
+                                (right_exit_labels, False)]:
+            asked.clear()
+            reader(D)
+            assert asked == [crosses], reader.__name__
 
     def test_exit_permutation_needs_complete(self):
         with pytest.raises(DomainError):

@@ -89,6 +89,25 @@ class TestConstruction:
         assert B.column_labels == (0, 1, 2)
         assert B.entry(1, 0) == 1
 
+    @pytest.mark.parametrize("rows", [["12", "34"], "12", [[1, 2], "34"]])
+    def test_strings_are_not_rows(self, rows):
+        """A string row would read its characters as entries."""
+        with pytest.raises(DomainError, match="is the string"):
+            rational_matrix(rows)
+
+    @pytest.mark.parametrize("i", [0, -1, 3, True])
+    def test_rows_outside_one_to_k_are_refused(self, i):
+        A = rational_matrix([[1, 2, 3], [4, 5, 6]])
+        message = rf"no row {i!r}: rows are 1\.\.2"
+        with pytest.raises(DomainError, match=message):
+            A.entry(i, 1)
+        with pytest.raises(DomainError, match=message):
+            A.submatrix(i, [1, 2])
+
+    def test_submatrix_needs_a_column(self):
+        with pytest.raises(DomainError, match="dimensions must be positive"):
+            rational_matrix([[1, 2]]).submatrix(1, [])
+
     def test_ragged_rejected(self):
         with pytest.raises(DomainError):
             rational_matrix([[1, 2], [3]])

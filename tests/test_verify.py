@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+import flagpipes.flagbuild as flagbuild
 import flagpipes.pipedream as pipedream
 import flagpipes.poset as poset_module
 import flagpipes.ratmat as ratmat
@@ -143,6 +144,22 @@ class TestRunCheck:
         ok, detail = verify.check_quotient_covers()
         assert ok is False
         assert detail == "Le dreams differ from the swept fillings at n=4, k=2"
+
+    def test_covers_out_of_swept_order_fail_quotient_covers(
+            self, monkeypatch):
+        """quotient_covers orders its covers by their shifts alone; the
+        check sweeps every cover's dream, so a wrong order fails it."""
+        real = flagbuild.quotient_covers
+        monkeypatch.setattr(flagbuild, "quotient_covers",
+                            lambda P: real(P)[::-1])
+        ok, detail = verify.check_quotient_covers()
+        assert ok is False
+        assert detail == "covers out of swept order above 1u2u"
+
+    def test_quotient_covers_detail(self):
+        ok, detail = verify.check_quotient_covers()
+        assert ok is True
+        assert "both routes agree, covers in swept order" in detail
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):
