@@ -12,7 +12,10 @@ elements are right shifts seen through :func:`inverse_decperm`, with
 positions carried through the permutation (position r of w is position
 w(r) of its inverse).  A listing of every cover walks all choices in one
 pass, finding the unblocked positions once and scanning for each choice's
-top-completion set, which reads only the ends min(C) and max(C).
+top-completion set, which reads only the ends min(C) and max(C).  The
+Grassmann necklace of a decorated permutation names its positroid's bases
+(Oh's theorem) with no dream built; the matroidal quotient poset reads its
+edges from it.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ from .positroid import (
     Positroid,
     _choice,
     _each_choice,
+    _schubert,
+    _subset_masks,
     standardize,
 )
 
@@ -102,7 +107,7 @@ class DecoratedPermutation(_Frozen):
 
     @property
     def rank(self) -> int:
-        return sum(1 for c in self.color if c == OVER)
+        return self.color.count(OVER)
 
     def to_string(self) -> str:
         """Compact text form: each value followed by ``o`` (color 2) or
@@ -214,6 +219,48 @@ def positroid_of(dp: DecoratedPermutation) -> Positroid:
     ((2,),)
     """
     return Positroid._trusted(dream=dle_of(dp))
+
+
+def _necklace(dp: DecoratedPermutation) -> tuple[int, ...]:
+    """The Grassmann necklace (I_1, ..., I_n) of dp's positroid, each set
+    a bitmask with bit j - 1 for position j.  I_1 holds the 2-colored
+    positions (the j with j < w(j), and the 2-colored fixed points); then
+    I_{i+1} is I_i with i traded for w^-1(i) when i is in I_i, and I_i
+    otherwise.  I_i is the lex-first basis in the order
+    i < i + 1 < ... < n < 1 < ... < i - 1 (Oh, arXiv:0803.1018).
+
+    >>> [bin(I) for I in _necklace(parse_decperm("3o1u2u"))]
+    ['0b1', '0b10', '0b100']
+    """
+    inv = inverse(dp.perm)
+    I = 0
+    for j, c in enumerate(dp.color):
+        if c == OVER:
+            I |= 1 << j
+    out = []
+    for i in range(dp.n):
+        out.append(I)
+        if I >> i & 1:
+            I ^= (1 << i) ^ (1 << inv[i] - 1)
+    return tuple(out)
+
+
+def _necklace_bases(dp: DecoratedPermutation) -> int:
+    """The bases of ``positroid_of(dp)`` as a set of subsets (see
+    :func:`~flagpipes.positroid._subset_masks`), with no positroid built:
+    by Oh's theorem they are the rank-k sets that lie in the Schubert
+    matroid of every necklace set I_i in the order from i, and each of
+    those sets of subsets is cached (see
+    :func:`~flagpipes.positroid._schubert`).
+
+    >>> bin(_necklace_bases(parse_decperm("1u2o")))
+    '0b100'
+    """
+    n = dp.n
+    bits = _subset_masks(n)[1][dp.rank]
+    for i, I in enumerate(_necklace(dp)):
+        bits &= _schubert(n, i, I)
+    return bits
 
 
 def unblocked_positions(dp: DecoratedPermutation) -> tuple[int, ...]:
@@ -397,7 +444,6 @@ def inverse_decperm(dp: DecoratedPermutation) -> DecoratedPermutation:
     '2o5o3o8o1u7o6u9o4u'
     """
     inv = inverse(dp.perm)
-    color = [0] * dp.n
-    for j, v in enumerate(dp.perm, 1):
-        color[v - 1] = OVER + UNDER - dp.color[j - 1]
-    return DecoratedPermutation._trusted(perm=inv, color=tuple(color))
+    color = dp.color
+    return DecoratedPermutation._trusted(
+        perm=inv, color=tuple([OVER + UNDER - color[j - 1] for j in inv]))

@@ -2,22 +2,27 @@
 
 Positroids on [n] biject with decorated permutations, so the poset stores
 only those: its elements are listed straight from the permutations of [n],
-and a positroid is built for an element only when a caller reads
-:attr:`QuotientPoset.elements`.  Two flavors share one container.
-"Representable" edges are the right cyclic shifts of
+keyed in the poset's own loops by their ``(perm, color)`` pairs, and a
+positroid is built for an element only when a caller reads
+:attr:`QuotientPoset.elements`, for either flavor.  Two flavors share one
+container.  "Representable" edges are the right cyclic shifts of
 :func:`~flagpipes.decperm.covers_by_shift`, which realize exactly the
 row-append covers; the row-append route itself stays as the cross-check of
 ``verify quotient-covers`` and the tests.  "Matroidal" edges are the bare
 quotient test on adjacent ranks, run on one rank-increment mask per
-element, so that flavor builds every positroid.  It tests an element only
-against the next rank's elements whose lex-first and lex-last bases each
-contain its own: when M is a quotient of N, every element that raises the
-rank of a set in M raises it in N, so M's greedy basis in any order lies
-inside N's, and these two bases are the greedy bases of 1 < ... < n and of
-n > ... > 1.  So the candidates lose no cover.  Every representable cover
-is matroidal; the difference is reported by :func:`missing_covers`.
-Maximal chains of the representable flavor biject with complete flag
-positroid pipe dreams.
+element.  The mask comes from the element's Grassmann necklace, with no
+positroid built: by Oh's theorem (arXiv:0803.1018) the bases are the
+rank-k sets in the intersection of the n cyclically shifted Schubert
+matroids the necklace names (see :func:`~flagpipes.decperm._necklace`),
+and ``verify bases-engine`` checks them against the path-family bases.
+The build tests an element only against the next rank's elements whose
+lex-first and lex-last bases each contain its own: when M is a quotient
+of N, every element that raises the rank of a set in M raises it in N, so
+M's greedy basis in any order lies inside N's, and these two bases are
+the greedy bases of 1 < ... < n and of n > ... > 1.  So the candidates
+lose no cover.  Every representable cover is matroidal; the difference is
+reported by :func:`missing_covers`.  Maximal chains of the representable
+flavor biject with complete flag positroid pipe dreams.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .config import _Frozen, _check_sizes, _guard
 from .decperm import (
     DecoratedPermutation,
     _all_decperms,
+    _necklace_bases,
     _right_shift_walk,
     inverse_decperm,
     positroid_of,
@@ -40,7 +46,7 @@ from .exceptions import (
 )
 from .pathgraph import lex_max_basis, lex_min_basis
 from .pipedream import PipeDream, construct_fpp
-from .positroid import Positroid, _restriction_positroids, rank_increments
+from .positroid import Positroid, _increments, _restriction_positroids
 
 __all__ = [
     "QuotientPoset",
@@ -109,11 +115,6 @@ def _indices_by_rank(n: int, decperms) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, by_rank))
 
 
-def _mask(basis) -> int:
-    """A basis of a matroid on [n] as a bitmask, bit e - 1 for element e."""
-    return sum(1 << (e - 1) for e in basis)
-
-
 def _outside(mask: int, n: int) -> list[int]:
     """The one-bit masks of the elements of [n] outside ``mask``."""
     return [1 << e for e in range(n) if not mask >> e & 1]
@@ -128,16 +129,18 @@ def build_poset(n: int, flavor: str = "representable") -> QuotientPoset:
     per element that scans the top-completion set of each choice C, which
     reads only its ends ``(min C, max C)``; each shifted
     ``(perm, color)`` pair is looked up in the index, and two choices that
-    give one pair raise.  No positroid is built for them.  The matroidal
-    edges join each element to those of the next rank whose rank-increment
-    masks cover its own (see :func:`~flagpipes.positroid.is_quotient`); the
-    positroids whose bases give those masks are the poset's
-    :attr:`~QuotientPoset.elements`, built once.  The next rank's elements
-    are bucketed by their lex-first and lex-last bases (lo, hi), and a
+    give one pair raise.  The matroidal edges join each element to those
+    of the next rank whose rank-increment masks cover its own (see
+    :func:`~flagpipes.positroid.is_quotient`).  Each mask is worked out
+    from the element's bases as a set of subsets, read off its Grassmann
+    necklace (:func:`~flagpipes.decperm._necklace_bases`, Oh's theorem).
+    The next rank's elements are bucketed by their lex-first and lex-last
+    bases (lo, hi), the lowest and highest set bits of that set, and a
     rank-k element with ends (lo, hi) is tested only against the buckets
     (lo + e, hi + f) for e not in lo and f not in hi: a quotient's greedy
-    bases lie inside its cover's (see the module docstring), so every cover
-    is among them.
+    bases lie inside its cover's (see the module docstring), so every
+    cover is among them.  Neither flavor builds a positroid; the
+    :attr:`~QuotientPoset.elements` are built on first read.
 
     >>> p = build_poset(3)
     >>> len(p.decperms), len(p.covers)
@@ -150,18 +153,19 @@ def build_poset(n: int, flavor: str = "representable") -> QuotientPoset:
     decperms = tuple(sorted(_all_decperms(n),
                             key=lambda w: (w.rank, w.to_string())))
     edges = []
-    elements = None
     if flavor == "representable":
         index = {(w.perm, w.color): i for i, w in enumerate(decperms)}
         for i, w in enumerate(decperms):
             edges.extend((i, index[pair]) for pair
                          in _right_shift_walk(w, "covers_by_shift"))
     else:
-        elements = tuple(map(positroid_of, decperms))
-        inc = [rank_increments(p.bases) for p in elements]
+        inc, ends = [], []
+        for w in decperms:
+            bits = _necklace_bases(w)
+            inc.append(_increments(bits, n, w.rank))
+            ends.append(((bits & -bits).bit_length() - 1,
+                         bits.bit_length() - 1))
         missing = [~x for x in inc]
-        ends = [(_mask(p.bases.bases[0]), _mask(p.bases.bases[-1]))
-                for p in elements]
         by_rank = _indices_by_rank(n, decperms)
         for lower, upper in zip(by_rank, by_rank[1:]):
             buckets: dict[tuple[int, int], list[int]] = {}
@@ -173,12 +177,8 @@ def build_poset(n: int, flavor: str = "representable") -> QuotientPoset:
                 edges.extend((i, j) for e in _outside(lo, n) for f in his
                              for j in buckets.get((lo | e, hi | f), ())
                              if not x & missing[j])
-    poset = QuotientPoset(n=n, flavor=flavor, decperms=decperms,
-                          covers=tuple(sorted(edges)))
-    if elements is not None:
-        # Fill the cache of QuotientPoset.elements, whose bases are read.
-        vars(poset)["elements"] = elements
-    return poset
+    return QuotientPoset(n=n, flavor=flavor, decperms=decperms,
+                         covers=tuple(sorted(edges)))
 
 
 def maximal_chain_count(poset: QuotientPoset) -> int:
@@ -248,14 +248,16 @@ def missing_covers(rep: QuotientPoset,
 
 def check_self_dual(poset: QuotientPoset) -> bool:
     """Does inverting every boundary permutation reverse all cover edges?
+    Each inverse is looked up by its ``(perm, color)`` pair.
 
     >>> check_self_dual(build_poset(3))
     True
     """
-    lookup = {w: i for i, w in enumerate(poset.decperms)}
+    lookup = {(w.perm, w.color): i for i, w in enumerate(poset.decperms)}
     image = []
     for w in poset.decperms:
-        mirrored = lookup.get(inverse_decperm(w))
+        v = inverse_decperm(w)
+        mirrored = lookup.get((v.perm, v.color))
         if mirrored is None:
             return False
         image.append(mirrored)

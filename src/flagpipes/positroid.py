@@ -62,11 +62,60 @@ def _subset_masks(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return has, layer
 
 
+@lru_cache(maxsize=None)
+def _schubert(m: int, start: int, I: int) -> int:
+    """The subsets S of an m-element ground set, as a set of subsets (see
+    :func:`_subset_masks`), with |S & P| <= |I & P| for every proper prefix
+    P of the cyclic order start, start + 1, ..., start - 1 of the element
+    indices: those of size |I| are the bases of the Schubert matroid
+    whose least basis in that order is I.  One pass over the prefixes
+    keeps ``slack[d]``, the subsets S whose count in the prefix read so far
+    is d below I's."""
+    has = _subset_masks(m)[0]
+    slack = [(1 << (1 << m)) - 1]
+    for j in range(m - 1):
+        e = (start + j) % m
+        inside, outside = has[e], ~has[e]
+        if I >> e & 1:
+            slack = [(s & inside) | (t & outside)
+                     for s, t in zip(slack + [0], [0] + slack)]
+        else:
+            slack = [(s & outside) | (t & inside)
+                     for s, t in zip(slack, slack[1:] + [0])]
+    out = 0
+    for s in slack:
+        out |= s
+    return out
+
+
+def _basis_bits(B: BasisSet) -> int:
+    """The bases of B as a set of subsets: bit S for each basis, read as
+    the bitmask S of its elements' indices in the ground set."""
+    lo = 0 if B.offset_zero else 1
+    bit = [1 << e >> lo for e in range(B.n + 1)]
+    bits = 0
+    for b in B.bases:
+        bits |= 1 << sum(map(bit.__getitem__, b))
+    return bits
+
+
 def rank_increments(B: BasisSet) -> int:
     """One bit per (subset, element) pair, set when the element raises the
     rank of the subset.  With the ground set indexed in order and subsets
     read as bitmasks S of those indices, bit ``i * 2**m + S`` (m the size
-    of the ground set) stands for adding element ``i`` to ``S``.
+    of the ground set) stands for adding element ``i`` to ``S``.  The
+    bases become one set of subsets (:func:`_basis_bits`) for the kernel
+    :func:`_increments`.
+
+    >>> bin(rank_increments(basis_set(2, [{1}])))
+    '0b101'
+    """
+    return _increments(_basis_bits(B), len(B.ground), B.k)
+
+
+def _increments(bases: int, m: int, k: int) -> int:
+    """:func:`rank_increments` of the rank-k matroid on m elements whose
+    bases are the set of subsets ``bases``.
 
     The work runs on sets of subsets, each a 2^m-bit integer with bit S for
     subset S, so one integer operation treats every subset at once.  The
@@ -75,21 +124,13 @@ def rank_increments(B: BasisSet) -> int:
     rank at least t.  Element i raises the rank of S exactly when S + i is
     in R_t and S is not, for t = rank(S) + 1; shifting ``R_t & has[i]``
     down by 2^i moves each S + i onto S.
-
-    >>> bin(rank_increments(basis_set(2, [{1}])))
-    '0b101'
     """
-    m = len(B.ground)
-    lo = 0 if B.offset_zero else 1
     has, layer = _subset_masks(m)
-    bit = [1 << e >> lo for e in range(B.n + 1)]
-    ind = 0
-    for b in B.bases:
-        ind |= 1 << sum(map(bit.__getitem__, b))
+    ind = bases
     for i in range(m):
         ind |= (ind & has[i]) >> (1 << i)
     raised = [0] * m
-    for t in range(1, B.k + 1):
+    for t in range(1, k + 1):
         R = ind & layer[t]
         for i in range(m):
             R |= (R & ~has[i]) << (1 << i)

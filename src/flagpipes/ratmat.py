@@ -103,10 +103,13 @@ class RationalMatrix(_Frozen):
         return tuple(range(lo, lo + self.n))
 
     def _col_index(self, label: int) -> int:
-        idx = label if self.offset_zero else label - 1
-        if not 0 <= idx < len(self.rows[0]):
-            raise DomainError(f"no column labeled {label}")
-        return idx
+        """The 0-based index of a column label; a label that is not an
+        ``int`` (a boolean among them) labels no column."""
+        if type(label) is int:
+            idx = label if self.offset_zero else label - 1
+            if 0 <= idx < len(self.rows[0]):
+                return idx
+        raise DomainError(f"no column labeled {label!r}")
 
     def _check_row(self, i: int) -> None:
         """Refuse a row number outside 1..k (a boolean is no number)."""

@@ -90,11 +90,15 @@ def check_golden_grids() -> tuple[bool, str]:
 
 
 def check_bases_engine() -> tuple[bool, str]:
-    """Path-family bases: published lex extremes and constituent bases."""
-    from .decperm import parse_decperm, positroid_of
+    """Path-family bases: published lex extremes and constituent bases;
+    and the bases the matroidal poset reads off each Grassmann necklace
+    equal the path-family bases on every positroid with n <= 4."""
+    from .decperm import (_all_decperms, _necklace_bases, parse_decperm,
+                          positroid_of)
     from .flagbuild import flag_of_fpp
-    from .pathgraph import lex_max_basis, lex_min_basis
+    from .pathgraph import bases_of, lex_max_basis, lex_min_basis
     from .pipedream import construct_fpp
+    from .positroid import _basis_bits
 
     P = positroid_of(parse_decperm("5o1u3u9o2u7o6u4u8u"))
     extremes = (lex_min_basis(P.dream) == (1, 4, 6)
@@ -102,8 +106,13 @@ def check_bases_engine() -> tuple[bool, str]:
     F = flag_of_fpp(construct_fpp((2, 4, 1, 3), (4, 2, 3, 1)))
     want = (((2,), (4,)), ((2, 4),), ((1, 2, 4), (2, 3, 4)))
     cons = tuple(F.constituents[k].bases.bases for k in range(3)) == want
-    ok = extremes and cons
-    return ok, f"lex extremes {extremes}, constituent bases {cons}"
+    decperms = [w for n in range(1, 5) for w in _all_decperms(n)]
+    necklaces = all(_necklace_bases(w)
+                    == _basis_bits(bases_of(positroid_of(w).dream))
+                    for w in decperms)
+    ok = extremes and cons and necklaces
+    return ok, (f"lex extremes {extremes}, constituent bases {cons}, "
+                f"necklace bases of {len(decperms)} positroids {necklaces}")
 
 
 def check_quotient_covers() -> tuple[bool, str]:
@@ -388,7 +397,8 @@ _CHECKS = {
                          ("perm", "pipedream")),
     "golden-grids": (check_golden_grids, None, ("pipedream",)),
     "bases-engine": (check_bases_engine, None,
-                     ("decperm", "flagbuild", "pathgraph", "pipedream")),
+                     ("decperm", "flagbuild", "pathgraph", "pipedream",
+                      "positroid")),
     "quotient-covers": (check_quotient_covers, 120.0,
                         ("decperm", "flagbuild", "pipedream", "positroid")),
     "standardization": (check_standardization, None,

@@ -11,6 +11,9 @@ from conftest import assert_rebuilds
 from flagpipes import decperm as decperm_module
 from flagpipes.decperm import (
     DecoratedPermutation,
+    _all_decperms,
+    _necklace,
+    _necklace_bases,
     covered_by_shift,
     covers_by_shift,
     decperm_of,
@@ -39,7 +42,12 @@ from flagpipes.pipedream import (
     restrict,
 )
 from flagpipes.poset import build_poset
-from flagpipes.positroid import enumerate_positroids, unblocked_columns
+from flagpipes.pathgraph import bases_of
+from flagpipes.positroid import (
+    _basis_bits,
+    enumerate_positroids,
+    unblocked_columns,
+)
 from oracles import all_decperms, dual
 
 
@@ -449,3 +457,46 @@ class TestDuality:
         for P in enumerate_positroids(n):
             Q = positroid_of(inverse_decperm(decperm_of(P.dream)))
             assert Q.bases == dual(P.bases)
+
+
+def _every_positroid_basis_bits(max_n: int):
+    """Each decorated permutation with n <= max_n, with the bases of its
+    positroid from the path families, as masks (bit e - 1 for e) and as a
+    set of subsets."""
+    for n in range(max_n + 1):
+        for w in _all_decperms(n):
+            B = bases_of(positroid_of(w).dream)
+            masks = [sum(1 << (e - 1) for e in b) for b in B.bases]
+            yield n, w, masks, _basis_bits(B)
+
+
+class TestNecklace:
+    """Oh's theorem: the bases read off the Grassmann necklace are the
+    path-family bases, on every positroid with n <= 6."""
+
+    @pytest.fixture(scope="class")
+    def positroids(self):
+        return list(_every_positroid_basis_bits(6))
+
+    def test_count(self, positroids):
+        assert len(positroids) == 2372  # 2371 with n >= 1, and n = 0
+
+    def test_necklace_bases_are_the_path_family_bases(self, positroids):
+        for _, w, _, bits in positroids:
+            assert _necklace_bases(w) == bits, w.to_string()
+
+    def test_each_set_is_the_lex_first_basis_from_its_start(self, positroids):
+        for n, w, masks, _ in positroids:
+            necklace = _necklace(w)
+            assert len(necklace) == n
+            for i, I in enumerate(necklace):
+                place = {(i + j) % n: j for j in range(n)}
+                first = min(masks, key=lambda S: sorted(
+                    place[e] for e in range(n) if S >> e & 1))
+                assert I == first, (w.to_string(), i)
+
+    def test_lowest_and_highest_bits_are_the_lex_extremes(self, positroids):
+        for _, w, masks, _ in positroids:
+            bits = _necklace_bases(w)
+            assert (bits & -bits).bit_length() - 1 == masks[0]
+            assert bits.bit_length() - 1 == masks[-1]

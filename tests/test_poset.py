@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 import flagpipes.poset as poset_module
+import flagpipes.positroid as positroid_module
 from flagpipes.config import ENV_MAX_N
 from flagpipes.decperm import covers_by_shift, decperm_of, parse_decperm
 from flagpipes.exceptions import DomainError, GuardExceededError, SizeMismatchError
@@ -151,18 +152,30 @@ class TestLazyElements:
         missing_covers(poset, build_poset(n, "matroidal"))
         assert "elements" not in vars(poset)
 
-    def test_matroidal_builds_each_positroid_once(self, monkeypatch):
-        calls = []
-        real = poset_module.positroid_of
+    @pytest.mark.parametrize("n", range(6))
+    def test_matroidal_edges_need_no_positroid(self, monkeypatch, n):
+        """The matroidal edges come from the decorated permutations'
+        necklaces: the build neither builds a positroid nor reads bases,
+        and each positroid is built once when ``elements`` is read."""
+        monkeypatch.setenv(ENV_MAX_N, "5")
+        calls = {"positroid_of": 0, "bases_of": 0}
 
-        def counted(w):
-            calls.append(w)
-            return real(w)
+        def counted(module, name):
+            real = getattr(module, name)
 
-        monkeypatch.setattr(poset_module, "positroid_of", counted)
-        poset = build_poset(4, "matroidal")
-        assert len(poset.elements) == 65
-        assert len(calls) == 65
+            def count(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, count)
+
+        counted(poset_module, "positroid_of")
+        counted(positroid_module, "bases_of")
+        poset = build_poset(n, "matroidal")
+        assert calls == {"positroid_of": 0, "bases_of": 0}
+        assert "elements" not in vars(poset)
+        assert len(poset.elements) == len(poset.decperms)
+        assert calls == {"positroid_of": len(poset.decperms), "bases_of": 0}
 
 
 class TestSelfDuality:
@@ -239,8 +252,6 @@ class TestChains:
     def test_one_gamma_freeness_sweep_per_dream(self, monkeypatch, build):
         """A restriction of a gamma-free dream is gamma-free, so the sweep
         of the whole dream serves every restriction."""
-        import flagpipes.positroid as positroid_module
-
         sweeps = []
         real = positroid_module.is_gamma_free
 

@@ -104,6 +104,19 @@ class TestConstruction:
         with pytest.raises(DomainError, match=message):
             A.submatrix(i, [1, 2])
 
+    @pytest.mark.parametrize("label", [True, False, 1.0, "1"])
+    def test_column_labels_must_be_ints(self, label):
+        """A boolean (or any label that is not an int) names no column,
+        though True == 1 and False == 0."""
+        A = rational_matrix([[1, 2], [3, 4]])
+        with pytest.raises(DomainError, match=f"no column labeled {label!r}"):
+            A.entry(1, label)
+        with pytest.raises(DomainError, match=f"no column labeled {label!r}"):
+            A.submatrix(2, [label, 2])
+        B = RationalMatrix(A.rows, offset_zero=True)
+        with pytest.raises(DomainError, match=f"no column labeled {label!r}"):
+            B.entry(1, label)
+
     def test_submatrix_needs_a_column(self):
         with pytest.raises(DomainError, match="dimensions must be positive"):
             rational_matrix([[1, 2]]).submatrix(1, [])
