@@ -5,9 +5,10 @@ Enumerates every positroid on [n] for n in the requested range and reports,
 per (n, rank): how many positroids there are, how their cover counts
 distribute over the number of unblocked columns (the count is always
 2^u - 1 for u unblocked columns), and how many have lattice-path shape.
-Optionally cross-checks every cover against the cyclic-shift route, and
-that the covers come in the order of their decorated permutations read off
-each cover's dream.
+Optionally cross-checks the covers, which are built from the cyclic
+shifts, against the row-append route: a row appended along each choice of
+unblocked columns and standardized, in the order of the decorated
+permutations read off those dreams.
 
 Usage:
     python3 scripts/survey_covers.py --max-n 4 --cross-check
@@ -18,11 +19,12 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from itertools import combinations
 
-from flagpipes.decperm import covers_by_shift, decperm_of
+from flagpipes.decperm import decperm_of
 from flagpipes.exceptions import DomainError
-from flagpipes.flagbuild import quotient_covers
-from flagpipes.positroid import enumerate_positroids, is_lpm
+from flagpipes.flagbuild import append_row, quotient_covers
+from flagpipes.positroid import enumerate_positroids, is_lpm, standardize
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -31,7 +33,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--max-n", type=int, default=4)
     parser.add_argument("--cross-check", action="store_true",
                         help="verify covers and their order against the "
-                             "shift route")
+                             "row-append route")
     return parser.parse_args(argv)
 
 
@@ -48,16 +50,16 @@ def main(args: argparse.Namespace) -> int:
             if is_lpm(P):
                 lpm_by_rank[P.rank] += 1
             if args.cross_check and P.rank < n:
-                w = decperm_of(P.dream)
-                via_dreams = [decperm_of(Q.dream).to_string()
-                              for Q in quotient_covers(P)]
-                via_shifts = [q.to_string() for q in covers_by_shift(w)]
-                if via_dreams != sorted(via_dreams):
+                U = P.unblocked
+                appended = sorted(
+                    (standardize(append_row(P.dream, C))
+                     for r in range(1, len(U) + 1)
+                     for C in combinations(U, r)),
+                    key=lambda D: decperm_of(D).to_string())
+                if [Q.dream for Q in quotient_covers(P)] != appended:
                     mismatches += 1
-                    print(f"!! covers out of swept order at {w.to_string()}")
-                elif via_dreams != via_shifts:
-                    mismatches += 1
-                    print(f"!! route mismatch at {w.to_string()}")
+                    print("!! route mismatch at "
+                          f"{decperm_of(P.dream).to_string()}")
         print(f"n={n}: {total} positroids")
         for rank in sorted(by_rank):
             dist = by_rank[rank]

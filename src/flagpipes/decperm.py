@@ -7,11 +7,12 @@ the rank of the corresponding positroid.  A dream's decorated permutation
 is read off where the pipes of its standardization exit.  Rank-increasing
 covers are realized by right cyclic shifts on a choice of unblocked
 positions plus a forced top-completion set.  The right shift is the only
-cover engine: by self-duality, the left shifts that realize covered
-elements are right shifts seen through :func:`inverse_decperm`, with
-positions carried through the permutation (position r of w is position
-w(r) of its inverse).  A listing of every cover walks all choices in one
-pass, finding the unblocked positions once and scanning for each choice's
+cover engine, :func:`~flagpipes.flagbuild.quotient_covers` included: by
+self-duality, the left shifts that realize covered elements are right
+shifts seen through :func:`inverse_decperm`, with positions carried
+through the permutation (position r of w is position w(r) of its
+inverse).  A listing of every cover walks all choices in one pass,
+finding the unblocked positions once and scanning for each choice's
 top-completion set, which reads only the ends min(C) and max(C).  The
 Grassmann necklace of a decorated permutation names its positroid's bases
 (Oh's theorem) with no dream built; the matroidal quotient poset reads its
@@ -372,9 +373,16 @@ def covers_by_shift(dp: DecoratedPermutation) -> tuple[DecoratedPermutation, ...
     >>> len(covers_by_shift(parse_decperm("1u2u3u")))
     7
     """
+    return _sorted_shifts(dp, "covers_by_shift")
+
+
+def _sorted_shifts(dp: DecoratedPermutation,
+                   routine: str) -> tuple[DecoratedPermutation, ...]:
+    """:func:`covers_by_shift`, its walk guarded in the name of
+    ``routine``; :func:`~flagpipes.flagbuild.quotient_covers` shares it."""
     return tuple(sorted(
         (DecoratedPermutation._trusted(perm=perm, color=color)
-         for perm, color in _right_shift_walk(dp, "covers_by_shift")),
+         for perm, color in _right_shift_walk(dp, routine)),
         key=DecoratedPermutation.to_string))
 
 

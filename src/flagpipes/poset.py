@@ -124,10 +124,11 @@ def build_poset(n: int, flavor: str = "representable") -> QuotientPoset:
     """Assemble the poset of all positroids on [n] for one edge flavor.
 
     The elements are the decorated permutations on [n], listed from the
-    permutations of [n] and sorted by rank then text form.  The
-    representable edges of an element are its right cyclic shifts, one walk
-    per element that scans the top-completion set of each choice C, which
-    reads only its ends ``(min C, max C)``; each shifted
+    permutations of [n] and sorted by rank then text form, which become
+    the :attr:`~QuotientPoset.names`.  The representable edges of an
+    element are its right cyclic shifts, one walk per element that scans
+    the top-completion set of each choice C, which reads only its ends
+    ``(min C, max C)``; each shifted
     ``(perm, color)`` pair is looked up in the index, and two choices that
     give one pair raise.  The matroidal edges join each element to those
     of the next rank whose rank-increment masks cover its own (see
@@ -150,8 +151,9 @@ def build_poset(n: int, flavor: str = "representable") -> QuotientPoset:
         raise DomainError(f"unknown flavor {flavor!r}; pick one of {FLAVORS}")
     _check_sizes("build_poset", n=n)
     _guard("build_poset", f"poset_{flavor}_max_n", n)
-    decperms = tuple(sorted(_all_decperms(n),
-                            key=lambda w: (w.rank, w.to_string())))
+    # Text forms are distinct, so the sort never compares two elements.
+    named = sorted([(w.rank, w.to_string(), w) for w in _all_decperms(n)])
+    decperms = tuple([w for _, _, w in named])
     edges = []
     if flavor == "representable":
         index = {(w.perm, w.color): i for i, w in enumerate(decperms)}
@@ -177,8 +179,19 @@ def build_poset(n: int, flavor: str = "representable") -> QuotientPoset:
                 edges.extend((i, j) for e in _outside(lo, n) for f in his
                              for j in buckets.get((lo | e, hi | f), ())
                              if not x & missing[j])
-    return QuotientPoset(n=n, flavor=flavor, decperms=decperms,
-                         covers=tuple(sorted(edges)))
+    poset = QuotientPoset(n=n, flavor=flavor, decperms=decperms,
+                          covers=tuple(sorted(edges)))
+    vars(poset)["names"] = tuple([name for _, name, _ in named])
+    return poset
+
+
+def _up(poset: QuotientPoset) -> list[list[int]]:
+    """The up-adjacency of the cover edges: entry i lists the elements
+    that cover element i, in edge order."""
+    up: list[list[int]] = [[] for _ in poset.decperms]
+    for a, b in poset.covers:
+        up[a].append(b)
+    return up
 
 
 def maximal_chain_count(poset: QuotientPoset) -> int:
@@ -189,13 +202,12 @@ def maximal_chain_count(poset: QuotientPoset) -> int:
     >>> maximal_chain_count(build_poset(3, "matroidal"))
     22
     """
-    up: dict[int, list[int]] = {}
-    for a, b in poset.covers:
-        up.setdefault(a, []).append(b)
-    paths = {poset.top: 1}
+    up = _up(poset)
+    paths = [0] * len(up)
+    paths[poset.top] = 1
     for k in range(poset.n - 1, -1, -1):
         for i in poset.rank_indices(k):
-            paths[i] = sum(paths.get(j, 0) for j in up.get(i, ()))
+            paths[i] = sum([paths[j] for j in up[i]])
     return paths[poset.bottom]
 
 
@@ -205,9 +217,7 @@ def iter_maximal_chains(poset: QuotientPoset) -> Iterator[tuple[Positroid, ...]]
     >>> sum(1 for _ in iter_maximal_chains(build_poset(3)))
     19
     """
-    up: dict[int, list[int]] = {}
-    for a, b in poset.covers:
-        up.setdefault(a, []).append(b)
+    up = _up(poset)
     chain = [poset.bottom]
 
     def walk() -> Iterator[tuple[Positroid, ...]]:
@@ -215,7 +225,7 @@ def iter_maximal_chains(poset: QuotientPoset) -> Iterator[tuple[Positroid, ...]]
         if i == poset.top:
             yield tuple(poset.elements[j] for j in chain)
             return
-        for j in sorted(up.get(i, ())):
+        for j in sorted(up[i]):
             chain.append(j)
             yield from walk()
             chain.pop()

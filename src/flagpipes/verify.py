@@ -43,6 +43,17 @@ class CheckResult(_Frozen):
         return f"{mark} {self.name}: {self.detail} ({self.seconds:.2f}s)"
 
 
+def _key_leq(ku, kv) -> bool:
+    """Bruhat order on two sorted-prefix keys (see
+    :func:`~flagpipes.perm.bruhat_leq`), for checks that key each
+    permutation once and compare every pair."""
+    for cu, cv in zip(ku, kv):
+        for a, b in zip(cu, cv):
+            if a > b:
+                return False
+    return True
+
+
 def check_interval_fpp_count() -> tuple[bool, str]:
     """Dream enumeration counts intervals: 19 at n=3, oracle-matched at n=4."""
     from .perm import all_permutations, bruhat_leq_subword_oracle
@@ -58,19 +69,14 @@ def check_interval_fpp_count() -> tuple[bool, str]:
 
 def check_elbow_length_law() -> tuple[bool, str]:
     """Elbow count equals the length difference on every interval of S5."""
-    from .perm import all_permutations, bruhat_leq, length
+    from .perm import all_permutations, key, length
     from .pipedream import construct_fpp, elbow_count
 
-    perms = list(all_permutations(5))
-    pairs = bad = 0
-    for u in perms:
-        for v in perms:
-            if not bruhat_leq(u, v):
-                continue
-            pairs += 1
-            if elbow_count(construct_fpp(u, v)) != length(v) - length(u):
-                bad += 1
-    return bad == 0, f"{pairs} intervals in S5, {bad} violations"
+    perms = [(u, key(u), length(u)) for u in all_permutations(5)]
+    intervals = [(u, v, lv - lu) for u, ku, lu in perms
+                 for v, kv, lv in perms if _key_leq(ku, kv)]
+    bad = sum(elbow_count(construct_fpp(u, v)) != d for u, v, d in intervals)
+    return bad == 0, f"{len(intervals)} intervals in S5, {bad} violations"
 
 
 def check_golden_grids() -> tuple[bool, str]:
@@ -116,19 +122,18 @@ def check_bases_engine() -> tuple[bool, str]:
 
 
 def check_quotient_covers() -> tuple[bool, str]:
-    """Cover counts 2^|U|-1, quotient law, and shift agreement for n <= 4;
-    every row appended along unblocked columns keeps the dream gamma-free,
-    which is why ``quotient_covers`` runs no gamma-freeness sweep.
-    ``quotient_covers`` orders its covers by their right cyclic shifts and
-    sweeps none of their dreams, so here each cover's dream is swept: the
-    covers must come in the order of that swept text, and list exactly the
-    shifts.  The Le dreams behind the positroids, pruned by the Le
+    """Cover counts 2^|U|-1 and the quotient law for n <= 4, and the
+    theorem behind ``quotient_covers`` choice by choice: appending a row
+    along an unblocked choice C and standardizing gives the dream of the
+    right cyclic shift along C.  Every such appended row keeps the dream
+    gamma-free, which is why the row-append route needs no gamma-freeness
+    sweep.  The Le dreams behind the positroids, pruned by the Le
     condition, are the gamma-free fillings of the descending pivots, dream
     for dream and in order."""
-    from .decperm import covers_by_shift, decperm_of
+    from .decperm import decperm_of, positroid_of, right_cyclic_shift
     from .flagbuild import append_row, quotient_covers
     from .pipedream import _fillings, enumerate_le_dreams, is_gamma_free
-    from .positroid import enumerate_positroids, is_quotient
+    from .positroid import enumerate_positroids, is_quotient, standardize
 
     positroids = covers = appended = le = 0
     for n in range(1, 5):
@@ -145,32 +150,28 @@ def check_quotient_covers() -> tuple[bool, str]:
                 if P.unblocked:
                     return False, f"full-rank positroid with unblocked columns at n={n}"
                 continue
-            U = P.unblocked
+            U, w = P.unblocked, decperm_of(P.dream)
             for r in range(1, len(U) + 1):
                 for C in combinations(U, r):
                     appended += 1
-                    if not is_gamma_free(append_row(P.dream, C)):
+                    D = append_row(P.dream, C)
+                    if not is_gamma_free(D):
                         return False, (f"append along {C} above "
-                                       f"{decperm_of(P.dream).to_string()} "
-                                       "is not gamma-free")
+                                       f"{w.to_string()} is not gamma-free")
+                    if (standardize(D)
+                            != positroid_of(right_cyclic_shift(w, C)).dream):
+                        return False, (f"append along {C} above "
+                                       f"{w.to_string()} is not the shift")
             up = quotient_covers(P)
             covers += len(up)
             if len(up) != 2 ** len(U) - 1:
-                return False, f"cover count off at {decperm_of(P.dream).to_string()}"
+                return False, f"cover count off at {w.to_string()}"
             for Q in up:
                 if not is_quotient(P.bases, Q.bases):
-                    return False, f"non-quotient cover above {decperm_of(P.dream).to_string()}"
-            via_dreams = [decperm_of(Q.dream).to_string() for Q in up]
-            if via_dreams != sorted(via_dreams):
-                return False, ("covers out of swept order above "
-                               f"{decperm_of(P.dream).to_string()}")
-            via_shifts = [w.to_string()
-                          for w in covers_by_shift(decperm_of(P.dream))]
-            if via_dreams != via_shifts:
-                return False, f"shift mismatch at {decperm_of(P.dream).to_string()}"
+                    return False, f"non-quotient cover above {w.to_string()}"
     return True, (f"{positroids} positroids, {covers} covers, {appended} "
-                  "appended dreams gamma-free, both routes agree, covers "
-                  f"in swept order, {le} Le dreams match the swept fillings")
+                  "appended dreams gamma-free and standardized to their "
+                  f"shifts, {le} Le dreams match the swept fillings")
 
 
 def check_standardization() -> tuple[bool, str]:
@@ -249,25 +250,23 @@ def check_poset_facts() -> tuple[bool, str]:
 def check_richardson_shadow() -> tuple[bool, str]:
     """Constituent bases equal sorted k-prefixes over the interval, n <= 4."""
     from .pathgraph import bases_of
-    from .perm import all_permutations, bruhat_leq
+    from .perm import all_permutations, key
     from .pipedream import construct_fpp, restrict
 
     intervals = 0
     for n in range(1, 5):
-        perms = list(all_permutations(n))
-        for u in perms:
-            for v in perms:
-                if not bruhat_leq(u, v):
-                    continue
-                intervals += 1
-                D = construct_fpp(u, v)
-                inside = [z for z in perms
-                          if bruhat_leq(u, z) and bruhat_leq(z, v)]
-                for k in range(1, n + 1):
-                    want = {tuple(sorted(z[:k])) for z in inside}
-                    got = set(bases_of(restrict(D, k)).bases)
-                    if got != want:
-                        return False, f"prefix mismatch at u={u} v={v} k={k}"
+        perms = [(z, key(z)) for z in all_permutations(n)]
+        leq = {(u, v) for u, ku in perms for v, kv in perms
+               if _key_leq(ku, kv)}
+        for u, v in sorted(leq):
+            intervals += 1
+            D = construct_fpp(u, v)
+            inside = [z for z, _ in perms if (u, z) in leq and (z, v) in leq]
+            for k in range(1, n + 1):
+                want = {tuple(sorted(z[:k])) for z in inside}
+                got = set(bases_of(restrict(D, k)).bases)
+                if got != want:
+                    return False, f"prefix mismatch at u={u} v={v} k={k}"
     return True, f"{intervals} intervals, all constituent bases match prefixes"
 
 

@@ -131,6 +131,22 @@ class TestQuotientCovers:
             assert list(covers) == sorted(
                 covers, key=lambda Q: decperm_of(Q.dream).to_string())
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_equals_the_row_append_covers_in_shift_order(self, n):
+        """quotient_covers builds each cover from its right cyclic shift;
+        appending a row along each choice and standardizing gives the same
+        dreams, in order once sorted by the text of each choice's shift."""
+        for P in enumerate_positroids(n):
+            if P.rank == n:
+                continue
+            w, U = decperm_of(P.dream), P.unblocked
+            appended = sorted(
+                (right_cyclic_shift(w, C).to_string(),
+                 standardize(append_row(P.dream, C)))
+                for r in range(1, len(U) + 1) for C in combinations(U, r))
+            assert [Q.dream for Q in quotient_covers(P)] == [
+                D for _, D in appended]
+
     def test_one_decperm_of_per_walk(self, monkeypatch, running_example):
         """The walk reads P's decorated permutation once and sweeps no
         cover's dream."""
@@ -163,9 +179,9 @@ class TestQuotientCovers:
                 assert_rebuilds(Q.dream)
 
     def test_appended_dreams_are_gamma_free_at_n5(self):
-        """quotient_covers runs no gamma-freeness sweep: every row appended
-        along unblocked columns keeps the dream gamma-free, checked on
-        every positroid on [5] and every choice."""
+        """The row-append route needs no gamma-freeness sweep: every row
+        appended along unblocked columns keeps the dream gamma-free,
+        checked on every positroid on [5] and every choice."""
         appended = 0
         for P in enumerate_positroids(5):
             U = P.unblocked

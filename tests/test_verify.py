@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-import flagpipes.flagbuild as flagbuild
+import flagpipes.decperm as decperm
 import flagpipes.pipedream as pipedream
 import flagpipes.poset as poset_module
 import flagpipes.ratmat as ratmat
@@ -145,21 +145,23 @@ class TestRunCheck:
         assert ok is False
         assert detail == "Le dreams differ from the swept fillings at n=4, k=2"
 
-    def test_covers_out_of_swept_order_fail_quotient_covers(
-            self, monkeypatch):
-        """quotient_covers orders its covers by their shifts alone; the
-        check sweeps every cover's dream, so a wrong order fails it."""
-        real = flagbuild.quotient_covers
-        monkeypatch.setattr(flagbuild, "quotient_covers",
-                            lambda P: real(P)[::-1])
+    def test_a_wrong_shift_fails_quotient_covers(self, monkeypatch):
+        """quotient_covers lists the right cyclic shifts; the check compares
+        each shift with the appended and standardized dream of its choice,
+        so a shift that drops all but the last column of the choice fails
+        it."""
+        real = decperm.right_cyclic_shift
+        monkeypatch.setattr(decperm, "right_cyclic_shift",
+                            lambda w, C: real(w, C[-1:]))
         ok, detail = verify.check_quotient_covers()
         assert ok is False
-        assert detail == "covers out of swept order above 1u2u"
+        assert detail == "append along (1, 2) above 1u2u is not the shift"
 
     def test_quotient_covers_detail(self):
         ok, detail = verify.check_quotient_covers()
         assert ok is True
-        assert "both routes agree, covers in swept order" in detail
+        assert ("236 appended dreams gamma-free and standardized to their "
+                "shifts") in detail
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):
