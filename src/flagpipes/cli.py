@@ -81,45 +81,37 @@ def _read_json(path: str):
 
 
 def _dream_from_args(args):
-    """A grid from --dream FILE, --decperm STR, or a u/v positional pair,
-    and whether it is known to be gamma-free: a positroid document was
-    swept when it was read, a boundary string gives a canonical grid, and
-    the grid of a u/v pair is an FPP, which is gamma-free."""
+    """A grid from --dream FILE, --decperm STR, or a u/v positional pair."""
     if args.dream is not None:
         from .serialize import parse_any
 
         kind, value = parse_any(_read_json(args.dream))
         if kind == "positroid":
-            return value.dream, True
+            return value.dream
         if kind == "dream":
-            return value, False
+            return value
         raise DomainError(f"{args.dream} holds a {kind}, not a grid")
     if args.decperm is not None:
         from .decperm import parse_decperm, positroid_of
 
-        return positroid_of(parse_decperm(args.decperm)).dream, True
+        return positroid_of(parse_decperm(args.decperm)).dream
     if args.u is not None and args.v is not None:
         from .pipedream import construct_fpp
 
-        return construct_fpp(_perm_arg(args.u), _perm_arg(args.v)), True
+        return construct_fpp(_perm_arg(args.u), _perm_arg(args.v))
     raise DomainError("no grid given: pass U V, --dream FILE, or --decperm STR")
 
 
 def _boundary_from_args(args, k=None):
     """The decorated permutation of the grid from :func:`_dream_from_args`,
-    cut to its first k rows when k is given.  A grid from a dream document
-    is swept for gamma-freeness after the cut; a grid known to be
-    gamma-free is not swept again, nor is a restriction of it."""
-    from .decperm import decperm_of
+    cut to its first k rows when k is given: its last row shift, whose
+    walk (:func:`~flagpipes.decperm._row_shifts`) refuses a grid that is
+    not gamma-free."""
+    from .decperm import _row_shifts
     from .pipedream import restrict
-    from .positroid import Positroid
 
-    D, gamma_free = _dream_from_args(args)
-    if k is not None:
-        D = restrict(D, k)
-    if not gamma_free:
-        D = Positroid.from_dream(D).dream
-    return decperm_of(D)
+    D = _dream_from_args(args)
+    return _row_shifts(D if k is None else restrict(D, k))[-1]
 
 
 def _decperm_from_args(args):
@@ -155,7 +147,7 @@ def _cmd_fpp(args) -> None:
 
 
 def _cmd_render(args) -> None:
-    D, _ = _dream_from_args(args)
+    D = _dream_from_args(args)
     _draw(D, svg=args.svg)
 
 
@@ -163,10 +155,8 @@ def _cmd_bases(args) -> None:
     from .pathgraph import bases_of
     from .pipedream import restrict
 
-    D, _ = _dream_from_args(args)
-    if args.k is not None:
-        D = restrict(D, args.k)
-    _emit(bases_of(D))
+    D = _dream_from_args(args)
+    _emit(bases_of(D if args.k is None else restrict(D, args.k)))
 
 
 def _cmd_decperm(args) -> None:

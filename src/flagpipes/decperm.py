@@ -33,6 +33,8 @@ from .perm import (
     validate_permutation,
 )
 from .pipedream import (
+    ELBOW,
+    PIVOT,
     PipeDream,
     _front_rows,
     _sweep,
@@ -171,6 +173,22 @@ def decperm_of(D: PipeDream) -> DecoratedPermutation:
     return DecoratedPermutation._trusted(perm=tuple(perm), color=tuple(color))
 
 
+def _row_shifts(D: PipeDream) -> tuple[DecoratedPermutation, ...]:
+    """``decperm_of(restrict(D, k))`` for k = 0 .. D.rows, as the paper
+    builds a flag: from ``1u2u...nu``, row k shifts right (:func:`_shift`)
+    along its pivot and elbow columns C_k.  A blocked C_k refuses D; on
+    every filling with n <= 6 that is exactly when D is not gamma-free."""
+    n = D.cols
+    out = [DecoratedPermutation._trusted(perm=tuple(range(1, n + 1)),
+                                         color=(UNDER,) * n)]
+    for row in D.grid:
+        C = tuple([j for j, t in enumerate(row, 1) if t in (PIVOT, ELBOW)])
+        if not set(C).issubset(unblocked_positions(out[-1])):
+            raise DomainError("dream is not gamma-free")
+        out.append(_shift(out[-1], C))
+    return tuple(out)
+
+
 def _all_decperms(n: int) -> list[DecoratedPermutation]:
     """Every decorated permutation on [n], unsorted: each permutation, with
     both colors on every fixed point and the forced color elsewhere: valid,
@@ -193,6 +211,7 @@ def dle_of(dp: DecoratedPermutation) -> PipeDream:
     :func:`~flagpipes.pipedream._front_rows` is its one comparability test,
     since its end check raises on exactly the pairs that are not.  Past it
     the rows are an FPP's, built by :meth:`~flagpipes.config._Frozen._trusted`.
+    The walk starts at row k, as the tail's pivots descend: it has no box.
 
     >>> dle_of(parse_decperm("2o1u4o3u")).pivots
     (3, 1)
@@ -204,7 +223,7 @@ def dle_of(dp: DecoratedPermutation) -> PipeDream:
     u = tuple(over + under)
     v = tuple(dp.perm[j - 1] for j in u)
     return PipeDream._trusted(cols=dp.n, pivots=tuple(over),
-                              grid=_front_rows(u, v)[:len(over)])
+                              grid=_front_rows(u, v, len(over)))
 
 
 def positroid_of(dp: DecoratedPermutation) -> Positroid:

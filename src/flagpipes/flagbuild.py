@@ -4,7 +4,8 @@ A flag positroid is a chain of positroids on the same ground set, each a
 quotient of the next.  A row appended to a positroid's canonical dream
 along a nonempty choice of unblocked columns, then standardized, is a
 cover; by the paper's theorem it is the right cyclic shift along that
-choice, which is how :func:`quotient_covers` builds it.
+choice, which is how :func:`quotient_covers` builds it.  A dream's rows
+are such choices, one per rank, which is how :func:`flag_of_fpp` reads it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .pipedream import (
 from .positroid import (
     Positroid,
     _choice,
-    _restriction_positroids,
     is_quotient,
     unblocked_columns,
 )
@@ -111,11 +111,18 @@ class FlagPositroid(_Frozen):
 def flag_of_fpp(D: PipeDream) -> FlagPositroid:
     """The flag of row-restrictions of a dream, ranks 1 through D.rows.
 
+    Each rank is ``positroid_of`` a row shift, a cover of the rank below,
+    so :meth:`~flagpipes.config._Frozen._trusted` builds the flag.
+
     >>> from flagpipes.pipedream import construct_fpp
     >>> f = flag_of_fpp(construct_fpp((1, 2, 3), (3, 1, 2)))
     >>> [p.bases.bases for p in f.constituents]
     [((1,), (2,), (3,)), ((1, 2), (1, 3)), ((1, 2, 3),)]
     """
-    ranks = tuple(range(1, D.rows + 1))
-    return FlagPositroid(n=D.cols, ranks=ranks,
-                         constituents=_restriction_positroids(D, ranks))
+    from .decperm import _row_shifts, positroid_of
+
+    shifts = _row_shifts(D)[1:]
+    if not shifts:
+        raise DomainError("a flag needs at least one constituent")
+    return FlagPositroid._trusted(n=D.cols, ranks=tuple(range(1, D.rows + 1)),
+                                  constituents=tuple(map(positroid_of, shifts)))

@@ -20,14 +20,12 @@ from typing import Iterable
 
 from .config import _Frozen, _guard
 from .exceptions import DomainError
-from .pipedream import ELBOW, PipeDream, right_exit_labels
+from .pipedream import ELBOW, PipeDream
 
 __all__ = [
     "BasisSet",
     "basis_set",
     "bases_of",
-    "lex_min_basis",
-    "lex_max_basis",
 ]
 
 
@@ -140,23 +138,3 @@ def bases_of(D: PipeDream) -> BasisSet:
                          for s in states))
     return BasisSet._trusted(n=D.cols, k=D.rows, offset_zero=False,
                              bases=bases)
-
-
-def lex_min_basis(D: PipeDream) -> tuple[int, ...]:
-    """The lexicographically least basis: the sorted pivot columns.
-
-    >>> from flagpipes.pipedream import construct_fpp, restrict
-    >>> lex_min_basis(restrict(construct_fpp((2, 4, 1, 3), (4, 2, 3, 1)), 2))
-    (2, 4)
-    """
-    return tuple(sorted(D.pivots))
-
-
-def lex_max_basis(D: PipeDream) -> tuple[int, ...]:
-    """The lexicographically greatest basis: the sorted right-exit labels.
-
-    >>> from flagpipes.pipedream import construct_fpp, restrict
-    >>> lex_max_basis(restrict(construct_fpp((2, 4, 1, 3), (4, 2, 3, 1)), 2))
-    (2, 4)
-    """
-    return tuple(sorted(right_exit_labels(D).values()))

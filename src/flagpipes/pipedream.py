@@ -217,16 +217,20 @@ def construct_fpp(u: Permutation, v: Permutation) -> PipeDream:
     return PipeDream(cols=len(u), pivots=u, grid=_front_rows(u, v))
 
 
-def _front_rows(u: Permutation, v: Permutation) -> tuple[str, ...]:
-    """The rows of the canonical FPP of a Bruhat interval u <= v that the
-    caller has already checked: the front walk of :func:`construct_fpp`,
-    rows bottom to top and each right to left, writes a cross or an elbow
-    on every box of the row templates of ``u``."""
+def _front_rows(u: Permutation, v: Permutation, k=None) -> tuple[str, ...]:
+    """The first k rows (all by default) of the canonical FPP of a Bruhat
+    interval u <= v that the caller has already checked: the front walk of
+    :func:`construct_fpp`, rows bottom to top and each right to left,
+    writes a cross or an elbow on every box of the row templates of ``u``.
+    Rows past k must hold no box: each passes v(i) to its pivot."""
     n = len(u)
+    k = n if k is None else k
     vpos = inverse(v)
-    rows = list(_templates(n, u))
+    rows = list(_templates(n, u[:k]))
     col = [0] * (n + 1)
-    for i in range(n, 0, -1):
+    for i in range(k, n):
+        col[u[i]] = v[i]
+    for i in range(k, 0, -1):
         x = v[i - 1]
         row = rows[i - 1]
         for j in range(n, 0, -1):

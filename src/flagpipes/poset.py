@@ -22,7 +22,9 @@ M's greedy basis in any order lies inside N's, and these two bases are
 the greedy bases of 1 < ... < n and of n > ... > 1.  So the candidates
 lose no cover.  Every representable cover is matroidal; the difference is
 reported by :func:`missing_covers`.  Maximal chains of the representable
-flavor biject with complete flag positroid pipe dreams.
+flavor biject with complete flag positroid pipe dreams: an FPP's chain is
+the walk of right cyclic shifts along its rows, and back (u, v) is read
+off where the 2-colored positions and their values grow.
 """
 
 from __future__ import annotations
@@ -32,10 +34,13 @@ from typing import Iterator
 
 from .config import _Frozen, _check_sizes, _guard
 from .decperm import (
+    OVER,
     DecoratedPermutation,
     _all_decperms,
     _necklace_bases,
     _right_shift_walk,
+    _row_shifts,
+    decperm_of,
     inverse_decperm,
     positroid_of,
 )
@@ -44,9 +49,8 @@ from .exceptions import (
     InvariantError,
     SizeMismatchError,
 )
-from .pathgraph import lex_max_basis, lex_min_basis
 from .pipedream import PipeDream, construct_fpp
-from .positroid import Positroid, _increments, _restriction_positroids
+from .positroid import Positroid, _increments
 
 __all__ = [
     "QuotientPoset",
@@ -284,13 +288,13 @@ def fpp_to_chain(D: PipeDream) -> tuple[Positroid, ...]:
     """
     if not D.is_complete:
         raise DomainError("chains need a complete dream")
-    return _restriction_positroids(D, range(0, D.rows + 1))
+    return tuple(map(positroid_of, _row_shifts(D)))
 
 
 def chain_to_fpp(chain) -> PipeDream:
     """Rebuild the unique complete dream whose restrictions give the chain:
-    pivot columns come from successive lex-min basis differences, exit
-    labels from lex-max differences.
+    step k turns one position u_k 2-colored, 2-colored positions gain one
+    value v_k, and the row shifts of ``construct_fpp(u, v)`` must match.
 
     >>> d = construct_fpp((1, 2, 3), (3, 1, 2))
     >>> chain_to_fpp(fpp_to_chain(d)) == d
@@ -304,16 +308,19 @@ def chain_to_fpp(chain) -> PipeDream:
         raise DomainError("chain must step through ranks 0..n")
     if any(p.n != n for p in chain):
         raise SizeMismatchError("chain elements live on different ground sets")
+    decperms = tuple(decperm_of(p.dream) for p in chain)
+    over = [{j for j, c in enumerate(w.color, 1) if c == OVER}
+            for w in decperms]
+    vals = [{w.perm[j - 1] for j in s} for w, s in zip(decperms, over)]
     u, v = [], []
-    for prev, cur in zip(chain, chain[1:]):
-        du = set(lex_min_basis(cur.dream)) - set(lex_min_basis(prev.dream))
-        dv = set(lex_max_basis(cur.dream)) - set(lex_max_basis(prev.dream))
+    for k in range(n):
+        du, dv = over[k + 1] - over[k], vals[k + 1] - vals[k]
         if len(du) != 1 or len(dv) != 1:
             raise DomainError("chain is not the flag of any dream")
         u.append(du.pop())
         v.append(dv.pop())
     D = construct_fpp(tuple(u), tuple(v))
-    if fpp_to_chain(D) != chain:
+    if _row_shifts(D) != decperms:
         raise DomainError("chain is not the flag of any dream")
     return D
 

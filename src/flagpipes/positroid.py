@@ -32,7 +32,6 @@ from .pipedream import (
     _sweep,
     enumerate_le_dreams,
     is_gamma_free,
-    restrict,
     rotate_le,
 )
 
@@ -399,17 +398,6 @@ def is_lpm(P: Positroid) -> bool:
                 return False
             mu.append(first)
     return all(mu[r] >= mu[r + 1] for r in range(len(mu) - 1))
-
-
-def _restriction_positroids(D: PipeDream, ranks) -> tuple[Positroid, ...]:
-    """The positroids of the restrictions of D to its first k rows, for
-    each k in ``ranks``.  One gamma-freeness sweep of D serves them all: a
-    restriction of a gamma-free dream is gamma-free, so each standardized
-    one is a Le dream for :meth:`~flagpipes.config._Frozen._trusted`."""
-    if not is_gamma_free(D):
-        raise DomainError("dream is not gamma-free")
-    return tuple(Positroid._trusted(dream=standardize(restrict(D, k)))
-                 for k in ranks)
 
 
 def enumerate_positroids(n: int) -> Iterator[Positroid]:

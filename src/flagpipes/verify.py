@@ -96,19 +96,21 @@ def check_golden_grids() -> tuple[bool, str]:
 
 
 def check_bases_engine() -> tuple[bool, str]:
-    """Path-family bases: published lex extremes and constituent bases;
-    and the bases the matroidal poset reads off each Grassmann necklace
-    equal the path-family bases on every positroid with n <= 4."""
-    from .decperm import (_all_decperms, _necklace_bases, parse_decperm,
-                          positroid_of)
+    """Path-family bases: published lex extremes, also read off the 2-colored
+    positions and their values, and constituent bases; and the necklace
+    bases equal the path-family bases on every positroid with n <= 4."""
+    from .decperm import (OVER, _all_decperms, _necklace_bases,
+                          parse_decperm, positroid_of)
     from .flagbuild import flag_of_fpp
-    from .pathgraph import bases_of, lex_max_basis, lex_min_basis
+    from .pathgraph import bases_of
     from .pipedream import construct_fpp
     from .positroid import _basis_bits
 
-    P = positroid_of(parse_decperm("5o1u3u9o2u7o6u4u8u"))
-    extremes = (lex_min_basis(P.dream) == (1, 4, 6)
-                and lex_max_basis(P.dream) == (5, 7, 9))
+    w = parse_decperm("5o1u3u9o2u7o6u4u8u")
+    lo = tuple(j for j, c in enumerate(w.color, 1) if c == OVER)
+    hi = tuple(sorted(w.perm[j - 1] for j in lo))
+    B = positroid_of(w).bases.bases
+    extremes = (B[0], B[-1]) == (lo, hi) == ((1, 4, 6), (5, 7, 9))
     F = flag_of_fpp(construct_fpp((2, 4, 1, 3), (4, 2, 3, 1)))
     want = (((2,), (4,)), ((2, 4),), ((1, 2, 4), (2, 3, 4)))
     cons = tuple(F.constituents[k].bases.bases for k in range(3)) == want
@@ -202,9 +204,9 @@ def check_standardization() -> tuple[bool, str]:
 
 def check_poset_facts() -> tuple[bool, str]:
     """Published n=3 poset numbers, missing covers, self-duality, and the
-    chain/dream bijection for n <= 4."""
-    from .decperm import parse_decperm, positroid_of
-    from .pipedream import enumerate_fpps
+    chain/dream bijection and the row shifts of every dream for n <= 4."""
+    from .decperm import _row_shifts, decperm_of, parse_decperm, positroid_of
+    from .pipedream import enumerate_fpps, restrict
     from .poset import (build_poset, chain_to_fpp, check_self_dual,
                         fpp_to_chain, iter_maximal_chains,
                         maximal_chain_count, missing_covers)
@@ -238,13 +240,17 @@ def check_poset_facts() -> tuple[bool, str]:
         dreams = list(enumerate_fpps(n))
         if len(chains) != len(dreams):
             return False, f"chain/dream counts differ at n={n}"
-        for chain in chains:
-            if fpp_to_chain(chain_to_fpp(chain)) != chain:
-                return False, f"chain round-trip failed at n={n}"
+        images = [chain_to_fpp(chain) for chain in chains]
+        if list(map(fpp_to_chain, images)) != chains:
+            return False, f"chain round-trip failed at n={n}"
+        if set(images) != set(dreams):  # so every dream round-trips too
+            return False, f"chains do not give every dream at n={n}"
         for D in dreams:
-            if chain_to_fpp(fpp_to_chain(D)) != D:
-                return False, f"dream round-trip failed at n={n}"
-    return True, "16 elements, 19/22 chains, 3 missing, self-dual, bijection holds"
+            if _row_shifts(D) != tuple(decperm_of(restrict(D, k))
+                                       for k in range(n + 1)):
+                return False, f"row shifts differ from restrictions at n={n}"
+    return True, ("16 elements, 19/22 chains, 3 missing, self-dual, "
+                  "bijection holds, row shifts match restrictions")
 
 
 def check_richardson_shadow() -> tuple[bool, str]:

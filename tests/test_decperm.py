@@ -14,6 +14,7 @@ from flagpipes.decperm import (
     _all_decperms,
     _necklace,
     _necklace_bases,
+    _row_shifts,
     covered_by_shift,
     covers_by_shift,
     decperm_of,
@@ -39,6 +40,7 @@ from flagpipes.pipedream import (
     _fillings,
     construct_fpp,
     enumerate_partial_fpps,
+    is_gamma_free,
     restrict,
 )
 from flagpipes.poset import build_poset
@@ -215,6 +217,35 @@ class TestBoundaryData:
         assert len(dreams) == 9430
         for D in dreams:
             assert decperm_of(D) == oracles.decperm_via_completion(D)
+
+
+class TestRowShifts:
+    """A dream's rows are right cyclic shifts along unblocked choices: the
+    walk from ``1u2u...nu`` gives the decorated permutation of every row
+    restriction, and refuses exactly the dreams that are not gamma-free."""
+
+    def test_walk_matches_the_restrictions_at_n5(self, gamma_free_dreams_n5):
+        assert len(gamma_free_dreams_n5) == 9430
+        for D in gamma_free_dreams_n5:
+            assert _row_shifts(D) == tuple(decperm_of(restrict(D, k))
+                                           for k in range(D.rows + 1))
+
+    def test_refused_exactly_when_not_gamma_free(self):
+        count = refused = 0
+        for n in range(6):
+            for k in range(n + 1):
+                for pivots in permutations(range(1, n + 1), k):
+                    for D in _fillings(n, pivots):
+                        count += 1
+                        try:
+                            _row_shifts(D)
+                        except DomainError as exc:
+                            assert str(exc) == "dream is not gamma-free"
+                            assert not is_gamma_free(D), D
+                            refused += 1
+                        else:
+                            assert is_gamma_free(D), D
+        assert (count, refused) == (24093, 14082)
 
 
 class TestUnblocked:

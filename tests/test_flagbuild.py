@@ -35,6 +35,7 @@ from flagpipes.perm import all_permutations, bruhat_leq
 from flagpipes.pipedream import (
     PipeDream,
     construct_fpp,
+    enumerate_fpps,
     is_gamma_free,
     restrict,
 )
@@ -308,6 +309,22 @@ class TestFlag:
                     B = F.constituents[k - 1].bases.bases
                     assert B[0] == tuple(sorted(u[:k]))
                     assert B[-1] == tuple(sorted(v[:k]))
+
+    def test_unchecked_flag_passes_the_public_constructor(self):
+        """``flag_of_fpp`` builds its flag unchecked; the checked
+        constructor, with its quotient test per rank, accepts it."""
+        count = 0
+        for n in range(1, 6):
+            for D in enumerate_fpps(n):
+                F = flag_of_fpp(D)
+                assert FlagPositroid(n=F.n, ranks=F.ranks,
+                                     constituents=F.constituents) == F
+                count += 1
+        assert count == 4017
+
+    def test_a_dream_without_rows_has_no_flag(self):
+        with pytest.raises(DomainError, match="at least one constituent"):
+            flag_of_fpp(PipeDream(cols=2, pivots=(), grid=()))
 
     def test_validation(self):
         p1 = positroid_of(parse_decperm("1o2u3u"))

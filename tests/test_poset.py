@@ -5,6 +5,7 @@ import hashlib
 import pytest
 
 import oracles
+import flagpipes.pipedream as pipedream_module
 import flagpipes.poset as poset_module
 import flagpipes.positroid as positroid_module
 from flagpipes.config import ENV_MAX_N
@@ -231,7 +232,7 @@ class TestChains:
                 assert (index[p.key], index[q.key]) in edge_set
         assert count == maximal_chain_count(poset)
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
     def test_bijection_with_dreams(self, n):
         poset = build_poset(n)
         chains = list(iter_maximal_chains(poset))
@@ -249,20 +250,16 @@ class TestChains:
             fpp_to_chain(restrict(construct_fpp((1, 2), (2, 1)), 1))
 
     @pytest.mark.parametrize("build", [fpp_to_chain, flag_of_fpp])
-    def test_one_gamma_freeness_sweep_per_dream(self, monkeypatch, build):
-        """A restriction of a gamma-free dream is gamma-free, so the sweep
-        of the whole dream serves every restriction."""
+    def test_no_gamma_freeness_sweep(self, monkeypatch, build):
+        """The walk of the rows' shifts refuses a dream that is not
+        gamma-free, so no sweep runs."""
         sweeps = []
-        real = positroid_module.is_gamma_free
-
-        def counting(D):
-            sweeps.append(D)
-            return real(D)
-
-        monkeypatch.setattr(positroid_module, "is_gamma_free", counting)
+        for module in (positroid_module, pipedream_module):
+            monkeypatch.setattr(module, "is_gamma_free",
+                                lambda D: sweeps.append(D))
         D = construct_fpp((1, 2, 3, 4, 5, 6), (6, 5, 4, 3, 2, 1))
         build(D)
-        assert sweeps == [D]
+        assert sweeps == []
 
     @pytest.mark.parametrize("build", [fpp_to_chain, flag_of_fpp])
     def test_a_dream_that_is_not_gamma_free_is_refused(self, build):
