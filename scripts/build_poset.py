@@ -2,8 +2,11 @@
 """Build the quotient posets for a range of ground-set sizes.
 
 For each n and flavor this constructs the poset, prints element / cover /
-maximal-chain counts plus a self-duality verdict, and (optionally) writes
-the JSON and Graphviz forms into an output directory.
+maximal-chain counts plus a self-duality verdict, the seconds the build
+took and the process's peak RSS so far, and (optionally) writes the JSON
+and Graphviz forms into an output directory.  Counts are read off the
+poset's compact form, so no cover pair or decorated permutation is built
+unless a file is written.
 
 Usage:
     python3 scripts/build_poset.py --max-n 4 --out-dir build/posets
@@ -13,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
+import time
 from pathlib import Path
 
 from flagpipes.exceptions import DomainError
@@ -41,23 +46,27 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 def main(args: argparse.Namespace) -> int:
     header = f"{'n':>3} {'flavor':<14} {'elems':>6} {'covers':>7} " \
-             f"{'chains':>7} {'self-dual':>9} {'missing':>8}"
+             f"{'chains':>7} {'self-dual':>9} {'missing':>8} " \
+             f"{'build_s':>8} {'rss_mb':>7}"
     print(header)
     print("-" * len(header))
     flavors = (args.flavor,) if args.flavor else FLAVORS
     for n in range(args.min_n, args.max_n + 1):
         rep = None
         for flavor in flavors:
+            start = time.perf_counter()
             poset = build_poset(n, flavor=flavor)
+            seconds = time.perf_counter() - start
             chains = maximal_chain_count(poset)
             dual = check_self_dual(poset)
             if flavor == "representable":
                 rep, missing = poset, ()
             else:
                 missing = missing_covers(rep or build_poset(n), poset)
-            print(f"{n:>3} {flavor:<14} {len(poset.decperms):>6} "
-                  f"{len(poset.covers):>7} {chains:>7} {str(dual):>9} "
-                  f"{len(missing):>8}")
+            rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+            print(f"{n:>3} {flavor:<14} {len(poset.names):>6} "
+                  f"{len(poset._csr[1]):>7} {chains:>7} {str(dual):>9} "
+                  f"{len(missing):>8} {seconds:>8.2f} {rss_mb:>7.0f}")
             if args.out_dir is not None:
                 args.out_dir.mkdir(parents=True, exist_ok=True)
                 stem = args.out_dir / f"{flavor}_{n}"

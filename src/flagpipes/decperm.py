@@ -6,26 +6,23 @@ exceeds the position, 1 otherwise).  The number of 2-colored positions is
 the rank of the corresponding positroid.  A dream's decorated permutation
 is read off where the pipes of its standardization exit.  Rank-increasing
 covers are realized by right cyclic shifts on a choice of unblocked
-positions plus a forced top-completion set.  The right shift is the only
-cover engine, :func:`~flagpipes.flagbuild.quotient_covers` included: by
-self-duality, the left shifts that realize covered elements are right
-shifts seen through :func:`inverse_decperm`, with positions carried
-through the permutation (position r of w is position w(r) of its
-inverse).  A listing of every cover walks all choices in one pass,
-finding the unblocked positions once and scanning for each choice's
-top-completion set, which reads only the ends min(C) and max(C).  The
-Grassmann necklace of a decorated permutation names its positroid's bases
-(Oh's theorem) with no dream built; the matroidal quotient poset reads its
-edges from it.
+positions plus a forced top-completion set; the left shifts that realize
+covered elements are right shifts seen through :func:`inverse_decperm`.
+One kernel, :func:`_moves`, walks the shifts on a code (entry j - 1 holds
+w(j), or 0 for a 2-colored fixed point) and yields each choice with the
+positions it moves; single objects apply the moves to (perm, color), and
+the quotient poset, which stores codes, to codes.  The Grassmann necklace
+names the positroid's bases (Oh's theorem) with no dream built.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import product
+from functools import partial
+from itertools import combinations, product
 
-from .config import _Frozen
-from .exceptions import DomainError
+from .config import _Frozen, _guard
+from .exceptions import DomainError, InvariantError
 from .perm import (
     Permutation,
     all_permutations,
@@ -42,7 +39,6 @@ from .pipedream import (
 from .positroid import (
     Positroid,
     _choice,
-    _each_choice,
     _schubert,
     _subset_masks,
     standardize,
@@ -183,23 +179,50 @@ def _row_shifts(D: PipeDream) -> tuple[DecoratedPermutation, ...]:
                                          color=(UNDER,) * n)]
     for row in D.grid:
         C = tuple([j for j, t in enumerate(row, 1) if t in (PIVOT, ELBOW)])
-        if not set(C).issubset(unblocked_positions(out[-1])):
+        code = _code(out[-1])
+        if not set(C).issubset(_unblocked(code)):
             raise DomainError("dream is not gamma-free")
-        out.append(_shift(out[-1], C))
+        out.append(_shift(out[-1], C, code))
     return tuple(out)
 
 
-def _all_decperms(n: int) -> list[DecoratedPermutation]:
-    """Every decorated permutation on [n], unsorted: each permutation, with
-    both colors on every fixed point and the forced color elsewhere: valid,
-    so :meth:`~flagpipes.config._Frozen._trusted` builds each."""
-    out = []
+def _code(dp: DecoratedPermutation) -> list[int]:
+    """The code the shift walk reads: entry j - 1 holds w(j), or 0 where
+    j is a 2-colored fixed point, so j is 1-colored exactly when
+    0 < code[j - 1] <= j."""
+    code = list(dp.perm)
+    for j, v in enumerate(code, 1):
+        if v == j and dp.color[j - 1] == OVER:
+            code[j - 1] = 0
+    return code
+
+
+def _decoded(code) -> DecoratedPermutation:
+    """The decorated permutation of a code, valid, so trusted."""
+    return DecoratedPermutation._trusted(
+        perm=tuple([b or j for j, b in enumerate(code, 1)]),
+        color=tuple([OVER if b > j or not b else UNDER
+                     for j, b in enumerate(code, 1)]))
+
+
+def _all_codes(n: int):
+    """Every decorated permutation on [n] as ``(rank, text, code)``, the
+    code as bytes, unsorted: each permutation with both colors on every
+    fixed point.  The text is :meth:`DecoratedPermutation.to_string`'s,
+    so its count of ``o`` is the rank."""
+    tokens = [[f"{b or j}{'o' if b > j or not b else 'u'}"
+               for b in range(n + 1)] for j in range(1, n + 1)]
+    sep = "," if n > 9 else ""
     for w in all_permutations(n):
-        colors = [(UNDER, OVER) if v == j else (OVER if v > j else UNDER,)
-                  for j, v in enumerate(w, 1)]
-        out.extend(DecoratedPermutation._trusted(perm=w, color=color)
-                   for color in product(*colors))
-    return out
+        for code in product(*[(v, 0) if v == j else (v,)
+                              for j, v in enumerate(w, 1)]):
+            text = sep.join(map(list.__getitem__, tokens, code))
+            yield text.count("o"), text, bytes(code)
+
+
+def _all_decperms(n: int) -> list[DecoratedPermutation]:
+    """Every decorated permutation on [n], unsorted."""
+    return [_decoded(code) for _, _, code in _all_codes(n)]
 
 
 def dle_of(dp: DecoratedPermutation) -> PipeDream:
@@ -241,44 +264,46 @@ def positroid_of(dp: DecoratedPermutation) -> Positroid:
     return Positroid._trusted(dream=dle_of(dp))
 
 
-def _necklace(dp: DecoratedPermutation) -> tuple[int, ...]:
-    """The Grassmann necklace (I_1, ..., I_n) of dp's positroid, each set
-    a bitmask with bit j - 1 for position j.  I_1 holds the 2-colored
+def _necklace(code) -> tuple[int, ...]:
+    """The Grassmann necklace (I_1, ..., I_n) of a code's positroid, each
+    set a bitmask with bit j - 1 for position j.  I_1 holds the 2-colored
     positions (the j with j < w(j), and the 2-colored fixed points); then
     I_{i+1} is I_i with i traded for w^-1(i) when i is in I_i, and I_i
     otherwise.  I_i is the lex-first basis in the order
     i < i + 1 < ... < n < 1 < ... < i - 1 (Oh, arXiv:0803.1018).
 
-    >>> [bin(I) for I in _necklace(parse_decperm("3o1u2u"))]
+    >>> [bin(I) for I in _necklace(_code(parse_decperm("3o1u2u")))]
     ['0b1', '0b10', '0b100']
     """
-    inv = inverse(dp.perm)
+    inv = [0] * len(code)
     I = 0
-    for j, c in enumerate(dp.color):
-        if c == OVER:
-            I |= 1 << j
+    for j, b in enumerate(code, 1):
+        inv[(b or j) - 1] = j
+        if b > j or not b:
+            I |= 1 << j - 1
     out = []
-    for i in range(dp.n):
+    for i in range(len(code)):
         out.append(I)
         if I >> i & 1:
             I ^= (1 << i) ^ (1 << inv[i] - 1)
     return tuple(out)
 
 
-def _necklace_bases(dp: DecoratedPermutation) -> int:
-    """The bases of ``positroid_of(dp)`` as a set of subsets (see
+def _necklace_bases(code) -> int:
+    """The bases of the code's positroid as a set of subsets (see
     :func:`~flagpipes.positroid._subset_masks`), with no positroid built:
     by Oh's theorem they are the rank-k sets that lie in the Schubert
     matroid of every necklace set I_i in the order from i, and each of
     those sets of subsets is cached (see
     :func:`~flagpipes.positroid._schubert`).
 
-    >>> bin(_necklace_bases(parse_decperm("1u2o")))
+    >>> bin(_necklace_bases(_code(parse_decperm("1u2o"))))
     '0b100'
     """
-    n = dp.n
-    bits = _subset_masks(n)[1][dp.rank]
-    for i, I in enumerate(_necklace(dp)):
+    n = len(code)
+    bits = _subset_masks(n)[1][sum(b > j or not b
+                                   for j, b in enumerate(code, 1))]
+    for i, I in enumerate(_necklace(code)):
         bits &= _schubert(n, i, I)
     return bits
 
@@ -291,14 +316,20 @@ def unblocked_positions(dp: DecoratedPermutation) -> tuple[int, ...]:
     >>> unblocked_positions(parse_decperm("5o1u3u9o2u7o6u4u8u"))
     (2, 5, 8, 9)
     """
-    # One pass from the right, keeping the least 1-colored value seen.
+    return _unblocked(_code(dp))
+
+
+def _unblocked(code) -> tuple[int, ...]:
+    """:func:`unblocked_positions` of a code: one pass from the right,
+    keeping the least 1-colored value seen."""
     out = []
-    low = dp.n + 1
-    for j in range(dp.n, 0, -1):
-        v = dp.perm[j - 1]
-        if dp.color[j - 1] == UNDER and v < low:
+    j = len(code)
+    low = j + 1
+    for v in reversed(code):
+        if 0 < v < low and v <= j:
             out.append(j)
             low = v
+        j -= 1
     return tuple(reversed(out))
 
 
@@ -314,25 +345,51 @@ def tc_set(dp: DecoratedPermutation, C) -> tuple[int, ...]:
     >>> tc_set(pi, {2, 5, 8, 9})
     ()
     """
-    return _top_completion(dp, _choice(C, unblocked_positions(dp)))
+    code = _code(dp)
+    return _top_completion(code, _choice(C, _unblocked(code)))
 
 
-def _top_completion(dp: DecoratedPermutation, C) -> tuple[int, ...]:
-    """:func:`tc_set` of a sorted choice C already known to be unblocked,
-    in one pass over positions ``1 .. C[0]-1``: each pick is the first
-    2-colored position after the last pick whose value tops the running
-    value, which starts at the value of ``C[-1]``.  Its entries are
-    2-colored, increase and lie left of ``C[0]``, so ``tc + C`` lists the
-    moved positions of a shift in order.
-    """
-    perm, color = dp.perm, dp.color
+def _top_completion(code, C) -> tuple[int, ...]:
+    """:func:`tc_set` on a code, of a sorted choice C known to be
+    unblocked, in one pass over positions ``1 .. C[0]-1``: each pick is the
+    first 2-colored position whose value tops the running value, which
+    starts at the value of ``C[-1]``.  So ``tc + C`` is increasing."""
     out: list[int] = []
-    m = perm[C[-1] - 1]
-    for t in range(1, C[0]):
-        if color[t - 1] == OVER and perm[t - 1] > m:
+    m = code[C[-1] - 1]
+    for t, v in enumerate(code[:C[0] - 1], 1):
+        if v > m and v > t:
             out.append(t)
-            m = perm[t - 1]
+            m = v
+        elif not v and t > m:
+            out.append(t)
+            m = t
     return tuple(out)
+
+
+def _moves(code, routine: str):
+    """The shift kernel: each nonempty choice C of the code's unblocked
+    positions, by size then lexicographically, with the positions the right
+    shift along C moves (its top-completion set, then C).  The walk is
+    2^|U| long: ``covers_max_unblocked`` guards it, naming ``routine``."""
+    U = _unblocked(code)
+    _guard(routine, "covers_max_unblocked", len(U))
+    for r in range(1, len(U) + 1):
+        for C in combinations(U, r):
+            yield C, _top_completion(code, C) + C
+
+
+def _shifts(code, routine: str, apply) -> tuple:
+    """``apply(moved)`` for each choice of the walk of :func:`_moves` on
+    the code, in walk order; two choices with one result break the
+    theory's bijection and raise."""
+    seen = {}
+    for C, moved in _moves(code, routine):
+        value = apply(moved)
+        if value in seen:
+            raise InvariantError(
+                f"{routine}: choices {seen[value]} and {C} give one result")
+        seen[value] = C
+    return tuple(seen)
 
 
 def right_cyclic_shift(dp: DecoratedPermutation, C) -> DecoratedPermutation:
@@ -346,23 +403,26 @@ def right_cyclic_shift(dp: DecoratedPermutation, C) -> DecoratedPermutation:
     ...                    {5, 9}).to_string()
     '5o1u3u8o9o7o6u4u2u'
     """
-    return _shift(dp, _choice(C, unblocked_positions(dp)))
+    code = _code(dp)
+    return _shift(dp, _choice(C, _unblocked(code)), code)
 
 
-def _shift(dp: DecoratedPermutation, C) -> DecoratedPermutation:
+def _shift(dp: DecoratedPermutation, C, code) -> DecoratedPermutation:
     """:func:`right_cyclic_shift` on a sorted choice already known to be
-    unblocked.  :func:`_cycle` keeps a decorated permutation valid, so
-    :meth:`~flagpipes.config._Frozen._trusted` builds the result."""
-    perm, color = _cycle(dp.perm, dp.color, _top_completion(dp, C) + tuple(C))
+    unblocked in dp's code.  :func:`_cycle` keeps a decorated permutation
+    valid, so :meth:`~flagpipes.config._Frozen._trusted` builds the
+    result."""
+    moved = _top_completion(code, C) + tuple(C)
+    perm, color = _cycle(dp.perm, dp.color, moved)
     return DecoratedPermutation._trusted(perm=perm, color=color)
 
 
 def _cycle(perm: Permutation, color: tuple[int, ...],
            moved) -> tuple[Permutation, tuple[int, ...]]:
-    """The shift kernel: each of the increasing positions ``moved`` takes
-    the value of the moved position before it, cyclically.  Only moved
-    positions change color: a value below its position forces 1, and a
-    value on or above it takes 2."""
+    """The moves of a shift applied to (perm, color): each of the
+    increasing positions ``moved`` takes the value of the moved position
+    before it, cyclically.  Only moved positions change color: a value
+    below its position forces 1, and a value on or above it takes 2."""
     p, c = list(perm), list(color)
     before = moved[-1]
     for j in moved:
@@ -374,15 +434,9 @@ def _cycle(perm: Permutation, color: tuple[int, ...],
 
 
 def _right_shift_walk(dp: DecoratedPermutation, routine: str) -> tuple:
-    """The right shift of dp on every nonempty choice of unblocked
-    positions, in the walk order of
-    :func:`~flagpipes.positroid._each_choice` (which guards the walk and
-    refuses two choices with one result), each as its ``(perm, color)``
-    pair.  The unblocked positions are found once per walk, the
-    top-completion set once per choice.
-    """
-    return _each_choice(routine, unblocked_positions(dp), lambda C: _cycle(
-        dp.perm, dp.color, _top_completion(dp, C) + C))
+    """The right shift of dp along each choice of :func:`_moves`, as
+    ``(perm, color)`` pairs in walk order."""
+    return _shifts(_code(dp), routine, partial(_cycle, dp.perm, dp.color))
 
 
 def covers_by_shift(dp: DecoratedPermutation) -> tuple[DecoratedPermutation, ...]:
@@ -433,7 +487,8 @@ def or_set(dp: DecoratedPermutation, R) -> tuple[int, ...]:
     (9,)
     """
     w, C = _mirrored(dp, R)
-    return tuple(sorted(w.perm[t - 1] for t in _top_completion(w, C)))
+    return tuple(sorted(w.perm[t - 1]
+                        for t in _top_completion(_code(w), C)))
 
 
 def left_cyclic_shift(dp: DecoratedPermutation, R) -> DecoratedPermutation:
@@ -446,7 +501,7 @@ def left_cyclic_shift(dp: DecoratedPermutation, R) -> DecoratedPermutation:
     '2o9o3o8o1u7o6u4u5u'
     """
     w, C = _mirrored(dp, R)
-    return inverse_decperm(_shift(w, C))
+    return inverse_decperm(_shift(w, C, _code(w)))
 
 
 def covered_by_shift(dp: DecoratedPermutation) -> tuple[DecoratedPermutation, ...]:

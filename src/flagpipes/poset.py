@@ -1,54 +1,46 @@
 """The graded poset of positroids on [n] under the quotient order.
 
 Positroids on [n] biject with decorated permutations, so the poset stores
-only those: its elements are listed straight from the permutations of [n],
-keyed in the poset's own loops by their ``(perm, color)`` pairs, and a
-positroid is built for an element only when a caller reads
-:attr:`QuotientPoset.elements`, for either flavor.  Two flavors share one
-container.  "Representable" edges are the right cyclic shifts of
-:func:`~flagpipes.decperm.covers_by_shift`, which realize exactly the
-row-append covers; the row-append route itself stays as the cross-check of
+only those, as codes (see :func:`~flagpipes.decperm._code`), with its
+cover edges in CSR arrays.  Two flavors share one container.
+"Representable" edges are the right cyclic shifts, which realize exactly
+the row-append covers; the row-append route stays as the cross-check of
 ``verify quotient-covers`` and the tests.  "Matroidal" edges are the bare
-quotient test on adjacent ranks, run on one rank-increment mask per
-element.  The mask comes from the element's Grassmann necklace, with no
-positroid built: by Oh's theorem (arXiv:0803.1018) the bases are the
-rank-k sets in the intersection of the n cyclically shifted Schubert
-matroids the necklace names (see :func:`~flagpipes.decperm._necklace`),
-and ``verify bases-engine`` checks them against the path-family bases.
-The build tests an element only against the next rank's elements whose
-lex-first and lex-last bases each contain its own: when M is a quotient
-of N, every element that raises the rank of a set in M raises it in N, so
-M's greedy basis in any order lies inside N's, and these two bases are
-the greedy bases of 1 < ... < n and of n > ... > 1.  So the candidates
-lose no cover.  Every representable cover is matroidal; the difference is
-reported by :func:`missing_covers`.  Maximal chains of the representable
-flavor biject with complete flag positroid pipe dreams: an FPP's chain is
-the walk of right cyclic shifts along its rows, and back (u, v) is read
-off where the 2-colored positions and their values grow.
+quotient test on adjacent ranks, run on rank-increment masks of the bases
+each Grassmann necklace names (Oh, arXiv:0803.1018; ``verify
+bases-engine`` checks them against the path-family bases).  An element is
+tested only against the next rank's elements whose lex-first and lex-last
+bases each contain its own: when M is a quotient of N, every element that
+raises the rank of a set in M raises it in N, so M's greedy basis in any
+order lies inside N's, and these two bases are the greedy bases of
+1 < ... < n and of n > ... > 1.  Every representable cover is matroidal;
+:func:`missing_covers` reports the difference.  Maximal chains of the
+representable flavor biject with complete flag positroid pipe dreams: an
+FPP's chain is the walk of right cyclic shifts along its rows, and back
+(u, v) is read off where the 2-colored positions and their values grow.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from array import array
+from bisect import bisect_left
+from functools import cached_property, partial
 from typing import Iterator
 
 from .config import _Frozen, _check_sizes, _guard
 from .decperm import (
     OVER,
     DecoratedPermutation,
-    _all_decperms,
+    _all_codes,
+    _code,
+    _decoded,
+    _shifts,
     _necklace_bases,
-    _right_shift_walk,
     _row_shifts,
     decperm_of,
-    inverse_decperm,
     positroid_of,
 )
-from .exceptions import (
-    DomainError,
-    InvariantError,
-    SizeMismatchError,
-)
+from .exceptions import DomainError, InvariantError, SizeMismatchError
 from .pipedream import PipeDream, construct_fpp
 from .positroid import Positroid, _increments
 
@@ -69,22 +61,34 @@ FLAVORS = ("representable", "matroidal")
 
 
 class QuotientPoset(_Frozen):
-    """Positroids on [n], stored as their decorated permutations
-    ``decperms`` (sorted by rank then text form), with rank-adjacent cover
-    edges as index pairs into them.  ``names[i]`` is the text form of
-    ``decperms[i]`` and ``elements[i]`` its positroid; both are derived on
-    first read and cached."""
+    """Positroids on [n] as decorated permutations ``decperms``, sorted by
+    rank then text form, and rank-adjacent cover edges ``covers``, index
+    pairs into them.  The compact form holds each element's code in bytes
+    and the edges in CSR form, two ``array('i')``: element i's targets are
+    ``targets[offsets[i]:offsets[i + 1]]``, ascending, so reading them in
+    order gives ``covers``.  :func:`build_poset` fills the compact form
+    alone; the constructor takes the fields, and each side derives the
+    other on first read, as it does ``names`` and ``elements``."""
 
     _fields = ("n", "flavor", "decperms", "covers")
     n: int
     flavor: str
-    decperms: tuple[DecoratedPermutation, ...]
-    covers: tuple[tuple[int, int], ...]
 
     def __init__(self, n: int, flavor: str,
                  decperms: tuple[DecoratedPermutation, ...],
                  covers: tuple[tuple[int, int], ...]) -> None:
-        self._store(n=n, flavor=flavor, decperms=decperms, covers=covers)
+        self._store(n=n, flavor=flavor)
+        vars(self).update(decperms=decperms, covers=covers)
+
+    @cached_property
+    def decperms(self) -> tuple[DecoratedPermutation, ...]:
+        return tuple(map(_decoded, self._codes))
+
+    @cached_property
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        offsets, targets = self._csr
+        return tuple([(a, b) for a in range(len(offsets) - 1)
+                      for b in targets[offsets[a]:offsets[a + 1]]])
 
     @cached_property
     def names(self) -> tuple[str, ...]:
@@ -95,8 +99,23 @@ class QuotientPoset(_Frozen):
         return tuple(map(positroid_of, self.decperms))
 
     @cached_property
+    def _codes(self) -> tuple[bytes, ...]:
+        return tuple(bytes(_code(w)) for w in self.decperms)
+
+    @cached_property
+    def _csr(self) -> tuple[array, array]:
+        edges = sorted(self.covers)
+        sources = [a for a, _ in edges]
+        return (array("i", [bisect_left(sources, i)
+                            for i in range(len(self.decperms) + 1)]),
+                array("i", [b for _, b in edges]))
+
+    @cached_property
     def _by_rank(self) -> tuple[tuple[int, ...], ...]:
-        return _indices_by_rank(self.n, self.decperms)
+        by_rank: list[list[int]] = [[] for _ in range(self.n + 1)]
+        for i, w in enumerate(self.decperms):
+            by_rank[w.rank].append(i)
+        return tuple(map(tuple, by_rank))
 
     def rank_indices(self, k: int) -> tuple[int, ...]:
         return self._by_rank[k] if 0 <= k <= self.n else ()
@@ -110,13 +129,16 @@ class QuotientPoset(_Frozen):
         return self.rank_indices(self.n)[0]
 
 
-def _indices_by_rank(n: int, decperms) -> tuple[tuple[int, ...], ...]:
-    """The indices of the elements of each rank 0..n, in element order,
-    from one scan of ``decperms``."""
-    by_rank: list[list[int]] = [[] for _ in range(n + 1)]
-    for i, w in enumerate(decperms):
-        by_rank[w.rank].append(i)
-    return tuple(map(tuple, by_rank))
+def _cycle_code(code: bytes, moved) -> bytes:
+    """The moves of a shift applied to a code, as
+    :func:`~flagpipes.decperm._cycle` applies them to (perm, color)."""
+    out = bytearray(code)
+    before = moved[-1]
+    for j in moved:
+        v = code[before - 1] or before
+        out[j - 1] = 0 if v == j else v
+        before = j
+    return bytes(out)
 
 
 def _outside(mask: int, n: int) -> list[int]:
@@ -127,25 +149,17 @@ def _outside(mask: int, n: int) -> list[int]:
 def build_poset(n: int, flavor: str = "representable") -> QuotientPoset:
     """Assemble the poset of all positroids on [n] for one edge flavor.
 
-    The elements are the decorated permutations on [n], listed from the
-    permutations of [n] and sorted by rank then text form, which become
-    the :attr:`~QuotientPoset.names`.  The representable edges of an
-    element are its right cyclic shifts, one walk per element that scans
-    the top-completion set of each choice C, which reads only its ends
-    ``(min C, max C)``; each shifted
-    ``(perm, color)`` pair is looked up in the index, and two choices that
-    give one pair raise.  The matroidal edges join each element to those
-    of the next rank whose rank-increment masks cover its own (see
-    :func:`~flagpipes.positroid.is_quotient`).  Each mask is worked out
-    from the element's bases as a set of subsets, read off its Grassmann
-    necklace (:func:`~flagpipes.decperm._necklace_bases`, Oh's theorem).
-    The next rank's elements are bucketed by their lex-first and lex-last
-    bases (lo, hi), the lowest and highest set bits of that set, and a
-    rank-k element with ends (lo, hi) is tested only against the buckets
-    (lo + e, hi + f) for e not in lo and f not in hi: a quotient's greedy
-    bases lie inside its cover's (see the module docstring), so every
-    cover is among them.  Neither flavor builds a positroid; the
-    :attr:`~QuotientPoset.elements` are built on first read.
+    The elements are the codes on [n], sorted by rank then text form (the
+    :attr:`~QuotientPoset.names`), so each rank is a range of indices; no
+    decorated permutation or positroid is built.  An element's
+    representable edges come from one walk of the shift kernel
+    :func:`~flagpipes.decperm._moves` on its code: each choice's moves are
+    applied to the code, which is looked up, and two choices that give one
+    code raise.  Its matroidal edges go to the next rank's elements whose
+    rank-increment masks cover its own (see
+    :func:`~flagpipes.positroid.is_quotient`), among those in the buckets
+    (lo + e, hi + f), e not in lo and f not in hi, of its lex-first and
+    lex-last bases (lo, hi) (see the module docstring).
 
     >>> p = build_poset(3)
     >>> len(p.decperms), len(p.covers)
@@ -155,24 +169,32 @@ def build_poset(n: int, flavor: str = "representable") -> QuotientPoset:
         raise DomainError(f"unknown flavor {flavor!r}; pick one of {FLAVORS}")
     _check_sizes("build_poset", n=n)
     _guard("build_poset", f"poset_{flavor}_max_n", n)
-    # Text forms are distinct, so the sort never compares two elements.
-    named = sorted([(w.rank, w.to_string(), w) for w in _all_decperms(n)])
-    decperms = tuple([w for _, _, w in named])
-    edges = []
+    # Text forms are distinct, so the sort never compares two codes.
+    listed = sorted(_all_codes(n))
+    starts = [bisect_left(listed, (k,)) for k in range(n + 2)]
+    poset = QuotientPoset._trusted(n=n, flavor=flavor)
+    vars(poset).update(
+        names=tuple([text for _, text, _ in listed]),
+        _codes=tuple([code for _, _, code in listed]),
+        _by_rank=tuple([tuple(range(a, b))
+                        for a, b in zip(starts, starts[1:])]))
+    del listed
+    codes, by_rank = poset._codes, poset._by_rank
     if flavor == "representable":
-        index = {(w.perm, w.color): i for i, w in enumerate(decperms)}
-        for i, w in enumerate(decperms):
-            edges.extend((i, index[pair]) for pair
-                         in _right_shift_walk(w, "covers_by_shift"))
+        index = {code: i for i, code in enumerate(codes)}.__getitem__
+        rows = (sorted(map(index, _shifts(code, "covers_by_shift",
+                                          partial(_cycle_code, code))))
+                for code in codes)
     else:
+        rows = [[] for _ in codes]
         inc, ends = [], []
-        for w in decperms:
-            bits = _necklace_bases(w)
-            inc.append(_increments(bits, n, w.rank))
-            ends.append(((bits & -bits).bit_length() - 1,
-                         bits.bit_length() - 1))
+        for k, level in enumerate(by_rank):
+            for i in level:
+                bits = _necklace_bases(codes[i])
+                inc.append(_increments(bits, n, k))
+                ends.append(((bits & -bits).bit_length() - 1,
+                             bits.bit_length() - 1))
         missing = [~x for x in inc]
-        by_rank = _indices_by_rank(n, decperms)
         for lower, upper in zip(by_rank, by_rank[1:]):
             buckets: dict[tuple[int, int], list[int]] = {}
             for j in upper:
@@ -180,22 +202,15 @@ def build_poset(n: int, flavor: str = "representable") -> QuotientPoset:
             for i in lower:
                 lo, hi = ends[i]
                 x, his = inc[i], _outside(hi, n)
-                edges.extend((i, j) for e in _outside(lo, n) for f in his
-                             for j in buckets.get((lo | e, hi | f), ())
-                             if not x & missing[j])
-    poset = QuotientPoset(n=n, flavor=flavor, decperms=decperms,
-                          covers=tuple(sorted(edges)))
-    vars(poset)["names"] = tuple([name for _, name, _ in named])
+                rows[i] = sorted([j for e in _outside(lo, n) for f in his
+                                  for j in buckets.get((lo | e, hi | f), ())
+                                  if not x & missing[j]])
+    offsets, targets = array("i", [0]), array("i")
+    for row in rows:
+        targets.extend(row)
+        offsets.append(len(targets))
+    vars(poset)["_csr"] = offsets, targets
     return poset
-
-
-def _up(poset: QuotientPoset) -> list[list[int]]:
-    """The up-adjacency of the cover edges: entry i lists the elements
-    that cover element i, in edge order."""
-    up: list[list[int]] = [[] for _ in poset.decperms]
-    for a, b in poset.covers:
-        up[a].append(b)
-    return up
 
 
 def maximal_chain_count(poset: QuotientPoset) -> int:
@@ -206,12 +221,13 @@ def maximal_chain_count(poset: QuotientPoset) -> int:
     >>> maximal_chain_count(build_poset(3, "matroidal"))
     22
     """
-    up = _up(poset)
-    paths = [0] * len(up)
+    offsets, targets = poset._csr
+    paths = [0] * (len(offsets) - 1)
     paths[poset.top] = 1
     for k in range(poset.n - 1, -1, -1):
         for i in poset.rank_indices(k):
-            paths[i] = sum([paths[j] for j in up[i]])
+            paths[i] = sum(map(paths.__getitem__,
+                               targets[offsets[i]:offsets[i + 1]]))
     return paths[poset.bottom]
 
 
@@ -221,7 +237,7 @@ def iter_maximal_chains(poset: QuotientPoset) -> Iterator[tuple[Positroid, ...]]
     >>> sum(1 for _ in iter_maximal_chains(build_poset(3)))
     19
     """
-    up = _up(poset)
+    offsets, targets = poset._csr
     chain = [poset.bottom]
 
     def walk() -> Iterator[tuple[Positroid, ...]]:
@@ -229,7 +245,7 @@ def iter_maximal_chains(poset: QuotientPoset) -> Iterator[tuple[Positroid, ...]]
         if i == poset.top:
             yield tuple(poset.elements[j] for j in chain)
             return
-        for j in sorted(up[i]):
+        for j in targets[offsets[i]:offsets[i + 1]]:
             chain.append(j)
             yield from walk()
             chain.pop()
@@ -262,21 +278,31 @@ def missing_covers(rep: QuotientPoset,
 
 def check_self_dual(poset: QuotientPoset) -> bool:
     """Does inverting every boundary permutation reverse all cover edges?
-    Each inverse is looked up by its ``(perm, color)`` pair.
+    Each inverse is a code, a byte permutation (position w(j) takes j, and
+    a fixed point trades its color: 0 for j, j for 0) looked up by code,
+    and each reversed edge is sought in its source's ascending targets.
 
     >>> check_self_dual(build_poset(3))
     True
     """
-    lookup = {(w.perm, w.color): i for i, w in enumerate(poset.decperms)}
+    index = {code: i for i, code in enumerate(poset._codes)}
     image = []
-    for w in poset.decperms:
-        v = inverse_decperm(w)
-        mirrored = lookup.get((v.perm, v.color))
-        if mirrored is None:
-            return False
-        image.append(mirrored)
-    edge_set = set(poset.covers)
-    return all((image[b], image[a]) in edge_set for a, b in poset.covers)
+    for code in poset._codes:
+        inverse = bytearray(len(code))
+        for j, b in enumerate(code, 1):
+            if b != j:
+                inverse[(b or j) - 1] = j
+        image.append(index.get(bytes(inverse)))
+    if None in image:
+        return False
+    offsets, targets = poset._csr
+    for a, want in enumerate(image):
+        for b in targets[offsets[a]:offsets[a + 1]]:
+            lo, hi = offsets[image[b]], offsets[image[b] + 1]
+            k = bisect_left(targets, want, lo, hi)
+            if k == hi or targets[k] != want:
+                return False
+    return True
 
 
 def fpp_to_chain(D: PipeDream) -> tuple[Positroid, ...]:

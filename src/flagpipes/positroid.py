@@ -10,14 +10,12 @@ pivot-column set, or its right-exit pipe set.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import combinations
 from typing import Iterator
 
 from .config import _Frozen, _check_sizes, _guard
 from .exceptions import (
     DomainError,
     EmptyChoiceError,
-    InvariantError,
     NotUnblockedError,
     SizeMismatchError,
 )
@@ -188,23 +186,6 @@ def _choice(C, allowed) -> list[int]:
         if j not in allowed:
             raise NotUnblockedError(j)
     return C
-
-
-def _each_choice(routine: str, U, build) -> tuple:
-    """``build(C)`` for every nonempty choice C from the positions U, in
-    walk order: by size and then lexicographically.  Guarded by
-    ``covers_max_unblocked``, since the walk is 2^|U| long; two choices
-    with one (hashable) result break the theory's bijection."""
-    _guard(routine, "covers_max_unblocked", len(U))
-    seen = {}
-    for r in range(1, len(U) + 1):
-        for C in combinations(U, r):
-            value = build(C)
-            if value in seen:
-                raise InvariantError(
-                    f"{routine}: choices {seen[value]} and {C} give one result")
-            seen[value] = C
-    return tuple(seen)
 
 
 def _exchange_index(top, bottom, b: int) -> int | None:

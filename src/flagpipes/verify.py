@@ -99,7 +99,7 @@ def check_bases_engine() -> tuple[bool, str]:
     """Path-family bases: published lex extremes, also read off the 2-colored
     positions and their values, and constituent bases; and the necklace
     bases equal the path-family bases on every positroid with n <= 4."""
-    from .decperm import (OVER, _all_decperms, _necklace_bases,
+    from .decperm import (OVER, _all_decperms, _code, _necklace_bases,
                           parse_decperm, positroid_of)
     from .flagbuild import flag_of_fpp
     from .pathgraph import bases_of
@@ -115,7 +115,7 @@ def check_bases_engine() -> tuple[bool, str]:
     want = (((2,), (4,)), ((2, 4),), ((1, 2, 4), (2, 3, 4)))
     cons = tuple(F.constituents[k].bases.bases for k in range(3)) == want
     decperms = [w for n in range(1, 5) for w in _all_decperms(n)]
-    necklaces = all(_necklace_bases(w)
+    necklaces = all(_necklace_bases(_code(w))
                     == _basis_bits(bases_of(positroid_of(w).dream))
                     for w in decperms)
     ok = extremes and cons and necklaces

@@ -9,9 +9,11 @@ from hypothesis import given, strategies as st
 import oracles
 from conftest import assert_rebuilds
 from flagpipes import decperm as decperm_module
+from flagpipes import poset as poset_module
 from flagpipes.decperm import (
     DecoratedPermutation,
     _all_decperms,
+    _code,
     _necklace,
     _necklace_bases,
     _row_shifts,
@@ -372,17 +374,17 @@ class TestShifts:
                         oracles.left_cyclic_shift_by_hand, omega, R))
 
     def test_walks_find_the_unblocked_positions_once(self, monkeypatch):
-        """Each walk draws its choices from one unblocked_positions call and
-        shifts along them without checking each again; build_poset walks
-        once per element."""
+        """Each walk draws its choices from one scan for the unblocked
+        positions of a code and shifts along them without checking each
+        again; build_poset walks once per element."""
         calls = []
-        real = decperm_module.unblocked_positions
+        real = decperm_module._unblocked
 
-        def counted(dp):
-            calls.append(dp)
-            return real(dp)
+        def counted(code):
+            calls.append(code)
+            return real(code)
 
-        monkeypatch.setattr(decperm_module, "unblocked_positions", counted)
+        monkeypatch.setattr(decperm_module, "_unblocked", counted)
         pi = parse_decperm(RUNNING)
         assert len(covers_by_shift(pi)) == 15 and len(calls) == 1
         calls.clear()
@@ -459,11 +461,13 @@ class TestChoiceGuard:
     @pytest.mark.parametrize("routine",
                              [covers_by_shift, covered_by_shift, build_poset])
     def test_two_choices_with_one_result_raise(self, monkeypatch, routine):
-        """A shift kernel that leaves every choice where it was trips the
-        walk's check at its first two choices; build_poset walks the same
-        way, and its first walk is on 1u2u3u."""
+        """A shift that leaves every choice where it was trips the walk's
+        check at its first two choices; build_poset walks the same way on
+        codes, and its first walk is on 1u2u3u."""
         monkeypatch.setattr(decperm_module, "_cycle",
                             lambda perm, color, moved: (perm, color))
+        monkeypatch.setattr(poset_module, "_cycle_code",
+                            lambda code, moved: code)
         arg = {covers_by_shift: identity(3, "u"),
                covered_by_shift: identity(3, "o"), build_poset: 3}[routine]
         with pytest.raises(InvariantError, match=r"\(1,\) and \(2,\)"):
@@ -514,11 +518,11 @@ class TestNecklace:
 
     def test_necklace_bases_are_the_path_family_bases(self, positroids):
         for _, w, _, bits in positroids:
-            assert _necklace_bases(w) == bits, w.to_string()
+            assert _necklace_bases(_code(w)) == bits, w.to_string()
 
     def test_each_set_is_the_lex_first_basis_from_its_start(self, positroids):
         for n, w, masks, _ in positroids:
-            necklace = _necklace(w)
+            necklace = _necklace(_code(w))
             assert len(necklace) == n
             for i, I in enumerate(necklace):
                 place = {(i + j) % n: j for j in range(n)}
@@ -528,6 +532,6 @@ class TestNecklace:
 
     def test_lowest_and_highest_bits_are_the_lex_extremes(self, positroids):
         for _, w, masks, _ in positroids:
-            bits = _necklace_bases(w)
+            bits = _necklace_bases(_code(w))
             assert (bits & -bits).bit_length() - 1 == masks[0]
             assert bits.bit_length() - 1 == masks[-1]

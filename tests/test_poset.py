@@ -9,7 +9,12 @@ import flagpipes.pipedream as pipedream_module
 import flagpipes.poset as poset_module
 import flagpipes.positroid as positroid_module
 from flagpipes.config import ENV_MAX_N
-from flagpipes.decperm import covers_by_shift, decperm_of, parse_decperm
+from flagpipes.decperm import (
+    DecoratedPermutation,
+    covers_by_shift,
+    decperm_of,
+    parse_decperm,
+)
 from flagpipes.exceptions import DomainError, GuardExceededError, SizeMismatchError
 from flagpipes.flagbuild import flag_of_fpp, quotient_covers
 from flagpipes.pipedream import PipeDream, construct_fpp, enumerate_fpps
@@ -207,6 +212,74 @@ def test_build_matches_the_name_indexed_route(monkeypatch, n, flavor):
     assert check_self_dual(poset) is True
     if n:  # the name route cannot parse the empty text of n = 0
         assert oracles.self_dual_by_names(poset) is True
+
+
+@pytest.mark.parametrize("n, covers, names, count, chains", [
+    (6, "680c3d2602368a3a", "4f4dd48533851ed2", 9786, 98407),
+    (7, "94a3b4ce207f9d79", "323b774ac2f66a7f", 82201, 3550919),
+])
+def test_representable_posets_are_pinned(monkeypatch, n, covers, names,
+                                         count, chains):
+    """The compact build gives the covers, names and chain counts of the
+    (perm, color)-keyed build it replaced, byte for byte."""
+    monkeypatch.setenv(ENV_MAX_N, str(n))
+    poset = build_poset(n)
+
+    def digest(x):
+        return hashlib.sha256(repr(x).encode()).hexdigest()
+
+    assert digest(poset.covers).startswith(covers)
+    assert digest(poset.names).startswith(names)
+    assert len(poset.covers) == count
+    assert maximal_chain_count(poset) == chains
+    assert check_self_dual(poset) is True
+
+
+@pytest.mark.parametrize("flavor", ["representable", "matroidal"])
+@pytest.mark.parametrize("n", range(5))
+def test_the_constructor_rebuilds_the_compact_form(n, flavor):
+    """A poset given its fields derives the codes, CSR arrays and rank
+    index that build_poset stores, and every reader answers alike."""
+    poset = build_poset(n, flavor)
+    other = build_poset(n, "matroidal" if flavor == "representable"
+                        else "representable")
+    rebuilt = QuotientPoset(poset.n, poset.flavor, poset.decperms,
+                            poset.covers)
+    assert rebuilt == poset and hash(rebuilt) == hash(poset)
+    assert rebuilt._codes == poset._codes
+    assert rebuilt._csr == poset._csr
+    assert rebuilt._by_rank == poset._by_rank
+    assert rebuilt.names == poset.names
+    for a, b in ((rebuilt, poset), (poset, rebuilt)):
+        assert maximal_chain_count(a) == maximal_chain_count(b)
+        assert check_self_dual(a) == check_self_dual(b) is True
+        assert (list(iter_maximal_chains(a))
+                == list(iter_maximal_chains(b)))
+        pair = (a, other) if flavor == "representable" else (other, a)
+        assert missing_covers(*pair) == missing_covers(
+            *((b, other) if flavor == "representable" else (other, b)))
+
+
+@pytest.mark.parametrize("flavor", ["representable", "matroidal"])
+def test_the_build_makes_no_decorated_permutation(monkeypatch, flavor):
+    """Elements stay codes through the build, the chain count and the
+    self-duality check; ``decperms`` is decoded on first read."""
+    monkeypatch.setenv(ENV_MAX_N, "5")
+    made = []
+    DecoratedPermutation._trusted(perm=(), color=())  # compiles the builder
+    real = DecoratedPermutation._trusted.__func__
+
+    def counted(cls, **fields):
+        made.append(fields)
+        return real(cls, **fields)
+
+    monkeypatch.setattr(DecoratedPermutation, "_trusted",
+                        classmethod(counted))
+    poset = build_poset(5, flavor)
+    maximal_chain_count(poset)
+    check_self_dual(poset)
+    assert made == [] and "decperms" not in vars(poset)
+    assert len(poset.decperms) == len(made) == 326
 
 
 def test_matroidal_covers_at_six_are_pinned(monkeypatch):

@@ -67,6 +67,25 @@ def test_build_poset_writes_files(tmp_path):
     assert dot.startswith("digraph quotient_poset {")
 
 
+def test_build_poset_reports_seconds_and_peak_rss():
+    """Every row ends in the build's seconds and the peak RSS in MB, with
+    no flag asked; the counts are those of the posets."""
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS[0].parent / "build_poset.py"),
+         "--max-n", "3"], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    header, _, *rows = proc.stdout.splitlines()
+    assert header.split()[-2:] == ["build_s", "rss_mb"]
+    assert len(rows) == 6
+    for row in rows:
+        *_, seconds, rss_mb = row.split()
+        assert 0 <= float(seconds) < 60 and float(rss_mb) > 0
+    assert rows[-2].split()[:7] == ["3", "representable", "16", "33", "19",
+                                    "True", "0"]
+    assert rows[-1].split()[:7] == ["3", "matroidal", "16", "36", "22",
+                                    "True", "3"]
+
+
 @pytest.mark.parametrize("args, message", [
     (("--min-n", "6", "--max-n", "6"), "error: build_poset: 6 exceeds"),
     (("--min-n", "-1", "--max-n", "0"),
