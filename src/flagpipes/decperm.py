@@ -18,7 +18,7 @@ names the positroid's bases (Oh's theorem) with no dream built.
 from __future__ import annotations
 
 import re
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations, product
 
 from .config import _Frozen, _guard
@@ -115,9 +115,17 @@ class DecoratedPermutation(_Frozen):
         >>> DecoratedPermutation((3, 1, 2), (2, 1, 1)).to_string()
         '3o1u2u'
         """
-        parts = [f"{v}{'o' if c == OVER else 'u'}"
-                 for v, c in zip(self.perm, self.color)]
-        return ",".join(parts) if self.n > 9 else "".join(parts)
+        texts = _tokens(len(self.perm))
+        parts = [texts[c][v] for v, c in zip(self.perm, self.color)]
+        return ",".join(parts) if len(parts) > 9 else "".join(parts)
+
+
+@lru_cache(maxsize=32)
+def _tokens(n: int) -> tuple:
+    """The texts of :meth:`DecoratedPermutation.to_string` on [n]:
+    ``_tokens(n)[c][v]`` is value v followed by the mark of color c."""
+    return (None, tuple([f"{v}u" for v in range(n + 1)]),
+            tuple([f"{v}o" for v in range(n + 1)]))
 
 
 def parse_decperm(s: str) -> DecoratedPermutation:
@@ -209,8 +217,9 @@ def _all_codes(n: int):
     """Every decorated permutation on [n] as ``(rank, text, code)``, the
     code as bytes, unsorted: each permutation with both colors on every
     fixed point.  The text is :meth:`DecoratedPermutation.to_string`'s,
-    so its count of ``o`` is the rank."""
-    tokens = [[f"{b or j}{'o' if b > j or not b else 'u'}"
+    so its count of ``o`` is the rank, joined from :func:`_tokens`."""
+    texts = _tokens(n)
+    tokens = [[texts[OVER if b > j or not b else UNDER][b or j]
                for b in range(n + 1)] for j in range(1, n + 1)]
     sep = "," if n > 9 else ""
     for w in all_permutations(n):

@@ -269,11 +269,33 @@ def missing_covers(rep: QuotientPoset,
     if rep.n != mat.n:
         raise SizeMismatchError(f"missing_covers: posets on [{rep.n}] and "
                                 f"[{mat.n}]")
-    rep_edges = {(rep.names[a], rep.names[b]) for a, b in rep.covers}
-    mat_edges = {(mat.names[a], mat.names[b]) for a, b in mat.covers}
-    if not rep_edges <= mat_edges:
+    names = mat.names
+    where = {name: i for i, name in enumerate(names)}
+    # Each representable element and target as a matroidal index, None
+    # where the matroidal poset lacks the name.
+    to_mat = [where.get(name) for name in rep.names]
+    from_rep = [None] * len(names)
+    for a, i in enumerate(to_mat):
+        if i is not None:
+            from_rep[i] = a
+    (rep_offsets, rep_targets), (offsets, targets) = rep._csr, mat._csr
+    if any(i is None and rep_offsets[a] < rep_offsets[a + 1]
+           for a, i in enumerate(to_mat)):
         raise InvariantError("a representable cover failed the quotient test")
-    return tuple(sorted(mat_edges - rep_edges))
+    missing = []
+    for i, a in enumerate(from_rep):
+        row = targets[offsets[i]:offsets[i + 1]]
+        if a is None:
+            have = set()
+        else:
+            have = {to_mat[b]
+                    for b in rep_targets[rep_offsets[a]:rep_offsets[a + 1]]}
+            if not have.issubset(row):
+                raise InvariantError(
+                    "a representable cover failed the quotient test")
+        missing.extend([(names[i], names[j]) for j in row if j not in have])
+    missing.sort()
+    return tuple(missing)
 
 
 def check_self_dual(poset: QuotientPoset) -> bool:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
 from math import lcm, prod
 
 from .config import _Frozen, _guard
@@ -66,7 +66,7 @@ class RationalMatrix(_Frozen):
     """
 
     # ``_ints`` and ``_scales`` hold the rows with denominators cleared and
-    # the positive row scales (see _integer_rows): derived from ``rows``, so
+    # the positive row scales (see _integer_row): derived from ``rows``, so
     # not fields, and left out of ==, hash and repr.
     _fields = ("rows", "offset_zero")
     rows: tuple[tuple[Fraction, ...], ...]
@@ -85,7 +85,7 @@ class RationalMatrix(_Frozen):
             for x in row:
                 if not isinstance(x, Fraction):
                     raise DomainError("entries must be Fractions")
-        ints, scales = _integer_rows(rows)
+        ints, scales = zip(*map(_integer_row, rows))
         self._store(rows=rows, offset_zero=offset_zero, _ints=ints,
                     _scales=scales)
 
@@ -146,18 +146,39 @@ class RationalMatrix(_Frozen):
 def rational_matrix(rows) -> RationalMatrix:
     """Build a matrix from ints, Fractions, or strings such as "-1", "3/2".
 
-    A string is not a row: its characters would read as entries.
+    The matrix and each of its rows is a list or a tuple.  A string,
+    bytes, a set or a dict is refused: its items would read as entries
+    that were never written, or in an order that was not.  One pass reads
+    and checks the entries and clears each row's denominators, so the
+    matrix is built without a second validation, by
+    :meth:`~flagpipes.config._Frozen._trusted`.
 
     >>> rational_matrix([["-1", "3/2"]]).rows
     ((Fraction(-1, 1), Fraction(3, 2)),)
     """
-    exact = []
+    if not isinstance(rows, (list, tuple)):
+        kind = "the string " if isinstance(rows, str) else ""
+        raise DomainError(f"the matrix is {kind}{rows!r}, not a list "
+                          "of rows")
+    exact, ints, scales = [], [], []
     for i, row in enumerate(rows, 1):
-        if isinstance(row, str):
-            raise DomainError(f"row {i} is the string {row!r}, not a list "
+        if not isinstance(row, (list, tuple)):
+            kind = "the string " if isinstance(row, str) else ""
+            raise DomainError(f"row {i} is {kind}{row!r}, not a list "
                               "of entries")
-        exact.append(tuple([_exact(x) for x in row]))
-    return RationalMatrix(rows=tuple(exact))
+        entries = tuple([x if type(x) is Fraction else _exact(x)
+                         for x in row])
+        exact.append(entries)
+        cleared, scale = _integer_row(entries)
+        ints.append(cleared)
+        scales.append(scale)
+    if not exact or not exact[0]:
+        raise DomainError("matrix dimensions must be positive")
+    width = len(exact[0])
+    if any(len(entries) != width for entries in exact):
+        raise SizeMismatchError("ragged matrix rows")
+    return RationalMatrix._trusted(rows=tuple(exact), offset_zero=False,
+                                   _ints=tuple(ints), _scales=tuple(scales))
 
 
 def matrix_to_json(A: RationalMatrix) -> list[list[str]]:
@@ -169,21 +190,14 @@ def matrix_to_json(A: RationalMatrix) -> list[list[str]]:
     return [[str(x) for x in row] for row in A.rows]
 
 
-def _integer_rows(rows) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Each row times the lcm of its denominators: the integer rows and the
-    (positive) scales.  A minor on rows I is the integer minor divided by
-    the product of the scales of I."""
-    m = []
-    scales = []
-    for row in rows:
-        scale = lcm(*[x.denominator for x in row])
-        scales.append(scale)
-        if scale == 1:
-            m.append(tuple([x.numerator for x in row]))
-        else:
-            m.append(tuple([x.numerator * (scale // x.denominator)
-                            for x in row]))
-    return tuple(m), tuple(scales)
+def _integer_row(row) -> tuple[tuple[int, ...], int]:
+    """A row of Fractions times the lcm of its denominators: the integer
+    row and that (positive) scale.  A minor on rows I is the integer minor
+    divided by the product of the scales of I."""
+    scale = lcm(*[x.denominator for x in row])
+    if scale == 1:
+        return tuple([x.numerator for x in row]), scale
+    return tuple([x.numerator * (scale // x.denominator) for x in row]), scale
 
 
 def _bareiss(rows) -> int:
@@ -230,11 +244,13 @@ def det(A: RationalMatrix) -> Fraction:
 
 @lru_cache(maxsize=128)
 def _laplace_table(n: int, r: int) -> tuple[tuple[int, ...], ...]:
-    """For each r-subset of n column indices, in ``combinations`` order,
-    the positions among the (r-1)-subsets (same order) of the r subsets
-    left when one of its columns is deleted, first column first."""
+    """For each r-subset S of n column indices, in ``combinations`` order,
+    one flat tuple that interleaves each column c of S, first column
+    first, with the position among the (r-1)-subsets (same order) of
+    S - c."""
     below = {S: i for i, S in enumerate(combinations(range(n), r - 1))}
-    return tuple(tuple(below[S[:t] + S[t + 1:]] for t in range(r))
+    return tuple(tuple([x for t in range(r)
+                        for x in (S[t], below[S[:t] + S[t + 1:]])])
                  for S in combinations(range(n), r))
 
 
@@ -249,7 +265,8 @@ def flag_minors(A: RationalMatrix,
     the integer minor on columns S is the Laplace expansion along row r,
     sum over t of (-1)^(r+t) m[r][s_t] M_{r-1}(S - s_t).  The minors of a
     rank sit in a list in ``combinations`` order, and
-    :func:`_laplace_table` gives the positions of the M_{r-1} terms.
+    :func:`_laplace_table` pairs each s_t with the position of its
+    M_{r-1} term.
 
     >>> mm = flag_minors(rational_matrix([[1, 0], [0, 1]]), (1, 2))
     >>> mm[(1, (1,))], mm[(2, (1, 2))]
@@ -267,7 +284,7 @@ def flag_minors(A: RationalMatrix,
     out: dict[tuple[int, tuple[int, ...]], Fraction] = {}
     if not ranks:
         return out
-    n = A.n
+    n, labels = A.n, A.column_labels
     m, scales = A._ints, A._scales
     below = [1]
     scale = 1
@@ -275,16 +292,17 @@ def flag_minors(A: RationalMatrix,
         row = m[r - 1]
         scale *= scales[r - 1]
         here = []
-        for S, terms in zip(combinations(range(n), r), _laplace_table(n, r)):
+        for terms in _laplace_table(n, r):
             # After t steps, total is the sum over s <= t of (-1)^(t+s)
             # times term s; at t = r those are the Laplace signs.
             total = 0
-            for c, i in zip(S, terms):
-                total = row[c] * below[i] - total
+            pairs = iter(terms)
+            for c in pairs:
+                total = row[c] * below[next(pairs)] - total
             here.append(total)
         if r in ranks:
-            for S, v in zip(combinations(A.column_labels, r), here):
-                out[(r, S)] = Fraction(v, scale)
+            out.update(zip(zip(repeat(r), combinations(labels, r)),
+                           map(Fraction, here, repeat(scale))))
         below = here
     return out
 
@@ -337,16 +355,29 @@ def check_sign_rule(A: RationalMatrix) -> bool:
 
 
 def embed_append(A: RationalMatrix) -> RationalMatrix:
-    """Prepend the column (0, ..., 0, (-1)^k) to a (k+1)-row matrix; the
-    result's columns are labeled from 0.  Minors avoiding 0 equal those of
-    A; minors through 0 equal the first-k-row minors of A.
+    """Prepend the column (0, ..., 0, (-1)^k) to a (k+1)-row matrix whose
+    columns are labeled from 1; the result's columns are labeled from 0.
+    Minors avoiding 0 equal those of A; minors through 0 equal the
+    first-k-row minors of A.  A matrix already labeled from 0 is refused:
+    shifting its labels would break that identity.
+
+    The new column adds no denominator, so each row keeps its scale and
+    its integer row gains 0, or (-1)^k times the scale in the last row;
+    the result is built by :meth:`~flagpipes.config._Frozen._trusted`.
 
     >>> B = embed_append(rational_matrix([[1, 0], [0, 1]]))
     >>> B.rows
     ((Fraction(0, 1), Fraction(1, 1), Fraction(0, 1)), (Fraction(-1, 1), Fraction(0, 1), Fraction(1, 1)))
     """
-    k = A.k - 1
-    new_col = [Fraction(0)] * k + [Fraction((-1) ** k)]
-    return RationalMatrix(
-        rows=tuple((c,) + row for c, row in zip(new_col, A.rows)),
-        offset_zero=True)
+    if A.offset_zero:
+        raise DomainError("embed_append needs columns labeled from 1; "
+                          "this matrix is labeled from 0")
+    sign = -1 if (A.k - 1) % 2 else 1
+    zero = Fraction(0)
+    return RationalMatrix._trusted(
+        rows=tuple([(zero,) + row for row in A.rows[:-1]]
+                   + [(Fraction(sign),) + A.rows[-1]]),
+        offset_zero=True,
+        _ints=tuple([(0,) + row for row in A._ints[:-1]]
+                    + [(sign * A._scales[-1],) + A._ints[-1]]),
+        _scales=A._scales)

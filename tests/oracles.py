@@ -723,6 +723,13 @@ def trivial_completion(D) -> PipeDream:
     return dream_from_fill(n, pivots, fill)
 
 
+def decperm_text(dp) -> str:
+    """``to_string`` formatted value by value, the route it used before
+    its token tables."""
+    parts = [f"{v}{'o' if c == 2 else 'u'}" for v, c in zip(dp.perm, dp.color)]
+    return ",".join(parts) if dp.n > 9 else "".join(parts)
+
+
 def all_decperms(n: int) -> list[DecoratedPermutation]:
     """Every decorated permutation on [n]: each permutation with each choice
     of fixed-point colors."""

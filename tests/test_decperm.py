@@ -109,6 +109,28 @@ class TestRepresentation:
         assert "," in text
         assert parse_decperm(text) == dp
 
+    def test_text_matches_the_formatted_form(self):
+        """``to_string`` and the listing join cached tokens; both equal the
+        text formatted value by value, on every decorated permutation with
+        n <= 6 and on random ones with n = 10..12, whose text has
+        commas."""
+        rng = random.Random("decperm/text")
+        for n in range(7):
+            for w in all_decperms(n):
+                assert w.to_string() == oracles.decperm_text(w)
+            for _, text, code in decperm_module._all_codes(n):
+                assert text == oracles.decperm_text(
+                    decperm_module._decoded(code))
+        for n in (10, 11, 12):
+            for _ in range(100):
+                perm = list(range(1, n + 1))
+                for i in rng.sample(range(n), rng.randint(0, n)):
+                    j = rng.randrange(n)
+                    perm[i], perm[j] = perm[j], perm[i]
+                w = _decorate((tuple(perm),
+                               [rng.random() < 0.5 for _ in range(n)]))
+                assert w.to_string() == oracles.decperm_text(w)
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(DomainError):
             parse_decperm("3o1x2u")

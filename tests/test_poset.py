@@ -15,7 +15,12 @@ from flagpipes.decperm import (
     decperm_of,
     parse_decperm,
 )
-from flagpipes.exceptions import DomainError, GuardExceededError, SizeMismatchError
+from flagpipes.exceptions import (
+    DomainError,
+    GuardExceededError,
+    InvariantError,
+    SizeMismatchError,
+)
 from flagpipes.flagbuild import flag_of_fpp, quotient_covers
 from flagpipes.pipedream import PipeDream, construct_fpp, enumerate_fpps
 from flagpipes.poset import (
@@ -126,13 +131,42 @@ class TestMissingCovers:
             ("3o2u1u", "3o2o1u"),
         )
 
-    def test_matroidal_extends_representable(self):
-        rep = build_poset(3)
-        mat = build_poset(3, "matroidal")
-        rep_edges = {(rep.names[a], rep.names[b]) for a, b in rep.covers}
-        mat_edges = {(mat.names[a], mat.names[b]) for a, b in mat.covers}
-        assert rep_edges < mat_edges
-        assert mat_edges - rep_edges == set(missing_covers(rep, mat))
+    def test_matroidal_extends_representable(self, monkeypatch):
+        """The row walk against the set difference of the two posets' name
+        pairs, for n <= 5, pairs and order."""
+        monkeypatch.setenv(ENV_MAX_N, "5")
+        for n in range(6):
+            rep = build_poset(n)
+            mat = build_poset(n, "matroidal")
+            rep_edges = {(rep.names[a], rep.names[b]) for a, b in rep.covers}
+            mat_edges = {(mat.names[a], mat.names[b]) for a, b in mat.covers}
+            assert rep_edges <= mat_edges
+            assert rep_edges < mat_edges or n < 3
+            assert missing_covers(rep, mat) == tuple(sorted(mat_edges
+                                                            - rep_edges))
+
+    def test_elements_are_matched_by_name(self):
+        """Posets that list their elements in another order give the same
+        pairs; a representable cover, or an element with covers, that the
+        matroidal poset lacks is an invariant failure."""
+        rep, mat = build_poset(3), build_poset(3, "matroidal")
+
+        def reversed_without(poset, dropped=(), extra=()):
+            kept = [i for i in reversed(range(len(poset.decperms)))
+                    if i not in dropped]
+            at = {i: t for t, i in enumerate(kept)}
+            return QuotientPoset(
+                poset.n, poset.flavor, tuple(poset.decperms[i] for i in kept),
+                tuple(sorted((at[a], at[b]) for a, b in poset.covers + extra
+                             if a in at and b in at)))
+
+        assert missing_covers(reversed_without(rep), mat) == missing_at_three()
+        assert missing_covers(rep, reversed_without(mat)) == missing_at_three()
+        with pytest.raises(InvariantError, match="quotient test"):
+            missing_covers(
+                reversed_without(rep, extra=((rep.bottom, rep.top),)), mat)
+        with pytest.raises(InvariantError, match="quotient test"):
+            missing_covers(rep, reversed_without(mat, dropped={mat.bottom}))
 
     def test_refuses_posets_of_other_sizes_or_flavors(self):
         rep, mat = build_poset(3), build_poset(3, "matroidal")

@@ -3,6 +3,7 @@
 import io
 import json
 import random
+import re
 import subprocess
 import sys
 import tokenize
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+import flagpipes.decperm as decperm
 import flagpipes.ratmat as ratmat
 from flagpipes.exceptions import (
     DomainError,
@@ -94,6 +96,51 @@ class TestConstruction:
         """A string row would read its characters as entries."""
         with pytest.raises(DomainError, match="is the string"):
             rational_matrix(rows)
+
+    @pytest.mark.parametrize("rows, message", [
+        ([b"12"], "row 1 is b'12', not a list of entries"),
+        ([[1, 2], bytearray(b"12")], "row 2 is bytearray"),
+        ([{5, 1, 3}], "row 1 is {1, 3, 5}, not a list of entries"),
+        ([[1, 2], {1: 2, 3: 4}], "row 2 is {1: 2, 3: 4}"),
+        ([[1, 2], 7], "row 2 is 7, not a list of entries"),
+        (b"\x01", "the matrix is b'\\x01', not a list of rows"),
+        (5, "the matrix is 5, not a list of rows"),
+        ({(1, 2), (3, 4)}, "not a list of rows"),
+        ({1: [1, 2]}, "not a list of rows"),
+    ], ids=["bytes-row", "bytearray-row", "set-row", "dict-row", "int-row",
+            "bytes", "int", "set", "dict"])
+    def test_unordered_and_byte_containers_are_refused(self, rows, message):
+        """Bytes would read as code points, a set in hash order and a dict
+        as its keys: the matrix and each row must be a list or a tuple."""
+        with pytest.raises(DomainError, match=re.escape(message)):
+            rational_matrix(rows)
+
+    def test_fast_build_equals_the_validated_matrix(self):
+        """rational_matrix and embed_append build without a second
+        validation; each result equals, hashes, prints and clears
+        denominators like ``RationalMatrix`` of the same entries, on random
+        int, Fraction and string matrices."""
+        rng = random.Random("ratmat/trusted")
+        entries = (lambda: rng.randint(-9, 9),
+                   lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                   lambda: f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}")
+        for t in range(150):
+            k, n = rng.randint(1, 5), rng.randint(1, 7)
+            rows = [[entries[t % 3]() for _ in range(n)] for _ in range(k)]
+            A = rational_matrix(rows)
+            exact = tuple(tuple(Fraction(x) for x in row) for row in rows)
+            B = embed_append(A)
+            sign = Fraction((-1) ** (k - 1))
+            pairs = [(A, RationalMatrix(exact)),
+                     (B, RationalMatrix(
+                         tuple((Fraction(0),) + row for row in exact[:-1])
+                         + ((sign,) + exact[-1],), offset_zero=True))]
+            for got, want in pairs:
+                assert got == want
+                assert hash(got) == hash(want)
+                assert repr(got) == repr(want)
+                assert got._ints == want._ints
+                assert got._scales == want._scales
 
     @pytest.mark.parametrize("i", [0, -1, 3, True])
     def test_rows_outside_one_to_k_are_refused(self, i):
@@ -272,8 +319,35 @@ class TestFlagMinors:
             flag_minors(golden_matrix, (1, 2, rank))
 
     def test_laplace_tables_are_bounded(self):
-        maxsize = ratmat._laplace_table.cache_info().maxsize
-        assert isinstance(maxsize, int) and maxsize > 0
+        """The per-size tables of the flag-minor and text routes are
+        bounded caches."""
+        for cached in (ratmat._laplace_table, decperm._tokens):
+            maxsize = cached.cache_info().maxsize
+            assert isinstance(maxsize, int) and maxsize > 0
+
+    def test_optimized_mode_gives_the_same_minors(self):
+        """The minors, their keys and their order do not depend on
+        ``assert`` statements: ``python -O`` prints the same."""
+        script = (
+            "import random\n"
+            "from fractions import Fraction\n"
+            "import flagpipes.ratmat as rm\n"
+            "rng = random.Random(7)\n"
+            "for k, n in ((1, 1), (3, 8), (5, 12), (4, 6)):\n"
+            "    A = rm.rational_matrix(\n"
+            "        [[Fraction(rng.randint(-9, 9), rng.randint(1, 9))\n"
+            "          for _ in range(n)] for _ in range(k)])\n"
+            "    print(list(rm.flag_minors(A, range(1, k + 1)).items()))\n"
+            "    if k > 1 and n < 12:\n"
+            "        B = rm.embed_append(A)\n"
+            "        print(list(rm.flag_minors(B, (k,)).items()))\n")
+        plain, optimized = (
+            subprocess.run([sys.executable, *flags, "-c", script],
+                           capture_output=True, text=True)
+            for flags in ([], ["-O"]))
+        assert plain.returncode == optimized.returncode == 0
+        assert plain.stdout == optimized.stdout
+        assert plain.stdout.count("\n") == 6
 
     def test_matches_the_slicing_route_up_to_the_guard(self):
         """The index-table expansion against the slicing expansion it
@@ -378,6 +452,14 @@ class TestSignRule:
 
 
 class TestEmbedding:
+    def test_matrix_labeled_from_zero_is_refused(self, golden_matrix):
+        """Shifting labels that start at 0 would move A's minor on (0, 1)
+        to (1, 2); such a matrix, an embedded one among them, is refused."""
+        B = embed_append(golden_matrix)
+        for A in (B, RationalMatrix(golden_matrix.rows, offset_zero=True)):
+            with pytest.raises(DomainError, match="labeled from 0"):
+                embed_append(A)
+
     def test_new_column_and_labels(self, golden_matrix):
         B = embed_append(golden_matrix)
         assert B.offset_zero
