@@ -8,17 +8,17 @@ is read off where the pipes of its standardization exit.  Rank-increasing
 covers are realized by right cyclic shifts on a choice of unblocked
 positions plus a forced top-completion set; the left shifts that realize
 covered elements are right shifts seen through :func:`inverse_decperm`.
-One kernel, :func:`_moves`, walks the shifts on a code (entry j - 1 holds
-w(j), or 0 for a 2-colored fixed point) and yields each choice with the
-positions it moves; single objects apply the moves to (perm, color), and
-the quotient poset, which stores codes, to codes.  The Grassmann necklace
-names the positroid's bases (Oh's theorem) with no dream built.
+Shifts and inverses run on codes (:func:`_code`), by one kernel
+:func:`_shifts`, one applier :func:`_cycle` and one inverse
+:func:`_inverse_code`; single objects encode once and decode each result,
+and the quotient poset stores codes.  The Grassmann necklace names the
+positroid's bases (Oh's theorem) with no dream built.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations, product
 
 from .config import _Frozen, _guard
@@ -26,7 +26,6 @@ from .exceptions import DomainError, InvariantError
 from .perm import (
     Permutation,
     all_permutations,
-    inverse,
     validate_permutation,
 )
 from .pipedream import (
@@ -183,34 +182,42 @@ def _row_shifts(D: PipeDream) -> tuple[DecoratedPermutation, ...]:
     along its pivot and elbow columns C_k.  A blocked C_k refuses D; on
     every filling with n <= 6 that is exactly when D is not gamma-free."""
     n = D.cols
-    out = [DecoratedPermutation._trusted(perm=tuple(range(1, n + 1)),
-                                         color=(UNDER,) * n)]
+    codes = [_code(DecoratedPermutation._trusted(perm=tuple(range(1, n + 1)),
+                                                 color=(UNDER,) * n))]
     for row in D.grid:
         C = tuple([j for j, t in enumerate(row, 1) if t in (PIVOT, ELBOW)])
-        code = _code(out[-1])
-        if not set(C).issubset(_unblocked(code)):
+        if not set(C).issubset(_unblocked(codes[-1])):
             raise DomainError("dream is not gamma-free")
-        out.append(_shift(out[-1], C, code))
-    return tuple(out)
+        codes.append(_shift(codes[-1], C))
+    return tuple(map(_decoded, codes))
 
 
-def _code(dp: DecoratedPermutation) -> list[int]:
-    """The code the shift walk reads: entry j - 1 holds w(j), or 0 where
-    j is a 2-colored fixed point, so j is 1-colored exactly when
-    0 < code[j - 1] <= j."""
+def _code(dp: DecoratedPermutation) -> bytes:
+    """The internal form of a decorated permutation: byte j - 1 holds
+    w(j), or 0 where j is a 2-colored fixed point, so j is 1-colored
+    exactly when 0 < code[j - 1] <= j.  Past n = 255 it is a tuple.
+
+    >>> list(_code(parse_decperm("1o2u3o")))
+    [0, 2, 0]
+    """
     code = list(dp.perm)
     for j, v in enumerate(code, 1):
         if v == j and dp.color[j - 1] == OVER:
             code[j - 1] = 0
-    return code
+    return bytes(code) if len(code) < 256 else tuple(code)
 
 
 def _decoded(code) -> DecoratedPermutation:
-    """The decorated permutation of a code, valid, so trusted."""
-    return DecoratedPermutation._trusted(
-        perm=tuple([b or j for j, b in enumerate(code, 1)]),
-        color=tuple([OVER if b > j or not b else UNDER
-                     for j, b in enumerate(code, 1)]))
+    """The decorated permutation of a code, in one pass; trusted."""
+    perm, color = [], []
+    for j, b in enumerate(code, 1):
+        if b:
+            perm.append(b)
+            color.append(OVER if b > j else UNDER)
+        else:
+            perm.append(j)
+            color.append(OVER)
+    return DecoratedPermutation._trusted(perm=tuple(perm), color=tuple(color))
 
 
 def _all_codes(n: int):
@@ -375,30 +382,54 @@ def _top_completion(code, C) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _moves(code, routine: str):
-    """The shift kernel: each nonempty choice C of the code's unblocked
-    positions, by size then lexicographically, with the positions the right
-    shift along C moves (its top-completion set, then C).  The walk is
-    2^|U| long: ``covers_max_unblocked`` guards it, naming ``routine``."""
+def _shifts(code, routine: str) -> tuple:
+    """The shift kernel: the right shift of the code along each nonempty
+    choice C of its unblocked positions (:func:`_shift`), by size then
+    lexicographically, as codes in walk order.  The walk is 2^|U| long:
+    ``covers_max_unblocked`` guards it, naming ``routine``.  Two choices
+    with one result break the theory's bijection and raise."""
     U = _unblocked(code)
     _guard(routine, "covers_max_unblocked", len(U))
+    seen = {}
     for r in range(1, len(U) + 1):
         for C in combinations(U, r):
-            yield C, _top_completion(code, C) + C
-
-
-def _shifts(code, routine: str, apply) -> tuple:
-    """``apply(moved)`` for each choice of the walk of :func:`_moves` on
-    the code, in walk order; two choices with one result break the
-    theory's bijection and raise."""
-    seen = {}
-    for C, moved in _moves(code, routine):
-        value = apply(moved)
-        if value in seen:
-            raise InvariantError(
-                f"{routine}: choices {seen[value]} and {C} give one result")
-        seen[value] = C
+            value = _shift(code, C)
+            if value in seen:
+                raise InvariantError(
+                    f"{routine}: choices {seen[value]} and {C} give one result")
+            seen[value] = C
     return tuple(seen)
+
+
+def _shift(code, C):
+    """The right shift of a code along a sorted choice C already known to
+    be unblocked: :func:`_cycle` on its top-completion set, then C."""
+    return _cycle(code, _top_completion(code, C) + tuple(C))
+
+
+def _cycle(code, moved):
+    """The one applier of a shift's moves: each of the increasing positions
+    ``moved`` takes the value of the moved position before it, cyclically.
+    A moved value on its own position becomes a fixed point of color 2
+    (code 0); every other position's color follows from its value, so the
+    result is a valid code."""
+    out = list(code)
+    before = moved[-1]
+    for j in moved:
+        v = code[before - 1] or before
+        out[j - 1] = 0 if v == j else v
+        before = j
+    return type(code)(out)
+
+
+def _inverse_code(code):
+    """The code of the inverse: position w(j) takes j, and a fixed point
+    trades its color (0 for j, j for 0), which keeps the code valid."""
+    out = [0] * len(code)
+    for j, b in enumerate(code, 1):
+        if b != j:
+            out[(b or j) - 1] = j
+    return type(code)(out)
 
 
 def right_cyclic_shift(dp: DecoratedPermutation, C) -> DecoratedPermutation:
@@ -413,44 +444,12 @@ def right_cyclic_shift(dp: DecoratedPermutation, C) -> DecoratedPermutation:
     '5o1u3u8o9o7o6u4u2u'
     """
     code = _code(dp)
-    return _shift(dp, _choice(C, _unblocked(code)), code)
-
-
-def _shift(dp: DecoratedPermutation, C, code) -> DecoratedPermutation:
-    """:func:`right_cyclic_shift` on a sorted choice already known to be
-    unblocked in dp's code.  :func:`_cycle` keeps a decorated permutation
-    valid, so :meth:`~flagpipes.config._Frozen._trusted` builds the
-    result."""
-    moved = _top_completion(code, C) + tuple(C)
-    perm, color = _cycle(dp.perm, dp.color, moved)
-    return DecoratedPermutation._trusted(perm=perm, color=color)
-
-
-def _cycle(perm: Permutation, color: tuple[int, ...],
-           moved) -> tuple[Permutation, tuple[int, ...]]:
-    """The moves of a shift applied to (perm, color): each of the
-    increasing positions ``moved`` takes the value of the moved position
-    before it, cyclically.  Only moved positions change color: a value
-    below its position forces 1, and a value on or above it takes 2."""
-    p, c = list(perm), list(color)
-    before = moved[-1]
-    for j in moved:
-        v = perm[before - 1]
-        p[j - 1] = v
-        c[j - 1] = UNDER if v < j else OVER
-        before = j
-    return tuple(p), tuple(c)
-
-
-def _right_shift_walk(dp: DecoratedPermutation, routine: str) -> tuple:
-    """The right shift of dp along each choice of :func:`_moves`, as
-    ``(perm, color)`` pairs in walk order."""
-    return _shifts(_code(dp), routine, partial(_cycle, dp.perm, dp.color))
+    return _decoded(_shift(code, _choice(C, _unblocked(code))))
 
 
 def covers_by_shift(dp: DecoratedPermutation) -> tuple[DecoratedPermutation, ...]:
     """One shift per nonempty choice of unblocked positions, sorted by text
-    form; all results are distinct and valid (see :func:`_shift`).
+    form; all results are distinct and valid (see :func:`_cycle`).
 
     >>> len(covers_by_shift(parse_decperm("1u2u3u")))
     7
@@ -462,10 +461,8 @@ def _sorted_shifts(dp: DecoratedPermutation,
                    routine: str) -> tuple[DecoratedPermutation, ...]:
     """:func:`covers_by_shift`, its walk guarded in the name of
     ``routine``; :func:`~flagpipes.flagbuild.quotient_covers` shares it."""
-    return tuple(sorted(
-        (DecoratedPermutation._trusted(perm=perm, color=color)
-         for perm, color in _right_shift_walk(dp, routine)),
-        key=DecoratedPermutation.to_string))
+    return tuple(sorted(map(_decoded, _shifts(_code(dp), routine)),
+                        key=DecoratedPermutation.to_string))
 
 
 def left_unblocked_positions(dp: DecoratedPermutation) -> tuple[int, ...]:
@@ -475,16 +472,16 @@ def left_unblocked_positions(dp: DecoratedPermutation) -> tuple[int, ...]:
     >>> left_unblocked_positions(parse_decperm("2o5o3o8o1u7o6u9o4u"))
     (1, 2, 4, 8)
     """
-    w = inverse_decperm(dp)
-    return tuple(sorted(w.perm[c - 1] for c in unblocked_positions(w)))
+    inv = _inverse_code(_code(dp))
+    return tuple(sorted(inv[c - 1] for c in _unblocked(inv)))
 
 
 def _mirrored(dp: DecoratedPermutation, R):
-    """The inverse of dp and the left choice R carried to it through
+    """The inverse's code and the left choice R carried to it through
     ``dp.perm``, sorted; R is checked first, so an error names a position in
     dp's numbering, and the carried choice is unblocked in the inverse."""
     R = _choice(R, left_unblocked_positions(dp))
-    return inverse_decperm(dp), sorted(dp.perm[r - 1] for r in R)
+    return _inverse_code(_code(dp)), sorted(dp.perm[r - 1] for r in R)
 
 
 def or_set(dp: DecoratedPermutation, R) -> tuple[int, ...]:
@@ -495,9 +492,8 @@ def or_set(dp: DecoratedPermutation, R) -> tuple[int, ...]:
     >>> or_set(parse_decperm("2o5o3o8o1u7o6u9o4u"), {2, 8})
     (9,)
     """
-    w, C = _mirrored(dp, R)
-    return tuple(sorted(w.perm[t - 1]
-                        for t in _top_completion(_code(w), C)))
+    inv, C = _mirrored(dp, R)
+    return tuple(sorted(inv[t - 1] or t for t in _top_completion(inv, C)))
 
 
 def left_cyclic_shift(dp: DecoratedPermutation, R) -> DecoratedPermutation:
@@ -509,8 +505,8 @@ def left_cyclic_shift(dp: DecoratedPermutation, R) -> DecoratedPermutation:
     ...                   {2, 8}).to_string()
     '2o9o3o8o1u7o6u4u5u'
     """
-    w, C = _mirrored(dp, R)
-    return inverse_decperm(_shift(w, C, _code(w)))
+    inv, C = _mirrored(dp, R)
+    return _decoded(_inverse_code(_shift(inv, C)))
 
 
 def covered_by_shift(dp: DecoratedPermutation) -> tuple[DecoratedPermutation, ...]:
@@ -521,20 +517,16 @@ def covered_by_shift(dp: DecoratedPermutation) -> tuple[DecoratedPermutation, ..
     7
     """
     return tuple(sorted(
-        (inverse_decperm(DecoratedPermutation._trusted(perm=perm, color=color))
-         for perm, color
-         in _right_shift_walk(inverse_decperm(dp), "covered_by_shift")),
+        (_decoded(_inverse_code(q))
+         for q in _shifts(_inverse_code(_code(dp)), "covered_by_shift")),
         key=DecoratedPermutation.to_string))
 
 
 def inverse_decperm(dp: DecoratedPermutation) -> DecoratedPermutation:
     """Invert the permutation and flip the color across each value's arc,
-    which keeps it valid: :meth:`~flagpipes.config._Frozen._trusted` builds it.
+    on the code (:func:`_inverse_code`).
 
     >>> inverse_decperm(parse_decperm("5o1u3u9o2u7o6u4u8u")).to_string()
     '2o5o3o8o1u7o6u9o4u'
     """
-    inv = inverse(dp.perm)
-    color = dp.color
-    return DecoratedPermutation._trusted(
-        perm=inv, color=tuple([OVER + UNDER - color[j - 1] for j in inv]))
+    return _decoded(_inverse_code(_code(dp)))

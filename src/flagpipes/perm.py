@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations as _raw_permutations
+from operator import le
 from typing import Iterator
 
 from .config import _guard
@@ -154,10 +155,15 @@ def bruhat_leq(u: Permutation, v: Permutation) -> bool:
     """
     if len(u) != len(v):
         raise SizeMismatchError(f"bruhat_leq: sizes {len(u)} != {len(v)}")
-    for cu, cv in zip(key(u), key(v)):
-        for a, b in zip(cu, cv):
-            if a > b:
-                return False
+    return _key_leq(key(u), key(v))
+
+
+def _key_leq(ku: Key, kv: Key) -> bool:
+    """Bruhat order on two sorted-prefix keys of one size, for callers that
+    key each permutation once and compare every pair."""
+    for cu, cv in zip(ku, kv):
+        if not all(map(le, cu, cv)):
+            return False
     return True
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Iterator
 
 from .config import _Frozen, _check_sizes, _guard
@@ -34,9 +34,10 @@ from .decperm import (
     _all_codes,
     _code,
     _decoded,
-    _shifts,
+    _inverse_code,
     _necklace_bases,
     _row_shifts,
+    _shifts,
     decperm_of,
     positroid_of,
 )
@@ -63,28 +64,40 @@ FLAVORS = ("representable", "matroidal")
 class QuotientPoset(_Frozen):
     """Positroids on [n] as decorated permutations ``decperms``, sorted by
     rank then text form, and rank-adjacent cover edges ``covers``, index
-    pairs into them.  The compact form holds each element's code in bytes
-    and the edges in CSR form, two ``array('i')``: element i's targets are
-    ``targets[offsets[i]:offsets[i + 1]]``, ascending, so reading them in
-    order gives ``covers``.  :func:`build_poset` fills the compact form
-    alone; the constructor takes the fields, and each side derives the
-    other on first read, as it does ``names`` and ``elements``."""
+    pairs into them.  Only a compact form is stored: each element's code
+    (:func:`~flagpipes.decperm._code`), the edges in CSR form, two
+    ``array('i')`` where element i's targets are
+    ``targets[offsets[i]:offsets[i + 1]]``, ascending, and the indices of
+    each rank.  The constructor encodes its fields once; ``decperms`` and
+    ``covers`` are decoded on each read, so covers given out of order read
+    back sorted.  ``names`` and ``elements`` are cached on first read."""
 
     _fields = ("n", "flavor", "decperms", "covers")
     n: int
     flavor: str
+    _codes: tuple[bytes, ...]
+    _csr: tuple[array, array]
+    _by_rank: tuple[tuple[int, ...], ...]
 
     def __init__(self, n: int, flavor: str,
                  decperms: tuple[DecoratedPermutation, ...],
                  covers: tuple[tuple[int, int], ...]) -> None:
-        self._store(n=n, flavor=flavor)
-        vars(self).update(decperms=decperms, covers=covers)
+        edges = sorted(covers)
+        sources = [a for a, _ in edges]
+        by_rank: list[list[int]] = [[] for _ in range(n + 1)]
+        for i, w in enumerate(decperms):
+            by_rank[w.rank].append(i)
+        self._store(n=n, flavor=flavor, _codes=tuple(map(_code, decperms)),
+                    _csr=(array("i", [bisect_left(sources, i)
+                                      for i in range(len(decperms) + 1)]),
+                          array("i", [b for _, b in edges])),
+                    _by_rank=tuple(map(tuple, by_rank)))
 
-    @cached_property
+    @property
     def decperms(self) -> tuple[DecoratedPermutation, ...]:
         return tuple(map(_decoded, self._codes))
 
-    @cached_property
+    @property
     def covers(self) -> tuple[tuple[int, int], ...]:
         offsets, targets = self._csr
         return tuple([(a, b) for a in range(len(offsets) - 1)
@@ -98,25 +111,6 @@ class QuotientPoset(_Frozen):
     def elements(self) -> tuple[Positroid, ...]:
         return tuple(map(positroid_of, self.decperms))
 
-    @cached_property
-    def _codes(self) -> tuple[bytes, ...]:
-        return tuple(bytes(_code(w)) for w in self.decperms)
-
-    @cached_property
-    def _csr(self) -> tuple[array, array]:
-        edges = sorted(self.covers)
-        sources = [a for a, _ in edges]
-        return (array("i", [bisect_left(sources, i)
-                            for i in range(len(self.decperms) + 1)]),
-                array("i", [b for _, b in edges]))
-
-    @cached_property
-    def _by_rank(self) -> tuple[tuple[int, ...], ...]:
-        by_rank: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for i, w in enumerate(self.decperms):
-            by_rank[w.rank].append(i)
-        return tuple(map(tuple, by_rank))
-
     def rank_indices(self, k: int) -> tuple[int, ...]:
         return self._by_rank[k] if 0 <= k <= self.n else ()
 
@@ -127,18 +121,6 @@ class QuotientPoset(_Frozen):
     @property
     def top(self) -> int:
         return self.rank_indices(self.n)[0]
-
-
-def _cycle_code(code: bytes, moved) -> bytes:
-    """The moves of a shift applied to a code, as
-    :func:`~flagpipes.decperm._cycle` applies them to (perm, color)."""
-    out = bytearray(code)
-    before = moved[-1]
-    for j in moved:
-        v = code[before - 1] or before
-        out[j - 1] = 0 if v == j else v
-        before = j
-    return bytes(out)
 
 
 def _outside(mask: int, n: int) -> list[int]:
@@ -153,13 +135,13 @@ def build_poset(n: int, flavor: str = "representable") -> QuotientPoset:
     :attr:`~QuotientPoset.names`), so each rank is a range of indices; no
     decorated permutation or positroid is built.  An element's
     representable edges come from one walk of the shift kernel
-    :func:`~flagpipes.decperm._moves` on its code: each choice's moves are
-    applied to the code, which is looked up, and two choices that give one
-    code raise.  Its matroidal edges go to the next rank's elements whose
-    rank-increment masks cover its own (see
-    :func:`~flagpipes.positroid.is_quotient`), among those in the buckets
-    (lo + e, hi + f), e not in lo and f not in hi, of its lex-first and
-    lex-last bases (lo, hi) (see the module docstring).
+    :func:`~flagpipes.decperm._shifts` on its code: each shift is a code,
+    which is looked up, and two choices that give one code raise.  Its
+    matroidal edges go to the next rank's elements whose rank-increment
+    masks cover its own (see :func:`~flagpipes.positroid.is_quotient`),
+    among those in the buckets (lo + e, hi + f), e not in lo and f not in
+    hi, of its lex-first and lex-last bases (lo, hi) (see the module
+    docstring).
 
     >>> p = build_poset(3)
     >>> len(p.decperms), len(p.covers)
@@ -172,18 +154,13 @@ def build_poset(n: int, flavor: str = "representable") -> QuotientPoset:
     # Text forms are distinct, so the sort never compares two codes.
     listed = sorted(_all_codes(n))
     starts = [bisect_left(listed, (k,)) for k in range(n + 2)]
-    poset = QuotientPoset._trusted(n=n, flavor=flavor)
-    vars(poset).update(
-        names=tuple([text for _, text, _ in listed]),
-        _codes=tuple([code for _, _, code in listed]),
-        _by_rank=tuple([tuple(range(a, b))
-                        for a, b in zip(starts, starts[1:])]))
+    names = tuple([text for _, text, _ in listed])
+    codes = tuple([code for _, _, code in listed])
+    by_rank = tuple([tuple(range(a, b)) for a, b in zip(starts, starts[1:])])
     del listed
-    codes, by_rank = poset._codes, poset._by_rank
     if flavor == "representable":
         index = {code: i for i, code in enumerate(codes)}.__getitem__
-        rows = (sorted(map(index, _shifts(code, "covers_by_shift",
-                                          partial(_cycle_code, code))))
+        rows = (sorted(map(index, _shifts(code, "covers_by_shift")))
                 for code in codes)
     else:
         rows = [[] for _ in codes]
@@ -209,7 +186,9 @@ def build_poset(n: int, flavor: str = "representable") -> QuotientPoset:
     for row in rows:
         targets.extend(row)
         offsets.append(len(targets))
-    vars(poset)["_csr"] = offsets, targets
+    poset = QuotientPoset._trusted(n=n, flavor=flavor, _codes=codes,
+                                   _csr=(offsets, targets), _by_rank=by_rank)
+    vars(poset)["names"] = names  # the cache of the lazy property
     return poset
 
 
@@ -300,21 +279,15 @@ def missing_covers(rep: QuotientPoset,
 
 def check_self_dual(poset: QuotientPoset) -> bool:
     """Does inverting every boundary permutation reverse all cover edges?
-    Each inverse is a code, a byte permutation (position w(j) takes j, and
-    a fixed point trades its color: 0 for j, j for 0) looked up by code,
-    and each reversed edge is sought in its source's ascending targets.
+    Each inverse is a code (:func:`~flagpipes.decperm._inverse_code`),
+    looked up by code, and each reversed edge is sought in its source's
+    ascending targets.
 
     >>> check_self_dual(build_poset(3))
     True
     """
     index = {code: i for i, code in enumerate(poset._codes)}
-    image = []
-    for code in poset._codes:
-        inverse = bytearray(len(code))
-        for j, b in enumerate(code, 1):
-            if b != j:
-                inverse[(b or j) - 1] = j
-        image.append(index.get(bytes(inverse)))
+    image = [index.get(_inverse_code(code)) for code in poset._codes]
     if None in image:
         return False
     offsets, targets = poset._csr

@@ -19,7 +19,7 @@ from .exceptions import (
     NotUnblockedError,
     SizeMismatchError,
 )
-from .pathgraph import BasisSet, bases_of, basis_set
+from .pathgraph import BasisSet, bases_of
 from .pipedream import (
     CROSS,
     ELBOW,
@@ -104,6 +104,7 @@ def rank_increments(B: BasisSet) -> int:
     bases become one set of subsets (:func:`_basis_bits`) for the kernel
     :func:`_increments`.
 
+    >>> from flagpipes.pathgraph import basis_set
     >>> bin(rank_increments(basis_set(2, [{1}])))
     '0b101'
     """
@@ -147,6 +148,7 @@ def is_quotient(M: BasisSet, Mp: BasisSet) -> bool:
     is stronger than) the containment facts that every basis of M lies in a
     basis of Mp and every basis of Mp contains a basis of M.
 
+    >>> from flagpipes.pathgraph import basis_set
     >>> is_quotient(basis_set(3, [{1}, {3}]), basis_set(3, [{1, 2}, {2, 3}]))
     True
     >>> is_quotient(basis_set(3, [{2}, {3}]), basis_set(3, [{1, 3}, {2, 3}]))

@@ -43,17 +43,6 @@ class CheckResult(_Frozen):
         return f"{mark} {self.name}: {self.detail} ({self.seconds:.2f}s)"
 
 
-def _key_leq(ku, kv) -> bool:
-    """Bruhat order on two sorted-prefix keys (see
-    :func:`~flagpipes.perm.bruhat_leq`), for checks that key each
-    permutation once and compare every pair."""
-    for cu, cv in zip(ku, kv):
-        for a, b in zip(cu, cv):
-            if a > b:
-                return False
-    return True
-
-
 def check_interval_fpp_count() -> tuple[bool, str]:
     """Dream enumeration counts intervals: 19 at n=3, oracle-matched at n=4."""
     from .perm import all_permutations, bruhat_leq_subword_oracle
@@ -69,7 +58,7 @@ def check_interval_fpp_count() -> tuple[bool, str]:
 
 def check_elbow_length_law() -> tuple[bool, str]:
     """Elbow count equals the length difference on every interval of S5."""
-    from .perm import all_permutations, key, length
+    from .perm import _key_leq, all_permutations, key, length
     from .pipedream import construct_fpp, elbow_count
 
     perms = [(u, key(u), length(u)) for u in all_permutations(5)]
@@ -256,7 +245,7 @@ def check_poset_facts() -> tuple[bool, str]:
 def check_richardson_shadow() -> tuple[bool, str]:
     """Constituent bases equal sorted k-prefixes over the interval, n <= 4."""
     from .pathgraph import bases_of
-    from .perm import all_permutations, key
+    from .perm import _key_leq, all_permutations, key
     from .pipedream import construct_fpp, restrict
 
     intervals = 0

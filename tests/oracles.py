@@ -746,6 +746,13 @@ def all_decperms(n: int) -> list[DecoratedPermutation]:
     return out
 
 
+def inverse_decperm_by_formula(dp) -> DecoratedPermutation:
+    """The inverse worked on (perm, color), not on codes: invert the
+    permutation and flip each value's color across its arc."""
+    inv = inverse(dp.perm)
+    return DecoratedPermutation(inv, tuple(3 - dp.color[j - 1] for j in inv))
+
+
 def decperm_via_completion(D) -> DecoratedPermutation:
     """Boundary data through the trivial completion: standardize, complete
     with descending pivots and crossing boxes, then compose the exit

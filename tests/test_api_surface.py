@@ -1,8 +1,8 @@
 """Guards on the library's source: every public name, every public member
 of a public class and every private module-level helper has a caller, every
-cross-reference in a docstring names something that exists, no invariant
-rests on an ``assert``, and only ``config`` stores fields past the frozen
-base."""
+cross-reference in a docstring names something that exists, no module
+imports a name it never uses, no invariant rests on an ``assert``, and only
+``config`` stores fields past the frozen base."""
 
 import ast
 import importlib
@@ -121,6 +121,43 @@ def test_the_caller_scan_does_not_count_a_bare_import(tmp_path):
     path.write_text("from flagpipes.config import _guard, current_limits\n"
                     "current_limits()\n")
     assert _references(path) == {("config", "current_limits")}
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names one file imports and never reads in its code, leaving out
+    those it lists in ``__all__``; a name read only in a docstring counts
+    as unused, and a ``__future__`` import is a directive, not a name."""
+    tree = ast.parse(path.read_text())
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = {name for stmt in tree.body if isinstance(stmt, ast.Assign)
+                and [getattr(t, "id", None) for t in stmt.targets] == ["__all__"]
+                for name in ast.literal_eval(stmt.value)}
+    return sorted(imported - read - exported)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {path.name: names for path in sorted(PACKAGE.glob("*.py"))
+              if (names := _unused_imports(path))}
+    assert unused == {}
+
+
+def test_the_import_scan_sees_reads_exports_and_docstrings(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("from __future__ import annotations\n"
+                    "import os.path\n"
+                    "import re\n"
+                    "from flagpipes.perm import inverse, key, length as size\n"
+                    "__all__ = ['inverse']\n"
+                    "def f(u):\n"
+                    "    '>>> re.escape(size)'\n"
+                    "    return key(u), os.sep\n")
+    assert _unused_imports(path) == ["re", "size"]
 
 
 def _members():

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 import oracles
 from conftest import assert_rebuilds
 from flagpipes import decperm as decperm_module
-from flagpipes import poset as poset_module
 from flagpipes.decperm import (
     DecoratedPermutation,
     _all_decperms,
@@ -425,8 +424,8 @@ class TestShifts:
 
         for w in all_decperms(n):
             want = oracles.right_shifts_by_choice(w)
-            assert (decperm_module._right_shift_walk(w, "covers_by_shift")
-                    == tuple((q.perm, q.color) for q in want))
+            assert (decperm_module._shifts(_code(w), "covers_by_shift")
+                    == tuple(map(_code, want)))
             assert covers_by_shift(w) == tuple(sorted(want, key=text))
             down = oracles.right_shifts_by_choice(inverse_decperm(w))
             assert covered_by_shift(w) == tuple(sorted(
@@ -484,11 +483,9 @@ class TestChoiceGuard:
                              [covers_by_shift, covered_by_shift, build_poset])
     def test_two_choices_with_one_result_raise(self, monkeypatch, routine):
         """A shift that leaves every choice where it was trips the walk's
-        check at its first two choices; build_poset walks the same way on
-        codes, and its first walk is on 1u2u3u."""
+        check at its first two choices; build_poset walks the same kernel
+        with the same applier, and its first walk is on 1u2u3u."""
         monkeypatch.setattr(decperm_module, "_cycle",
-                            lambda perm, color, moved: (perm, color))
-        monkeypatch.setattr(poset_module, "_cycle_code",
                             lambda code, moved: code)
         arg = {covers_by_shift: identity(3, "u"),
                covered_by_shift: identity(3, "o"), build_poset: 3}[routine]
@@ -507,6 +504,27 @@ class TestDuality:
     def test_inverse_is_involution(self, dp):
         assert inverse_decperm(inverse_decperm(dp)) == dp
         assert inverse_decperm(dp).rank == dp.n - dp.rank
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_codes_match_the_pair_routes(self, n):
+        """On every decorated permutation with n <= 6, a code decodes to
+        the decorated permutation it encodes, and the inverse on codes
+        equals the formula on (perm, color)."""
+        for w in all_decperms(n):
+            assert decperm_module._decoded(_code(w)) == w
+            assert inverse_decperm(w) == oracles.inverse_decperm_by_formula(w)
+
+    def test_codes_past_a_byte(self):
+        """Past n = 255 a value does not fit a byte: the code is a tuple,
+        and shifts and inverses run on it alike."""
+        n = 300
+        w = parse_decperm(",".join([f"{j}o" for j in range(1, n - 1)]
+                                   + [f"{n}o", f"{n - 1}u"]))
+        assert type(_code(w)) is tuple
+        assert decperm_module._decoded(_code(w)) == w
+        assert covers_by_shift(w) == oracles.right_shifts_by_choice(w)
+        assert inverse_decperm(w) == oracles.inverse_decperm_by_formula(w)
+        assert inverse_decperm(inverse_decperm(w)) == w
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_dual_positroid_complements_bases(self, n):

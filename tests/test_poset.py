@@ -1,6 +1,7 @@
 """The two-flavor cover poset, its chains, and the chain/dream bijection."""
 
 import hashlib
+import random
 
 import pytest
 
@@ -292,6 +293,32 @@ def test_the_constructor_rebuilds_the_compact_form(n, flavor):
         pair = (a, other) if flavor == "representable" else (other, a)
         assert missing_covers(*pair) == missing_covers(
             *((b, other) if flavor == "representable" else (other, b)))
+
+
+@pytest.mark.parametrize("flavor", ["representable", "matroidal"])
+def test_covers_given_out_of_order_read_back_sorted(flavor):
+    """The constructor keeps covers in CSR form, so a shuffled edge list
+    builds the poset of the sorted one: equal, with the same hash."""
+    poset = build_poset(3, flavor)
+    shuffled = list(poset.covers)
+    random.Random(flavor).shuffle(shuffled)
+    assert shuffled != list(poset.covers)
+    rebuilt = QuotientPoset(3, flavor, poset.decperms, tuple(shuffled))
+    assert rebuilt.covers == poset.covers
+    assert rebuilt == poset and hash(rebuilt) == hash(poset)
+
+
+def test_reading_decperms_and_covers_keeps_no_copy():
+    """Both are decoded from the compact form on each read, whichever way
+    the poset was built, and nothing is cached in the instance."""
+    built = build_poset(3)
+    made = QuotientPoset(3, "representable", built.decperms, built.covers)
+    for poset in (built, made):
+        stored = set(vars(poset))
+        assert (poset.decperms, poset.covers) == (built.decperms,
+                                                  built.covers)
+        assert set(vars(poset)) == stored
+        assert not {"decperms", "covers"} & stored
 
 
 @pytest.mark.parametrize("flavor", ["representable", "matroidal"])
