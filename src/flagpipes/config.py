@@ -48,6 +48,8 @@ class _Frozen:
     and fields are, the hash is that of the field tuple, and ``repr`` reads
     ``Class(field=value, ...)``.  A class whose values are compared and
     hashed in hot loops spells out ``__eq__`` and ``__hash__``.
+    :class:`~flagpipes.decperm.DecoratedPermutation` is the one exception
+    to the hash rule: it stores its code, not its fields, and hashes that.
     """
 
     _fields: tuple[str, ...] = ()

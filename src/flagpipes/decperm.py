@@ -8,11 +8,13 @@ is read off where the pipes of its standardization exit.  Rank-increasing
 covers are realized by right cyclic shifts on a choice of unblocked
 positions plus a forced top-completion set; the left shifts that realize
 covered elements are right shifts seen through :func:`inverse_decperm`.
-Shifts and inverses run on codes (:func:`_code`), by one kernel
-:func:`_shifts`, one applier :func:`_cycle` and one inverse
-:func:`_inverse_code`; single objects encode once and decode each result,
-and the quotient poset stores codes.  The Grassmann necklace names the
-positroid's bases (Oh's theorem) with no dream built.
+A decorated permutation stores its code (see
+:class:`DecoratedPermutation`), as the quotient poset does.  Shifts,
+inverses and the canonical dream (:func:`dle_of`) read codes, by one
+kernel :func:`_shifts`, one applier :func:`_cycle` and one inverse
+:func:`_inverse_code`, and each result is built from its code, with no
+decoding.  The Grassmann necklace names the positroid's bases (Oh's
+theorem) with no dream built.
 """
 
 from __future__ import annotations
@@ -28,13 +30,8 @@ from .perm import (
     all_permutations,
     validate_permutation,
 )
-from .pipedream import (
-    ELBOW,
-    PIVOT,
-    PipeDream,
-    _front_rows,
-    _sweep,
-)
+from .pipedream import (CROSS, ELBOW, HLINE, PIVOT, VLINE, PipeDream,
+                        _sweep)
 from .positroid import (
     Positroid,
     _choice,
@@ -65,47 +62,62 @@ UNDER = 1  # value sits below its position, or a 1-colored fixed point
 
 
 class DecoratedPermutation(_Frozen):
-    """A permutation of [n] with a 1/2 color at every position.
+    """A permutation of [n] with a 1/2 color at every position, stored as
+    its ``code``: byte j - 1 holds w(j), or 0 where j is a 2-colored fixed
+    point, so j is 1-colored exactly when 0 < code[j - 1] <= j (a tuple
+    past n = 255).  ``perm``, ``color``, ``n``, ``rank`` and the text form
+    are read off the code, and equality and the hash go by it.
 
     >>> DecoratedPermutation((2, 1), (2, 1)).rank
     1
     >>> DecoratedPermutation((1, 2), (1, 2)).to_string()
     '1u2o'
+    >>> list(DecoratedPermutation((1, 2, 3), (2, 1, 2)).code)
+    [0, 2, 0]
     """
 
     _fields = ("perm", "color")
-    perm: Permutation
-    color: tuple[int, ...]
+    code: bytes
 
     def __init__(self, perm: Permutation, color: tuple[int, ...]) -> None:
-        self._store(perm=perm, color=color)
-        validate_permutation(self.perm)
-        n = len(self.perm)
-        if len(self.color) != n:
+        perm = validate_permutation(perm)
+        if len(color) != len(perm):
             raise DomainError("color tuple length differs from permutation")
-        for j, (v, c) in enumerate(zip(self.perm, self.color), start=1):
+        code = []
+        for j, (v, c) in enumerate(zip(perm, color), start=1):
             if c not in (UNDER, OVER):
                 raise DomainError(f"color at position {j} must be 1 or 2")
             if v > j and c != OVER:
                 raise DomainError(f"position {j}: value {v} forces color 2")
             if v < j and c != UNDER:
                 raise DomainError(f"position {j}: value {v} forces color 1")
+            code.append(0 if v == j and c == OVER else int(v))
+        self._store(code=_packed(code))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return (self.perm, self.color) == (other.perm, other.color)
+            return self.code == other.code
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.perm, self.color))
+        return hash(self.code)
+
+    @property
+    def perm(self) -> Permutation:
+        return tuple([b or j for j, b in enumerate(self.code, 1)])
+
+    @property
+    def color(self) -> tuple[int, ...]:
+        return tuple([OVER if b > j or not b else UNDER
+                      for j, b in enumerate(self.code, 1)])
 
     @property
     def n(self) -> int:
-        return len(self.perm)
+        return len(self.code)
 
     @property
     def rank(self) -> int:
-        return self.color.count(OVER)
+        return sum([b > j or not b for j, b in enumerate(self.code, 1)])
 
     def to_string(self) -> str:
         """Compact text form: each value followed by ``o`` (color 2) or
@@ -114,17 +126,29 @@ class DecoratedPermutation(_Frozen):
         >>> DecoratedPermutation((3, 1, 2), (2, 1, 1)).to_string()
         '3o1u2u'
         """
-        texts = _tokens(len(self.perm))
-        parts = [texts[c][v] for v, c in zip(self.perm, self.color)]
-        return ",".join(parts) if len(parts) > 9 else "".join(parts)
+        return _text(self.code)
+
+
+def _packed(values):
+    """The code holding ``values``: bytes, or a tuple past n = 255."""
+    return bytes(values) if len(values) < 256 else tuple(values)
 
 
 @lru_cache(maxsize=32)
-def _tokens(n: int) -> tuple:
+def _tokens(n: int) -> tuple[list[str], ...]:
     """The texts of :meth:`DecoratedPermutation.to_string` on [n]:
-    ``_tokens(n)[c][v]`` is value v followed by the mark of color c."""
-    return (None, tuple([f"{v}u" for v in range(n + 1)]),
-            tuple([f"{v}o" for v in range(n + 1)]))
+    ``_tokens(n)[j - 1][b]`` is position j's text when its byte is b.  The
+    rows share one ``u`` and one ``o`` text per value."""
+    under = [f"{v}u" for v in range(n + 1)]
+    over = [f"{v}o" for v in range(n + 1)]
+    return tuple([[over[j]] + under[1:j + 1] + over[j + 1:]
+                  for j in range(1, n + 1)])
+
+
+def _text(code) -> str:
+    """:meth:`DecoratedPermutation.to_string` of a code."""
+    sep = "," if len(code) > 9 else ""
+    return sep.join(map(list.__getitem__, _tokens(len(code)), code))
 
 
 def parse_decperm(s: str) -> DecoratedPermutation:
@@ -156,11 +180,11 @@ def decperm_of(D: PipeDream) -> DecoratedPermutation:
     that row's pivot column, and the pipe leaving the bottom of column c
     ends at c.  (In the trivial completion that pipe runs straight down to
     the row whose pivot is c and leaves to the right there.)  Color 2 sits
-    exactly at the pivot columns of the k retained rows.  The sweep's exit
-    labels are the permutation as they stand: its bottom labels already sit
-    at their columns (0 under a pivot column), and each row's right label
-    is written at its pivot column; no cross is recorded.  Each pipe exits
-    once, so :meth:`~flagpipes.config._Frozen._trusted` builds the result.
+    exactly at the pivot columns of the k retained rows.  The sweep's
+    bottom labels are the code as they stand (0 under a pivot column), and
+    each row's right label is written at its pivot column, 0 if it is the
+    pivot's own; no cross is recorded.  Each pipe exits once, so
+    :meth:`~flagpipes.config._Frozen._trusted` builds the result.
 
     >>> from flagpipes.pipedream import construct_fpp, restrict
     >>> d = restrict(construct_fpp((2, 4, 1, 3), (4, 2, 3, 1)), 2)
@@ -168,12 +192,10 @@ def decperm_of(D: PipeDream) -> DecoratedPermutation:
     '1u2o3u4o'
     """
     S = standardize(D)
-    right, perm, _ = _sweep(S)
-    color = [UNDER] * S.cols
+    right, code, _ = _sweep(S)
     for p, label in zip(S.pivots, right):
-        perm[p - 1] = label
-        color[p - 1] = OVER
-    return DecoratedPermutation._trusted(perm=tuple(perm), color=tuple(color))
+        code[p - 1] = 0 if label == p else label
+    return DecoratedPermutation._trusted(code=_packed(code))
 
 
 def _row_shifts(D: PipeDream) -> tuple[DecoratedPermutation, ...]:
@@ -181,54 +203,21 @@ def _row_shifts(D: PipeDream) -> tuple[DecoratedPermutation, ...]:
     builds a flag: from ``1u2u...nu``, row k shifts right (:func:`_shift`)
     along its pivot and elbow columns C_k.  A blocked C_k refuses D; on
     every filling with n <= 6 that is exactly when D is not gamma-free."""
-    n = D.cols
-    codes = [_code(DecoratedPermutation._trusted(perm=tuple(range(1, n + 1)),
-                                                 color=(UNDER,) * n))]
+    codes = [_packed(range(1, D.cols + 1))]
     for row in D.grid:
         C = tuple([j for j, t in enumerate(row, 1) if t in (PIVOT, ELBOW)])
         if not set(C).issubset(_unblocked(codes[-1])):
             raise DomainError("dream is not gamma-free")
         codes.append(_shift(codes[-1], C))
-    return tuple(map(_decoded, codes))
-
-
-def _code(dp: DecoratedPermutation) -> bytes:
-    """The internal form of a decorated permutation: byte j - 1 holds
-    w(j), or 0 where j is a 2-colored fixed point, so j is 1-colored
-    exactly when 0 < code[j - 1] <= j.  Past n = 255 it is a tuple.
-
-    >>> list(_code(parse_decperm("1o2u3o")))
-    [0, 2, 0]
-    """
-    code = list(dp.perm)
-    for j, v in enumerate(code, 1):
-        if v == j and dp.color[j - 1] == OVER:
-            code[j - 1] = 0
-    return bytes(code) if len(code) < 256 else tuple(code)
-
-
-def _decoded(code) -> DecoratedPermutation:
-    """The decorated permutation of a code, in one pass; trusted."""
-    perm, color = [], []
-    for j, b in enumerate(code, 1):
-        if b:
-            perm.append(b)
-            color.append(OVER if b > j else UNDER)
-        else:
-            perm.append(j)
-            color.append(OVER)
-    return DecoratedPermutation._trusted(perm=tuple(perm), color=tuple(color))
+    return tuple([DecoratedPermutation._trusted(code=c) for c in codes])
 
 
 def _all_codes(n: int):
     """Every decorated permutation on [n] as ``(rank, text, code)``, the
     code as bytes, unsorted: each permutation with both colors on every
-    fixed point.  The text is :meth:`DecoratedPermutation.to_string`'s,
-    so its count of ``o`` is the rank, joined from :func:`_tokens`."""
-    texts = _tokens(n)
-    tokens = [[texts[OVER if b > j or not b else UNDER][b or j]
-               for b in range(n + 1)] for j in range(1, n + 1)]
-    sep = "," if n > 9 else ""
+    fixed point.  The text is :func:`_text`'s, joined from its tokens, so
+    its count of ``o`` is the rank."""
+    tokens, sep = _tokens(n), "," if n > 9 else ""
     for w in all_permutations(n):
         for code in product(*[(v, 0) if v == j else (v,)
                               for j, v in enumerate(w, 1)]):
@@ -238,31 +227,61 @@ def _all_codes(n: int):
 
 def _all_decperms(n: int) -> list[DecoratedPermutation]:
     """Every decorated permutation on [n], unsorted."""
-    return [_decoded(code) for _, _, code in _all_codes(n)]
+    return [DecoratedPermutation._trusted(code=c) for _, _, c in _all_codes(n)]
 
 
 def dle_of(dp: DecoratedPermutation) -> PipeDream:
-    """The canonical decreasing-pivot dream with the given boundary data:
-    pivot rows list the 2-colored positions in decreasing order, the tail of
-    the completion lists the 1-colored ones, and the exit permutation is the
-    permutation composed with that pivot order.  That pair of permutations
-    is a Bruhat interval for every decorated permutation; the front walk of
-    :func:`~flagpipes.pipedream._front_rows` is its one comparability test,
-    since its end check raises on exactly the pairs that are not.  Past it
-    the rows are an FPP's, built by :meth:`~flagpipes.config._Frozen._trusted`.
-    The walk starts at row k, as the tail's pivots descend: it has no box.
+    """The canonical decreasing-pivot dream with the given boundary data,
+    its pivots the 2-colored positions, peeled off the code from the bottom
+    row up.  A row's pivot p is the least 2-colored position left, and its
+    pipe leaves the row as w(p), or p for a 0 byte.  Left of p every tile
+    is ``V``.  Right of p, read from column n down, a 2-colored column (a
+    pivot above) holds ``H``, a 1-colored column t holds an elbow when w(t)
+    is below the running label, which then becomes w(t), and a cross
+    otherwise.  Each elbow takes the label it met, which undoes the row's
+    cycle: the code of the rows above, right of p.  No front walk runs, and
+    the rows are an FPP's row prefix, so
+    :meth:`~flagpipes.config._Frozen._trusted` builds the dream.
 
-    >>> dle_of(parse_decperm("2o1u4o3u")).pivots
-    (3, 1)
+    >>> dle_of(parse_decperm("2o1u4o3u")).grid
+    ('VVPE', 'PEHX')
+
+    A 2-colored fixed point (a 0 byte) is a pivot whose pipe is its own:
+
+    >>> dle_of(parse_decperm("1o3o2u")).grid
+    ('VPE', 'PHX')
+
+    Past nine values the text is comma-separated:
+
+    >>> D = dle_of(parse_decperm("3o,1u,2u,4u,5u,6u,7u,10o,8u,9u"))
+    >>> D.pivots, D.grid
+    ((8, 1), ('VVVVVVVPEE', 'PEEXXXXHXX'))
+    >>> decperm_of(D).to_string()
+    '3o,1u,2u,4u,5u,6u,7u,10o,8u,9u'
     """
-    over = sorted((j for j, c in enumerate(dp.color, 1) if c == OVER),
-                  reverse=True)
-    under = sorted((j for j, c in enumerate(dp.color, 1) if c == UNDER),
-                   reverse=True)
-    u = tuple(over + under)
-    v = tuple(dp.perm[j - 1] for j in u)
-    return PipeDream._trusted(cols=dp.n, pivots=tuple(over),
-                              grid=_front_rows(u, v, len(over)))
+    code = list(dp.code)
+    n = len(code)
+    over, under = [], []
+    for j, b in enumerate(code, 1):
+        (over if b > j or not b else under).append(j)
+    under.reverse()
+    right = [CROSS] * n
+    for p in over:
+        right[p - 1] = HLINE
+    rows = []
+    for p in over:
+        x = code[p - 1] or p
+        row = [VLINE] * (p - 1) + [PIVOT] + right[p:]
+        for t in under:
+            if t < p:
+                break
+            b = code[t - 1]
+            if b < x:
+                row[t - 1] = ELBOW
+                code[t - 1], x = x, b
+        rows.append("".join(row))
+    return PipeDream._trusted(cols=n, pivots=tuple(over[::-1]),
+                              grid=tuple(rows[::-1]))
 
 
 def positroid_of(dp: DecoratedPermutation) -> Positroid:
@@ -270,8 +289,8 @@ def positroid_of(dp: DecoratedPermutation) -> Positroid:
 
     Its canonical dream :func:`dle_of` is a row prefix of an FPP, hence
     gamma-free, and its pivots descend, so it is the positroid's dream as
-    it is: no Bruhat test beyond the front walk, no gamma-freeness sweep
-    and no standardization.  The positroid is built by
+    it is: no Bruhat test, no gamma-freeness sweep and no
+    standardization.  The positroid is built by
     :meth:`~flagpipes.config._Frozen._trusted`.
 
     >>> positroid_of(parse_decperm("1u2o")).bases.bases
@@ -288,7 +307,7 @@ def _necklace(code) -> tuple[int, ...]:
     otherwise.  I_i is the lex-first basis in the order
     i < i + 1 < ... < n < 1 < ... < i - 1 (Oh, arXiv:0803.1018).
 
-    >>> [bin(I) for I in _necklace(_code(parse_decperm("3o1u2u")))]
+    >>> [bin(I) for I in _necklace(parse_decperm("3o1u2u").code)]
     ['0b1', '0b10', '0b100']
     """
     inv = [0] * len(code)
@@ -313,7 +332,7 @@ def _necklace_bases(code) -> int:
     those sets of subsets is cached (see
     :func:`~flagpipes.positroid._schubert`).
 
-    >>> bin(_necklace_bases(_code(parse_decperm("1u2o"))))
+    >>> bin(_necklace_bases(parse_decperm("1u2o").code))
     '0b100'
     """
     n = len(code)
@@ -332,7 +351,7 @@ def unblocked_positions(dp: DecoratedPermutation) -> tuple[int, ...]:
     >>> unblocked_positions(parse_decperm("5o1u3u9o2u7o6u4u8u"))
     (2, 5, 8, 9)
     """
-    return _unblocked(_code(dp))
+    return _unblocked(dp.code)
 
 
 def _unblocked(code) -> tuple[int, ...]:
@@ -361,7 +380,7 @@ def tc_set(dp: DecoratedPermutation, C) -> tuple[int, ...]:
     >>> tc_set(pi, {2, 5, 8, 9})
     ()
     """
-    code = _code(dp)
+    code = dp.code
     return _top_completion(code, _choice(C, _unblocked(code)))
 
 
@@ -443,8 +462,9 @@ def right_cyclic_shift(dp: DecoratedPermutation, C) -> DecoratedPermutation:
     ...                    {5, 9}).to_string()
     '5o1u3u8o9o7o6u4u2u'
     """
-    code = _code(dp)
-    return _decoded(_shift(code, _choice(C, _unblocked(code))))
+    code = dp.code
+    return DecoratedPermutation._trusted(
+        code=_shift(code, _choice(C, _unblocked(code))))
 
 
 def covers_by_shift(dp: DecoratedPermutation) -> tuple[DecoratedPermutation, ...]:
@@ -454,15 +474,13 @@ def covers_by_shift(dp: DecoratedPermutation) -> tuple[DecoratedPermutation, ...
     >>> len(covers_by_shift(parse_decperm("1u2u3u")))
     7
     """
-    return _sorted_shifts(dp, "covers_by_shift")
+    return _by_text(_shifts(dp.code, "covers_by_shift"))
 
 
-def _sorted_shifts(dp: DecoratedPermutation,
-                   routine: str) -> tuple[DecoratedPermutation, ...]:
-    """:func:`covers_by_shift`, its walk guarded in the name of
-    ``routine``; :func:`~flagpipes.flagbuild.quotient_covers` shares it."""
-    return tuple(sorted(map(_decoded, _shifts(_code(dp), routine)),
-                        key=DecoratedPermutation.to_string))
+def _by_text(codes) -> tuple[DecoratedPermutation, ...]:
+    """Valid codes as decorated permutations, sorted by text form."""
+    build = DecoratedPermutation._trusted
+    return tuple([build(code=code) for code in sorted(codes, key=_text)])
 
 
 def left_unblocked_positions(dp: DecoratedPermutation) -> tuple[int, ...]:
@@ -472,16 +490,17 @@ def left_unblocked_positions(dp: DecoratedPermutation) -> tuple[int, ...]:
     >>> left_unblocked_positions(parse_decperm("2o5o3o8o1u7o6u9o4u"))
     (1, 2, 4, 8)
     """
-    inv = _inverse_code(_code(dp))
+    inv = _inverse_code(dp.code)
     return tuple(sorted(inv[c - 1] for c in _unblocked(inv)))
 
 
 def _mirrored(dp: DecoratedPermutation, R):
     """The inverse's code and the left choice R carried to it through
-    ``dp.perm``, sorted; R is checked first, so an error names a position in
-    dp's numbering, and the carried choice is unblocked in the inverse."""
+    dp's values, sorted; R is checked first, so an error names a position
+    in dp's numbering, and the carried choice is unblocked in the inverse."""
     R = _choice(R, left_unblocked_positions(dp))
-    return _inverse_code(_code(dp)), sorted(dp.perm[r - 1] for r in R)
+    code = dp.code
+    return _inverse_code(code), sorted([code[r - 1] or r for r in R])
 
 
 def or_set(dp: DecoratedPermutation, R) -> tuple[int, ...]:
@@ -506,7 +525,7 @@ def left_cyclic_shift(dp: DecoratedPermutation, R) -> DecoratedPermutation:
     '2o9o3o8o1u7o6u4u5u'
     """
     inv, C = _mirrored(dp, R)
-    return _decoded(_inverse_code(_shift(inv, C)))
+    return DecoratedPermutation._trusted(code=_inverse_code(_shift(inv, C)))
 
 
 def covered_by_shift(dp: DecoratedPermutation) -> tuple[DecoratedPermutation, ...]:
@@ -516,10 +535,8 @@ def covered_by_shift(dp: DecoratedPermutation) -> tuple[DecoratedPermutation, ..
     >>> len(covered_by_shift(parse_decperm("1o2o3o")))
     7
     """
-    return tuple(sorted(
-        (_decoded(_inverse_code(q))
-         for q in _shifts(_inverse_code(_code(dp)), "covered_by_shift")),
-        key=DecoratedPermutation.to_string))
+    return _by_text(map(_inverse_code,
+                        _shifts(_inverse_code(dp.code), "covered_by_shift")))
 
 
 def inverse_decperm(dp: DecoratedPermutation) -> DecoratedPermutation:
@@ -529,4 +546,4 @@ def inverse_decperm(dp: DecoratedPermutation) -> DecoratedPermutation:
     >>> inverse_decperm(parse_decperm("5o1u3u9o2u7o6u4u8u")).to_string()
     '2o5o3o8o1u7o6u9o4u'
     """
-    return _decoded(_inverse_code(_code(dp)))
+    return DecoratedPermutation._trusted(code=_inverse_code(dp.code))

@@ -74,12 +74,12 @@ def quotient_covers(P: Positroid) -> tuple[Positroid, ...]:
     >>> [q.bases.bases for q in quotient_covers(bottom)]
     [((1,),), ((2,),), ((1,), (2,))]
     """
-    from .decperm import _sorted_shifts, decperm_of, positroid_of
+    from .decperm import _by_text, _shifts, decperm_of, positroid_of
 
     if P.rank >= P.n:
         raise DomainError("a full-rank positroid has no covers")
-    return tuple(map(positroid_of, _sorted_shifts(decperm_of(P.dream),
-                                                  "quotient_covers")))
+    shifts = _shifts(decperm_of(P.dream).code, "quotient_covers")
+    return tuple(map(positroid_of, _by_text(shifts)))
 
 
 class FlagPositroid(_Frozen):

@@ -217,20 +217,16 @@ def construct_fpp(u: Permutation, v: Permutation) -> PipeDream:
     return PipeDream(cols=len(u), pivots=u, grid=_front_rows(u, v))
 
 
-def _front_rows(u: Permutation, v: Permutation, k=None) -> tuple[str, ...]:
-    """The first k rows (all by default) of the canonical FPP of a Bruhat
-    interval u <= v that the caller has already checked: the front walk of
-    :func:`construct_fpp`, rows bottom to top and each right to left,
-    writes a cross or an elbow on every box of the row templates of ``u``.
-    Rows past k must hold no box: each passes v(i) to its pivot."""
+def _front_rows(u: Permutation, v: Permutation) -> tuple[str, ...]:
+    """The rows of the canonical FPP of a Bruhat interval u <= v that the
+    caller has already checked: the front walk of :func:`construct_fpp`,
+    rows bottom to top and each right to left, writes a cross or an elbow
+    on every box of the row templates of ``u``."""
     n = len(u)
-    k = n if k is None else k
     vpos = inverse(v)
-    rows = list(_templates(n, u[:k]))
+    rows = list(_templates(n, u))
     col = [0] * (n + 1)
-    for i in range(k, n):
-        col[u[i]] = v[i]
-    for i in range(k, 0, -1):
+    for i in range(n, 0, -1):
         x = v[i - 1]
         row = rows[i - 1]
         for j in range(n, 0, -1):
@@ -279,13 +275,14 @@ def _sweep(D: PipeDream, crosses: bool = False
     pivot column, where no pipe leaves).  With ``crosses``, entry
     ``label - 1`` of ``passes`` lists the cross tiles that pipe passes
     left-to-right; without it ``passes`` is None and no cross is recorded.
-    Rows are read top to bottom, each row left to right; ``down[j]`` holds
-    the pipe entering column j+1 from above and ``h`` the pipe moving
-    right.  An elbow swaps ``h`` and ``down[j]``, a pivot elbow turns
-    ``down[j]`` right, a cross lets ``h`` pass, and ``h`` leaves through
-    the right edge at the end of the row; whatever is left in ``down``
-    leaves through the bottom.  Pipes move only down or right, so each
-    pipe meets its crosses in sweep order.  The structural validation of
+    Rows are read top to bottom, each from its pivot (only ``V`` and ``.``
+    lie left of it) and, without ``crosses``, from elbow to elbow;
+    ``down[j]`` holds the pipe entering column j+1 from above and ``h`` the
+    pipe moving right.  The pivot turns ``down[j]`` right, an elbow swaps
+    the two, a cross lets ``h`` pass, and ``h`` leaves through the right
+    edge at the end of the row; whatever is left in ``down`` leaves through
+    the bottom.  Pipes move only down or right, so each pipe meets its
+    crosses in sweep order.  The structural validation of
     :class:`PipeDream` guarantees that a pipe reaches every cross and elbow
     from both sides.
     """
@@ -293,15 +290,20 @@ def _sweep(D: PipeDream, crosses: bool = False
     passes = [[] for _ in range(n)] if crosses else None
     right: list[int] = []
     down = list(range(1, n + 1))
-    for i, row in enumerate(D.grid, start=1):
-        h = 0
-        for j, t in enumerate(row):
-            if t == ELBOW:
+    for i, (p, row) in enumerate(zip(D.pivots, D.grid), start=1):
+        h, down[p - 1] = down[p - 1], 0
+        if crosses:
+            for j in range(p, n):
+                t = row[j]
+                if t == ELBOW:
+                    h, down[j] = down[j], h
+                elif t == CROSS:
+                    passes[h - 1].append((i, j + 1))
+        else:
+            j = row.find(ELBOW, p)
+            while j >= 0:
                 h, down[j] = down[j], h
-            elif t == PIVOT:
-                h, down[j] = down[j], 0
-            elif t == CROSS and crosses:
-                passes[h - 1].append((i, j + 1))
+                j = row.find(ELBOW, j + 1)
         right.append(h)
     return right, down, passes
 

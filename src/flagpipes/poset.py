@@ -1,8 +1,8 @@
 """The graded poset of positroids on [n] under the quotient order.
 
 Positroids on [n] biject with decorated permutations, so the poset stores
-only those, as codes (see :func:`~flagpipes.decperm._code`), with its
-cover edges in CSR arrays.  Two flavors share one container.
+only their codes (see :class:`~flagpipes.decperm.DecoratedPermutation`),
+with its cover edges in CSR arrays.  Two flavors share one container.
 "Representable" edges are the right cyclic shifts, which realize exactly
 the row-append covers; the row-append route stays as the cross-check of
 ``verify quotient-covers`` and the tests.  "Matroidal" edges are the bare
@@ -29,11 +29,8 @@ from typing import Iterator
 
 from .config import _Frozen, _check_sizes, _guard
 from .decperm import (
-    OVER,
     DecoratedPermutation,
     _all_codes,
-    _code,
-    _decoded,
     _inverse_code,
     _necklace_bases,
     _row_shifts,
@@ -65,12 +62,12 @@ class QuotientPoset(_Frozen):
     """Positroids on [n] as decorated permutations ``decperms``, sorted by
     rank then text form, and rank-adjacent cover edges ``covers``, index
     pairs into them.  Only a compact form is stored: each element's code
-    (:func:`~flagpipes.decperm._code`), the edges in CSR form, two
-    ``array('i')`` where element i's targets are
+    (see :class:`~flagpipes.decperm.DecoratedPermutation`), the edges in
+    CSR form, two ``array('i')`` where element i's targets are
     ``targets[offsets[i]:offsets[i + 1]]``, ascending, and the indices of
-    each rank.  The constructor encodes its fields once; ``decperms`` and
-    ``covers`` are decoded on each read, so covers given out of order read
-    back sorted.  ``names`` and ``elements`` are cached on first read."""
+    each rank.  ``decperms`` is built from the codes and ``covers`` from
+    the CSR arrays on each read, so covers given out of order read back
+    sorted.  ``names`` and ``elements`` are cached on first read."""
 
     _fields = ("n", "flavor", "decperms", "covers")
     n: int
@@ -87,7 +84,8 @@ class QuotientPoset(_Frozen):
         by_rank: list[list[int]] = [[] for _ in range(n + 1)]
         for i, w in enumerate(decperms):
             by_rank[w.rank].append(i)
-        self._store(n=n, flavor=flavor, _codes=tuple(map(_code, decperms)),
+        self._store(n=n, flavor=flavor,
+                    _codes=tuple([w.code for w in decperms]),
                     _csr=(array("i", [bisect_left(sources, i)
                                       for i in range(len(decperms) + 1)]),
                           array("i", [b for _, b in edges])),
@@ -95,7 +93,8 @@ class QuotientPoset(_Frozen):
 
     @property
     def decperms(self) -> tuple[DecoratedPermutation, ...]:
-        return tuple(map(_decoded, self._codes))
+        build = DecoratedPermutation._trusted
+        return tuple([build(code=code) for code in self._codes])
 
     @property
     def covers(self) -> tuple[tuple[int, int], ...]:
@@ -330,9 +329,9 @@ def chain_to_fpp(chain) -> PipeDream:
     if any(p.n != n for p in chain):
         raise SizeMismatchError("chain elements live on different ground sets")
     decperms = tuple(decperm_of(p.dream) for p in chain)
-    over = [{j for j, c in enumerate(w.color, 1) if c == OVER}
+    over = [{j for j, b in enumerate(w.code, 1) if b > j or not b}
             for w in decperms]
-    vals = [{w.perm[j - 1] for j in s} for w, s in zip(decperms, over)]
+    vals = [{w.code[j - 1] or j for j in s} for w, s in zip(decperms, over)]
     u, v = [], []
     for k in range(n):
         du, dv = over[k + 1] - over[k], vals[k + 1] - vals[k]

@@ -97,5 +97,5 @@ def unicode_decperm(w: DecoratedPermutation) -> str:
     """
     marks = {2: _OVERBAR, 1: _UNDERBAR}
     pieces = [f"{v}{marks[c]}" for v, c in zip(w.perm, w.color)]
-    sep = "," if len(w.perm) > 9 else ""
+    sep = "," if w.n > 9 else ""
     return sep.join(pieces)

@@ -88,23 +88,23 @@ def check_bases_engine() -> tuple[bool, str]:
     """Path-family bases: published lex extremes, also read off the 2-colored
     positions and their values, and constituent bases; and the necklace
     bases equal the path-family bases on every positroid with n <= 4."""
-    from .decperm import (OVER, _all_decperms, _code, _necklace_bases,
-                          parse_decperm, positroid_of)
+    from .decperm import (_all_decperms, _necklace_bases, parse_decperm,
+                          positroid_of)
     from .flagbuild import flag_of_fpp
     from .pathgraph import bases_of
     from .pipedream import construct_fpp
     from .positroid import _basis_bits
 
     w = parse_decperm("5o1u3u9o2u7o6u4u8u")
-    lo = tuple(j for j, c in enumerate(w.color, 1) if c == OVER)
-    hi = tuple(sorted(w.perm[j - 1] for j in lo))
+    lo = tuple(j for j, b in enumerate(w.code, 1) if b > j or not b)
+    hi = tuple(sorted(w.code[j - 1] or j for j in lo))
     B = positroid_of(w).bases.bases
     extremes = (B[0], B[-1]) == (lo, hi) == ((1, 4, 6), (5, 7, 9))
     F = flag_of_fpp(construct_fpp((2, 4, 1, 3), (4, 2, 3, 1)))
     want = (((2,), (4,)), ((2, 4),), ((1, 2, 4), (2, 3, 4)))
     cons = tuple(F.constituents[k].bases.bases for k in range(3)) == want
     decperms = [w for n in range(1, 5) for w in _all_decperms(n)]
-    necklaces = all(_necklace_bases(_code(w))
+    necklaces = all(_necklace_bases(w.code)
                     == _basis_bits(bases_of(positroid_of(w).dream))
                     for w in decperms)
     ok = extremes and cons and necklaces

@@ -498,6 +498,27 @@ def trace_pipes_by_walk(D) -> tuple[PipeTrace, ...]:
     return tuple(_walk_one(D, j) for j in range(1, D.cols + 1))
 
 
+def sweep_by_cells(D, crosses: bool = False):
+    """``pipedream._sweep`` reading every cell of every row, left to
+    right from column 1: a pivot elbow turns the pipe from above right, an
+    elbow swaps the two pipes, and a cross is recorded when asked for."""
+    n = D.cols
+    passes = [[] for _ in range(n)] if crosses else None
+    right = []
+    down = list(range(1, n + 1))
+    for i, row in enumerate(D.grid, start=1):
+        h = 0
+        for j, t in enumerate(row):
+            if t == ELBOW:
+                h, down[j] = down[j], h
+            elif t == PIVOT:
+                h, down[j] = down[j], 0
+            elif t == CROSS and crosses:
+                passes[h - 1].append((i, j + 1))
+        right.append(h)
+    return right, down, passes
+
+
 # --------------------------------------------------------------- path families
 
 def path_families_by_edges(D) -> list[tuple[tuple[tuple[int, int], ...], ...]]:
@@ -792,18 +813,25 @@ def extended_cover_dream_by_hand(P, C) -> PipeDream:
                      + ("".join(last),))
 
 
-def positroid_by_construct_fpp(dp) -> Positroid:
-    """The positroid of a decorated permutation through the validating
-    constructors: the canonical FPP of its interval built by
-    ``construct_fpp``, cut to the 2-colored rows, then swept for
-    gamma-freeness and standardized by ``Positroid.from_dream``."""
+def dle_by_construct_fpp(dp) -> PipeDream:
+    """``dle_of`` by the front walk it replaced: the canonical FPP of
+    u <= v built by ``construct_fpp`` and cut to its 2-colored rows, where
+    u lists the 2-colored positions descending, then the 1-colored ones
+    descending, and v = perm o u."""
     over = sorted((j for j, c in enumerate(dp.color, 1) if c == 2),
                   reverse=True)
     under = sorted((j for j, c in enumerate(dp.color, 1) if c == 1),
                    reverse=True)
     u = tuple(over + under)
     v = tuple(dp.perm[j - 1] for j in u)
-    return Positroid.from_dream(restrict(construct_fpp(u, v), len(over)))
+    return restrict(construct_fpp(u, v), len(over))
+
+
+def positroid_by_construct_fpp(dp) -> Positroid:
+    """The positroid of a decorated permutation through the validating
+    constructors: :func:`dle_by_construct_fpp`, swept for gamma-freeness
+    and standardized by ``Positroid.from_dream``."""
+    return Positroid.from_dream(dle_by_construct_fpp(dp))
 
 
 def quotient_covers_by_append_row(P) -> tuple[Positroid, ...]:

@@ -12,7 +12,6 @@ from flagpipes import decperm as decperm_module
 from flagpipes.decperm import (
     DecoratedPermutation,
     _all_decperms,
-    _code,
     _necklace,
     _necklace_bases,
     _row_shifts,
@@ -119,7 +118,7 @@ class TestRepresentation:
                 assert w.to_string() == oracles.decperm_text(w)
             for _, text, code in decperm_module._all_codes(n):
                 assert text == oracles.decperm_text(
-                    decperm_module._decoded(code))
+                    DecoratedPermutation._trusted(code=code))
         for n in (10, 11, 12):
             for _ in range(100):
                 perm = list(range(1, n + 1))
@@ -182,6 +181,29 @@ class TestBoundaryData:
 
         for dp in all_decperms(n):
             assert outcome(dle_of, dp) == outcome(oracles.dle_by_fill, dp)
+
+    @staticmethod
+    def assert_peel_matches_the_front_walk(w):
+        D = dle_of(w)
+        assert D == oracles.dle_by_construct_fpp(w), w.to_string()
+        assert decperm_of(D) == w
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_dle_of_matches_the_front_walk(self, n):
+        """The peel off the code gives the front walk's row prefix of the
+        canonical FPP, on every decorated permutation with n <= 7, and
+        the dream's boundary data is w again."""
+        for w in all_decperms(n):
+            self.assert_peel_matches_the_front_walk(w)
+
+    @pytest.mark.parametrize("n", range(8, 13))
+    def test_dle_of_matches_the_front_walk_at_random(self, n):
+        rng = random.Random(f"dle_of/{n}")
+        for _ in range(2000):
+            perm = list(range(1, n + 1))
+            rng.shuffle(perm)
+            self.assert_peel_matches_the_front_walk(
+                _decorate((tuple(perm), [rng.random() < 0.5 for _ in perm])))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_decperm_dream_mutual_inverse(self, n):
@@ -424,8 +446,8 @@ class TestShifts:
 
         for w in all_decperms(n):
             want = oracles.right_shifts_by_choice(w)
-            assert (decperm_module._shifts(_code(w), "covers_by_shift")
-                    == tuple(map(_code, want)))
+            assert (decperm_module._shifts(w.code, "covers_by_shift")
+                    == tuple([q.code for q in want]))
             assert covers_by_shift(w) == tuple(sorted(want, key=text))
             down = oracles.right_shifts_by_choice(inverse_decperm(w))
             assert covered_by_shift(w) == tuple(sorted(
@@ -507,11 +529,15 @@ class TestDuality:
 
     @pytest.mark.parametrize("n", range(7))
     def test_codes_match_the_pair_routes(self, n):
-        """On every decorated permutation with n <= 6, a code decodes to
-        the decorated permutation it encodes, and the inverse on codes
+        """On every decorated permutation with n <= 6, the stored code is
+        the byte formula of the (perm, color) read off it, which the public
+        constructor turns back into the same code, and the inverse on codes
         equals the formula on (perm, color)."""
         for w in all_decperms(n):
-            assert decperm_module._decoded(_code(w)) == w
+            assert list(w.code) == [0 if v == j and c == 2 else v
+                                    for j, (v, c)
+                                    in enumerate(zip(w.perm, w.color), 1)]
+            assert DecoratedPermutation(w.perm, w.color).code == w.code
             assert inverse_decperm(w) == oracles.inverse_decperm_by_formula(w)
 
     def test_codes_past_a_byte(self):
@@ -520,8 +546,8 @@ class TestDuality:
         n = 300
         w = parse_decperm(",".join([f"{j}o" for j in range(1, n - 1)]
                                    + [f"{n}o", f"{n - 1}u"]))
-        assert type(_code(w)) is tuple
-        assert decperm_module._decoded(_code(w)) == w
+        assert type(w.code) is tuple
+        assert DecoratedPermutation(w.perm, w.color).code == w.code
         assert covers_by_shift(w) == oracles.right_shifts_by_choice(w)
         assert inverse_decperm(w) == oracles.inverse_decperm_by_formula(w)
         assert inverse_decperm(inverse_decperm(w)) == w
@@ -558,11 +584,11 @@ class TestNecklace:
 
     def test_necklace_bases_are_the_path_family_bases(self, positroids):
         for _, w, _, bits in positroids:
-            assert _necklace_bases(_code(w)) == bits, w.to_string()
+            assert _necklace_bases(w.code) == bits, w.to_string()
 
     def test_each_set_is_the_lex_first_basis_from_its_start(self, positroids):
         for n, w, masks, _ in positroids:
-            necklace = _necklace(_code(w))
+            necklace = _necklace(w.code)
             assert len(necklace) == n
             for i, I in enumerate(necklace):
                 place = {(i + j) % n: j for j in range(n)}
@@ -572,6 +598,6 @@ class TestNecklace:
 
     def test_lowest_and_highest_bits_are_the_lex_extremes(self, positroids):
         for _, w, masks, _ in positroids:
-            bits = _necklace_bases(_code(w))
+            bits = _necklace_bases(w.code)
             assert (bits & -bits).bit_length() - 1 == masks[0]
             assert bits.bit_length() - 1 == masks[-1]

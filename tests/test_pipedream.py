@@ -241,6 +241,20 @@ class TestTraces:
         for D in gamma_free_dreams_n5:
             self.assert_sweep_matches_the_walk(D)
 
+    def test_sweep_matches_the_cell_by_cell_sweep(self):
+        """Each row read from its pivot, and from elbow to elbow without
+        crosses, gives what reading every cell gave, on every FPP and
+        partial FPP with n <= 4."""
+        count = 0
+        for n in range(1, 5):
+            for k in range(n + 1):
+                for D in enumerate_partial_fpps(n, k):
+                    for crosses in (False, True):
+                        assert (_sweep(D, crosses)
+                                == oracles.sweep_by_cells(D, crosses))
+                    count += 1
+        assert count == 580
+
     def test_only_the_cross_readers_ask_for_crosses(self, monkeypatch):
         """One sweep per reader; decperm_of and right_exit_labels read the
         exit labels alone, so the sweep records no cross for them."""

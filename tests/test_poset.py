@@ -324,10 +324,10 @@ def test_reading_decperms_and_covers_keeps_no_copy():
 @pytest.mark.parametrize("flavor", ["representable", "matroidal"])
 def test_the_build_makes_no_decorated_permutation(monkeypatch, flavor):
     """Elements stay codes through the build, the chain count and the
-    self-duality check; ``decperms`` is decoded on first read."""
+    self-duality check; ``decperms`` is built from the codes when read."""
     monkeypatch.setenv(ENV_MAX_N, "5")
     made = []
-    DecoratedPermutation._trusted(perm=(), color=())  # compiles the builder
+    DecoratedPermutation._trusted(code=b"")  # compiles the builder
     real = DecoratedPermutation._trusted.__func__
 
     def counted(cls, **fields):
