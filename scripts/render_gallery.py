@@ -2,10 +2,12 @@
 """Render an HTML gallery of every interval pipe dream for one ground set.
 
 Each comparable pair u <= v in Bruhat order contributes one SVG grid,
-captioned with the interval, the elbow count, and the boundary decorated
-permutation.  Output is a single self-contained index.html.  The dreams
-come from ``enumerate_fpps`` under its ``enumerate_max_n`` guard; a size
-past the guard prints an error and exits 1.
+captioned with the interval, the elbow count, and the flag the dream
+names: the decorated permutations of ranks 1 through n - 1 of its chain
+(rank n is always the top element).  Output is a single self-contained
+index.html.  The dreams come from ``enumerate_fpps`` under its
+``enumerate_max_n`` guard; a size past the guard prints an error and
+exits 1.
 
 Usage:
     python3 scripts/render_gallery.py --n 3 --out build/gallery3.html
@@ -20,6 +22,7 @@ from pathlib import Path
 
 from flagpipes.decperm import decperm_of
 from flagpipes.exceptions import DomainError
+from flagpipes.flagbuild import flag_of_fpp
 from flagpipes.pipedream import elbow_count, enumerate_fpps, right_exit_labels
 from flagpipes.render import svg_grid, unicode_decperm
 
@@ -46,8 +49,11 @@ def main(args: argparse.Namespace) -> int:
             exits = right_exit_labels(D)
             v = tuple(exits[i] for i in range(1, D.rows + 1))
             elbows = elbow_count(D)
-            caption = (f"[{one_line(u)}, {one_line(v)}], {elbows} elbows, "
-                       f"{unicode_decperm(decperm_of(D))}")
+            flag = " → ".join(unicode_decperm(decperm_of(P.dream))
+                              for P in flag_of_fpp(D).constituents[:-1])
+            caption = f"[{one_line(u)}, {one_line(v)}], {elbows} elbows"
+            if flag:
+                caption += f", flag {flag}"
             cards.append((elbows, u, v, svg_grid(D, cell=CELL), caption))
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,10 +1,11 @@
-"""Enumeration guards and their environment override.
+"""Size guards with their environment override, and the frozen base of
+the library's value classes.
 
-Exhaustive routines (full pipe-dream enumeration, poset construction, minor
-tables) are guarded by size limits so a typo cannot start a week-long loop.
-Setting the environment variable ``POSITROID_MAX_N`` to an integer raises every
-guard to at least that value.  Most guards cap a ground-set size;
-``covers_max_unblocked`` caps the number of unblocked positions whose
+Exhaustive routines (pipe-dream enumeration, poset construction, minor
+tables) refuse a size above a cap, so a typo cannot start a week-long loop.
+The default caps are one private table; setting ``POSITROID_MAX_N`` to an
+integer raises each to at least that value.  Most caps bound a ground-set
+size; ``covers_max_unblocked`` bounds the unblocked positions whose
 nonempty subsets a cover listing walks.
 """
 
@@ -14,7 +15,7 @@ import os
 
 from .exceptions import DomainError, GuardExceededError
 
-__all__ = ["Limits", "ENV_MAX_N", "current_limits"]
+__all__ = ["ENV_MAX_N"]
 
 ENV_MAX_N = "POSITROID_MAX_N"
 
@@ -92,62 +93,30 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class Limits(_Frozen):
-    """Per-routine ground-set size caps.  The class attributes are the
-    defaults.
-
-    >>> current_limits().enumerate_max_n >= 6
-    True
-    """
-
-    _fields = ("subword_max_n", "enumerate_max_n", "pathgraph_max_n",
-               "poset_representable_max_n", "poset_matroidal_max_n",
-               "minors_max_n", "covers_max_unblocked")
-    subword_max_n: int = 6
-    enumerate_max_n: int = 6
-    pathgraph_max_n: int = 12
-    poset_representable_max_n: int = 5
-    poset_matroidal_max_n: int = 4
-    minors_max_n: int = 12
-    covers_max_unblocked: int = 12
-
-    def __init__(self, subword_max_n: int = subword_max_n,
-                 enumerate_max_n: int = enumerate_max_n,
-                 pathgraph_max_n: int = pathgraph_max_n,
-                 poset_representable_max_n: int = poset_representable_max_n,
-                 poset_matroidal_max_n: int = poset_matroidal_max_n,
-                 minors_max_n: int = minors_max_n,
-                 covers_max_unblocked: int = covers_max_unblocked) -> None:
-        self._store(
-            subword_max_n=subword_max_n, enumerate_max_n=enumerate_max_n,
-            pathgraph_max_n=pathgraph_max_n, minors_max_n=minors_max_n,
-            poset_representable_max_n=poset_representable_max_n,
-            poset_matroidal_max_n=poset_matroidal_max_n,
-            covers_max_unblocked=covers_max_unblocked)
-
-
-def current_limits() -> Limits:
-    """Return the active limits, honouring ``POSITROID_MAX_N``.
-
-    A non-integer value in the environment is ignored.  The environment is
-    read on every call, so a new value takes effect at once.
-    """
-    try:
-        override = int(os.environ[ENV_MAX_N])
-    except (KeyError, ValueError):
-        return Limits()
-    return Limits(**{name: max(getattr(Limits, name), override)
-                     for name in Limits._fields})
+# The default cap of each guard.  ``POSITROID_MAX_N`` only raises a cap.
+_LIMITS = {
+    "subword_max_n": 6,
+    "enumerate_max_n": 6,
+    "pathgraph_max_n": 12,
+    "poset_representable_max_n": 5,
+    "poset_matroidal_max_n": 4,
+    "minors_max_n": 12,
+    "covers_max_unblocked": 12,
+}
 
 
 def _guard(routine: str, field: str, value: int) -> None:
-    """Refuse a size ``value`` above the limit ``field``, naming the
-    routine, the value, the limit and its override.  An override only
-    raises a limit, so a size within the default needs no environment
-    read."""
-    if value <= getattr(Limits, field):
+    """Refuse a size ``value`` above the cap ``field``, naming the routine,
+    the value, the cap and its override.  An override only raises a cap,
+    so a size within the default reads no environment; above it,
+    ``POSITROID_MAX_N`` is read once, and a non-integer value is ignored."""
+    cap = _LIMITS[field]
+    if value <= cap:
         return
-    cap = getattr(current_limits(), field)
+    try:
+        cap = max(cap, int(os.environ[ENV_MAX_N]))
+    except (KeyError, ValueError):
+        pass
     if value > cap:
         raise GuardExceededError(
             f"{routine}: {value} exceeds {field} = {cap} "

@@ -421,7 +421,8 @@ def restrict(D: PipeDream, k: int) -> PipeDream:
     >>> restrict(construct_fpp((1, 2, 3), (3, 1, 2)), 1).grid
     ('PEE',)
     """
-    if not 0 <= k <= D.rows:
+    _check_sizes("restrict", k=k)
+    if k > D.rows:
         raise DomainError(f"cannot restrict {D.rows} rows to {k}")
     return PipeDream._trusted(cols=D.cols, pivots=D.pivots[:k],
                               grid=D.grid[:k])

@@ -67,7 +67,9 @@ class QuotientPoset(_Frozen):
     ``targets[offsets[i]:offsets[i + 1]]``, ascending, and the indices of
     each rank.  ``decperms`` is built from the codes and ``covers`` from
     the CSR arrays on each read, so covers given out of order read back
-    sorted.  ``names`` and ``elements`` are cached on first read."""
+    sorted.  ``names`` and ``elements`` are cached on first read.  The
+    constructor refuses an unknown flavor, an element on another [n], a
+    repeated element and a cover that is not two indices of elements."""
 
     _fields = ("n", "flavor", "decperms", "covers")
     n: int
@@ -79,13 +81,22 @@ class QuotientPoset(_Frozen):
     def __init__(self, n: int, flavor: str,
                  decperms: tuple[DecoratedPermutation, ...],
                  covers: tuple[tuple[int, int], ...]) -> None:
+        _check_flavor(flavor)
+        codes = tuple([w.code for w in decperms])
+        if any(w.n != n for w in decperms):
+            raise DomainError(f"QuotientPoset: an element is not on [{n}]")
+        if len(set(codes)) != len(codes):
+            raise DomainError("QuotientPoset: an element is repeated")
         edges = sorted(covers)
+        if any(len(edge) != 2 or not all(type(i) is int and 0 <= i < len(codes)
+                                         for i in edge) for edge in edges):
+            raise DomainError(f"QuotientPoset: a cover is not two indices "
+                              f"among the {len(codes)} elements")
         sources = [a for a, _ in edges]
         by_rank: list[list[int]] = [[] for _ in range(n + 1)]
         for i, w in enumerate(decperms):
             by_rank[w.rank].append(i)
-        self._store(n=n, flavor=flavor,
-                    _codes=tuple([w.code for w in decperms]),
+        self._store(n=n, flavor=flavor, _codes=codes,
                     _csr=(array("i", [bisect_left(sources, i)
                                       for i in range(len(decperms) + 1)]),
                           array("i", [b for _, b in edges])),
@@ -113,13 +124,23 @@ class QuotientPoset(_Frozen):
     def rank_indices(self, k: int) -> tuple[int, ...]:
         return self._by_rank[k] if 0 <= k <= self.n else ()
 
+    def _first(self, k: int) -> int:
+        for i in self.rank_indices(k):
+            return i
+        raise DomainError(f"the poset has no element of rank {k}")
+
     @property
     def bottom(self) -> int:
-        return self.rank_indices(0)[0]
+        return self._first(0)
 
     @property
     def top(self) -> int:
-        return self.rank_indices(self.n)[0]
+        return self._first(self.n)
+
+
+def _check_flavor(flavor: str) -> None:
+    if flavor not in FLAVORS:
+        raise DomainError(f"unknown flavor {flavor!r}; pick one of {FLAVORS}")
 
 
 def _outside(mask: int, n: int) -> list[int]:
@@ -146,8 +167,7 @@ def build_poset(n: int, flavor: str = "representable") -> QuotientPoset:
     >>> len(p.decperms), len(p.covers)
     (16, 33)
     """
-    if flavor not in FLAVORS:
-        raise DomainError(f"unknown flavor {flavor!r}; pick one of {FLAVORS}")
+    _check_flavor(flavor)
     _check_sizes("build_poset", n=n)
     _guard("build_poset", f"poset_{flavor}_max_n", n)
     # Text forms are distinct, so the sort never compares two codes.
@@ -363,20 +383,24 @@ def export_json(poset: QuotientPoset) -> dict:
 def export_dot(poset: QuotientPoset, dashed=()) -> str:
     """Graphviz text, ranks on shared levels; edges in ``dashed`` (pairs of
     boundary texts) render dashed, and those that are not covers are drawn
-    after the covers.  A dashed name that is not an element is a domain
-    error.
+    after the covers.  A dashed entry that is not a pair of names, or a
+    name that is not an element, is a domain error.
 
     >>> print(export_dot(build_poset(2)).splitlines()[0])
     digraph quotient_poset {
     """
-    dashed_set = {tuple(e) for e in dashed}
     names = poset.names
     known = set(names)
-    for pair in dashed_set:
-        for name in pair:
+    dashed_set = set()
+    for edge in dashed:
+        if (type(edge) not in (tuple, list) or len(edge) != 2
+                or not all(type(name) is str for name in edge)):
+            raise DomainError(f"dashed edge {edge!r} is not a pair of names")
+        for name in edge:
             if name not in known:
-                raise DomainError(f"dashed edge {pair[0]!r} -> {pair[1]!r}: "
+                raise DomainError(f"dashed edge {edge[0]!r} -> {edge[1]!r}: "
                                   f"{name!r} is not an element of the poset")
+        dashed_set.add(tuple(edge))
     lines = ["digraph quotient_poset {", "  rankdir=BT;"]
     for k in range(poset.n + 1):
         row = " ".join(f'"{names[i]}";' for i in poset.rank_indices(k))

@@ -242,6 +242,7 @@ def standardize_step(D: PipeDream, i: int) -> PipeDream:
     >>> standardize_step(d, 1).grid
     ('VPX', 'PHX')
     """
+    _check_sizes("standardize_step", i=i)
     if not 1 <= i <= D.rows - 1:
         raise DomainError(f"row index {i} out of range for {D.rows} rows")
     if D.pivots[i - 1] > D.pivots[i]:

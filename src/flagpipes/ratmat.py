@@ -182,11 +182,16 @@ def rational_matrix(rows) -> RationalMatrix:
 
 
 def matrix_to_json(A: RationalMatrix) -> list[list[str]]:
-    """String form that parses back exactly.
+    """String form that parses back exactly.  The form holds only the
+    rows, which read back labeled from 1, so a matrix labeled from 0 is
+    refused.
 
     >>> matrix_to_json(rational_matrix([[1, "-1/2"]]))
     [['1', '-1/2']]
     """
+    if A.offset_zero:
+        raise DomainError("matrix_to_json: a matrix labeled from 0 would "
+                          "read back labeled from 1")
     return [[str(x) for x in row] for row in A.rows]
 
 

@@ -5,10 +5,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, settings, strategies as st
+from hypothesis import HealthCheck, settings
 
 from flagpipes.decperm import parse_decperm, positroid_of
-from flagpipes.pipedream import PipeDream, enumerate_partial_fpps
+from flagpipes.pipedream import enumerate_partial_fpps
 from flagpipes.ratmat import rational_matrix
 
 # pytest puts src/ on this process's path (pythonpath in pyproject.toml);
@@ -25,29 +25,6 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
-
-
-def permutations_of(n: int):
-    """Strategy: a permutation of [n] as a tuple."""
-    return st.permutations(tuple(range(1, n + 1))).map(tuple)
-
-
-def sized_permutations(max_n: int = 6):
-    """Strategy: a permutation of [n] for some 1 <= n <= max_n."""
-    return st.integers(min_value=1, max_value=max_n).flatmap(permutations_of)
-
-
-def permutation_pairs(max_n: int = 5):
-    """Strategy: two permutations of a common size."""
-    return st.integers(min_value=1, max_value=max_n).flatmap(
-        lambda n: st.tuples(permutations_of(n), permutations_of(n))
-    )
-
-
-def assert_rebuilds(D) -> None:
-    """A dream the library built unchecked passes the public constructor's
-    checks and comes back equal."""
-    assert PipeDream(D.cols, D.pivots, D.grid) == D
 
 
 @pytest.fixture(scope="session")

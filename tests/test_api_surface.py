@@ -118,9 +118,9 @@ def test_every_private_helper_has_a_caller():
 
 def test_the_caller_scan_does_not_count_a_bare_import(tmp_path):
     path = tmp_path / "sample.py"
-    path.write_text("from flagpipes.config import _guard, current_limits\n"
-                    "current_limits()\n")
-    assert _references(path) == {("config", "current_limits")}
+    path.write_text("from flagpipes.config import _guard, _check_sizes\n"
+                    "_check_sizes()\n")
+    assert _references(path) == {("config", "_check_sizes")}
 
 
 def _unused_imports(path: Path) -> list[str]:

@@ -3,7 +3,7 @@
 import pytest
 
 from flagpipes import config
-from flagpipes.config import ENV_MAX_N, Limits, _guard, current_limits
+from flagpipes.config import ENV_MAX_N, _guard
 from flagpipes.decperm import covered_by_shift, covers_by_shift, parse_decperm
 from flagpipes.exceptions import DomainError, GuardExceededError
 from flagpipes.flagbuild import quotient_covers
@@ -11,12 +11,18 @@ from flagpipes.pathgraph import bases_of
 from flagpipes.perm import bruhat_leq_subword_oracle
 from flagpipes.pipedream import (
     PipeDream,
+    construct_fpp,
     enumerate_fpps,
     enumerate_le_dreams,
     enumerate_partial_fpps,
+    restrict,
 )
 from flagpipes.poset import build_poset
-from flagpipes.positroid import Positroid, enumerate_positroids
+from flagpipes.positroid import (
+    Positroid,
+    enumerate_positroids,
+    standardize_step,
+)
 from flagpipes.ratmat import flag_minors, rational_matrix
 
 
@@ -79,6 +85,9 @@ BAD_SIZES = [
     ("enumerate_le_dreams", lambda v: next(enumerate_le_dreams(3, v)), "k"),
     ("enumerate_positroids", lambda v: next(enumerate_positroids(v)), "n"),
     ("build_poset", lambda v: build_poset(v), "n"),
+    ("restrict", lambda v: restrict(construct_fpp((1, 2), (2, 1)), v), "k"),
+    ("standardize_step",
+     lambda v: standardize_step(construct_fpp((1, 2, 3), (3, 1, 2)), v), "i"),
 ]
 BAD_SIZE_IDS = [f"{b[0]}:{b[2]}" for b in BAD_SIZES]
 # Sizes of another type: a float, even a whole one, a bool and a string.
@@ -112,27 +121,33 @@ def test_more_rows_than_columns_list_nothing():
 
 def test_a_changed_override_takes_effect_at_once(monkeypatch):
     monkeypatch.setenv(ENV_MAX_N, "7")
-    assert current_limits().enumerate_max_n == 7
+    _guard("routine", "enumerate_max_n", 7)
     assert next(enumerate_le_dreams(7, 1)).cols == 7
     monkeypatch.setenv(ENV_MAX_N, "9")
-    assert current_limits().enumerate_max_n == 9
-    monkeypatch.setenv(ENV_MAX_N, "seven")
-    assert current_limits() == Limits()
+    _guard("routine", "enumerate_max_n", 9)
+    with pytest.raises(GuardExceededError, match="enumerate_max_n = 9 "):
+        _guard("routine", "enumerate_max_n", 10)
+    for ignored in ("seven", "3"):  # not an integer; below the default
+        monkeypatch.setenv(ENV_MAX_N, ignored)
+        with pytest.raises(GuardExceededError, match="enumerate_max_n = 6 "):
+            _guard("routine", "enumerate_max_n", 7)
     monkeypatch.delenv(ENV_MAX_N)
-    assert current_limits() == Limits()
     with pytest.raises(GuardExceededError):
         next(enumerate_le_dreams(7, 1))
 
 
 def test_a_size_within_the_default_reads_no_environment(monkeypatch):
-    """An override only raises a limit, so a size at or below a field's
+    """An override only raises a cap, so a size at or below a cap's
     default passes without reading the environment."""
-    def unread():
-        raise AssertionError("environment read")
+    class Unread:
+        @property
+        def environ(self):
+            raise AssertionError("environment read")
 
-    monkeypatch.setattr(config, "current_limits", unread)
-    assert len(Limits._fields) == 7
-    for name in Limits._fields:
-        _guard("routine", name, getattr(Limits(), name))
+    monkeypatch.setattr(config, "os", Unread())
+    assert len(config._LIMITS) == 7
+    for name, cap in config._LIMITS.items():
+        _guard("routine", name, cap)
     with pytest.raises(AssertionError, match="environment read"):
-        _guard("routine", "enumerate_max_n", Limits.enumerate_max_n + 1)
+        _guard("routine", "enumerate_max_n",
+               config._LIMITS["enumerate_max_n"] + 1)

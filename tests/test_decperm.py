@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from conftest import assert_rebuilds
+from helpers import assert_rebuilds
 from flagpipes import decperm as decperm_module
 from flagpipes.decperm import (
     DecoratedPermutation,

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 import oracles
-from conftest import assert_rebuilds
+from helpers import assert_rebuilds
 from flagpipes import decperm
 from flagpipes.decperm import (
     DecoratedPermutation,

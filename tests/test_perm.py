@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 
 import oracles
-from conftest import permutation_pairs, sized_permutations
+from helpers import permutation_pairs, sized_permutations
 from flagpipes.exceptions import DomainError, GuardExceededError, SizeMismatchError
 from flagpipes.perm import (
     all_permutations,

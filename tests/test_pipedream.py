@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 
 import oracles
-from conftest import assert_rebuilds, permutation_pairs
+from helpers import assert_rebuilds, permutation_pairs
 from flagpipes import pipedream
 from flagpipes.config import ENV_MAX_N
 from flagpipes.exceptions import (

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -308,6 +309,46 @@ def test_covers_given_out_of_order_read_back_sorted(flavor):
     assert rebuilt == poset and hash(rebuilt) == hash(poset)
 
 
+# (what is wrong, the constructor's arguments from build_poset(1), the error)
+REFUSED = [
+    ("flavor", lambda p: (1, "bogus", p.decperms, p.covers),
+     "unknown flavor 'bogus'"),
+    ("ground-set", lambda p: (2, p.flavor, p.decperms, ()),
+     "an element is not on [2]"),
+    ("repeated", lambda p: (1, p.flavor, p.decperms * 2, ()),
+     "an element is repeated"),
+    ("cover-past-the-end", lambda p: (1, p.flavor, p.decperms[:1], ((0, 5),)),
+     "a cover is not two indices among the 1 elements"),
+    ("negative-cover", lambda p: (1, p.flavor, p.decperms, ((-1, 1),)),
+     "a cover is not two indices among the 2 elements"),
+    # a float would be read as the index it bisects to
+    ("float-cover", lambda p: (1, p.flavor, p.decperms, ((0.5, 1),)),
+     "a cover is not two indices among the 2 elements"),
+    ("three-indices", lambda p: (1, p.flavor, p.decperms, ((0, 1, 1),)),
+     "a cover is not two indices among the 2 elements"),
+]
+
+
+@pytest.mark.parametrize("args, message", [r[1:] for r in REFUSED],
+                         ids=[r[0] for r in REFUSED])
+def test_the_constructor_refuses_what_no_poset_holds(args, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        QuotientPoset(*args(build_poset(1)))
+
+
+@pytest.mark.parametrize("end, rank", [("bottom", 0), ("top", 1)])
+def test_an_empty_end_rank_is_named(end, rank):
+    """A poset may lack a rank; its bottom or top then names the rank, and
+    so does a chain count, which starts from both."""
+    kept = tuple(w for w in build_poset(1).decperms if w.rank != rank)
+    poset = QuotientPoset(1, "representable", kept, ())
+    message = f"the poset has no element of rank {rank}"
+    with pytest.raises(DomainError, match=message):
+        getattr(poset, end)
+    with pytest.raises(DomainError, match=message):
+        maximal_chain_count(poset)
+
+
 def test_reading_decperms_and_covers_keeps_no_copy():
     """Both are decoded from the compact form on each read, whichever way
     the poset was built, and nothing is cached in the instance."""
@@ -464,4 +505,11 @@ class TestExports:
         [("1u2u3u", "9o")], [("nope", "1o2u3u")], [("1u2u", "1o2u")]])
     def test_dot_dashed_names_must_be_elements(self, dashed):
         with pytest.raises(DomainError, match="not an element"):
+            export_dot(build_poset(3), dashed=dashed)
+
+    @pytest.mark.parametrize("dashed", [
+        [("1u2u3u",)], [("1u2u3u", "1o2u3u", "1o2o3u")], ["1u2u3u"],
+        [("1u2u3u", 5)], [None]], ids=repr)
+    def test_dot_dashed_entries_must_be_pairs_of_names(self, dashed):
+        with pytest.raises(DomainError, match="is not a pair of names"):
             export_dot(build_poset(3), dashed=dashed)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from conftest import assert_rebuilds
+from helpers import assert_rebuilds
 from flagpipes import positroid as positroid_module
 from flagpipes.decperm import parse_decperm, positroid_of
 from flagpipes.exceptions import DomainError, SizeMismatchError

@@ -16,6 +16,7 @@ from hypothesis import given, strategies as st
 import oracles
 import flagpipes.decperm as decperm
 import flagpipes.ratmat as ratmat
+import flagpipes.serialize as ser
 from flagpipes.exceptions import (
     DomainError,
     GuardExceededError,
@@ -199,8 +200,6 @@ class TestConstruction:
                             assert det(S) == det(R)
 
     def test_integer_rows_stay_out_of_repr_and_json(self):
-        import flagpipes.serialize as ser
-
         A = rational_matrix([["1/2", 3], [0, "-2/3"]])
         assert repr(A) == (
             "RationalMatrix(rows=((Fraction(1, 2), Fraction(3, 1)), "
@@ -214,6 +213,15 @@ class TestConstruction:
         data = matrix_to_json(A)
         assert data == [["1/2", "-1"], ["3", "7/5"]]
         assert rational_matrix(data) == A
+        assert ser.parse_any(ser.to_json(A)) == ("matrix", A)
+
+    def test_json_refuses_a_matrix_labeled_from_zero(self):
+        """Its rows would parse back labeled from 1, shifting every
+        minor's key."""
+        B = embed_append(rational_matrix([["1/2", -1], [3, "7/5"]]))
+        for write in (matrix_to_json, ser.to_json):
+            with pytest.raises(DomainError, match="labeled from 0"):
+                write(B)
 
 
 class TestDeterminant:

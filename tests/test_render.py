@@ -10,7 +10,7 @@ from flagpipes.perm import bruhat_leq
 from flagpipes.pipedream import construct_fpp
 from flagpipes.render import ascii_grid, svg_grid, unicode_decperm
 
-from conftest import permutation_pairs
+from helpers import permutation_pairs
 
 PATHS_PER_TILE = {"P": 1, "E": 2, "X": 2, "H": 1, "V": 1, ".": 0}
 

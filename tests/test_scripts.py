@@ -133,6 +133,23 @@ def test_gallery_writes_html(tmp_path):
     assert "<svg" in html
 
 
+def test_gallery_captions_name_the_flag(tmp_path):
+    """A card names its dream's ranks 1..n-1, not the top element: the row
+    shifts of [123, 312] are 3o1u2u and 1o3o2u."""
+    out = tmp_path / "g.html"
+    subprocess.run(
+        [sys.executable, str(SCRIPTS[0].parent / "render_gallery.py"),
+         "--n", "3", "--out", str(out)],
+        capture_output=True, text=True, check=True)
+    captions = [part.split("</figcaption>")[0]
+                for part in out.read_text().split("<figcaption>")[1:]]
+    assert len(captions) == 19
+    card = [c for c in captions if c.startswith("[123, 312]")]
+    assert card == ["[123, 312], 2 elbows, flag 3\u03041\u03322\u0332 \u2192 "
+                    "1\u03043\u03042\u0332"]
+    assert not any("1\u03042\u03043\u0304" in c for c in captions)
+
+
 def test_gallery_refuses_past_the_enumeration_guard(tmp_path, monkeypatch):
     monkeypatch.delenv("POSITROID_MAX_N", raising=False)
     out = tmp_path / "g.html"

@@ -14,7 +14,7 @@ from flagpipes.perm import bruhat_leq
 from flagpipes.pipedream import construct_fpp
 from flagpipes.ratmat import rational_matrix
 
-from conftest import permutation_pairs
+from helpers import permutation_pairs
 
 
 class TestRoundTrips:

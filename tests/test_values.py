@@ -1,4 +1,4 @@
-"""Value semantics of the library's eleven immutable classes: the text of
+"""Value semantics of the library's ten immutable classes: the text of
 ``repr``, equality and hashing over the fields, keyword construction and
 defaults, no assignment or deletion, and pickling."""
 
@@ -8,7 +8,6 @@ from fractions import Fraction
 
 import pytest
 
-from flagpipes.config import Limits
 from flagpipes.decperm import DecoratedPermutation
 from flagpipes.flagbuild import flag_of_fpp
 from flagpipes.pathgraph import basis_set
@@ -22,13 +21,6 @@ D = construct_fpp((1, 2), (2, 1))
 
 # (value, its field names in order, its repr)
 SAMPLES = [
-    (Limits(),
-     ("subword_max_n", "enumerate_max_n", "pathgraph_max_n",
-      "poset_representable_max_n", "poset_matroidal_max_n", "minors_max_n",
-      "covers_max_unblocked"),
-     "Limits(subword_max_n=6, enumerate_max_n=6, pathgraph_max_n=12, "
-     "poset_representable_max_n=5, poset_matroidal_max_n=4, minors_max_n=12, "
-     "covers_max_unblocked=12)"),
     (DecoratedPermutation((2, 1), (2, 1)), ("perm", "color"),
      "DecoratedPermutation(perm=(2, 1), color=(2, 1))"),
     (flag_of_fpp(D), ("n", "ranks", "constituents"),
@@ -67,7 +59,7 @@ def field_tuple(x, names):
 
 
 def test_every_value_class_has_a_sample():
-    assert len(set(IDS)) == len(IDS) == 11
+    assert len(set(IDS)) == len(IDS) == 10
 
 
 @pytest.mark.parametrize("x, names, text", SAMPLES, ids=IDS)
@@ -106,13 +98,6 @@ def test_no_attribute_can_be_assigned_or_deleted(x, names, text):
 
 
 def test_keyword_construction_and_defaults():
-    assert Limits() == Limits(subword_max_n=6, enumerate_max_n=6,
-                              pathgraph_max_n=12, poset_representable_max_n=5,
-                              poset_matroidal_max_n=4, minors_max_n=12,
-                              covers_max_unblocked=12)
-    assert Limits(minors_max_n=13) != Limits()
-    assert Limits(minors_max_n=13).minors_max_n == 13
-    assert Limits.minors_max_n == Limits().minors_max_n == 12
     rows = ((Fraction(3), Fraction(1, 2)),)
     plain = RationalMatrix(rows)
     assert plain.offset_zero is False
