@@ -42,7 +42,8 @@ class _Frozen:
     A subclass annotates the names its instances store and lists its
     fields in ``_fields``.  Its ``__init__`` validates the arguments and
     stores them with one ``self._store(...)``, past the ``__setattr__``
-    that refuses any later assignment or deletion.
+    that refuses any later assignment or deletion; a sequence field is
+    stored as a tuple (see :func:`_as_tuple`).
     :meth:`_Frozen._trusted` is the one unchecked builder, for derived
     values valid by construction, each caller stating why: validation runs
     once, where values enter from outside.  Values are equal when class
@@ -132,3 +133,19 @@ def _check_sizes(routine: str, **sizes: int) -> None:
         if value < 0:
             raise DomainError(f"{routine}: {name} must be at least 0, "
                               f"got {value}")
+
+
+def _as_tuple(owner: str, name: str, value, nested: bool = False) -> tuple:
+    """A sequence field of a validating constructor as a tuple: a tuple as
+    it is, a list or a tuple subclass copied, and with ``nested`` each item
+    the same way; anything else is refused, naming the class and the
+    field.  So a validated value holds nothing its caller can still
+    change, and it hashes and compares as its twin built from tuples."""
+    if type(value) is not tuple:
+        if not isinstance(value, (tuple, list)):
+            raise DomainError(f"{owner}: {name} must be a tuple or a list, "
+                              f"got {value!r}")
+        value = tuple(value)
+    if nested and not all([type(item) is tuple for item in value]):
+        value = tuple([_as_tuple(owner, name, item) for item in value])
+    return value

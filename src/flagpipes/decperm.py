@@ -14,7 +14,9 @@ inverses and the canonical dream (:func:`dle_of`) read codes, by one
 kernel :func:`_shifts`, one applier :func:`_cycle` and one inverse
 :func:`_inverse_code`, and each result is built from its code, with no
 decoding.  The Grassmann necklace names the positroid's bases (Oh's
-theorem) with no dream built.
+theorem) with no dream built.  A dream built by :func:`dle_of` (so every
+positroid of :func:`positroid_of`) keeps the code it was peeled off, and
+:func:`decperm_of` reads it back; any other dream is swept.
 """
 
 from __future__ import annotations
@@ -184,18 +186,23 @@ def decperm_of(D: PipeDream) -> DecoratedPermutation:
     bottom labels are the code as they stand (0 under a pivot column), and
     each row's right label is written at its pivot column, 0 if it is the
     pivot's own; no cross is recorded.  Each pipe exits once, so
-    :meth:`~flagpipes.config._Frozen._trusted` builds the result.
+    :meth:`~flagpipes.config._Frozen._trusted` builds the result.  A dream
+    built by :func:`dle_of` keeps the code it was peeled off, which is read
+    back with no standardization and no sweep; any other dream is swept.
 
     >>> from flagpipes.pipedream import construct_fpp, restrict
     >>> d = restrict(construct_fpp((2, 4, 1, 3), (4, 2, 3, 1)), 2)
     >>> decperm_of(d).to_string()
     '1u2o3u4o'
     """
-    S = standardize(D)
-    right, code, _ = _sweep(S)
-    for p, label in zip(S.pivots, right):
-        code[p - 1] = 0 if label == p else label
-    return DecoratedPermutation._trusted(code=_packed(code))
+    code = getattr(D, "_code", None)
+    if code is None:
+        S = standardize(D)
+        right, swept, _ = _sweep(S)
+        for p, label in zip(S.pivots, right):
+            swept[p - 1] = 0 if label == p else label
+        code = _packed(swept)
+    return DecoratedPermutation._trusted(code=code)
 
 
 def _row_shifts(D: PipeDream) -> tuple[DecoratedPermutation, ...]:
@@ -241,7 +248,10 @@ def dle_of(dp: DecoratedPermutation) -> PipeDream:
     otherwise.  Each elbow takes the label it met, which undoes the row's
     cycle: the code of the rows above, right of p.  No front walk runs, and
     the rows are an FPP's row prefix, so
-    :meth:`~flagpipes.config._Frozen._trusted` builds the dream.
+    :meth:`~flagpipes.config._Frozen._trusted` builds the dream.  The dream
+    keeps ``dp``'s code in its instance dict, derived state outside its
+    fields (equality, the hash and ``repr`` go by the fields alone), for
+    :func:`decperm_of` to read back.
 
     >>> dle_of(parse_decperm("2o1u4o3u")).grid
     ('VVPE', 'PEHX')
@@ -280,8 +290,10 @@ def dle_of(dp: DecoratedPermutation) -> PipeDream:
                 row[t - 1] = ELBOW
                 code[t - 1], x = x, b
         rows.append("".join(row))
-    return PipeDream._trusted(cols=n, pivots=tuple(over[::-1]),
-                              grid=tuple(rows[::-1]))
+    D = PipeDream._trusted(cols=n, pivots=tuple(over[::-1]),
+                           grid=tuple(rows[::-1]))
+    vars(D)["_code"] = dp.code  # read back by decperm_of
+    return D
 
 
 def positroid_of(dp: DecoratedPermutation) -> Positroid:
@@ -291,7 +303,8 @@ def positroid_of(dp: DecoratedPermutation) -> Positroid:
     gamma-free, and its pivots descend, so it is the positroid's dream as
     it is: no Bruhat test, no gamma-freeness sweep and no
     standardization.  The positroid is built by
-    :meth:`~flagpipes.config._Frozen._trusted`.
+    :meth:`~flagpipes.config._Frozen._trusted`, and its dream keeps
+    ``dp``'s code, so :func:`decperm_of` of it sweeps nothing.
 
     >>> positroid_of(parse_decperm("1u2o")).bases.bases
     ((2,),)

@@ -10,7 +10,7 @@ are such choices, one per rank, which is how :func:`flag_of_fpp` reads it.
 
 from __future__ import annotations
 
-from .config import _Frozen
+from .config import _Frozen, _as_tuple
 from .exceptions import DomainError, SizeMismatchError
 from .pipedream import (
     CROSS,
@@ -65,8 +65,10 @@ def quotient_covers(P: Positroid) -> tuple[Positroid, ...]:
     The cover along C is the positroid, by
     :func:`~flagpipes.decperm.positroid_of`, of the right cyclic shift
     along C of P's decorated permutation, listed by the walk of
-    :func:`~flagpipes.decperm.covers_by_shift`, so P's dream is swept
-    once.  ``verify quotient-covers`` checks, for n <= 4 and every
+    :func:`~flagpipes.decperm.covers_by_shift`, so P's decorated
+    permutation is read once, and P's dream is swept only if it did not
+    come from ``positroid_of``.  ``verify quotient-covers`` checks, for
+    n <= 4 and every
     choice, that :func:`append_row` then standardizing gives that dream.
 
     >>> from flagpipes.pipedream import PipeDream
@@ -93,7 +95,9 @@ class FlagPositroid(_Frozen):
 
     def __init__(self, n: int, ranks: tuple[int, ...],
                  constituents: tuple[Positroid, ...]) -> None:
-        self._store(n=n, ranks=ranks, constituents=constituents)
+        self._store(n=n, ranks=_as_tuple("FlagPositroid", "ranks", ranks),
+                    constituents=_as_tuple("FlagPositroid", "constituents",
+                                           constituents))
         if not self.constituents:
             raise DomainError("a flag needs at least one constituent")
         if any(p.n != self.n for p in self.constituents):

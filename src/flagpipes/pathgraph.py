@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .config import _Frozen, _guard
+from .config import _Frozen, _as_tuple, _guard
 from .exceptions import DomainError
 from .pipedream import ELBOW, PipeDream
 
@@ -44,7 +44,8 @@ class BasisSet(_Frozen):
 
     def __init__(self, n: int, k: int, offset_zero: bool,
                  bases: tuple[tuple[int, ...], ...]) -> None:
-        self._store(n=n, k=k, offset_zero=offset_zero, bases=bases)
+        self._store(n=n, k=k, offset_zero=offset_zero,
+                    bases=_as_tuple("BasisSet", "bases", bases, nested=True))
         lo = 0 if self.offset_zero else 1
         seen = set()
         for b in self.bases:

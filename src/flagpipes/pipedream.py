@@ -37,7 +37,7 @@ from __future__ import annotations
 from itertools import combinations, permutations as _raw_permutations, product
 from typing import Iterator
 
-from .config import _Frozen, _check_sizes, _guard
+from .config import _Frozen, _as_tuple, _check_sizes, _guard
 from .exceptions import (
     DomainError,
     MalformedDreamError,
@@ -126,6 +126,8 @@ class PipeDream(_Frozen):
 
     ``grid`` holds one string of tile letters per row.  Construction checks
     every cell against the pivot layout; Rothe boxes must hold "X" or "E".
+    ``pivots`` and ``grid`` are stored as tuples (see
+    :func:`~flagpipes.config._as_tuple`).
     Gamma-freeness is *not* enforced here — see :func:`is_gamma_free`.
 
     >>> d = construct_fpp((1, 2, 3), (3, 1, 2))
@@ -142,6 +144,9 @@ class PipeDream(_Frozen):
 
     def __init__(self, cols: int, pivots: tuple[int, ...],
                  grid: tuple[str, ...]) -> None:
+        if type(pivots) is not tuple or type(grid) is not tuple:
+            pivots = _as_tuple("PipeDream", "pivots", pivots)
+            grid = _as_tuple("PipeDream", "grid", grid)
         self._store(cols=cols, pivots=pivots, grid=grid)
         n, k = self.cols, len(self.pivots)
         if len(self.grid) != k:
@@ -149,6 +154,9 @@ class PipeDream(_Frozen):
         _check_pivots(n, self.pivots)
         for i, (row, template) in enumerate(
                 zip(self.grid, _templates(n, self.pivots)), start=1):
+            if type(row) is not str:
+                raise MalformedDreamError(f"row {i} is {row!r}, not a "
+                                          "string of tiles")
             if len(row) != n:
                 raise MalformedDreamError(f"row {i} has length {len(row)}, "
                                           f"expected {n}")
@@ -261,6 +269,8 @@ class PipeTrace(_Frozen):
 
     def __init__(self, label: int, horizontal_crosses: tuple[Box, ...],
                  exit_side: str, exit_index: int) -> None:
+        horizontal_crosses = _as_tuple("PipeTrace", "horizontal_crosses",
+                                       horizontal_crosses, nested=True)
         self._store(label=label, horizontal_crosses=horizontal_crosses,
                     exit_side=exit_side, exit_index=exit_index)
 
@@ -310,7 +320,9 @@ def _sweep(D: PipeDream, crosses: bool = False
 
 def trace_pipes(D: PipeDream) -> tuple[PipeTrace, ...]:
     """Trace every pipe; entry r is the pipe entering the top of column r+1.
-    All pipes are traced together in one sweep of the grid.
+    All pipes are traced together in one sweep of the grid.  Each pipe
+    exits once and its crosses are listed as tuples, so
+    :meth:`~flagpipes.config._Frozen._trusted` builds the traces.
 
     >>> [t.exit_side for t in trace_pipes(construct_fpp((1, 2, 3), (3, 1, 2)))]
     ['right', 'right', 'right']
@@ -322,8 +334,9 @@ def trace_pipes(D: PipeDream) -> tuple[PipeTrace, ...]:
     for j, label in enumerate(bottom, start=1):
         if label:
             exits[label - 1] = ("bottom", j)
-    return tuple(PipeTrace(label=label, horizontal_crosses=tuple(cells),
-                           exit_side=side, exit_index=index)
+    build = PipeTrace._trusted
+    return tuple(build(label=label, horizontal_crosses=tuple(cells),
+                       exit_side=side, exit_index=index)
                  for label, ((side, index), cells)
                  in enumerate(zip(exits, passes), start=1))
 
@@ -445,7 +458,8 @@ class LeDream(_Frozen):
 
     def __init__(self, cols: int, pivots: tuple[int, ...],
                  rows: tuple[str, ...]) -> None:
-        self._store(cols=cols, pivots=pivots, rows=rows)
+        self._store(cols=cols, pivots=_as_tuple("LeDream", "pivots", pivots),
+                    rows=_as_tuple("LeDream", "rows", rows))
         k, n = len(self.pivots), self.cols
         if any(a <= b for a, b in zip(self.pivots, self.pivots[1:])):
             raise MalformedDreamError(f"pivots must strictly decrease: "
@@ -455,6 +469,9 @@ class LeDream(_Frozen):
         for r in range(1, k + 1):
             expect = n - self.pivots[k - r] - (k - r)
             row = self.rows[r - 1]
+            if type(row) is not str:
+                raise MalformedDreamError(f"rotated row {r} is {row!r}, not "
+                                          "a string of tiles")
             if len(row) != expect:
                 raise MalformedDreamError(
                     f"rotated row {r} has length {len(row)}, expected {expect}")

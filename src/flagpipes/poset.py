@@ -27,7 +27,7 @@ from bisect import bisect_left
 from functools import cached_property
 from typing import Iterator
 
-from .config import _Frozen, _check_sizes, _guard
+from .config import _Frozen, _as_tuple, _check_sizes, _guard
 from .decperm import (
     DecoratedPermutation,
     _all_codes,
@@ -68,8 +68,11 @@ class QuotientPoset(_Frozen):
     each rank.  ``decperms`` is built from the codes and ``covers`` from
     the CSR arrays on each read, so covers given out of order read back
     sorted.  ``names`` and ``elements`` are cached on first read.  The
-    constructor refuses an unknown flavor, an element on another [n], a
-    repeated element and a cover that is not two indices of elements."""
+    constructor refuses a size that is not a non-negative ``int``,
+    elements or covers not given as a tuple or a list, an unknown flavor,
+    an element that is not a decorated permutation or is on another [n],
+    a repeated element and a cover that is not two indices of
+    elements."""
 
     _fields = ("n", "flavor", "decperms", "covers")
     n: int
@@ -81,17 +84,26 @@ class QuotientPoset(_Frozen):
     def __init__(self, n: int, flavor: str,
                  decperms: tuple[DecoratedPermutation, ...],
                  covers: tuple[tuple[int, int], ...]) -> None:
+        _check_sizes("QuotientPoset", n=n)
         _check_flavor(flavor)
+        decperms = _as_tuple("QuotientPoset", "decperms", decperms)
+        covers = _as_tuple("QuotientPoset", "covers", covers)
+        if any(type(w) is not DecoratedPermutation for w in decperms):
+            raise DomainError("QuotientPoset: an element is not a decorated "
+                              "permutation")
         codes = tuple([w.code for w in decperms])
         if any(w.n != n for w in decperms):
             raise DomainError(f"QuotientPoset: an element is not on [{n}]")
         if len(set(codes)) != len(codes):
             raise DomainError("QuotientPoset: an element is repeated")
-        edges = sorted(covers)
-        if any(len(edge) != 2 or not all(type(i) is int and 0 <= i < len(codes)
-                                         for i in edge) for edge in edges):
+        # Each cover is checked before the sort, which would compare what
+        # it holds.
+        if not all(isinstance(edge, (tuple, list)) and len(edge) == 2
+                   and all(type(i) is int and 0 <= i < len(codes)
+                           for i in edge) for edge in covers):
             raise DomainError(f"QuotientPoset: a cover is not two indices "
                               f"among the {len(codes)} elements")
+        edges = sorted(map(tuple, covers))
         sources = [a for a, _ in edges]
         by_rank: list[list[int]] = [[] for _ in range(n + 1)]
         for i, w in enumerate(decperms):

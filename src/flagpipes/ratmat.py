@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations, repeat
 from math import lcm, prod
 
-from .config import _Frozen, _guard
+from .config import _Frozen, _as_tuple, _guard
 from .exceptions import (
     DomainError,
     NotGeneralizedPermutationError,
@@ -76,6 +76,7 @@ class RationalMatrix(_Frozen):
 
     def __init__(self, rows: tuple[tuple[Fraction, ...], ...],
                  offset_zero: bool = False) -> None:
+        rows = _as_tuple("RationalMatrix", "rows", rows, nested=True)
         if not rows or not rows[0]:
             raise DomainError("matrix dimensions must be positive")
         width = len(rows[0])
@@ -263,8 +264,9 @@ def flag_minors(A: RationalMatrix,
                 ranks) -> dict[tuple[int, tuple[int, ...]], Fraction]:
     """Exact minors of the first r rows for each r in ranks, keyed by
     (r, column-label subset), ranks ascending and subsets in
-    ``combinations`` order.  Ranks must be ``int``s: a boolean, a float or
-    a string is refused, not read as a number.
+    ``combinations`` order.  Ranks are an iterable of ``int``s: a boolean,
+    a float or a string is refused, not read as a number, and so is a
+    single rank not given in an iterable.
 
     Every rank up to the largest requested is built from the one below:
     the integer minor on columns S is the Laplace expansion along row r,
@@ -277,7 +279,12 @@ def flag_minors(A: RationalMatrix,
     >>> mm[(1, (1,))], mm[(2, (1, 2))]
     (Fraction(1, 1), Fraction(1, 1))
     """
-    ranks = tuple(ranks)
+    try:
+        listed = iter(ranks)
+    except TypeError:
+        raise DomainError(f"ranks must be an iterable of integers, "
+                          f"got {ranks!r}") from None
+    ranks = tuple(listed)
     for r in ranks:
         if type(r) is not int:
             raise DomainError(f"ranks must be integers, got {r!r}")

@@ -87,12 +87,15 @@ def check_golden_grids() -> tuple[bool, str]:
 def check_bases_engine() -> tuple[bool, str]:
     """Path-family bases: published lex extremes, also read off the 2-colored
     positions and their values, and constituent bases; and the necklace
-    bases equal the path-family bases on every positroid with n <= 4."""
-    from .decperm import (_all_decperms, _necklace_bases, parse_decperm,
-                          positroid_of)
+    bases equal the path-family bases on every positroid with n <= 4.  The
+    canonical dream of each of those positroids, rebuilt without the code
+    that ``positroid_of`` keeps, is swept back to its decorated
+    permutation."""
+    from .decperm import (_all_decperms, _necklace_bases, decperm_of,
+                          parse_decperm, positroid_of)
     from .flagbuild import flag_of_fpp
     from .pathgraph import bases_of
-    from .pipedream import construct_fpp
+    from .pipedream import PipeDream, construct_fpp
     from .positroid import _basis_bits
 
     w = parse_decperm("5o1u3u9o2u7o6u4u8u")
@@ -104,12 +107,15 @@ def check_bases_engine() -> tuple[bool, str]:
     want = (((2,), (4,)), ((2, 4),), ((1, 2, 4), (2, 3, 4)))
     cons = tuple(F.constituents[k].bases.bases for k in range(3)) == want
     decperms = [w for n in range(1, 5) for w in _all_decperms(n)]
-    necklaces = all(_necklace_bases(w.code)
-                    == _basis_bits(bases_of(positroid_of(w).dream))
-                    for w in decperms)
-    ok = extremes and cons and necklaces
+    dreams = [positroid_of(w).dream for w in decperms]
+    necklaces = all(_necklace_bases(w.code) == _basis_bits(bases_of(D))
+                    for w, D in zip(decperms, dreams))
+    swept = sum(decperm_of(PipeDream(D.cols, D.pivots, D.grid)) == w
+                for w, D in zip(decperms, dreams))
+    ok = extremes and cons and necklaces and swept == len(decperms)
     return ok, (f"lex extremes {extremes}, constituent bases {cons}, "
-                f"necklace bases of {len(decperms)} positroids {necklaces}")
+                f"necklace bases of {len(decperms)} positroids {necklaces}, "
+                f"{swept} of {len(decperms)} dreams swept back")
 
 
 def check_quotient_covers() -> tuple[bool, str]:

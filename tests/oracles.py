@@ -786,6 +786,16 @@ def decperm_via_completion(D) -> DecoratedPermutation:
     return DecoratedPermutation(pi, color)
 
 
+def swept_decperm(D) -> DecoratedPermutation:
+    """``decperm_of`` by the sweep: D rebuilt through the validating
+    constructor, so no code kept by ``dle_of`` comes with it and a round
+    trip compares against the pipes, not against the code it started
+    from."""
+    rebuilt = PipeDream(D.cols, D.pivots, D.grid)
+    assert "_code" not in vars(rebuilt)
+    return decperm_of(rebuilt)
+
+
 def zero_join(P, Q):
     """The 0-embedding of a cover pair as one basis family on {0} + [n]:
     the bases of P with 0 added, together with the bases of Q."""

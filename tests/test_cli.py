@@ -306,7 +306,8 @@ class TestCoversAndShift:
         assert code == 0
         docs = json.loads(out)
         assert len(docs) == 15
-        want = [decperm_of(Q.dream) for Q in quotient_covers(running_example)]
+        want = [oracles.swept_decperm(Q.dream)
+                for Q in quotient_covers(running_example)]
         assert docs == [ser.decperm_to_json(w) for w in want]
 
     def test_covers_of_full_rank_fails(self, capsys):

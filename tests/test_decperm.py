@@ -1,5 +1,6 @@
 """Decorated permutations: boundary data, cyclic shift moves, duality."""
 
+import pickle
 import random
 from itertools import combinations, permutations
 
@@ -37,6 +38,7 @@ from flagpipes.exceptions import (
     NotUnblockedError,
 )
 from flagpipes.pipedream import (
+    PipeDream,
     _fillings,
     construct_fpp,
     enumerate_partial_fpps,
@@ -69,6 +71,19 @@ def _decorate(args):
         2 if (v > j or (v == j and flag)) else 1
         for j, (v, flag) in enumerate(zip(perm, flags), 1))
     return DecoratedPermutation(perm, color)
+
+
+def _peeled_decperms(n: int):
+    """The decorated permutations whose dle_of dreams are checked: every
+    one with n <= 7, and 2000 seeded ones per n past 7."""
+    if n <= 7:
+        yield from all_decperms(n)
+        return
+    rng = random.Random(f"dle_of/{n}")
+    for _ in range(2000):
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        yield _decorate((tuple(perm), [rng.random() < 0.5 for _ in perm]))
 
 
 RUNNING = "5o1u3u9o2u7o6u4u8u"
@@ -186,29 +201,48 @@ class TestBoundaryData:
     def assert_peel_matches_the_front_walk(w):
         D = dle_of(w)
         assert D == oracles.dle_by_construct_fpp(w), w.to_string()
-        assert decperm_of(D) == w
+        assert oracles.swept_decperm(D) == w
 
     @pytest.mark.parametrize("n", range(8))
     def test_dle_of_matches_the_front_walk(self, n):
         """The peel off the code gives the front walk's row prefix of the
         canonical FPP, on every decorated permutation with n <= 7, and
-        the dream's boundary data is w again."""
-        for w in all_decperms(n):
+        the swept boundary data of the dream is w again."""
+        for w in _peeled_decperms(n):
             self.assert_peel_matches_the_front_walk(w)
 
     @pytest.mark.parametrize("n", range(8, 13))
     def test_dle_of_matches_the_front_walk_at_random(self, n):
-        rng = random.Random(f"dle_of/{n}")
-        for _ in range(2000):
-            perm = list(range(1, n + 1))
-            rng.shuffle(perm)
-            self.assert_peel_matches_the_front_walk(
-                _decorate((tuple(perm), [rng.random() < 0.5 for _ in perm])))
+        for w in _peeled_decperms(n):
+            self.assert_peel_matches_the_front_walk(w)
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_the_kept_code_is_the_sweep(self, n):
+        """decperm_of reads back the code a dle_of dream keeps; it equals
+        the sweep of the same dream rebuilt without it, on every decorated
+        permutation with n <= 7 and 2000 seeded ones per n = 8..12."""
+        for w in _peeled_decperms(n):
+            D = dle_of(w)
+            assert "_code" in vars(D)
+            assert decperm_of(D) == oracles.swept_decperm(D), w.to_string()
+
+    def test_a_dream_keeping_its_code_is_the_plain_dream(self):
+        """The kept code is no field: the dream and its validated rebuild
+        are equal, hash alike, print alike and pickle to equals."""
+        D = dle_of(parse_decperm(RUNNING))
+        rebuilt = PipeDream(D.cols, D.pivots, D.grid)
+        assert "_code" in vars(D) and "_code" not in vars(rebuilt)
+        assert D == rebuilt and hash(D) == hash(rebuilt)
+        assert repr(D) == repr(rebuilt)
+        for x in (D, rebuilt):
+            copy = pickle.loads(pickle.dumps(x))
+            assert copy == D and copy == rebuilt and hash(copy) == hash(D)
+            assert decperm_of(copy).to_string() == RUNNING
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_decperm_dream_mutual_inverse(self, n):
         for dp in all_decperms(n):
-            assert decperm_of(dle_of(dp)) == dp
+            assert oracles.swept_decperm(dle_of(dp)) == dp
         canonical = {P.key for P in enumerate_positroids(n)}
         via_decperms = {positroid_of(dp).key for dp in all_decperms(n)}
         assert canonical == via_decperms
@@ -216,7 +250,8 @@ class TestBoundaryData:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_derived_results_pass_the_public_constructor(self, n):
         for w in all_decperms(n):
-            derived = [inverse_decperm(w), decperm_of(positroid_of(w).dream)]
+            derived = [inverse_decperm(w),
+                       oracles.swept_decperm(positroid_of(w).dream)]
             derived += covers_by_shift(w) + covered_by_shift(w)
             for q in derived:
                 assert DecoratedPermutation(q.perm, q.color) == q

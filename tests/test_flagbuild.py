@@ -130,7 +130,8 @@ class TestQuotientCovers:
                 continue
             covers = quotient_covers(P)
             assert list(covers) == sorted(
-                covers, key=lambda Q: decperm_of(Q.dream).to_string())
+                covers,
+                key=lambda Q: oracles.swept_decperm(Q.dream).to_string())
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_equals_the_row_append_covers_in_shift_order(self, n):
@@ -265,9 +266,9 @@ class TestBenchmarkSizes:
             for _ in range(4):
                 w = self.sample(rng, n, unblocked)
                 P = positroid_of(w)
-                assert decperm_of(P.dream) == w
+                assert oracles.swept_decperm(P.dream) == w
                 covers = quotient_covers(P)
-                assert ([decperm_of(Q.dream) for Q in covers]
+                assert ([oracles.swept_decperm(Q.dream) for Q in covers]
                         == list(covers_by_shift(w)))
                 for D in [P.dream] + [Q.dream for Q in covers]:
                     assert_rebuilds(D)

@@ -14,7 +14,6 @@ from flagpipes.config import ENV_MAX_N
 from flagpipes.decperm import (
     DecoratedPermutation,
     covers_by_shift,
-    decperm_of,
     parse_decperm,
 )
 from flagpipes.exceptions import (
@@ -93,7 +92,7 @@ class TestBuild:
         for a, b in poset.covers:
             ups[a].add(poset.names[b])
         for i, P in enumerate(poset.elements):
-            dreams = ({decperm_of(Q.dream).to_string()
+            dreams = ({oracles.swept_decperm(Q.dream).to_string()
                        for Q in quotient_covers(P)} if P.rank < P.n else set())
             assert ups[i] == dreams
 
@@ -326,6 +325,20 @@ REFUSED = [
      "a cover is not two indices among the 2 elements"),
     ("three-indices", lambda p: (1, p.flavor, p.decperms, ((0, 1, 1),)),
      "a cover is not two indices among the 2 elements"),
+    # the next two would end in the sort comparing what the covers hold
+    ("string-index", lambda p: (1, p.flavor, p.decperms, ((0, "a"), (0, 1))),
+     "a cover is not two indices among the 2 elements"),
+    ("integer-cover", lambda p: (1, p.flavor, p.decperms, ((0, 1), 5)),
+     "a cover is not two indices among the 2 elements"),
+    ("lone-integer-cover", lambda p: (1, p.flavor, p.decperms, (5,)),
+     "a cover is not two indices among the 2 elements"),
+    ("text-elements", lambda p: (1, p.flavor, ("1u", "1o"), ()),
+     "an element is not a decorated permutation"),
+    ("boolean-size", lambda p: (True, p.flavor, p.decperms, p.covers),
+     "QuotientPoset: n must be an integer, got True"),
+    # a generator would be spent by the first check
+    ("element-generator", lambda p: (1, p.flavor, iter(p.decperms), ()),
+     "QuotientPoset: decperms must be a tuple or a list"),
 ]
 
 

@@ -279,6 +279,9 @@ class TestFlagMinors:
             flag_minors(golden_matrix, (4, 3))
         with pytest.raises(DomainError):
             flag_minors(golden_matrix, (5,))
+        for ranks in (1, None):
+            with pytest.raises(DomainError, match="an iterable of integers"):
+                flag_minors(golden_matrix, ranks)
 
     def test_column_guard(self):
         wide = rational_matrix([[1] * 13])

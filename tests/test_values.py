@@ -2,6 +2,7 @@
 ``repr``, equality and hashing over the fields, keyword construction and
 defaults, no assignment or deletion, and pickling."""
 
+import copy
 import pickle
 import sys
 from fractions import Fraction
@@ -9,9 +10,11 @@ from fractions import Fraction
 import pytest
 
 from flagpipes.decperm import DecoratedPermutation
-from flagpipes.flagbuild import flag_of_fpp
-from flagpipes.pathgraph import basis_set
-from flagpipes.pipedream import PipeDream, construct_fpp, rotate_le, trace_pipes
+from flagpipes.exceptions import DomainError
+from flagpipes.flagbuild import FlagPositroid, flag_of_fpp
+from flagpipes.pathgraph import BasisSet, basis_set
+from flagpipes.pipedream import (LeDream, PipeDream, PipeTrace, construct_fpp,
+                                 rotate_le, trace_pipes)
 from flagpipes.poset import build_poset
 from flagpipes.positroid import Positroid
 from flagpipes.ratmat import RationalMatrix, rational_matrix
@@ -166,3 +169,49 @@ def test_a_validated_build_is_as_compact_as_a_trusted_one(x, names, text):
     trusted = type(x)._trusted(**{name: getattr(x, name)
                                   for name in type(x).__annotations__})
     assert sys.getsizeof(vars(validated)) == sys.getsizeof(vars(trusted))
+
+
+P1, P2 = flag_of_fpp(D).constituents
+# (class, its arguments with list sequences, the same with tuples)
+LISTED = [
+    (PipeDream, (2, [2, 1], ["VP", "PH"]), (2, (2, 1), ("VP", "PH"))),
+    (LeDream, (3, [2, 1], ["E", "E"]), (3, (2, 1), ("E", "E"))),
+    (PipeTrace, (1, [[2, 3]], "right", 2), (1, ((2, 3),), "right", 2)),
+    (RationalMatrix, ([[Fraction(1), Fraction(1, 2)]],),
+     (((Fraction(1), Fraction(1, 2)),),)),
+    (BasisSet, (3, 1, False, [[1], [2]]), (3, 1, False, ((1,), (2,)))),
+    (FlagPositroid, (2, [1, 2], [P1, P2]), (2, (1, 2), (P1, P2))),
+]
+
+
+@pytest.mark.parametrize("cls, listed, tupled", LISTED,
+                         ids=[c.__name__ for c, _, _ in LISTED])
+def test_a_value_built_from_lists_is_its_tuple_twin(cls, listed, tupled):
+    """The validating constructor stores each sequence it is given as a
+    tuple, so the value hashes and equals its twin built from tuples, and
+    changing the caller's lists afterwards changes nothing."""
+    listed = copy.deepcopy(listed)
+    x, twin = cls(*listed), cls(*tupled)
+    assert x == twin and hash(x) == hash(twin) and repr(x) == repr(twin)
+    for arg in listed:
+        if isinstance(arg, list):
+            arg.append(arg[0])
+            if isinstance(arg[0], list):
+                arg[0].append(0)
+    assert x == twin and hash(x) == hash(twin)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PipeDream(2, {2, 1}, ("VP", "PH")),
+    lambda: PipeDream(2, (2, 1), "VPPH"),
+    lambda: PipeDream(2, (2, 1), (["V", "P"], "PH")),
+    lambda: LeDream(3, (2, 1), (["E"], "E")),
+    lambda: PipeTrace(1, {(2, 3)}, "right", 2),
+    lambda: RationalMatrix(rows=({Fraction(1)},)),
+    lambda: BasisSet(3, 1, False, (1, 2)),
+    lambda: FlagPositroid(2, range(1, 3), (P1, P2)),
+], ids=["pivot-set", "grid-text", "list-row", "list-rotated-row",
+        "cross-set", "row-set", "bare-bases", "rank-range"])
+def test_a_sequence_field_that_is_no_tuple_or_list_is_refused(build):
+    with pytest.raises(DomainError):
+        build()
