@@ -48,8 +48,8 @@ class _Frozen:
     values valid by construction, each caller stating why: validation runs
     once, where values enter from outside.  Values are equal when class
     and fields are, the hash is that of the field tuple, and ``repr`` reads
-    ``Class(field=value, ...)``.  A class whose values are compared and
-    hashed in hot loops spells out ``__eq__`` and ``__hash__``.
+    ``Class(field=value, ...)``.  Derived state outside the fields, which
+    none of these read, is kept with :func:`_keep`.
     :class:`~flagpipes.decperm.DecoratedPermutation` is the one exception
     to the hash rule: it stores its code, not its fields, and hashes that.
     """
@@ -92,6 +92,13 @@ class _Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _keep(obj: _Frozen, name: str, value) -> None:
+    """Keep ``value`` as ``obj.name``, derived state beside the fields of a
+    frozen value (a cache or a seed that equality, the hash and ``repr``
+    never read), in the instance's compact attribute storage."""
+    object.__setattr__(obj, name, value)
 
 
 # The default cap of each guard.  ``POSITROID_MAX_N`` only raises a cap.

@@ -25,7 +25,7 @@ import re
 from functools import lru_cache
 from itertools import combinations, product
 
-from .config import _Frozen, _guard
+from .config import _Frozen, _guard, _keep
 from .exceptions import DomainError, InvariantError
 from .perm import (
     Permutation,
@@ -185,7 +185,7 @@ def decperm_of(D: PipeDream) -> DecoratedPermutation:
     exactly at the pivot columns of the k retained rows.  The sweep's
     bottom labels are the code as they stand (0 under a pivot column), and
     each row's right label is written at its pivot column, 0 if it is the
-    pivot's own; no cross is recorded.  Each pipe exits once, so
+    pivot's own.  Each pipe exits once, so
     :meth:`~flagpipes.config._Frozen._trusted` builds the result.  A dream
     built by :func:`dle_of` keeps the code it was peeled off, which is read
     back with no standardization and no sweep; any other dream is swept.
@@ -249,8 +249,7 @@ def dle_of(dp: DecoratedPermutation) -> PipeDream:
     cycle: the code of the rows above, right of p.  No front walk runs, and
     the rows are an FPP's row prefix, so
     :meth:`~flagpipes.config._Frozen._trusted` builds the dream.  The dream
-    keeps ``dp``'s code in its instance dict, derived state outside its
-    fields (equality, the hash and ``repr`` go by the fields alone), for
+    keeps ``dp``'s code (see :func:`~flagpipes.config._keep`) for
     :func:`decperm_of` to read back.
 
     >>> dle_of(parse_decperm("2o1u4o3u")).grid
@@ -292,7 +291,7 @@ def dle_of(dp: DecoratedPermutation) -> PipeDream:
         rows.append("".join(row))
     D = PipeDream._trusted(cols=n, pivots=tuple(over[::-1]),
                            grid=tuple(rows[::-1]))
-    vars(D)["_code"] = dp.code  # read back by decperm_of
+    _keep(D, "_code", dp.code)  # read back by decperm_of
     return D
 
 

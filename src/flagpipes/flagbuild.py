@@ -10,7 +10,8 @@ are such choices, one per rank, which is how :func:`flag_of_fpp` reads it.
 
 from __future__ import annotations
 
-from .config import _Frozen, _as_tuple
+from .config import _Frozen, _as_tuple, _check_sizes
+from .decperm import _by_text, _row_shifts, _shifts, decperm_of, positroid_of
 from .exceptions import DomainError, SizeMismatchError
 from .pipedream import (
     CROSS,
@@ -76,8 +77,6 @@ def quotient_covers(P: Positroid) -> tuple[Positroid, ...]:
     >>> [q.bases.bases for q in quotient_covers(bottom)]
     [((1,),), ((2,),), ((1,), (2,))]
     """
-    from .decperm import _by_text, _shifts, decperm_of, positroid_of
-
     if P.rank >= P.n:
         raise DomainError("a full-rank positroid has no covers")
     shifts = _shifts(decperm_of(P.dream).code, "quotient_covers")
@@ -98,10 +97,15 @@ class FlagPositroid(_Frozen):
         self._store(n=n, ranks=_as_tuple("FlagPositroid", "ranks", ranks),
                     constituents=_as_tuple("FlagPositroid", "constituents",
                                            constituents))
+        _check_sizes("FlagPositroid", n=n)
         if not self.constituents:
             raise DomainError("a flag needs at least one constituent")
+        if any(type(p) is not Positroid for p in self.constituents):
+            raise DomainError("every constituent must be a Positroid")
         if any(p.n != self.n for p in self.constituents):
             raise SizeMismatchError("constituents live on different ground sets")
+        if any(type(r) is not int for r in self.ranks):
+            raise DomainError(f"ranks must be integers: {self.ranks!r}")
         if self.ranks != tuple(p.rank for p in self.constituents):
             raise DomainError("rank list disagrees with constituent ranks")
         if any(a >= b for a, b in zip(self.ranks, self.ranks[1:])):
@@ -123,8 +127,6 @@ def flag_of_fpp(D: PipeDream) -> FlagPositroid:
     >>> [p.bases.bases for p in f.constituents]
     [((1,), (2,), (3,)), ((1, 2), (1, 3)), ((1, 2, 3),)]
     """
-    from .decperm import _row_shifts, positroid_of
-
     shifts = _row_shifts(D)[1:]
     if not shifts:
         raise DomainError("a flag needs at least one constituent")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .config import _Frozen, _as_tuple, _guard
+from .config import _Frozen, _as_tuple, _check_sizes, _guard
 from .exceptions import DomainError
 from .pipedream import ELBOW, PipeDream
 
@@ -44,6 +44,10 @@ class BasisSet(_Frozen):
 
     def __init__(self, n: int, k: int, offset_zero: bool,
                  bases: tuple[tuple[int, ...], ...]) -> None:
+        _check_sizes("BasisSet", n=n, k=k)
+        if type(offset_zero) is not bool:
+            raise DomainError(f"BasisSet: offset_zero must be a bool, "
+                              f"got {offset_zero!r}")
         self._store(n=n, k=k, offset_zero=offset_zero,
                     bases=_as_tuple("BasisSet", "bases", bases, nested=True))
         lo = 0 if self.offset_zero else 1

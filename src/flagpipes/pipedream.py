@@ -19,8 +19,7 @@ ever move down or right, and leave through the right or bottom edge.
 
 Tracing reads the grid once, row by row, carrying every pipe at the same
 time (see ``_sweep``): pipe exits, horizontal crosses, exit labels and the
-gamma-freeness test all come from that one sweep, which records the crosses
-only for the readers that ask for them.  The Le enumeration
+gamma-freeness test all come from that one sweep.  The Le enumeration
 traces no pipe: on strictly decreasing pivots gamma-freeness is the Le
 condition, which reads two column masks per rendered row (see
 ``enumerate_le_dreams``), so it prunes the fillings instead of sweeping
@@ -94,11 +93,14 @@ Tile = str  # one of TILES
 
 
 def _check_pivots(n: int, pivots: tuple[int, ...]) -> None:
-    """Raise unless ``pivots`` are at most n distinct columns in 1..n."""
+    """Raise unless ``n`` is an ``int`` and ``pivots`` are at most n
+    distinct ``int`` columns in 1..n (a bool is no column)."""
+    if type(n) is not int:
+        raise MalformedDreamError(f"cols must be an integer, got {n!r}")
     k = len(pivots)
     if k > n:
         raise MalformedDreamError(f"more rows ({k}) than columns ({n})")
-    if len(set(pivots)) != k or not all(isinstance(c, int) and 1 <= c <= n
+    if len(set(pivots)) != k or not all(type(c) is int and 1 <= c <= n
                                         for c in pivots):
         raise MalformedDreamError(f"pivots must be distinct in 1..{n}: "
                                   f"{pivots!r}")
@@ -172,15 +174,6 @@ class PipeDream(_Frozen):
                 elif actual != forced:
                     raise MalformedDreamError(
                         f"tile at ({i}, {j}) must be {forced!r}, got {actual!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.cols, self.pivots, self.grid)
-                    == (other.cols, other.pivots, other.grid))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.cols, self.pivots, self.grid))
 
     @property
     def rows(self) -> int:
@@ -275,45 +268,37 @@ class PipeTrace(_Frozen):
                     exit_side=exit_side, exit_index=exit_index)
 
 
-def _sweep(D: PipeDream, crosses: bool = False
-           ) -> tuple[list[int], list[int], list[list[Box]] | None]:
-    """Where every pipe leaves, in one pass over the grid.
+def _sweep(D: PipeDream) -> tuple[list[int], list[int], list[list[Box]]]:
+    """Where every pipe leaves, and the crosses it passes, in one pass over
+    the grid.
 
     Returns ``(right, bottom, passes)``: entry ``i - 1`` of ``right`` is the
     label of the pipe leaving the right edge of row i, entry ``j - 1`` of
     ``bottom`` that of the pipe leaving the bottom of column j (0 under a
-    pivot column, where no pipe leaves).  With ``crosses``, entry
-    ``label - 1`` of ``passes`` lists the cross tiles that pipe passes
-    left-to-right; without it ``passes`` is None and no cross is recorded.
-    Rows are read top to bottom, each from its pivot (only ``V`` and ``.``
-    lie left of it) and, without ``crosses``, from elbow to elbow;
-    ``down[j]`` holds the pipe entering column j+1 from above and ``h`` the
-    pipe moving right.  The pivot turns ``down[j]`` right, an elbow swaps
-    the two, a cross lets ``h`` pass, and ``h`` leaves through the right
-    edge at the end of the row; whatever is left in ``down`` leaves through
-    the bottom.  Pipes move only down or right, so each pipe meets its
-    crosses in sweep order.  The structural validation of
+    pivot column, where no pipe leaves), and entry ``label - 1`` of
+    ``passes`` lists the cross tiles that pipe passes left-to-right.  Rows
+    are read top to bottom, each from its pivot (only ``V`` and ``.`` lie
+    left of it); ``down[j]`` holds the pipe entering column j+1 from above
+    and ``h`` the pipe moving right.  The pivot turns ``down[j]`` right, an
+    elbow swaps the two, a cross lets ``h`` pass, and ``h`` leaves through
+    the right edge at the end of the row; whatever is left in ``down``
+    leaves through the bottom.  Pipes move only down or right, so each pipe
+    meets its crosses in sweep order.  The structural validation of
     :class:`PipeDream` guarantees that a pipe reaches every cross and elbow
     from both sides.
     """
     n = D.cols
-    passes = [[] for _ in range(n)] if crosses else None
+    passes: list[list[Box]] = [[] for _ in range(n)]
     right: list[int] = []
     down = list(range(1, n + 1))
     for i, (p, row) in enumerate(zip(D.pivots, D.grid), start=1):
         h, down[p - 1] = down[p - 1], 0
-        if crosses:
-            for j in range(p, n):
-                t = row[j]
-                if t == ELBOW:
-                    h, down[j] = down[j], h
-                elif t == CROSS:
-                    passes[h - 1].append((i, j + 1))
-        else:
-            j = row.find(ELBOW, p)
-            while j >= 0:
+        for j in range(p, n):
+            t = row[j]
+            if t == ELBOW:
                 h, down[j] = down[j], h
-                j = row.find(ELBOW, j + 1)
+            elif t == CROSS:
+                passes[h - 1].append((i, j + 1))
         right.append(h)
     return right, down, passes
 
@@ -327,7 +312,7 @@ def trace_pipes(D: PipeDream) -> tuple[PipeTrace, ...]:
     >>> [t.exit_side for t in trace_pipes(construct_fpp((1, 2, 3), (3, 1, 2)))]
     ['right', 'right', 'right']
     """
-    right, bottom, passes = _sweep(D, crosses=True)
+    right, bottom, passes = _sweep(D)
     exits: list[tuple[str, int]] = [("bottom", 0)] * D.cols
     for i, label in enumerate(right, start=1):
         exits[label - 1] = ("right", i)
@@ -367,7 +352,7 @@ def is_gamma_free(D: PipeDream) -> bool:
     """
     k = D.rows
     grid = D.grid
-    right, _, passes = _sweep(D, crosses=True)
+    right, _, passes = _sweep(D)
     cap = [k] * D.cols
     for i, label in enumerate(right, start=1):
         cap[label - 1] = i

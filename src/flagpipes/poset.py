@@ -27,7 +27,7 @@ from bisect import bisect_left
 from functools import cached_property
 from typing import Iterator
 
-from .config import _Frozen, _as_tuple, _check_sizes, _guard
+from .config import _Frozen, _as_tuple, _check_sizes, _guard, _keep
 from .decperm import (
     DecoratedPermutation,
     _all_codes,
@@ -219,7 +219,7 @@ def build_poset(n: int, flavor: str = "representable") -> QuotientPoset:
         offsets.append(len(targets))
     poset = QuotientPoset._trusted(n=n, flavor=flavor, _codes=codes,
                                    _csr=(offsets, targets), _by_rank=by_rank)
-    vars(poset)["names"] = names  # the cache of the lazy property
+    _keep(poset, "names", names)  # the cache of the lazy property
     return poset
 
 

@@ -171,7 +171,7 @@ def unblocked_columns(D: PipeDream) -> tuple[int, ...]:
     (1, 3)
     """
     blocked = set(D.pivots)
-    _, bottom, passes = _sweep(D, crosses=True)
+    _, bottom, passes = _sweep(D)
     for label in bottom:
         if label:
             blocked.update(j for (_, j) in passes[label - 1])
@@ -309,14 +309,6 @@ class Positroid(_Frozen):
                               "; use Positroid.from_dream")
         if not is_gamma_free(self.dream):
             raise DomainError("dream is not gamma-free")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.dream,) == (other.dream,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.dream,))
 
     @classmethod
     def from_dream(cls, D: PipeDream) -> "Positroid":

@@ -498,12 +498,12 @@ def trace_pipes_by_walk(D) -> tuple[PipeTrace, ...]:
     return tuple(_walk_one(D, j) for j in range(1, D.cols + 1))
 
 
-def sweep_by_cells(D, crosses: bool = False):
+def sweep_by_cells(D):
     """``pipedream._sweep`` reading every cell of every row, left to
     right from column 1: a pivot elbow turns the pipe from above right, an
-    elbow swaps the two pipes, and a cross is recorded when asked for."""
+    elbow swaps the two pipes, and a cross is recorded."""
     n = D.cols
-    passes = [[] for _ in range(n)] if crosses else None
+    passes = [[] for _ in range(n)]
     right = []
     down = list(range(1, n + 1))
     for i, row in enumerate(D.grid, start=1):
@@ -513,7 +513,7 @@ def sweep_by_cells(D, crosses: bool = False):
                 h, down[j] = down[j], h
             elif t == PIVOT:
                 h, down[j] = down[j], 0
-            elif t == CROSS and crosses:
+            elif t == CROSS:
                 passes[h - 1].append((i, j + 1))
         right.append(h)
     return right, down, passes

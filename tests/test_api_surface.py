@@ -230,17 +230,43 @@ def _object_hooks(path: Path) -> list[tuple[str, int]]:
             and node.attr in ("__setattr__", "__new__")]
 
 
+def _dict_writes(path: Path) -> list[int]:
+    """The line of each assignment to ``vars(...)[...]`` or
+    ``....__dict__[...]`` in a file."""
+    return [target.lineno
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+            if isinstance(target, ast.Subscript)
+            and (isinstance(target.value, ast.Call)
+                 and isinstance(target.value.func, ast.Name)
+                 and target.value.func.id == "vars"
+                 or isinstance(target.value, ast.Attribute)
+                 and target.value.attr == "__dict__")]
+
+
 def test_only_config_stores_fields_past_the_frozen_base():
-    """Value classes store their fields with one ``self._store`` and build
-    unchecked values with ``_Frozen._trusted``, so ``config``, which
-    compiles that store and that builder, is the one module to use
-    ``object.__setattr__`` or ``object.__new__``."""
+    """Value classes store their fields with one ``self._store``, build
+    unchecked values with ``_Frozen._trusted`` and keep derived state with
+    ``config._keep``, so ``config``, which compiles that store and that
+    builder, is the one module to use ``object.__setattr__`` or
+    ``object.__new__``, and no module writes an instance dict."""
     assert {attr for attr, _ in _object_hooks(PACKAGE / "config.py")} == {
         "__new__", "__setattr__"}
     elsewhere = {path.name: hooks for path in sorted(PACKAGE.glob("*.py"))
                  if path.name != "config.py"
-                 and (hooks := _object_hooks(path))}
+                 and (hooks := _object_hooks(path) + _dict_writes(path))}
     assert elsewhere == {}
+
+
+def test_the_dict_write_scan_sees_both_spellings(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("vars(x)['a'] = 1\n"
+                    "x.__dict__['b'] = 2\n"
+                    "y = vars(x)['a']\n"
+                    "d['c'] = 3\n")
+    assert _dict_writes(path) == [1, 2]
 
 
 def test_the_caller_scan_sees_module_attributes_and_imports():

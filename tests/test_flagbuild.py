@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from helpers import assert_rebuilds
-from flagpipes import decperm
+from flagpipes import decperm, flagbuild
 from flagpipes.decperm import (
     DecoratedPermutation,
     covers_by_shift,
@@ -159,7 +159,8 @@ class TestQuotientCovers:
             calls.append(D)
             return real(D)
 
-        monkeypatch.setattr(decperm, "decperm_of", counting)
+        for module in (decperm, flagbuild):
+            monkeypatch.setattr(module, "decperm_of", counting)
         assert len(quotient_covers(running_example)) == 15
         assert calls == [running_example.dream]
 

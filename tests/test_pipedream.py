@@ -216,15 +216,13 @@ class TestTraces:
         assert list(right_exit_labels(D).items()) == [
             (t.exit_index, t.label) for t in walked if t.exit_side == "right"]
         # The sweep itself: each row's right-exit label, each column's
-        # bottom label (0 under a pivot column), and the crosses only when
-        # asked for.
+        # bottom label (0 under a pivot column), and each pipe's crosses.
         right, bottom = [0] * D.rows, [0] * D.cols
         for t in walked:
             exits = right if t.exit_side == "right" else bottom
             exits[t.exit_index - 1] = t.label
         passes = [list(t.horizontal_crosses) for t in walked]
-        assert _sweep(D) == (right, bottom, None)
-        assert _sweep(D, crosses=True) == (right, bottom, passes)
+        assert _sweep(D) == (right, bottom, passes)
 
     def test_sweep_matches_the_walk_on_every_filling(self):
         count = 0
@@ -242,41 +240,15 @@ class TestTraces:
             self.assert_sweep_matches_the_walk(D)
 
     def test_sweep_matches_the_cell_by_cell_sweep(self):
-        """Each row read from its pivot, and from elbow to elbow without
-        crosses, gives what reading every cell gave, on every FPP and
-        partial FPP with n <= 4."""
+        """Each row read from its pivot gives what reading every cell gave,
+        on every FPP and partial FPP with n <= 4."""
         count = 0
         for n in range(1, 5):
             for k in range(n + 1):
                 for D in enumerate_partial_fpps(n, k):
-                    for crosses in (False, True):
-                        assert (_sweep(D, crosses)
-                                == oracles.sweep_by_cells(D, crosses))
+                    assert _sweep(D) == oracles.sweep_by_cells(D)
                     count += 1
         assert count == 580
-
-    def test_only_the_cross_readers_ask_for_crosses(self, monkeypatch):
-        """One sweep per reader; decperm_of and right_exit_labels read the
-        exit labels alone, so the sweep records no cross for them."""
-        from flagpipes import decperm, positroid
-
-        asked = []
-        real = pipedream._sweep
-
-        def spy(D, crosses=False):
-            asked.append(crosses)
-            return real(D, crosses)
-
-        for module in (pipedream, positroid, decperm):
-            monkeypatch.setattr(module, "_sweep", spy)
-        D = restrict(construct_fpp((2, 4, 1, 3), (4, 2, 3, 1)), 2)
-        for reader, crosses in [(trace_pipes, True), (is_gamma_free, True),
-                                (positroid.unblocked_columns, True),
-                                (decperm.decperm_of, False),
-                                (right_exit_labels, False)]:
-            asked.clear()
-            reader(D)
-            assert asked == [crosses], reader.__name__
 
     def test_exit_permutation_needs_complete(self):
         with pytest.raises(DomainError):

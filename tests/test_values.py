@@ -215,3 +215,24 @@ def test_a_value_built_from_lists_is_its_tuple_twin(cls, listed, tupled):
 def test_a_sequence_field_that_is_no_tuple_or_list_is_refused(build):
     with pytest.raises(DomainError):
         build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PipeDream(1, (True,), ("P",)),
+    lambda: construct_fpp((True, 2), (2, 1)),
+    lambda: PipeDream(True, (1,), ("P",)),
+    lambda: PipeDream("2", (), ()),
+    lambda: BasisSet(2.5, 1, False, ((1,),)),
+    lambda: BasisSet(3, True, False, ((1,),)),
+    lambda: BasisSet(3, 1, "no", ((1,),)),
+    lambda: FlagPositroid(2, (1,), ("x",)),
+    lambda: FlagPositroid(2.0, (1, 2), (P1, P2)),
+    lambda: FlagPositroid(2, (True, 2), (P1, P2)),
+], ids=["bool-pivot", "bool-pivot-pair", "bool-cols", "text-cols",
+        "float-n", "bool-k", "text-offset", "text-constituent", "float-flag-n",
+        "bool-rank"])
+def test_a_scalar_field_of_the_wrong_type_is_refused(build):
+    """A bool is no column, size or rank, so no value prints one field and
+    equals the value holding another."""
+    with pytest.raises(DomainError):
+        build()

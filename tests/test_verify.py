@@ -157,6 +157,23 @@ class TestRunCheck:
         assert ok is False
         assert detail == "append along (1, 2) above 1u2u is not the shift"
 
+    def test_moved_exit_labels_fail_standardization(self, monkeypatch):
+        """The check compares the right-exit labels of a dream and of its
+        standardization, not only the rows they leave: labels that move
+        when the pivots descend fail it."""
+        real = pipedream.right_exit_labels
+
+        def moved(D):
+            labels = real(D)
+            if D.pivots == tuple(sorted(D.pivots, reverse=True)):
+                return {i: label + D.cols for i, label in labels.items()}
+            return labels
+
+        monkeypatch.setattr(pipedream, "right_exit_labels", moved)
+        result = run_check("standardization")
+        assert result.ok is False
+        assert result.detail.startswith("standardize changed invariants")
+
     def test_quotient_covers_detail(self):
         ok, detail = verify.check_quotient_covers()
         assert ok is True
